@@ -43,6 +43,7 @@ _POT_CAP = 1e6
 _RHO_FLOOR = -1e-9
 _FP_TOL = 1e-12
 _FP_MAXITER = 50
+_BLOCK_ENTRIES = 1 << 14   # matrix entries per block of rk4 step matrices; bounds memory
 
 
 # -- trajectories ------------------------------------------------------------------
@@ -257,7 +258,8 @@ class FGFlow:
 def _linear_rk4(mats, y, dt, right: bool):
     """One rk4 step of dy = y m (right=True) or dy = -m y (right=False).
 
-    mats = (m(t), m(t + dt/2), m(t + dt)); dt may be negative.
+    mats = (m(t), m(t + dt/2), m(t + dt)); dt may be negative. Stacks of
+    matrices in mats step a stack of states, one per matrix triple.
     """
     m0, mh, m1 = mats
     if right:
@@ -273,6 +275,34 @@ def _linear_rk4(mats, y, dt, right: bool):
     return y + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
 
 
+def rk4_grid(rates: ReferenceRates, t0: float, t1: float, dt: float):
+    """(times, dt, m(times), m(midpoints)); the rounded step count lands on t1."""
+    steps = max(1, int(round((t1 - t0) / dt)))
+    dt = (t1 - t0) / steps
+    times = t0 + dt * np.arange(steps + 1)
+    return times, dt, rates.at_many(times), rates.at_many(times[:-1] + 0.5 * dt)
+
+
+def rk4_step_product(full: np.ndarray, half: np.ndarray, dt: float) -> np.ndarray:
+    """R_0 R_1 ... R_{K-1}: rk4 for dU = U m(t) from U = I over the K steps
+    of a grid with m at the K + 1 grid times (full) and the K midpoints (half).
+
+    Each block of step matrices R_k = I + dt (m0 + 2 k2 + 2 k3 + k4) / 6 (one
+    rk4 step from I) is built with batched products and reduced by pairwise
+    products in order; the result multiplies the running product.
+    """
+    eye = np.eye(full.shape[-1])
+    block = max(1, _BLOCK_ENTRIES // eye.size)
+    u = eye
+    for lo in range(0, len(half), block):
+        r = _linear_rk4([s[lo:lo + block] for s in (full[:-1], half, full[1:])], eye, dt, right=True)
+        while len(r) > 1:
+            paired = r[0:len(r) - 1:2] @ r[1::2]
+            r = np.concatenate([paired, r[-1:]]) if len(r) % 2 else paired
+        u = u @ r[0]
+    return u
+
+
 def schrodinger_evolve(rates: ReferenceRates, f0=None, g1=None,
                        t0: float = 0.0, t1: float = 1.0, dt: float = 1e-3) -> FGFlow:
     """March the linear factor equations across [t0, t1].
@@ -282,11 +312,8 @@ def schrodinger_evolve(rates: ReferenceRates, f0=None, g1=None,
     """
     if f0 is None and g1 is None:
         raise ValueError("give at least one of f0, g1")
-    steps = max(1, int(round((t1 - t0) / dt)))
-    dt = (t1 - t0) / steps
-    times = t0 + dt * np.arange(steps + 1)
-    half = rates.at_many(times[:-1] + 0.5 * dt)
-    full = rates.at_many(times)
+    times, dt, full, half = rk4_grid(rates, t0, t1, dt)
+    steps = len(half)
 
     f = None
     if f0 is not None:
@@ -323,15 +350,8 @@ class Monodromy:
 
 def fundamental_matrix(rates: ReferenceRates, t0: float, t1: float, dt: float = 1e-4) -> np.ndarray:
     """U with rho(t1) = rho(t0) U, from rk4 on dU = U m(t), U(t0) = I."""
-    steps = max(1, int(round((t1 - t0) / dt)))
-    dt = (t1 - t0) / steps
-    times = t0 + dt * np.arange(steps + 1)
-    half = rates.at_many(times[:-1] + 0.5 * dt)
-    full = rates.at_many(times)
-    u = np.eye(rates.n)
-    for k in range(steps):
-        u = _linear_rk4((full[k], half[k], full[k + 1]), u, dt, right=True)
-    return u
+    _, dt, full, half = rk4_grid(rates, t0, t1, dt)
+    return rk4_step_product(full, half, dt)
 
 
 def monodromy(rates: ReferenceRates, period: float | None = None,

@@ -101,11 +101,17 @@ class ReferenceRates:
     minus the row sum, so rows sum to zero and d rho/dt = rho m is mass
     preserving. Either a constant matrix or a matrix-valued function of
     time; a period can be declared for time-periodic families.
+
+    The support, the off-diagonal mask of pairs that may carry rate, is fixed
+    at construction: by default the nonzero pattern of a constant matrix and
+    every off-diagonal pair for a function of time. Evaluating an m(t) that
+    is positive off the support raises InvalidGenerator.
     """
 
     def __init__(self, n: int, fn: Callable[[float], np.ndarray] | None = None,
                  matrix: np.ndarray | None = None, period: float | None = None,
-                 batch_fn: Callable[[np.ndarray], np.ndarray] | None = None):
+                 batch_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+                 support: np.ndarray | None = None):
         if (fn is None) == (matrix is None):
             raise ValueError("give exactly one of fn or matrix")
         self.n = int(n)
@@ -115,15 +121,31 @@ class ReferenceRates:
         self.matrix = None
         if matrix is not None:
             self.matrix = _validated_generator(np.asarray(matrix, dtype=float))
+        offdiag = ~np.eye(self.n, dtype=bool)
+        if support is None:
+            support = self.matrix > 0 if self.matrix is not None else offdiag
+        if np.shape(support) != (self.n, self.n):
+            raise ValueError("support must be an (n, n) mask")
+        self._support = np.asarray(support, dtype=bool) & offdiag
+        self._support.setflags(write=False)
+        outside = offdiag & ~self._support
+        self._outside = outside if outside.any() else None
+        if self.matrix is not None:
+            self._on_support(self.matrix)
 
     @property
     def constant(self) -> bool:
         return self.matrix is not None
 
+    def _on_support(self, m: np.ndarray) -> np.ndarray:
+        if self._outside is not None and np.any(m[..., self._outside] > 0):
+            raise InvalidGenerator("positive rate off the declared support")
+        return m
+
     def at(self, t: float) -> np.ndarray:
         if self.matrix is not None:
             return self.matrix
-        return np.asarray(self._fn(float(t)), dtype=float)
+        return self._on_support(np.asarray(self._fn(float(t)), dtype=float))
 
     def at_many(self, ts: np.ndarray) -> np.ndarray:
         """(len(ts), n, n) stack; uses a vectorized closure when available."""
@@ -131,19 +153,12 @@ class ReferenceRates:
         if self.matrix is not None:
             return np.broadcast_to(self.matrix, (len(ts), self.n, self.n))
         if self._batch_fn is not None:
-            return np.asarray(self._batch_fn(ts), dtype=float)
+            return self._on_support(np.asarray(self._batch_fn(ts), dtype=float))
         return np.stack([self.at(t) for t in ts])
 
     def support(self) -> np.ndarray:
-        """Boolean off-diagonal mask of edges that ever carry rate."""
-        if self.matrix is not None:
-            mask = self.matrix > 0
-        else:
-            probe = self.at(0.0) + (0 if self.period is None
-                                    else sum(self.at(k * self.period / 7) for k in range(1, 7)))
-            mask = np.abs(probe) > 0
-        np.fill_diagonal(mask, False)
-        return mask
+        """Read-only boolean off-diagonal mask of the pairs that may carry rate."""
+        return self._support
 
 
 def _validated_generator(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import rk4_grid, rk4_step_product
 from .errors import (
     BoundaryDensity,
     InvalidGenerator,
@@ -173,23 +174,11 @@ def propagator(rates_like, s: float, t: float, dt: float = 1e-3,
     entries of the result are clipped to zero with a warning.
     """
     rates = _as_reference(rates_like)
-    steps = max(1, int(round((t - s) / dt)))
-    dt = (t - s) / steps
-    times = s + dt * np.arange(steps + 1)
-    full = rates.at_many(times)
-    half = rates.at_many(times[:-1] + 0.5 * dt)
+    _, dt, full, half = rk4_grid(rates, s, t, dt)
     if validate:
-        stride = max(1, steps // 16)
-        for k in range(0, steps + 1, stride):
-            validate_rate_matrix(full[k]).require_valid()
-    p = np.eye(rates.n)
-    for k in range(steps):
-        m0, mh, m1 = full[k], half[k], full[k + 1]
-        k1 = p @ m0
-        k2 = (p + 0.5 * dt * k1) @ mh
-        k3 = (p + 0.5 * dt * k2) @ mh
-        k4 = (p + dt * k3) @ m1
-        p = p + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        for m in full[::max(1, len(half) // 16)]:
+            validate_rate_matrix(m).require_valid()
+    p = rk4_step_product(full, half, dt)
     low = p.min()
     if low < -1e-9:
         raise InvalidGenerator("propagator entry %r below tolerance" % low)

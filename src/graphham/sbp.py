@@ -135,14 +135,11 @@ class BridgeSolution:
 
     def rates(self) -> ReferenceRates:
         dt = float(self.times[1] - self.times[0])
-        stack = self.m_hat
 
-        def at(t):
-            return stack[int(round((t - self.times[0]) / dt))]
+        def batch(ts):
+            return self.m_hat[np.round((np.asarray(ts) - self.times[0]) / dt).astype(int)]
 
-        return ReferenceRates(stack.shape[1], fn=at,
-                              batch_fn=lambda ts: stack[
-                                  np.round((ts - self.times[0]) / dt).astype(int)])
+        return ReferenceRates(self.m_hat.shape[1], fn=lambda t: batch([t])[0], batch_fn=batch)
 
 
 def _coupling_entropy(logk: np.ndarray, phi: np.ndarray, gam: np.ndarray,
@@ -326,44 +323,42 @@ def periodic_rate_from_density(density_fn, period: float, n: int,
     telescope the density derivative. The smallest feasible K (all
     off-diagonals nonnegative with margin) is found by doubling and
     bisection to 0.1% relative.
+
+    density_fn maps one time to a density. When density_batch is given it
+    maps an array of K times to the (K, n) densities and serves every
+    evaluation, and deriv_fn, if given, must accept that array too and return
+    (K, n) derivatives; otherwise both are called one time at a time. Without
+    deriv_fn the derivative is a central difference at step period / 1024.
+    Rates are assembled for an array of times at once; at(t) is batch([t])[0].
     """
+    def pointwise(fn):
+        return lambda ts: np.stack([_arr(fn(t)) for t in ts])
+
+    rho_of = density_batch if density_batch is not None else pointwise(density_fn)
+    fd = period / 1024.0
+    if deriv_fn is None:
+        def drho_of(ts):
+            return (rho_of(ts + fd) - rho_of(ts - fd)) / (2 * fd)
+    else:
+        drho_of = deriv_fn if density_batch is not None else pointwise(deriv_fn)
+
+    def loop_of(ts, rho):
+        # cycle rates m_{k,k+1} = x_k / rho_k from the fluxes x, gauged by x_0 = 0
+        x = np.zeros_like(rho)
+        x[:, 1:] = -np.cumsum(drho_of(ts)[:, 1:], axis=1)
+        return x / rho
+
     ts = np.linspace(0.0, period, 1024, endpoint=False)
-    rho_grid = np.stack([_arr(density_fn(t)) for t in ts])
+    rho_grid = rho_of(ts)
     if rho_grid.min() <= 1e-12:
         raise NotInterior("density loop touches the simplex boundary")
-
-    fd = period / 1024.0
-
-    def rhodot(t):
-        if deriv_fn is not None:
-            return _arr(deriv_fn(t))
-        return (_arr(density_fn(t + fd)) - _arr(density_fn(t - fd))) / (2 * fd)
-
-    def fluxes(rho, drho):
-        # x[k] = rho_k m_{k,k+1}, gauged by x[0] = 0
-        x = np.zeros_like(rho)
-        x[1:] = -np.cumsum(drho[1:])
-        return x
-
-    def assemble(strength, rho, drho):
-        x = fluxes(rho, drho)
-        m = strength / ((n - 1) * rho)[:, None] * np.ones((n, n))
-        np.fill_diagonal(m, -strength / rho)
-        loop = x / rho
-        for i in range(n):
-            m[i, (i + 1) % n] += loop[i]
-            m[i, i] -= loop[i]
-        return m
-
-    drho_grid = np.stack([rhodot(t) for t in ts])
+    loop_grid = loop_of(ts, rho_grid)
+    nodes = np.arange(n)
 
     def feasible(strength):
-        worst = np.inf
-        for rho, drho in zip(rho_grid, drho_grid):
-            m = assemble(strength, rho, drho)
-            off = m[~np.eye(n, dtype=bool)]
-            worst = min(worst, off.min())
-        return worst >= margin
+        # off-diagonals: mix everywhere, plus the loop on the cycle entries
+        mix = strength / ((n - 1) * rho_grid)
+        return (mix + loop_grid).min() >= margin and (n == 2 or mix.min() >= margin)
 
     hi = 1.0
     while not feasible(hi):
@@ -378,31 +373,17 @@ def periodic_rate_from_density(density_fn, period: float, n: int,
         else:
             lo = mid
 
-    def at(t):
-        return assemble(hi, _arr(density_fn(t)), rhodot(t))
+    def batch(times):
+        times = np.asarray(times, dtype=float)
+        rho = rho_of(times)
+        loop = loop_of(times, rho)
+        m = np.repeat((hi / ((n - 1) * rho))[:, :, None], n, axis=2)
+        m[:, nodes, nodes] = -hi / rho - loop
+        m[:, nodes, (nodes + 1) % n] += loop
+        return m
 
-    batch_fn = None
-    if density_batch is not None:
-        def batch_fn(times):
-            rho = density_batch(times)
-            if deriv_fn is not None:
-                drho = np.stack([_arr(deriv_fn(t)) for t in times])
-            else:
-                drho = (density_batch(times + fd) - density_batch(times - fd)) / (2 * fd)
-            x = np.zeros_like(rho)
-            x[:, 1:] = -np.cumsum(drho[:, 1:], axis=1)
-            m = (hi / ((n - 1) * rho))[:, :, None] * np.ones((1, 1, n))
-            steps = np.arange(len(times))
-            for i in range(n):
-                m[:, i, i] = -hi / rho[:, i]
-            loop = x / rho
-            for i in range(n):
-                m[steps, i, (i + 1) % n] += loop[:, i]
-                m[steps, i, i] -= loop[:, i]
-            return m
-
-    return PeriodicRates(ReferenceRates(n, fn=at, period=period, batch_fn=batch_fn),
-                         float(hi), period)
+    return PeriodicRates(ReferenceRates(n, fn=lambda t: batch([t])[0], period=period,
+                                        batch_fn=batch), float(hi), period)
 
 
 # -- stationarity ------------------------------------------------------------------------

@@ -70,41 +70,36 @@ class Scenario:
 _SQ6, _SQ2 = np.sqrt(6.0), np.sqrt(2.0)
 
 
+# loops and derivatives map one time to (n,) and an array of K times to (K, n)
 def _two_node_density(t):
-    return np.array([0.5 + 0.25 * np.cos(t), 0.5 - 0.25 * np.cos(t)])
+    c = 0.25 * np.cos(t)
+    return np.array([0.5 + c, 0.5 - c]).T
 
 
 def _two_node_deriv(t):
-    return np.array([-0.25 * np.sin(t), 0.25 * np.sin(t)])
-
-
-def _two_node_batch(ts):
-    return np.stack([0.5 + 0.25 * np.cos(ts), 0.5 - 0.25 * np.cos(ts)], axis=1)
+    s = 0.25 * np.sin(t)
+    return np.array([-s, s]).T
 
 
 def _circle_density(t):
-    return np.array([np.cos(t) / (2 * _SQ6) + np.sin(t) / (6 * _SQ2) + 1 / 3,
-                     -np.cos(t) / (2 * _SQ6) + np.sin(t) / (6 * _SQ2) + 1 / 3,
-                     -np.sin(t) / (3 * _SQ2) + 1 / 3])
+    c, s = np.cos(t), np.sin(t)
+    return np.array([c / (2 * _SQ6) + s / (6 * _SQ2) + 1 / 3,
+                     -c / (2 * _SQ6) + s / (6 * _SQ2) + 1 / 3,
+                     -s / (3 * _SQ2) + 1 / 3]).T
 
 
 def _circle_deriv(t):
-    return np.array([-np.sin(t) / (2 * _SQ6) + np.cos(t) / (6 * _SQ2),
-                     np.sin(t) / (2 * _SQ6) + np.cos(t) / (6 * _SQ2),
-                     -np.cos(t) / (3 * _SQ2)])
+    c, s = np.cos(t), np.sin(t)
+    return np.array([-s / (2 * _SQ6) + c / (6 * _SQ2),
+                     s / (2 * _SQ6) + c / (6 * _SQ2),
+                     -c / (3 * _SQ2)]).T
 
 
-def _circle_batch(ts):
-    return np.stack([np.cos(ts) / (2 * _SQ6) + np.sin(ts) / (6 * _SQ2) + 1 / 3,
-                     -np.cos(ts) / (2 * _SQ6) + np.sin(ts) / (6 * _SQ2) + 1 / 3,
-                     -np.sin(ts) / (3 * _SQ2) + 1 / 3], axis=1)
-
-
-def _periodic_scenario(name, n, density, deriv, batch):
+def _periodic_scenario(name, n, density, deriv):
     g = complete_graph(n)
     period = 2 * np.pi
     rates = periodic_rate_from_density(density, period, n, deriv_fn=deriv,
-                                       density_batch=batch).rates
+                                       density_batch=density).rates
     return Scenario(
         name=name, graph=g, hamiltonian=sbp_psi(g, rates), rate_kind="sbp",
         reference=rates,
@@ -113,13 +108,11 @@ def _periodic_scenario(name, n, density, deriv, batch):
 
 
 def _two_node_periodic():
-    return _periodic_scenario("two-node-periodic", 2,
-                              _two_node_density, _two_node_deriv, _two_node_batch)
+    return _periodic_scenario("two-node-periodic", 2, _two_node_density, _two_node_deriv)
 
 
 def _three_node_circle():
-    return _periodic_scenario("three-node-circle", 3,
-                              _circle_density, _circle_deriv, _circle_batch)
+    return _periodic_scenario("three-node-circle", 3, _circle_density, _circle_deriv)
 
 
 def _two_node_bridge():

@@ -43,6 +43,7 @@ from graphham.hamiltonians import (
     symmetric_rates,
 )
 from graphham.dynamics import (
+    _BLOCK_ENTRIES,
     FGFlow,
     fundamental_matrix,
     hopf_cole,
@@ -54,6 +55,7 @@ from graphham.dynamics import (
     schrodinger_evolve,
     symplectic_check,
 )
+from graphham.markov import propagator
 from graphham.theta import AVERAGE
 
 
@@ -329,3 +331,48 @@ class TestMonodromy:
         u = fundamental_matrix(rates, 0.0, 2.0, dt=1e-3)
         assert np.allclose(u.sum(axis=1), 1.0, atol=1e-12)
         assert u.min() >= -1e-12
+
+
+class TestBlockedMarcher:
+    """fundamental_matrix and propagator share a blocked step-matrix product;
+    its block boundaries must not show against a step-by-step rk4."""
+
+    BLOCK = _BLOCK_ENTRIES // 16   # steps per block for 4 nodes
+    DT = 1e-3
+
+    @staticmethod
+    def rates():
+        rng = np.random.default_rng(43)
+        base = rng.uniform(0.3, 1.5, size=(4, 4))
+        phase = rng.uniform(0.0, 2 * math.pi, size=(4, 4))
+        np.fill_diagonal(base, 0.0)
+
+        def batch(ts):
+            off = base * (1.0 + 0.5 * np.sin(3.0 * np.asarray(ts)[:, None, None] + phase))
+            return off - np.eye(4) * off.sum(axis=2)[:, :, None]
+
+        return ReferenceRates(4, fn=lambda t: batch([t])[0], batch_fn=batch)
+
+    @staticmethod
+    def sequential(rates, t1, steps):
+        dt = t1 / steps
+        u = np.eye(4)
+        for k in range(steps):
+            m0, mh, m1 = rates.at(k * dt), rates.at((k + 0.5) * dt), rates.at((k + 1) * dt)
+            k1 = u @ m0
+            k2 = (u + 0.5 * dt * k1) @ mh
+            k3 = (u + 0.5 * dt * k2) @ mh
+            k4 = (u + dt * k3) @ m1
+            u = u + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        return u
+
+    @pytest.mark.parametrize("steps", [1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 453])
+    def test_block_boundaries_match_sequential_rk4(self, steps):
+        rates = self.rates()
+        t1 = steps * self.DT
+        want = self.sequential(rates, t1, steps)
+        u = fundamental_matrix(rates, 0.0, t1, dt=self.DT)
+        p = propagator(rates, 0.0, t1, dt=self.DT)
+        for got in (u, p):
+            assert np.max(np.abs(got - want)) <= 1e-13
+            assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-12

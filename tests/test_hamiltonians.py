@@ -102,6 +102,69 @@ class TestReferenceRates:
         assert not sup.diagonal().any()
 
 
+class TestDeclaredSupport:
+    RAMP = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    PATH = np.array([[False, True, False], [True, False, True], [False, True, False]])
+    LEAK = np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]])
+
+    def test_rates_vanishing_at_zero_keep_their_support(self):
+        # m(t) = t B is zero at t = 0, where a probe for the support finds none
+        from graphham.hamiltonians import ReferenceRates
+
+        ramp = ReferenceRates(2, fn=lambda t: t * self.RAMP)
+        frozen = constant_rates(self.RAMP)
+        for maker, chart in ((sbp_entropic, "S"), (sbp_psi, "psi")):
+            state = PhasePoint([0.7, 0.3], [0.2, -0.1], chart=chart)
+            got = vector_field(maker(two_node(), ramp), state, t=1.0)
+            want = vector_field(maker(two_node(), frozen), state, t=1.0)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_default_support(self):
+        from graphham.hamiltonians import ReferenceRates
+
+        sup = ReferenceRates(3, fn=lambda t: np.zeros((3, 3))).support()
+        np.testing.assert_array_equal(sup, ~np.eye(3, dtype=bool))
+        with pytest.raises(ValueError):
+            sup[0, 1] = False
+
+    def test_rate_off_declared_support_rejected(self):
+        from graphham.hamiltonians import ReferenceRates
+
+        rates = ReferenceRates(3, fn=lambda t: self.LEAK, support=self.PATH)
+        np.testing.assert_array_equal(rates.support(), self.PATH)
+        with pytest.raises(InvalidGenerator):
+            rates.at(0.5)
+        state = PhasePoint([0.5, 0.3, 0.2], [0.0, 0.1, -0.1])
+        with pytest.raises(InvalidGenerator):
+            vector_field(sbp_entropic(complete_graph(3), rates), state, t=0.5)
+        batched = ReferenceRates(3, fn=lambda t: self.LEAK, support=self.PATH,
+                                 batch_fn=lambda ts: np.broadcast_to(self.LEAK, (len(ts), 3, 3)))
+        with pytest.raises(InvalidGenerator):
+            batched.at_many(np.array([0.1, 0.2]))
+        with pytest.raises(InvalidGenerator):
+            ReferenceRates(3, matrix=self.LEAK, support=self.PATH)
+        on_path = np.where(self.PATH, 1.0, 0.0)
+        on_path -= np.diag(on_path.sum(axis=1))
+        fine = ReferenceRates(3, fn=lambda t: on_path, support=self.PATH)
+        np.testing.assert_array_equal(fine.at(0.5), on_path)
+
+    def test_one_rate_evaluation_per_field_call(self):
+        from graphham.hamiltonians import ReferenceRates
+
+        times = []
+
+        def fn(t):
+            times.append(t)
+            return (1.0 + math.sin(t) ** 2) * self.RAMP
+
+        spec = sbp_entropic(two_node(), ReferenceRates(2, fn=fn, period=2 * math.pi))
+        state = PhasePoint([0.6, 0.4], [0.1, -0.1])
+        for k in range(5):
+            vector_field(spec, state, t=0.3 * k)
+        assert len(times) == 5
+
+
 class TestConvexDuals:
     def test_entropy_dual(self):
         assert ENTROPY_DUAL.value(0.0) == 0.0

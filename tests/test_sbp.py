@@ -288,6 +288,26 @@ class TestPeriodicConstruction:
         for k, t in enumerate(ts):
             np.testing.assert_allclose(batch[k], pr.rates.at(t), atol=1e-12)
 
+    @pytest.mark.parametrize("name, strength", [("two-node-periodic", 0.250244140625),
+                                                ("three-node-circle", 0.471435546875)])
+    def test_builtin_construction_pinned(self, name, strength):
+        from graphham import scenarios
+
+        density, deriv = {"two-node-periodic": (scenarios._two_node_density,
+                                                scenarios._two_node_deriv),
+                          "three-node-circle": (scenarios._circle_density,
+                                                scenarios._circle_deriv)}[name]
+        n = len(density(0.0))
+        batch = periodic_rate_from_density(density, 2 * np.pi, n, deriv_fn=deriv,
+                                           density_batch=density)
+        pointwise = periodic_rate_from_density(density, 2 * np.pi, n, deriv_fn=deriv)
+        assert batch.strength == strength
+        assert pointwise.strength == strength
+        rates = scenarios.load_config(name).reference
+        for t in (0.0, 0.7, 2.5, 6.1):
+            np.testing.assert_array_equal(rates.at(t), rates.at_many([t])[0])
+            np.testing.assert_allclose(pointwise.rates.at(t), rates.at(t), rtol=0, atol=1e-15)
+
     def test_boundary_loop_rejected(self):
         with pytest.raises(NotInterior):
             periodic_rate_from_density(
