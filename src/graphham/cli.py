@@ -164,9 +164,7 @@ def cmd_geodesic(scenario: Scenario, out: Path, args) -> int:
     def snap(ts):
         return np.clip(np.round((np.asarray(ts) - scenario.t0) / rec_dt), 0, top).astype(int)
 
-    frozen = ReferenceRates(scenario.graph.n,
-                            fn=lambda t: qs[int(snap(t))],
-                            batch_fn=lambda ts: qs[snap(ts)])
+    frozen = ReferenceRates(scenario.graph.n, batch_fn=lambda ts: qs[snap(ts)])
     rho0 = _to_s_chart(scenario.initial).rho
     paths = sample_paths(frozen, rho0, scenario.particles, scenario.t0,
                          scenario.t1, seed=scenario.seed, lam=scenario.lam,

@@ -289,11 +289,19 @@ def rk4_step_product(full: np.ndarray, half: np.ndarray, dt: float) -> np.ndarra
 
     Each block of step matrices R_k = I + dt (m0 + 2 k2 + 2 k3 + k4) / 6 (one
     rk4 step from I) is built with batched products and reduced by pairwise
-    products in order; the result multiplies the running product.
+    products in order; the result multiplies the running product. That costs
+    about 5 n^3 flops per step against 4 for stepping U itself and pays only
+    while per-step overhead dominates. Timed on a 2-core x86 host, it is about
+    20x faster at n = 4, 2x at n = 32 (16 steps per block) and even near
+    n = 48-64; below 8 steps per block (n > 45) U is stepped directly.
     """
     eye = np.eye(full.shape[-1])
-    block = max(1, _BLOCK_ENTRIES // eye.size)
+    block = _BLOCK_ENTRIES // eye.size
     u = eye
+    if block < 8:
+        for k in range(len(half)):
+            u = _linear_rk4((full[k], half[k], full[k + 1]), u, dt, right=True)
+        return u
     for lo in range(0, len(half), block):
         r = _linear_rk4([s[lo:lo + block] for s in (full[:-1], half, full[1:])], eye, dt, right=True)
         while len(r) > 1:

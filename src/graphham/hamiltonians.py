@@ -103,49 +103,37 @@ class ReferenceRates:
     time; a period can be declared for time-periodic families.
 
     The support, the off-diagonal mask of pairs that may carry rate, is fixed
-    at construction: by default the nonzero pattern of a constant matrix and
-    every off-diagonal pair for a function of time. Evaluating an m(t) that
-    is positive off the support raises InvalidGenerator.
+    at construction: the nonzero pattern of a constant matrix, and every
+    off-diagonal pair for a function of time. A function of time is fn(t), a
+    batch_fn(times) giving the (len(times), n, n) stack, or both; with
+    batch_fn alone, at(t) is batch_fn([t])[0].
     """
 
     def __init__(self, n: int, fn: Callable[[float], np.ndarray] | None = None,
                  matrix: np.ndarray | None = None, period: float | None = None,
-                 batch_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-                 support: np.ndarray | None = None):
-        if (fn is None) == (matrix is None):
-            raise ValueError("give exactly one of fn or matrix")
+                 batch_fn: Callable[[np.ndarray], np.ndarray] | None = None):
+        if (fn is None and batch_fn is None) == (matrix is None):
+            raise ValueError("give exactly one of matrix or fn/batch_fn")
         self.n = int(n)
         self.period = period
-        self._fn = fn
+        self._fn = fn if fn is not None or batch_fn is None else lambda t: batch_fn([t])[0]
         self._batch_fn = batch_fn
         self.matrix = None
         if matrix is not None:
             self.matrix = _validated_generator(np.asarray(matrix, dtype=float))
-        offdiag = ~np.eye(self.n, dtype=bool)
-        if support is None:
-            support = self.matrix > 0 if self.matrix is not None else offdiag
-        if np.shape(support) != (self.n, self.n):
-            raise ValueError("support must be an (n, n) mask")
-        self._support = np.asarray(support, dtype=bool) & offdiag
+        self._support = (self.matrix > 0 if self.matrix is not None
+                         else ~np.eye(self.n, dtype=bool))
+        np.fill_diagonal(self._support, False)
         self._support.setflags(write=False)
-        outside = offdiag & ~self._support
-        self._outside = outside if outside.any() else None
-        if self.matrix is not None:
-            self._on_support(self.matrix)
 
     @property
     def constant(self) -> bool:
         return self.matrix is not None
 
-    def _on_support(self, m: np.ndarray) -> np.ndarray:
-        if self._outside is not None and np.any(m[..., self._outside] > 0):
-            raise InvalidGenerator("positive rate off the declared support")
-        return m
-
     def at(self, t: float) -> np.ndarray:
         if self.matrix is not None:
             return self.matrix
-        return self._on_support(np.asarray(self._fn(float(t)), dtype=float))
+        return np.asarray(self._fn(float(t)), dtype=float)
 
     def at_many(self, ts: np.ndarray) -> np.ndarray:
         """(len(ts), n, n) stack; uses a vectorized closure when available."""
@@ -153,12 +141,17 @@ class ReferenceRates:
         if self.matrix is not None:
             return np.broadcast_to(self.matrix, (len(ts), self.n, self.n))
         if self._batch_fn is not None:
-            return self._on_support(np.asarray(self._batch_fn(ts), dtype=float))
+            return np.asarray(self._batch_fn(ts), dtype=float)
         return np.stack([self.at(t) for t in ts])
 
     def support(self) -> np.ndarray:
         """Read-only boolean off-diagonal mask of the pairs that may carry rate."""
         return self._support
+
+
+def _carrying(rates: ReferenceRates, m: np.ndarray) -> np.ndarray:
+    """Support pairs whose rate m = rates.at(t) is nonzero at that t."""
+    return rates.support() if rates.constant else rates.support() & (m != 0)
 
 
 def _validated_generator(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -397,7 +390,7 @@ def eval_H(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0) -> float:
         return val
 
     m = spec.reference.at(t)
-    sup = spec.reference.support()
+    sup = _carrying(spec.reference, m)
     gap = pot[None, :] - pot[:, None]          # pot_j - pot_i
     if spec.variant == "sbp_entropic":
         _interior(rho)
@@ -453,7 +446,7 @@ def vector_field(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0):
         return drho, dpot
 
     m = spec.reference.at(t)
-    sup = spec.reference.support()
+    sup = _carrying(spec.reference, m)
     gap = pot[None, :] - pot[:, None]
 
     if spec.variant == "sbp_entropic":

@@ -139,7 +139,7 @@ class BridgeSolution:
         def batch(ts):
             return self.m_hat[np.round((np.asarray(ts) - self.times[0]) / dt).astype(int)]
 
-        return ReferenceRates(self.m_hat.shape[1], fn=lambda t: batch([t])[0], batch_fn=batch)
+        return ReferenceRates(self.m_hat.shape[1], batch_fn=batch)
 
 
 def _coupling_entropy(logk: np.ndarray, phi: np.ndarray, gam: np.ndarray,
@@ -256,14 +256,15 @@ def path_entropy_bruteforce(solution: BridgeSolution, n_steps: int) -> float:
     """
     problem = solution.problem
     n = problem.reference.n
-    support = problem.reference.support()
-    maxdeg = int(support.sum(axis=1).max())
+    h = (problem.t1 - problem.t0) / n_steps
+    # out-degree of the pairs the reference moves along at the step times
+    moves = (problem.reference.at_many(problem.t0 + h * np.arange(n_steps)) != 0).any(axis=0)
+    maxdeg = int((moves & problem.reference.support()).sum(axis=1).max())
     if float(maxdeg + 1) ** n_steps > 1e7:
         raise PathExplosion(
             "about %g support paths; brute force stops at 1e7"
             % (float(maxdeg + 1) ** n_steps))
 
-    h = (problem.t1 - problem.t0) / n_steps
     grid_dt = float(solution.times[1] - solution.times[0])
     bridged = solution.rates()
     refr = problem.reference
@@ -382,8 +383,7 @@ def periodic_rate_from_density(density_fn, period: float, n: int,
         m[:, nodes, (nodes + 1) % n] += loop
         return m
 
-    return PeriodicRates(ReferenceRates(n, fn=lambda t: batch([t])[0], period=period,
-                                        batch_fn=batch), float(hi), period)
+    return PeriodicRates(ReferenceRates(n, period=period, batch_fn=batch), float(hi), period)
 
 
 # -- stationarity ------------------------------------------------------------------------

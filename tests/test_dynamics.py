@@ -335,28 +335,29 @@ class TestMonodromy:
 
 class TestBlockedMarcher:
     """fundamental_matrix and propagator share a blocked step-matrix product;
-    its block boundaries must not show against a step-by-step rk4."""
+    its block boundaries must not show against a step-by-step rk4, and large
+    graphs, which it steps directly, must agree too."""
 
     BLOCK = _BLOCK_ENTRIES // 16   # steps per block for 4 nodes
     DT = 1e-3
 
     @staticmethod
-    def rates():
+    def rates(n=4):
         rng = np.random.default_rng(43)
-        base = rng.uniform(0.3, 1.5, size=(4, 4))
-        phase = rng.uniform(0.0, 2 * math.pi, size=(4, 4))
+        base = rng.uniform(0.3, 1.5, size=(n, n))
+        phase = rng.uniform(0.0, 2 * math.pi, size=(n, n))
         np.fill_diagonal(base, 0.0)
 
         def batch(ts):
             off = base * (1.0 + 0.5 * np.sin(3.0 * np.asarray(ts)[:, None, None] + phase))
-            return off - np.eye(4) * off.sum(axis=2)[:, :, None]
+            return off - np.eye(n) * off.sum(axis=2)[:, :, None]
 
-        return ReferenceRates(4, fn=lambda t: batch([t])[0], batch_fn=batch)
+        return ReferenceRates(n, batch_fn=batch)
 
     @staticmethod
     def sequential(rates, t1, steps):
         dt = t1 / steps
-        u = np.eye(4)
+        u = np.eye(rates.n)
         for k in range(steps):
             m0, mh, m1 = rates.at(k * dt), rates.at((k + 0.5) * dt), rates.at((k + 1) * dt)
             k1 = u @ m0
@@ -367,8 +368,8 @@ class TestBlockedMarcher:
         return u
 
     @pytest.mark.parametrize("steps", [1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 453])
-    def test_block_boundaries_match_sequential_rk4(self, steps):
-        rates = self.rates()
+    def test_block_boundaries_match_sequential_rk4(self, steps, n=4):
+        rates = self.rates(n)
         t1 = steps * self.DT
         want = self.sequential(rates, t1, steps)
         u = fundamental_matrix(rates, 0.0, t1, dt=self.DT)
@@ -376,3 +377,7 @@ class TestBlockedMarcher:
         for got in (u, p):
             assert np.max(np.abs(got - want)) <= 1e-13
             assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-12
+
+    def test_large_graph_steps_directly(self):
+        assert _BLOCK_ENTRIES // 50 ** 2 < 8   # below the blocking threshold
+        self.test_block_boundaries_match_sequential_rk4(7, n=50)

@@ -105,7 +105,6 @@ class TestReferenceRates:
 class TestDeclaredSupport:
     RAMP = np.array([[-1.0, 1.0], [1.0, -1.0]])
     PATH = np.array([[False, True, False], [True, False, True], [False, True, False]])
-    LEAK = np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]])
 
     def test_rates_vanishing_at_zero_keep_their_support(self):
         # m(t) = t B is zero at t = 0, where a probe for the support finds none
@@ -128,26 +127,36 @@ class TestDeclaredSupport:
         with pytest.raises(ValueError):
             sup[0, 1] = False
 
-    def test_rate_off_declared_support_rejected(self):
+    def test_sparse_time_dependent_rates(self):
+        # a potential gap beyond +-700 between nodes without rate is harmless
         from graphham.hamiltonians import ReferenceRates
 
-        rates = ReferenceRates(3, fn=lambda t: self.LEAK, support=self.PATH)
-        np.testing.assert_array_equal(rates.support(), self.PATH)
-        with pytest.raises(InvalidGenerator):
-            rates.at(0.5)
-        state = PhasePoint([0.5, 0.3, 0.2], [0.0, 0.1, -0.1])
-        with pytest.raises(InvalidGenerator):
-            vector_field(sbp_entropic(complete_graph(3), rates), state, t=0.5)
-        batched = ReferenceRates(3, fn=lambda t: self.LEAK, support=self.PATH,
-                                 batch_fn=lambda ts: np.broadcast_to(self.LEAK, (len(ts), 3, 3)))
-        with pytest.raises(InvalidGenerator):
-            batched.at_many(np.array([0.1, 0.2]))
-        with pytest.raises(InvalidGenerator):
-            ReferenceRates(3, matrix=self.LEAK, support=self.PATH)
-        on_path = np.where(self.PATH, 1.0, 0.0)
-        on_path -= np.diag(on_path.sum(axis=1))
-        fine = ReferenceRates(3, fn=lambda t: on_path, support=self.PATH)
-        np.testing.assert_array_equal(fine.at(0.5), on_path)
+        path = np.where(self.PATH, 1.0, 0.0)
+        path -= np.diag(path.sum(axis=1))
+        sparse = ReferenceRates(3, fn=lambda t: (1.0 + t) * path)
+        frozen = constant_rates(2.0 * path)
+        g = validate_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        for maker, chart in ((sbp_entropic, "S"), (sbp_psi, "psi")):
+            state = PhasePoint([0.5, 0.3, 0.2], [0.0, 360.0, 720.0], chart=chart)
+            got = vector_field(maker(g, sparse), state, t=1.0)
+            want = vector_field(maker(g, frozen), state, t=1.0)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            assert eval_H(maker(g, sparse), state, t=1.0) == eval_H(maker(g, frozen), state, t=1.0)
+
+    def test_batch_fn_alone(self):
+        from graphham.hamiltonians import ReferenceRates
+
+        def batch(ts):
+            return np.asarray(ts)[:, None, None] * self.RAMP
+
+        rates = ReferenceRates(2, batch_fn=batch)
+        np.testing.assert_array_equal(rates.at(0.5), 0.5 * self.RAMP)
+        np.testing.assert_array_equal(rates.at_many([0.5, 2.0])[1], 2.0 * self.RAMP)
+        with pytest.raises(ValueError):
+            ReferenceRates(2)
+        with pytest.raises(ValueError):
+            ReferenceRates(2, matrix=self.RAMP, batch_fn=batch)
 
     def test_one_rate_evaluation_per_field_call(self):
         from graphham.hamiltonians import ReferenceRates

@@ -23,6 +23,7 @@ from graphham.errors import (
 from graphham.graph import complete_graph
 from graphham.hamiltonians import (
     PhasePoint,
+    ReferenceRates,
     constant_rates,
     ot_kinetic,
     sbp_entropic,
@@ -232,6 +233,18 @@ class TestBruteForce:
         sol = solve_bridge(BridgeProblem(rates, [0.5, 0.3, 0.2], [0.2, 0.3, 0.5]))
         with pytest.raises(PathExplosion):
             path_entropy_bruteforce(sol, 16)
+
+    def test_sparse_time_dependent_reference_counts_its_moves(self):
+        # a 4-node path moves along at most 2 pairs per node: 3^12 paths are
+        # enumerated, where every pair (4^12 > 1e7) would be refused
+        path = np.diag([1.0, 1.0, 1.0], 1) + np.diag([1.0, 1.0, 1.0], -1)
+        path -= np.diag(path.sum(axis=1))
+        rates = ReferenceRates(4, fn=lambda t: (1.0 + 0.5 * np.sin(t)) * path)
+        sol = solve_bridge(BridgeProblem(rates, [0.4, 0.3, 0.2, 0.1],
+                                         [0.1, 0.2, 0.3, 0.4]), dt=1.0 / 256)
+        assert np.isfinite(path_entropy_bruteforce(sol, 12))
+        with pytest.raises(PathExplosion):
+            path_entropy_bruteforce(sol, 15)
 
     def test_negative_step_probability(self):
         sol = solve_bridge(BridgeProblem(constant_rates(10.0 * FLIP),
