@@ -38,7 +38,7 @@ from .errors import (
     SelfLoop,
     SingularLaplacian,
 )
-from .theta import ThetaKind, AVERAGE, theta, resolve_direction
+from .theta import ThetaKind, AVERAGE, theta, theta_partial, resolve_direction
 
 _SUM_TOL = 1e-12
 
@@ -175,18 +175,27 @@ def graph_gradient(g: Graph, S) -> SkewField:
     return SkewField(v)
 
 
-def edge_theta(g: Graph, rho, kind: ThetaKind, direction=None, masses=None) -> np.ndarray:
+def edge_theta(g: Graph, rho, kind: ThetaKind, direction=None) -> np.ndarray:
     """Theta weights as an (n, n) matrix over ordered adjacent pairs.
 
     `direction` feeds the upwind kind when the kind itself carries no
-    source. `masses` overrides the node masses (used by fisher weights).
+    source.
     """
-    r = _arr(rho) if masses is None else np.asarray(masses, dtype=float)
-    dirs = resolve_direction(kind, fallback=direction)
-    if dirs is None:
-        dirs = 0.0
-    th = theta(kind, r[:, None] * np.ones_like(g.weight), r[None, :] * np.ones_like(g.weight), dirs)
+    r = _arr(rho)
+    th = theta(kind, r[:, None], r[None, :], resolve_direction(kind, direction))
     return np.where(g.adjacency, th, 0.0)
+
+
+def edge_theta_partial_sum(g: Graph, rho, kind: ThetaKind, direction=None) -> np.ndarray:
+    """P[i, j] = d theta_ij / d rho_i + d theta_ji / d rho_i on adjacent pairs.
+
+    Directions resolve as in edge_theta; an upwind direction matrix must be
+    antisymmetric, so that d_ji = -d_ij.
+    """
+    r = _arr(rho)
+    first, second = theta_partial(kind, r[:, None], r[None, :],
+                                  resolve_direction(kind, direction))
+    return np.where(g.adjacency, first + second.T, 0.0)
 
 
 def divergence(g: Graph, rho, v, kind: ThetaKind = AVERAGE) -> np.ndarray:

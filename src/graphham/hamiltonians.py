@@ -39,19 +39,23 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundaryDensity, InvalidGenerator, KinkProximity, NonfiniteValue
-from .graph import Graph, _arr
-from .theta import ThetaKind, theta, theta_partial, resolve_direction
+from .graph import Graph, _arr, edge_theta, edge_theta_partial_sum
+from .theta import ThetaKind
 
 _EXP_CAP = 700.0
 
 
-def _guarded_exp(x, mask=None):
-    """exp(x) on the masked entries, refusing to overflow silently."""
-    x = np.asarray(x, dtype=float)
-    probe = x if mask is None else np.where(mask, x, 0.0)
-    if np.max(np.abs(probe), initial=0.0) > _EXP_CAP:
+def _capped(x, mask):
+    """x on the masked entries and 0 elsewhere, refusing gaps whose exp overflows."""
+    x = np.where(mask, x, 0.0)
+    if np.max(np.abs(x), initial=0.0) > _EXP_CAP:
         raise NonfiniteValue("potential gap beyond +-700; exp would overflow")
-    return np.exp(np.where(mask, x, 0.0) if mask is not None else x)
+    return x
+
+
+def _guarded_exp(x, mask):
+    """exp(x) on the masked entries and 1 elsewhere, refusing to overflow silently."""
+    return np.exp(_capped(x, mask))
 
 
 # -- states ----------------------------------------------------------------------
@@ -256,6 +260,8 @@ class HamiltonianSpec:
                 raise ValueError("beta must be nonnegative")
             if self.theta_tilde is None:
                 self.theta_tilde = self.theta
+            if self.theta_tilde.kind == "upwind":
+                raise ValueError("fisher information needs a smooth theta kind")
         if self.variant == "lp_kinetic" and not self.q > 1:
             raise ValueError("lp exponent must exceed 1")
 
@@ -291,33 +297,6 @@ def schrodinger_fg(graph: Graph, reference: ReferenceRates) -> HamiltonianSpec:
     return HamiltonianSpec("schrodinger_fg", graph, reference=reference)
 
 
-# -- theta matrices over ordered pairs ---------------------------------------------------
-
-
-def _theta_matrix(g: Graph, kind: ThetaKind, rho: np.ndarray, dirs) -> np.ndarray:
-    ri = rho[:, None] * np.ones((g.n, g.n))
-    rj = rho[None, :] * np.ones((g.n, g.n))
-    th = theta(kind, ri, rj, dirs if dirs is not None else 0.0)
-    return np.where(g.adjacency, th, 0.0)
-
-
-def _theta_partial_sum(g: Graph, kind: ThetaKind, rho: np.ndarray, dirs) -> np.ndarray:
-    """P[i, j] = d theta_ij / d rho_i + d theta_ji / d rho_i on edges."""
-    ri = rho[:, None] * np.ones((g.n, g.n))
-    rj = rho[None, :] * np.ones((g.n, g.n))
-    d = dirs if dirs is not None else 0.0
-    p1 = theta_partial(kind, ri, rj, d, which="first")
-    p2 = theta_partial(kind, rj, ri, -np.asarray(d) if dirs is not None else 0.0, which="second")
-    return np.where(g.adjacency, p1 + p2, 0.0)
-
-
-def _kinetic_dirs(spec: HamiltonianSpec, ds: np.ndarray):
-    if spec.theta.kind != "upwind":
-        return None
-    dirs = resolve_direction(spec.theta, fallback=ds)
-    return dirs
-
-
 def _interior(rho: np.ndarray):
     if np.min(rho) <= 0.0:
         raise BoundaryDensity("state requires strictly positive masses")
@@ -334,7 +313,7 @@ def fisher_information(g: Graph, rho, kind: ThetaKind) -> float:
     if kind.kind == "upwind":
         raise ValueError("fisher information needs a smooth theta kind")
     dlog = np.log(r)[:, None] - np.log(r)[None, :]
-    th = _theta_matrix(g, kind, r, None)
+    th = edge_theta(g, r, kind)
     return float(0.5 * (dlog ** 2 * th * g.fisher_weight).sum())
 
 
@@ -344,8 +323,8 @@ def _fisher_grad(g: Graph, rho, kind: ThetaKind) -> np.ndarray:
     r = _arr(rho)
     _interior(r)
     dlog = np.log(r)[:, None] - np.log(r)[None, :]
-    th = _theta_matrix(g, kind, r, None)
-    psum = _theta_partial_sum(g, kind, r, None)
+    th = edge_theta(g, r, kind)
+    psum = edge_theta_partial_sum(g, r, kind)
     w = g.fisher_weight
     term = 2.0 * dlog * th / r[:, None] + 0.5 * dlog ** 2 * psum
     return (np.where(g.adjacency, term, 0.0) * w).sum(axis=1)
@@ -356,8 +335,7 @@ def _fisher_grad(g: Graph, rho, kind: ThetaKind) -> np.ndarray:
 
 def _kinetic_energy(spec: HamiltonianSpec, rho, ds) -> float:
     g = spec.graph
-    dirs = _kinetic_dirs(spec, ds)
-    th = _theta_matrix(g, spec.theta, rho, dirs)
+    th = edge_theta(g, rho, spec.theta, direction=ds)
     if spec.variant == "lp_kinetic":
         dens = np.abs(ds) ** spec.q
         return float((dens * th * g.weight).sum() / (2.0 * spec.q))
@@ -398,10 +376,8 @@ def eval_H(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0) -> float:
         bulk = float((ex * m * np.sqrt(np.outer(rho, rho)) * sup).sum())
         return bulk + float(np.diag(m) @ rho)
     # sbp_psi
-    if spec.dual.name == "entropy" and np.max(np.abs(np.where(sup, gap, 0.0))) > _EXP_CAP:
-        raise NonfiniteValue("potential gap beyond +-700")
-    u = spec.dual.value
-    vals = np.where(sup, u(np.where(sup, gap, 0.0)), 0.0)
+    z = _capped(gap, sup) if spec.dual.name == "entropy" else np.where(sup, gap, 0.0)
+    vals = np.where(sup, spec.dual.value(z), 0.0)
     val = float((vals * m * rho[:, None]).sum())
     if not np.isfinite(val):
         raise NonfiniteValue("Hamiltonian is not finite")
@@ -428,9 +404,8 @@ def vector_field(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0):
         if spec.theta.kind == "logmean" or spec.variant == "fisher_ot":
             _interior(rho)
         ds = (pot[:, None] - pot[None, :]) * g.adjacency
-        dirs = _kinetic_dirs(spec, ds)
-        th = _theta_matrix(g, spec.theta, rho, dirs)
-        psum = _theta_partial_sum(g, spec.theta, rho, dirs)
+        th = edge_theta(g, rho, spec.theta, direction=ds)
+        psum = edge_theta_partial_sum(g, rho, spec.theta, direction=ds)
         if spec.variant == "lp_kinetic":
             flow = np.abs(ds) ** (spec.q - 1.0) * np.sign(ds)
             dens = np.abs(ds) ** spec.q
@@ -459,10 +434,9 @@ def vector_field(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0):
 
     # sbp_psi: d rho_i = sum_j -u*'(gap_ij) m_ij rho_i + u*'(gap_ji) m_ji rho_j
     #          d psi_i = -sum_j u*(gap_ij) m_ij
-    if spec.dual.name == "entropy" and np.max(np.abs(np.where(sup, gap, 0.0))) > _EXP_CAP:
-        raise NonfiniteValue("potential gap beyond +-700")
-    du = np.where(sup, spec.dual.derivative(np.where(sup, gap, 0.0)), 0.0)
-    uval = np.where(sup, spec.dual.value(np.where(sup, gap, 0.0)), 0.0)
+    z = _capped(gap, sup) if spec.dual.name == "entropy" else np.where(sup, gap, 0.0)
+    du = np.where(sup, spec.dual.derivative(z), 0.0)
+    uval = np.where(sup, spec.dual.value(z), 0.0)
     out = (du * m * rho[:, None])               # rate-weighted outflow i -> j
     drho = out.sum(axis=0) - out.sum(axis=1)
     dpot = -(uval * m).sum(axis=1)

@@ -28,16 +28,21 @@ from .dynamics import rk4_grid, rk4_step_product
 from .errors import (
     BoundaryDensity,
     InvalidGenerator,
-    NonfiniteValue,
     RateBoundExceeded,
 )
 from .graph import Graph, _arr
-from .hamiltonians import HamiltonianSpec, PhasePoint, ReferenceRates, constant_rates
+from .hamiltonians import (
+    HamiltonianSpec,
+    PhasePoint,
+    ReferenceRates,
+    _carrying,
+    _guarded_exp,
+    constant_rates,
+)
 
 _OFF_TOL = 1e-12
 _DIAG_TOL = 1e-12
 _ROW_TOL = 1e-10
-_EXP_CAP = 700.0
 
 
 # -- rate matrices -------------------------------------------------------------------
@@ -69,30 +74,16 @@ def validate_rate_matrix(q: np.ndarray, kind: str = "raw") -> RateMatrix:
     anything worse is recorded as a violation and marks the matrix invalid.
     """
     q = np.array(q, dtype=float)
-    n = q.shape[0]
-    violations = []
-    clamped = 0
-    for i in range(n):
-        for j in range(n):
-            v = q[i, j]
-            if i == j:
-                if v > _DIAG_TOL:
-                    violations.append((i, j, v))
-                elif v > 0:
-                    q[i, j] = 0.0
-                    clamped += 1
-            else:
-                if v < -_OFF_TOL:
-                    violations.append((i, j, v))
-                elif v < 0:
-                    q[i, j] = 0.0
-                    clamped += 1
+    diag = np.eye(q.shape[0], dtype=bool)
+    bad = np.where(diag, q > _DIAG_TOL, q < -_OFF_TOL)
+    clamp = np.where(diag, q > 0, q < 0) & ~bad
+    q[clamp] = 0.0
     rows = q.sum(axis=1)
-    for i in range(n):
-        if abs(rows[i]) > _ROW_TOL:
-            violations.append((i, i, rows[i]))
+    ii, jj = np.nonzero(bad)                        # row-major order
+    violations = list(zip(ii.tolist(), jj.tolist(), q[ii, jj]))
+    violations += [(i, i, rows[i]) for i in np.flatnonzero(np.abs(rows) > _ROW_TOL).tolist()]
     return RateMatrix(q, kind, valid=not violations,
-                      violations=violations, clamped=clamped)
+                      violations=violations, clamped=int(clamp.sum()))
 
 
 def build_rate_matrix(kind: str, g: Graph, state: PhasePoint,
@@ -117,11 +108,9 @@ def build_rate_matrix(kind: str, g: Graph, state: PhasePoint,
             raise ValueError("sbp kind needs reference rates")
         if np.min(rho) <= 0:
             raise BoundaryDensity("reweighted rates need interior masses")
-        gap = -ds                                   # S_b - S_a at (a, b)
-        if np.max(np.abs(gap)) > _EXP_CAP:
-            raise NonfiniteValue("potential gap beyond +-700")
         m = reference.at(t)
-        q = np.exp(gap) * np.sqrt(rho[None, :] / rho[:, None]) * m
+        ex = _guarded_exp(-ds, _carrying(reference, m))  # e^{S_b - S_a} where m carries rate
+        q = ex * np.sqrt(rho[None, :] / rho[:, None]) * m
         np.fill_diagonal(q, 0.0)
         np.fill_diagonal(q, -q.sum(axis=1))
         return validate_rate_matrix(q, kind)

@@ -313,8 +313,7 @@ class PeriodicRates:
 
 
 def periodic_rate_from_density(density_fn, period: float, n: int,
-                               deriv_fn=None, density_batch=None,
-                               margin: float = 1e-9) -> PeriodicRates:
+                               deriv_fn=None, margin: float = 1e-9) -> PeriodicRates:
     """Rates m(t) on the complete graph whose master equation runs along a
     prescribed smooth density loop.
 
@@ -325,32 +324,24 @@ def periodic_rate_from_density(density_fn, period: float, n: int,
     off-diagonals nonnegative with margin) is found by doubling and
     bisection to 0.1% relative.
 
-    density_fn maps one time to a density. When density_batch is given it
-    maps an array of K times to the (K, n) densities and serves every
-    evaluation, and deriv_fn, if given, must accept that array too and return
-    (K, n) derivatives; otherwise both are called one time at a time. Without
-    deriv_fn the derivative is a central difference at step period / 1024.
-    Rates are assembled for an array of times at once; at(t) is batch([t])[0].
+    density_fn and deriv_fn map an array of K times to the (K, n) densities
+    and their time derivatives. Without deriv_fn the derivative is a central
+    difference at step period / 1024. Rates are assembled for an array of
+    times at once; at(t) is batch([t])[0].
     """
-    def pointwise(fn):
-        return lambda ts: np.stack([_arr(fn(t)) for t in ts])
-
-    rho_of = density_batch if density_batch is not None else pointwise(density_fn)
     fd = period / 1024.0
     if deriv_fn is None:
-        def drho_of(ts):
-            return (rho_of(ts + fd) - rho_of(ts - fd)) / (2 * fd)
-    else:
-        drho_of = deriv_fn if density_batch is not None else pointwise(deriv_fn)
+        def deriv_fn(ts):
+            return (density_fn(ts + fd) - density_fn(ts - fd)) / (2 * fd)
 
     def loop_of(ts, rho):
         # cycle rates m_{k,k+1} = x_k / rho_k from the fluxes x, gauged by x_0 = 0
         x = np.zeros_like(rho)
-        x[:, 1:] = -np.cumsum(drho_of(ts)[:, 1:], axis=1)
+        x[:, 1:] = -np.cumsum(deriv_fn(ts)[:, 1:], axis=1)
         return x / rho
 
     ts = np.linspace(0.0, period, 1024, endpoint=False)
-    rho_grid = rho_of(ts)
+    rho_grid = density_fn(ts)
     if rho_grid.min() <= 1e-12:
         raise NotInterior("density loop touches the simplex boundary")
     loop_grid = loop_of(ts, rho_grid)
@@ -376,7 +367,7 @@ def periodic_rate_from_density(density_fn, period: float, n: int,
 
     def batch(times):
         times = np.asarray(times, dtype=float)
-        rho = rho_of(times)
+        rho = density_fn(times)
         loop = loop_of(times, rho)
         m = np.repeat((hi / ((n - 1) * rho))[:, :, None], n, axis=2)
         m[:, nodes, nodes] = -hi / rho - loop

@@ -98,8 +98,7 @@ def _circle_deriv(t):
 def _periodic_scenario(name, n, density, deriv):
     g = complete_graph(n)
     period = 2 * np.pi
-    rates = periodic_rate_from_density(density, period, n, deriv_fn=deriv,
-                                       density_batch=density).rates
+    rates = periodic_rate_from_density(density, period, n, deriv_fn=deriv).rates
     return Scenario(
         name=name, graph=g, hamiltonian=sbp_psi(g, rates), rate_kind="sbp",
         reference=rates,
@@ -214,19 +213,23 @@ def _parse_reference(data, g: Graph) -> ReferenceRates:
 
 def _parse_hamiltonian(data, g: Graph, reference):
     variant = _need(data, "variant", str)
-    if variant in ("ot_kinetic", "lp_kinetic", "fisher_ot"):
-        theta = from_name(_need(data, "theta", str))
-        if variant == "ot_kinetic":
-            return ot_kinetic(g, theta)
-        if variant == "lp_kinetic":
-            return lp_kinetic(g, theta, q=float(data.get("q", 2.0)))
-        return fisher_ot(g, theta, beta=float(data.get("beta", 0.125)))
-    if variant in ("sbp_entropic", "sbp_psi", "schrodinger_fg"):
-        if reference is None:
-            raise ConfigError("reference", "required for variant %r" % variant)
-        maker = {"sbp_entropic": sbp_entropic, "sbp_psi": sbp_psi,
-                 "schrodinger_fg": schrodinger_fg}[variant]
-        return maker(g, reference)
+    try:
+        if variant in ("ot_kinetic", "lp_kinetic", "fisher_ot"):
+            theta = from_name(_need(data, "theta", str))
+            if variant == "ot_kinetic":
+                return ot_kinetic(g, theta)
+            if variant == "lp_kinetic":
+                return lp_kinetic(g, theta, q=float(data.get("q", 2.0)))
+            return fisher_ot(g, theta, beta=float(data.get("beta", 0.125)))
+        if variant in ("sbp_entropic", "sbp_psi", "schrodinger_fg"):
+            if reference is None:
+                raise ConfigError("reference", "required for variant %r" % variant)
+            maker = {"sbp_entropic": sbp_entropic, "sbp_psi": sbp_psi,
+                     "schrodinger_fg": schrodinger_fg}[variant]
+            return maker(g, reference)
+    except ValueError as exc:
+        # argument checks of the constructors, e.g. an unknown theta or q <= 1
+        raise ConfigError("hamiltonian", str(exc)) from exc
     raise ConfigError("variant", "unknown variant %r" % variant)
 
 

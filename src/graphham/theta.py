@@ -122,30 +122,26 @@ def theta(kind: ThetaKind, rho_i, rho_j, dir_ij=0.0):
     return np.where(np.asarray(dir_ij) > 0, rho_j, rho_i)
 
 
-def theta_partial(kind: ThetaKind, rho_i, rho_j, dir_ij=0.0, which: str = "first"):
-    """Partial derivative of theta w.r.t. rho_i ("first") or rho_j ("second")."""
-    if which not in ("first", "second"):
-        raise ValueError("which must be 'first' or 'second'")
+def theta_partial(kind: ThetaKind, rho_i, rho_j, dir_ij=0.0):
+    """Both partial derivatives (d theta / d rho_i, d theta / d rho_j)."""
     _check_positive(kind.kind, rho_i, rho_j)
     shape = np.broadcast(np.asarray(rho_i), np.asarray(rho_j), np.asarray(dir_ij)).shape
     if kind.kind == "average":
-        return np.full(shape, 0.5) if shape else 0.5
+        return (np.full(shape, 0.5), np.full(shape, 0.5)) if shape else (0.5, 0.5)
     if kind.kind == "logmean":
-        da, db = _logmean_partials(rho_i, rho_j)
-        return da if which == "first" else db
+        return _logmean_partials(rho_i, rho_j)
     on_i = np.asarray(dir_ij) <= 0  # donor is i at ties and negative direction
-    picked = on_i if which == "first" else ~on_i
-    return np.where(picked, 1.0, 0.0)
+    return np.where(on_i, 1.0, 0.0), np.where(on_i, 0.0, 1.0)
 
 
 def resolve_direction(kind: ThetaKind, fallback=None):
     """Direction matrix for an upwind kind: attached source, else fallback.
 
     The source may be a node potential S (direction S_i - S_j) or an
-    antisymmetric matrix. Non-upwind kinds need no direction; returns None.
+    antisymmetric matrix. Non-upwind kinds ignore directions; returns 0.0.
     """
     if kind.kind != "upwind":
-        return None
+        return 0.0
     src = kind.direction if kind.direction is not None else fallback
     if src is None:
         raise ValueError("upwind theta needs a direction source")

@@ -168,6 +168,23 @@ class TestErrors:
     def test_missing_subcommand(self):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("hamiltonian", [
+        {"variant": "ot_kinetic", "theta": "bogus"},
+        {"variant": "lp_kinetic", "theta": "average", "q": 0.5},
+        {"variant": "fisher_ot", "theta": "average", "beta": -1},
+        {"variant": "fisher_ot", "theta": "upwind"},
+    ])
+    def test_hamiltonian_construction_error_exits_1(self, tmp_path, capsys, hamiltonian):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+            "hamiltonian": hamiltonian,
+            "initial": {"rho": [0.4, 0.6], "pot": [0.0, 1.0]},
+        }))
+        rc, _ = run(tmp_path, "geodesic", "--config", str(cfg))
+        assert rc == 1
+        assert "config error:" in capsys.readouterr().err
+
     def test_run_json_is_config_plus_versions(self, tmp_path):
         _, out = run(tmp_path, "analyze", "--config", "two-node-upwind")
         doc = json.loads((out / "run.json").read_text())

@@ -27,6 +27,8 @@ from graphham.graph import (
     SkewField,
     complete_graph,
     divergence,
+    edge_theta,
+    edge_theta_partial_sum,
     graph_gradient,
     hodge_decompose,
     inner_product,
@@ -194,3 +196,17 @@ class TestHodge:
         s_hat, u = hodge_decompose(g, rho, v, AVERAGE)
         ip = inner_product(g, graph_gradient(g, s_hat), u, rho, AVERAGE)
         assert abs(ip) < 1e-10
+
+
+class TestEdgeTheta:
+    @pytest.mark.parametrize("kind", [AVERAGE, LOGMEAN, upwind(np.array([0.3, -0.2, 0.5, 0.1]))])
+    def test_partial_sum_matches_differences(self, kind):
+        # P[i, j] = d theta_ij / d rho_i + d theta_ji / d rho_i
+        g = validate_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5), (0, 2, 1.5)])
+        rho = np.array([0.1, 0.2, 0.3, 0.4])
+        p = edge_theta_partial_sum(g, rho, kind)
+        h = 1e-6
+        for i in range(g.n):
+            e = h * np.eye(g.n)[i]
+            d = (edge_theta(g, rho + e, kind) - edge_theta(g, rho - e, kind)) / (2 * h)
+            np.testing.assert_allclose(p[i], d[i] + d[:, i], atol=1e-8)

@@ -65,6 +65,49 @@ class TestValidation:
         q = np.array([[-1.0, 1.0 + 1e-6], [1.0, -1.0]])
         assert not validate_rate_matrix(q).valid
 
+    def test_matches_entrywise_loop(self):
+        def reference(q):
+            q = np.array(q, dtype=float)
+            n = q.shape[0]
+            violations, clamped = [], 0
+            for i in range(n):
+                for j in range(n):
+                    v = q[i, j]
+                    if i == j:
+                        if v > 1e-12:
+                            violations.append((i, j, v))
+                        elif v > 0:
+                            q[i, j] = 0.0
+                            clamped += 1
+                    elif v < -1e-12:
+                        violations.append((i, j, v))
+                    elif v < 0:
+                        q[i, j] = 0.0
+                        clamped += 1
+            rows = q.sum(axis=1)
+            for i in range(n):
+                if abs(rows[i]) > 1e-10:
+                    violations.append((i, i, rows[i]))
+            return q, violations, clamped
+
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            q = rng.random((n, n))
+            np.fill_diagonal(q, 0.0)
+            np.fill_diagonal(q, -q.sum(axis=1))
+            for _ in range(int(rng.integers(0, 2 * n + 1))):
+                i, j = rng.integers(0, n, size=2)
+                q[i, j] = rng.choice([1e-13, -1e-13, 0.3, -0.3])
+            want_q, want_v, want_c = reference(q)
+            got = validate_rate_matrix(q)
+            np.testing.assert_array_equal(got.entries, want_q)
+            assert got.violations == want_v
+            assert [tuple(map(type, v)) for v in got.violations] == \
+                [tuple(map(type, v)) for v in want_v]
+            assert got.clamped == want_c
+            assert got.valid == (not want_v)
+
 
 class TestUpwindRates:
     def test_pinned_two_node(self):
@@ -117,6 +160,17 @@ class TestSbpRates:
             q = build_rate_matrix("sbp", K3, state, reference=rates)
             assert q.valid
             np.testing.assert_allclose(state.rho @ q.entries, drho, atol=1e-12)
+
+    def test_gap_between_pairs_without_rate_is_harmless(self):
+        # path 0 - 1 - 2: only the gap on (0, 2) exceeds 700, and it carries no rate
+        g = validate_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        rates = symmetric_rates(g)
+        state = PhasePoint(np.full(3, 1 / 3), [0.0, -360.0, -720.0])
+        q = build_rate_matrix("sbp", g, state, reference=rates)
+        assert q.valid
+        drho, _ = vector_field(sbp_entropic(g, rates), state)
+        scale = np.abs(drho).max()
+        np.testing.assert_allclose(state.rho @ q.entries, drho, atol=1e-12 * scale)
 
 
 class TestThetaRates:

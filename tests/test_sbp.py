@@ -168,9 +168,9 @@ class TestBridge:
 
     def test_time_dependent_reference(self):
         rates = periodic_rate_from_density(
-            lambda t: np.array([0.5 + 0.25 * np.cos(t), 0.5 - 0.25 * np.cos(t)]),
+            lambda ts: np.stack([0.5 + 0.25 * np.cos(ts), 0.5 - 0.25 * np.cos(ts)], axis=1),
             2 * np.pi, 2,
-            deriv_fn=lambda t: np.array([-0.25 * np.sin(t), 0.25 * np.sin(t)])).rates
+            deriv_fn=lambda ts: np.stack([-0.25 * np.sin(ts), 0.25 * np.sin(ts)], axis=1)).rates
         sol = solve_bridge(BridgeProblem(rates, [0.3, 0.7], [0.6, 0.4]))
         assert max(sol.residuals) <= 1e-8
         np.testing.assert_allclose(sol.rho[-1], [0.6, 0.4], atol=1e-8)
@@ -255,11 +255,12 @@ class TestBruteForce:
 
 class TestPeriodicConstruction:
     def test_two_node_loop(self):
+        # one time gives (n,), an array of K times gives (K, n)
         def rho(t):
-            return np.array([0.5 + 0.25 * np.cos(t), 0.5 - 0.25 * np.cos(t)])
+            return np.array([0.5 + 0.25 * np.cos(t), 0.5 - 0.25 * np.cos(t)]).T
 
         def drho(t):
-            return np.array([-0.25 * np.sin(t), 0.25 * np.sin(t)])
+            return np.array([-0.25 * np.sin(t), 0.25 * np.sin(t)]).T
 
         pr = periodic_rate_from_density(rho, 2 * np.pi, 2, deriv_fn=drho)
         # the cycle correction needs exactly the peak outflow |drho_1| = 1/4
@@ -277,7 +278,7 @@ class TestPeriodicConstruction:
         def rho(t):
             return np.array([np.cos(t) * c1 + np.sin(t) * c2 + 1 / 3,
                              -np.cos(t) * c1 + np.sin(t) * c2 + 1 / 3,
-                             -np.sin(t) / (3 * np.sqrt(2)) + 1 / 3])
+                             -np.sin(t) / (3 * np.sqrt(2)) + 1 / 3]).T
 
         pr = periodic_rate_from_density(rho, 2 * np.pi, 3)
         for t in (0.3, 2.0, 5.5):
@@ -287,19 +288,6 @@ class TestPeriodicConstruction:
             np.testing.assert_allclose(rho(t) @ m, fd, atol=1e-5)
         p = propagator(pr.rates, 0.0, 2 * np.pi, dt=2e-3)
         np.testing.assert_allclose(rho(0.0) @ p, rho(0.0), atol=1e-5)
-
-    def test_batch_evaluation_matches_pointwise(self):
-        def rho(t):
-            return np.array([0.5 + 0.25 * np.cos(t), 0.5 - 0.25 * np.cos(t)])
-
-        pr = periodic_rate_from_density(
-            rho, 2 * np.pi, 2,
-            density_batch=lambda ts: np.stack([0.5 + 0.25 * np.cos(ts),
-                                               0.5 - 0.25 * np.cos(ts)], axis=1))
-        ts = np.array([0.1, 2.2, 5.0])
-        batch = pr.rates.at_many(ts)
-        for k, t in enumerate(ts):
-            np.testing.assert_allclose(batch[k], pr.rates.at(t), atol=1e-12)
 
     @pytest.mark.parametrize("name, strength", [("two-node-periodic", 0.250244140625),
                                                 ("three-node-circle", 0.471435546875)])
@@ -311,20 +299,16 @@ class TestPeriodicConstruction:
                           "three-node-circle": (scenarios._circle_density,
                                                 scenarios._circle_deriv)}[name]
         n = len(density(0.0))
-        batch = periodic_rate_from_density(density, 2 * np.pi, n, deriv_fn=deriv,
-                                           density_batch=density)
-        pointwise = periodic_rate_from_density(density, 2 * np.pi, n, deriv_fn=deriv)
-        assert batch.strength == strength
-        assert pointwise.strength == strength
+        assert periodic_rate_from_density(density, 2 * np.pi, n,
+                                          deriv_fn=deriv).strength == strength
         rates = scenarios.load_config(name).reference
         for t in (0.0, 0.7, 2.5, 6.1):
             np.testing.assert_array_equal(rates.at(t), rates.at_many([t])[0])
-            np.testing.assert_allclose(pointwise.rates.at(t), rates.at(t), rtol=0, atol=1e-15)
 
     def test_boundary_loop_rejected(self):
         with pytest.raises(NotInterior):
             periodic_rate_from_density(
-                lambda t: np.array([0.5 + 0.5 * np.cos(t), 0.5 - 0.5 * np.cos(t)]),
+                lambda ts: np.stack([0.5 + 0.5 * np.cos(ts), 0.5 - 0.5 * np.cos(ts)], axis=1),
                 2 * np.pi, 2)
 
 
