@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from importlib import metadata
 from pathlib import Path
@@ -167,8 +166,7 @@ def cmd_geodesic(scenario: Scenario, out: Path, args) -> int:
     frozen = ReferenceRates(scenario.graph.n, batch_fn=lambda ts: qs[snap(ts)])
     rho0 = _to_s_chart(scenario.initial).rho
     paths = sample_paths(frozen, rho0, scenario.particles, scenario.t0,
-                         scenario.t1, seed=scenario.seed, lam=scenario.lam,
-                         threads=args.threads)
+                         scenario.t1, seed=scenario.seed, lam=scenario.lam)
     _write_paths(out, paths)
     return 0
 
@@ -222,7 +220,7 @@ def cmd_simulate(scenario: Scenario, out: Path, args) -> int:
     rho0 = _to_s_chart(scenario.initial).rho
     paths = sample_paths(scenario.reference, rho0, scenario.particles,
                          scenario.t0, scenario.t1, seed=scenario.seed,
-                         lam=scenario.lam, threads=args.threads)
+                         lam=scenario.lam)
     _write_paths(out, paths)
 
     ts = np.linspace(scenario.t0, scenario.t1, scenario.checkpoints)
@@ -325,7 +323,6 @@ def _build_parser() -> _Parser:
                        help="brute-force step count for the bridge cross-check")
         p.add_argument("--particles", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
     return parser
 
 
@@ -339,8 +336,6 @@ def main(argv=None) -> int:
             scenario.particles = args.particles
         if args.seed is not None:
             scenario.seed = args.seed
-        if args.threads is None:
-            args.threads = os.cpu_count() or 1
         out = Path(args.out) if args.out else Path("runs") / (
             "%s-%s" % (args.command, scenario.name))
         out.mkdir(parents=True, exist_ok=True)

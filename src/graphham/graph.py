@@ -59,12 +59,6 @@ class Graph:
     def adjacency(self) -> np.ndarray:
         return self.weight > 0
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.weight[i] > 0)
-
-    def edge_count(self) -> int:
-        return len(self.edges)
-
 
 def validate_graph(raw_nodes, raw_edges) -> Graph:
     """Build a Graph from a node count and an edge list.

@@ -67,21 +67,46 @@ class RateMatrix:
         return self.entries
 
 
+def _kolmogorov(q: np.ndarray):
+    """Kolmogorov rule over a (..., n, n) stack of generator candidates.
+
+    Returns (clamped, clamp, bad, rows, bad_rows): the stack with entries
+    within 1e-12 of a violated sign bound zeroed (q itself when none are),
+    the mask of those entries, the mask of worse sign violations, the row
+    sums of the clamped stack and the mask of rows off zero beyond 1e-10.
+    """
+    diag = np.eye(q.shape[-1], dtype=bool)
+    bad = np.where(diag, q > _DIAG_TOL, q < -_OFF_TOL)
+    clamp = np.where(diag, q > 0, q < 0) & ~bad
+    if clamp.any():
+        q = np.where(clamp, 0.0, q)
+    rows = q.sum(axis=-1)
+    return q, clamp, bad, rows, np.abs(rows) > _ROW_TOL
+
+
+def _invalid(stack: np.ndarray) -> np.ndarray:
+    """(K,) mask of the generators in a (K, n, n) stack that fail the rule."""
+    _, _, bad, _, bad_rows = _kolmogorov(stack)
+    return bad.any(axis=(1, 2)) | bad_rows.any(axis=1)
+
+
+def _require_valid_stack(stack: np.ndarray) -> None:
+    """Raise the validator's InvalidGenerator for the first bad generator."""
+    invalid = _invalid(stack)
+    if invalid.any():
+        validate_rate_matrix(stack[int(np.argmax(invalid))]).require_valid()
+
+
 def validate_rate_matrix(q: np.ndarray, kind: str = "raw") -> RateMatrix:
     """Kolmogorov check: off-diagonals >= 0, diagonal <= 0, zero row sums.
 
     Entries within 1e-12 of a violated sign bound are clamped (counted);
     anything worse is recorded as a violation and marks the matrix invalid.
     """
-    q = np.array(q, dtype=float)
-    diag = np.eye(q.shape[0], dtype=bool)
-    bad = np.where(diag, q > _DIAG_TOL, q < -_OFF_TOL)
-    clamp = np.where(diag, q > 0, q < 0) & ~bad
-    q[clamp] = 0.0
-    rows = q.sum(axis=1)
+    q, clamp, bad, rows, bad_rows = _kolmogorov(np.array(q, dtype=float))
     ii, jj = np.nonzero(bad)                        # row-major order
     violations = list(zip(ii.tolist(), jj.tolist(), q[ii, jj]))
-    violations += [(i, i, rows[i]) for i in np.flatnonzero(np.abs(rows) > _ROW_TOL).tolist()]
+    violations += [(i, i, rows[i]) for i in np.flatnonzero(bad_rows).tolist()]
     return RateMatrix(q, kind, valid=not violations,
                       violations=violations, clamped=int(clamp.sum()))
 
@@ -143,15 +168,11 @@ def build_rate_matrix(kind: str, g: Graph, state: PhasePoint,
 # -- propagators ----------------------------------------------------------------------
 
 
-def _as_reference(rates_like, n: int | None = None) -> ReferenceRates:
+def _as_reference(rates_like) -> ReferenceRates:
     if isinstance(rates_like, ReferenceRates):
         return rates_like
     if isinstance(rates_like, RateMatrix):
         return constant_rates(rates_like.require_valid())
-    if callable(rates_like):
-        if n is None:
-            n = np.asarray(rates_like(0.0)).shape[0]
-        return ReferenceRates(n, fn=rates_like)
     return constant_rates(np.asarray(rates_like, dtype=float))
 
 
@@ -165,8 +186,7 @@ def propagator(rates_like, s: float, t: float, dt: float = 1e-3,
     rates = _as_reference(rates_like)
     _, dt, full, half = rk4_grid(rates, s, t, dt)
     if validate:
-        for m in full[::max(1, len(half) // 16)]:
-            validate_rate_matrix(m).require_valid()
+        _require_valid_stack(full[::max(1, len(half) // 16)])
     p = rk4_step_product(full, half, dt)
     low = p.min()
     if low < -1e-9:
@@ -213,41 +233,28 @@ _BLOCK_MARGIN = 10.0
 
 def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,
                  seed: int, lam: float | None = None, grid_points: int = 1000,
-                 chunk: int = 20000, threads: int | None = None) -> list:
+                 chunk: int = 20000) -> list:
     """Thinning sampler: M independent paths of the (possibly inhomogeneous)
     jump process with generator Q(t), exact in distribution.
 
     Proposals arrive at rate lam; a proposal at tau from state i becomes a
     jump with probability |Q_ii(tau)| / lam, landing on j with probability
     Q_ij(tau) / |Q_ii(tau)|. Each path owns the RNG stream (seed, index), so
-    results are reproducible and independent of chunking, and chunks can run
-    on a thread pool (threads > 1) without changing them.
+    results are reproducible and independent of chunking. lam must bound
+    |Q_ii| on the grid check; a zero generator with lam = 0 never proposes.
     """
     rates = _as_reference(rates_like)
     rho0 = _arr(rho0)
     n = rates.n
 
-    ts = np.linspace(t0, t1, grid_points)
-    stack = rates.at_many(ts)
-    off = stack.copy()
-    for i in range(n):
-        off[:, i, i] = 0.0
-    diags = np.diagonal(stack, axis1=1, axis2=2)
-    bad = ((off.min(axis=(1, 2)) < -_OFF_TOL)
-           | (diags.max(axis=1) > _DIAG_TOL)
-           | (np.abs(stack.sum(axis=2)).max(axis=1) > _ROW_TOL))
-    if bad.any():
-        validate_rate_matrix(stack[int(np.argmax(bad))]).require_valid()
+    stack = rates.at_many(np.linspace(t0, t1, grid_points))
+    _require_valid_stack(stack)
+    peak = float(np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2))))
     if lam is None:
-        lam = 1.2 * float(np.max(np.abs(diags)))
-    if lam <= 0:
-        # the zero generator: nothing ever jumps
-        out = []
-        for k in range(n_paths):
-            rng = np.random.default_rng([seed, k])
-            s0 = int(np.searchsorted(np.cumsum(rho0), rng.random(), side="right"))
-            out.append(PathSample(np.empty(0), np.array([s0]), (seed, k), n, t0, t1))
-        return out
+        lam = 1.2 * peak
+    if lam < peak:
+        raise RateBoundExceeded(
+            "|Q_ii| = %g on the rate grid exceeds the bound %g" % (peak, lam))
 
     span = t1 - t0
     block = int(lam * span + _BLOCK_MARGIN * np.sqrt(lam * span) + _BLOCK_MARGIN)
@@ -259,11 +266,12 @@ def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,
         gens = [np.random.default_rng([seed, k]) for k in range(lo, hi)]
         init_u = np.array([g.random() for g in gens])
         state = np.searchsorted(cum0, init_u, side="right").astype(np.int64)
-        exps = np.stack([g.exponential(scale=1.0 / lam, size=block) for g in gens])
-        us = np.stack([g.random((block, 2)) for g in gens])
+        # every path starts on a worn block, so the first pass draws it
+        exps = np.empty((b, block))
+        us = np.empty((b, block, 2))
         cur_t = np.full(b, t0)
-        col = np.zeros(b, dtype=np.int64)
-        active = np.ones(b, dtype=bool)
+        col = np.full(b, block, dtype=np.int64)
+        active = np.full(b, lam > 0)
         ev_path, ev_time, ev_from, ev_to = [], [], [], []
 
         while active.any():
@@ -273,7 +281,7 @@ def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,
             for k in worn:
                 exps[k] = gens[k].exponential(scale=1.0 / lam, size=block)
                 us[k] = gens[k].random((block, 2))
-                col[k] = 0
+            col[worn] = 0
             tau = cur_t[idx] + exps[idx, col[idx]]
             over = tau > t1
             active[idx[over]] = False
@@ -335,26 +343,10 @@ def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,
                                    (seed, k), n, t0, t1))
         return part
 
-    ranges = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-    if threads is not None and threads > 1 and len(ranges) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for (lo, hi), part in zip(ranges, pool.map(lambda r: run_chunk(*r), ranges)):
-                out[lo:hi] = part
-    else:
-        for lo, hi in ranges:
-            out[lo:hi] = run_chunk(lo, hi)
+    for lo in range(0, n_paths, chunk):
+        hi = min(lo + chunk, n_paths)
+        out[lo:hi] = run_chunk(lo, hi)
     return out
-
-
-def empirical_density(samples: list, t: float) -> np.ndarray:
-    """Histogram of path states at time t, normalized by the path count."""
-    if not samples:
-        raise ValueError("no samples")
-    counts = np.zeros(samples[0].n)
-    for s in samples:
-        counts[s.state_at(t)] += 1
-    return counts / len(samples)
 
 
 def empirical_densities(samples: list, times) -> np.ndarray:

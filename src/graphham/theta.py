@@ -47,10 +47,6 @@ class ThetaKind:
         if self.kind != "upwind" and self.direction is not None:
             raise ValueError("only the upwind kind carries a direction source")
 
-    @property
-    def needs_direction(self) -> bool:
-        return self.kind == "upwind"
-
 
 AVERAGE = ThetaKind("average")
 LOGMEAN = ThetaKind("logmean")
@@ -73,6 +69,8 @@ def _check_positive(kind, a, b):
 
 
 def _logmean(a, b):
+    """(L, eta, near, delta): the log mean with its series switch, and the
+    relative gap, switch mask and log gap it was evaluated from."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     s = 0.5 * (a + b)
@@ -83,20 +81,16 @@ def _logmean(a, b):
         series = s * (1.0 - eta * eta / 3.0 - 4.0 * eta ** 4 / 45.0)
         delta = np.log(np.where(near, 1.0, a)) - np.log(np.where(near, 1.0, b))
         quotient = np.where(near, series, (a - b) / np.where(near, 1.0, delta))
-    return np.where(near, series, quotient)
+    return np.where(near, series, quotient), eta, near, delta
 
 
 def _logmean_partials(a, b):
     """(dL/da, dL/db) with the same series switch as the value."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    s = 0.5 * (a + b)
-    eta = (a - b) / (2.0 * s)
-    near = np.abs(eta) < _SERIES_CUTOFF
+    lm, eta, near, delta = _logmean(a, b)
     # dL/da = (1/Delta)(1 - L/a), dL/db = (1/Delta)(L/b - 1) off the diagonal
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta = np.log(np.where(near, 1.0, a)) - np.log(np.where(near, 1.0, b))
-        lm = _logmean(a, b)
         da_far = (1.0 - lm / a) / np.where(near, 1.0, delta)
         db_far = (lm / b - 1.0) / np.where(near, 1.0, delta)
     # series about the diagonal, error O(eta^3)
@@ -116,7 +110,7 @@ def theta(kind: ThetaKind, rho_i, rho_j, dir_ij=0.0):
     if kind.kind == "average":
         return 0.5 * (np.asarray(rho_i, dtype=float) + np.asarray(rho_j, dtype=float))
     if kind.kind == "logmean":
-        return _logmean(rho_i, rho_j)
+        return _logmean(rho_i, rho_j)[0]
     rho_i = np.asarray(rho_i, dtype=float)
     rho_j = np.asarray(rho_j, dtype=float)
     return np.where(np.asarray(dir_ij) > 0, rho_j, rho_i)

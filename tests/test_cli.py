@@ -108,6 +108,19 @@ class TestSimulate:
         rc, _ = run(tmp_path, "simulate", "--config", str(cfg))
         assert rc == 4
 
+    def test_lam_below_the_generator_exits_4(self, tmp_path, capsys):
+        cfg = tmp_path / "lam0.json"
+        cfg.write_text(json.dumps({
+            "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+            "reference": {"kind": "constant", "matrix": [[-1, 1], [1, -1]]},
+            "initial": {"rho": [0.9, 0.1], "pot": [0.0, 0.0]},
+            "sampler": {"particles": 2000, "lam": 0.0},
+        }))
+        rc, out = run(tmp_path, "simulate", "--config", str(cfg))
+        assert rc == 4
+        assert "sampler bound violated:" in capsys.readouterr().err
+        assert not (out / "paths.jsonl").exists()
+
     def test_zero_generator_paths_are_constant(self, tmp_path):
         cfg = tmp_path / "zero.json"
         cfg.write_text(json.dumps({
@@ -164,6 +177,12 @@ class TestErrors:
 
     def test_bad_flag_value(self, tmp_path):
         assert main(["analyze", "--config", "two-node-upwind", "--dt", "abc"]) == 1
+
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
+        rc, _ = run(tmp_path, "simulate", "--config", "two-node-periodic",
+                    "--particles", "10", "--threads", "2")
+        assert rc == 1
+        assert "config error:" in capsys.readouterr().err
 
     def test_missing_subcommand(self):
         assert main([]) == 1

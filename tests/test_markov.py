@@ -24,8 +24,9 @@ from graphham.hamiltonians import (
 )
 from graphham.markov import (
     PathSample,
+    _invalid,
     build_rate_matrix,
-    empirical_density,
+    empirical_densities,
     propagator,
     rate_bound,
     sample_paths,
@@ -107,6 +108,7 @@ class TestValidation:
                 [tuple(map(type, v)) for v in want_v]
             assert got.clamped == want_c
             assert got.valid == (not want_v)
+            assert bool(_invalid(q[None])[0]) == (not got.valid)
 
 
 class TestUpwindRates:
@@ -292,7 +294,7 @@ class TestSampler:
         m = 20000
         paths = sample_paths(q, [0.9, 0.1], m, 0.0, 1.0, seed=33)
         want = np.array([0.9, 0.1]) @ propagator(q, 0.0, 1.0)
-        got = empirical_density(paths, 1.0)
+        got = empirical_densities(paths, [1.0])[0]
         assert got.sum() == pytest.approx(1.0, abs=1e-12)
         assert 0.5 * np.abs(got - want).sum() < 3 * np.sqrt(2.0 / m)
 
@@ -304,18 +306,31 @@ class TestSampler:
         m = 20000
         paths = sample_paths(rates, [0.5, 0.5], m, 0.0, 1.0, seed=41)
         want = np.array([0.5, 0.5]) @ propagator(rates, 0.0, 1.0)
-        got = empirical_density(paths, 1.0)
+        got = empirical_densities(paths, [1.0])[0]
         assert 0.5 * np.abs(got - want).sum() < 3 * np.sqrt(2.0 / m)
 
     def test_initial_states_follow_marginal(self):
         paths = sample_paths(np.zeros((2, 2)), [0.3, 0.7], 10000, 0.0, 1.0, seed=5)
-        got = empirical_density(paths, 0.0)
+        got = empirical_densities(paths, [0.0])[0]
         assert abs(got[0] - 0.3) < 3 * np.sqrt(0.3 * 0.7 / 10000)
 
     def test_rate_bound_enforced(self):
         q = np.array([[-1.0, 1.0], [1.0, -1.0]])
         with pytest.raises(RateBoundExceeded):
             sample_paths(q, [0.5, 0.5], 10, 0.0, 1.0, seed=2, lam=0.5)
+
+    def test_refuses_generator_invalid_at_one_grid_time(self):
+        base = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 2.0, -2.0]])
+        bad = np.array([[-1.0, 1.4, -0.4], [0.5, -1.0, 0.6], [0.0, 2.0, -2.0]])
+        t_bad = np.linspace(0.0, 1.0, 1000)[417]
+        rates = ReferenceRates(3, batch_fn=lambda ts: np.where(
+            (np.asarray(ts) == t_bad)[:, None, None], bad, base))
+        with pytest.raises(InvalidGenerator) as want:
+            validate_rate_matrix(bad).require_valid()
+        with pytest.raises(InvalidGenerator) as got:
+            sample_paths(rates, [0.2, 0.3, 0.5], 10, 0.0, 1.0, seed=3)
+        assert "(0, 2)" in str(want.value)
+        assert str(got.value) == str(want.value)
 
     def test_rate_bound_scan(self):
         base = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -335,6 +350,6 @@ class TestSampler:
 class TestEmpiricalDensity:
     def test_sums_to_one_with_unvisited_states(self):
         p = PathSample(np.empty(0), np.array([0]), (0, 0), 3, 0.0, 1.0)
-        got = empirical_density([p], 0.5)
+        got = empirical_densities([p], [0.5])[0]
         np.testing.assert_allclose(got, [1.0, 0.0, 0.0])
         assert got.sum() == 1.0
