@@ -49,7 +49,7 @@ from .sbp import (
     solve_bridge,
     stationary_point,
 )
-from .scenarios import ConfigError, Scenario, load_config
+from .scenarios import ConfigError, Scenario, load_config, sampler_setting
 
 
 def _version() -> str:
@@ -100,13 +100,15 @@ def _write_trajectory(out: Path, traj) -> None:
 
 
 def _write_paths(out: Path, paths) -> None:
+    """One line per path, byte for byte what json.dumps gives its dict."""
+    head = '{"seed": [%d, %%d], "t0": %r, "t1": %r, "jump_times": [' % (
+        paths.seed, paths.t0, paths.t1)
+    times, states = list(map(repr, paths.times.tolist())), list(map(str, paths.states.tolist()))
+    offsets = paths.offsets.tolist()
     with open(out / "paths.jsonl", "w") as fh:
-        for p in paths:
-            fh.write(json.dumps({
-                "seed": list(p.seed), "t0": p.t0, "t1": p.t1,
-                "jump_times": p.jump_times.tolist(),
-                "states": p.states.tolist(),
-            }) + "\n")
+        fh.writelines('%s%s], "states": [%s]}\n' % (
+            head % k, ", ".join(times[a:z]), ", ".join(states[a + k:z + k + 1]))
+            for k, (a, z) in enumerate(zip(offsets, offsets[1:])))
 
 
 def _rate_report(scenario: Scenario, traj):
@@ -225,13 +227,10 @@ def cmd_simulate(scenario: Scenario, out: Path, args) -> int:
 
     ts = np.linspace(scenario.t0, scenario.t1, scenario.checkpoints)
     empirical = empirical_densities(paths, ts)
-    master = np.empty_like(empirical)
-    cur = rho0.copy()
-    master[0] = cur
-    for k in range(1, len(ts)):
-        cur = cur @ propagator(scenario.reference, float(ts[k - 1]), float(ts[k]),
-                               dt=scenario.dt)
-        master[k] = cur
+    master = [rho0]
+    for a, b in zip(ts[:-1].tolist(), ts[1:].tolist()):
+        master.append(master[-1] @ propagator(scenario.reference, a, b, dt=scenario.dt))
+    master = np.array(master)
     tv = 0.5 * np.abs(empirical - master).sum(axis=1)
     _dump(out / "report.json", {
         "particles": scenario.particles,
@@ -333,9 +332,9 @@ def main(argv=None) -> int:
         if args.dt is not None:
             scenario.dt = args.dt
         if args.particles is not None:
-            scenario.particles = args.particles
+            scenario.particles = sampler_setting("particles", args.particles)
         if args.seed is not None:
-            scenario.seed = args.seed
+            scenario.seed = sampler_setting("seed", args.seed)
         out = Path(args.out) if args.out else Path("runs") / (
             "%s-%s" % (args.command, scenario.name))
         out.mkdir(parents=True, exist_ok=True)

@@ -79,15 +79,15 @@ def _mass(rho: np.ndarray, pot: np.ndarray, chart: str) -> float:
 
 
 def _guard(rho: np.ndarray, pot: np.ndarray, chart: str, t: float):
-    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(pot))):
+    if not (np.isfinite(rho).all() and np.isfinite(pot).all()):
         raise BlowUp("non-finite state at t = %g" % t)
     if chart == "fg":
         if max(np.max(np.abs(rho)), np.max(np.abs(pot))) > _POT_CAP:
             raise BlowUp("factor magnitude beyond 1e6 at t = %g" % t)
         return
-    if np.max(np.abs(pot)) > _POT_CAP:
+    if np.abs(pot).max() > _POT_CAP:
         raise BlowUp("potential beyond 1e6 at t = %g" % t)
-    if np.min(rho) < _RHO_FLOOR:
+    if rho.min() < _RHO_FLOOR:
         raise BlowUp("node mass below -1e-9 at t = %g" % t)
 
 

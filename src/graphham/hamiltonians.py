@@ -48,7 +48,7 @@ _EXP_CAP = 700.0
 def _capped(x, mask):
     """x on the masked entries and 0 elsewhere, refusing gaps whose exp overflows."""
     x = np.where(mask, x, 0.0)
-    if np.max(np.abs(x), initial=0.0) > _EXP_CAP:
+    if np.abs(x).max(initial=0.0) > _EXP_CAP:
         raise NonfiniteValue("potential gap beyond +-700; exp would overflow")
     return x
 
@@ -74,8 +74,8 @@ class PhasePoint:
     chart: str = "S"
 
     def __post_init__(self):
-        self.rho = np.asarray(_arr(self.rho), dtype=float).copy()
-        self.pot = np.asarray(_arr(self.pot), dtype=float).copy()
+        self.rho = np.array(_arr(self.rho))
+        self.pot = np.array(_arr(self.pot))
         if self.chart not in ("S", "psi", "fg"):
             raise ValueError("unknown chart %r" % (self.chart,))
 
@@ -298,7 +298,7 @@ def schrodinger_fg(graph: Graph, reference: ReferenceRates) -> HamiltonianSpec:
 
 
 def _interior(rho: np.ndarray):
-    if np.min(rho) <= 0.0:
+    if rho.min() <= 0.0:
         raise BoundaryDensity("state requires strictly positive masses")
 
 
@@ -373,8 +373,8 @@ def eval_H(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0) -> float:
     if spec.variant == "sbp_entropic":
         _interior(rho)
         ex = _guarded_exp(gap, sup)
-        bulk = float((ex * m * np.sqrt(np.outer(rho, rho)) * sup).sum())
-        return bulk + float(np.diag(m) @ rho)
+        bulk = float((ex * m * np.sqrt(rho[:, None] * rho) * sup).sum())
+        return bulk + float(m.diagonal() @ rho)
     # sbp_psi
     z = _capped(gap, sup) if spec.dual.name == "entropy" else np.where(sup, gap, 0.0)
     vals = np.where(sup, spec.dual.value(z), 0.0)
@@ -427,9 +427,9 @@ def vector_field(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0):
     if spec.variant == "sbp_entropic":
         _interior(rho)
         ex = _guarded_exp(gap, sup)
-        flux = ex * m * np.sqrt(np.outer(rho, rho)) * sup   # flux_ij, mass i -> j
+        flux = ex * m * np.sqrt(rho[:, None] * rho) * sup   # flux_ij, mass i -> j
         drho = flux.sum(axis=0) - flux.sum(axis=1)
-        dpot = -np.diag(m) - (flux.sum(axis=1) + flux.T.sum(axis=1)) / (2.0 * rho)
+        dpot = -m.diagonal() - (flux.sum(axis=1) + flux.T.sum(axis=1)) / (2.0 * rho)
         return drho, dpot
 
     # sbp_psi: d rho_i = sum_j -u*'(gap_ij) m_ij rho_i + u*'(gap_ji) m_ji rho_j

@@ -19,6 +19,7 @@ Rate matrices extracted from phase-space states come in three kinds:
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -202,163 +203,148 @@ def propagator(rates_like, s: float, t: float, dt: float = 1e-3,
 
 # -- path sampling ----------------------------------------------------------------------
 
+_WORD = 0xFFFFFFFF
 
-@dataclass
-class PathSample:
-    """One realized jump path: state is states[k] on [jump boundary k, k+1)."""
 
-    jump_times: np.ndarray
-    states: np.ndarray          # len(jump_times) + 1 entries
-    seed: tuple                 # (base seed, path index)
+def philox4x32(ctr, key) -> list:
+    """Philox4x32-10 (Salmon et al., SC'11) on arrays: four broadcasting
+    32-bit counter words and two key words in, four uint64 word arrays out."""
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in ctr)
+    k0, k1 = key
+    for _ in range(10):
+        p0, p1 = c0 * np.uint64(0xD2511F53), c2 * np.uint64(0xCD9E8D57)
+        c0, c1, c2, c3 = ((p1 >> np.uint64(32)) ^ c1 ^ np.uint64(k0), p1 & np.uint64(_WORD),
+                          (p0 >> np.uint64(32)) ^ c3 ^ np.uint64(k1), p0 & np.uint64(_WORD))
+        k0, k1 = (k0 + 0x9E3779B9) & _WORD, (k1 + 0xBB67AE85) & _WORD
+    return np.broadcast_arrays(c0, c1, c2, c3)
+
+
+def _draws(key, j, path, lane) -> list:
+    """Two uniforms strictly inside (0, 1) from draw j of each path on one lane:
+    (k + 1/2) / 2^52 for k the top 52 bits of output words 0:1, then of 2:3."""
+    path = np.asarray(path, dtype=np.uint64)
+    w = philox4x32((j, path & np.uint64(_WORD), path >> np.uint64(32), lane), key)
+    return [(((hi << np.uint64(20)) | (lo >> np.uint64(12))).astype(float) + 0.5) * 2.0 ** -52
+            for hi, lo in (w[:2], w[2:])]
+
+
+def _jump_targets(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF column of each nonnegative rate row at a uniform in (0, 1);
+    the total is the cumsum's own last entry, so the column carries rate."""
+    cum = np.cumsum(rows, axis=1)
+    return (cum < (u * cum[:, -1])[:, None]).sum(axis=1)
+
+
+@dataclass(eq=False)
+class Paths:
+    """M sampled jump paths in CSR form: path k jumps at times[offsets[k]:
+    offsets[k + 1]] and holds states[offsets[k] + k : offsets[k + 1] + k + 1],
+    its start state and then one target per jump. Its stream is (seed, k)."""
+
+    offsets: np.ndarray         # (M + 1,)
+    times: np.ndarray
+    states: np.ndarray          # len(times) + M entries
+    seed: int
     n: int
-    t0: float = 0.0
-    t1: float = 1.0
+    t0: float
+    t1: float
 
-    def state_at(self, t: float) -> int:
-        if not (self.t0 <= t <= self.t1):
-            raise ValueError("time %g outside the sampled horizon" % t)
-        return int(self.states[np.searchsorted(self.jump_times, t, side="right")])
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def states_at(self, times) -> np.ndarray:
+        """(K, M) state of every path at each of K times; a jump at t counts from t on."""
+        times = np.asarray(times, dtype=float)
+        if times.size and (times.min() < self.t0 or times.max() > self.t1):
+            raise ValueError("a time lies outside the sampled horizon")
+        m = len(self)
+        owner = np.repeat(np.arange(m), np.diff(self.offsets))
+        first = self.offsets[:-1] + np.arange(m)
+        return np.array([self.states[first + np.bincount(owner[self.times <= t], minlength=m)]
+                         for t in times], dtype=np.int64).reshape(len(times), m)
 
 
 def rate_bound(rates: ReferenceRates, t0: float, t1: float,
                grid_points: int = 1000, safety: float = 1.2) -> float:
     """Safety-factored bound on |Q_ii| from a time-grid scan."""
-    ts = np.linspace(t0, t1, grid_points)
-    stack = rates.at_many(ts)
+    stack = rates.at_many(np.linspace(t0, t1, grid_points))
     return safety * float(np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2))))
-
-
-_BLOCK_MARGIN = 10.0
 
 
 def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,
                  seed: int, lam: float | None = None, grid_points: int = 1000,
-                 chunk: int = 20000) -> list:
+                 chunk: int = 20000) -> Paths:
     """Thinning sampler: M independent paths of the (possibly inhomogeneous)
     jump process with generator Q(t), exact in distribution.
 
     Proposals arrive at rate lam; a proposal at tau from state i becomes a
     jump with probability |Q_ii(tau)| / lam, landing on j with probability
-    Q_ij(tau) / |Q_ii(tau)|. Each path owns the RNG stream (seed, index), so
-    results are reproducible and independent of chunking. lam must bound
-    |Q_ii| on the grid check; a zero generator with lam = 0 never proposes.
+    Q_ij(tau) / |Q_ii(tau)|. Draws come from Philox4x32-10 keyed on the
+    seed's two 32-bit words at counter (proposal j, path index low and high
+    word, lane): lane 0 gives proposal j's gap and accept uniform, lane 1
+    its jump-target uniform, lane 2 at j = 0 the start state. So a path
+    depends only on (seed, path index), not on `chunk`, which bounds the
+    (paths, n, n) rate stack of one step. lam must bound |Q_ii| on the grid
+    check; a zero generator with lam = 0 never proposes.
     """
     rates = _as_reference(rates_like)
-    rho0 = _arr(rho0)
-    n = rates.n
+    seed = operator.index(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed %d outside the Philox key range [0, 2**64)" % seed)
+    key = (seed & _WORD, seed >> 32)
 
     stack = rates.at_many(np.linspace(t0, t1, grid_points))
     _require_valid_stack(stack)
     peak = float(np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2))))
-    if lam is None:
-        lam = 1.2 * peak
+    lam = 1.2 * peak if lam is None else lam
     if lam < peak:
         raise RateBoundExceeded(
             "|Q_ii| = %g on the rate grid exceeds the bound %g" % (peak, lam))
 
-    span = t1 - t0
-    block = int(lam * span + _BLOCK_MARGIN * np.sqrt(lam * span) + _BLOCK_MARGIN)
-    cum0 = np.cumsum(rho0)
-    out = [None] * n_paths
-
-    def run_chunk(lo: int, hi: int) -> list:
-        b = hi - lo
-        gens = [np.random.default_rng([seed, k]) for k in range(lo, hi)]
-        init_u = np.array([g.random() for g in gens])
-        state = np.searchsorted(cum0, init_u, side="right").astype(np.int64)
-        # every path starts on a worn block, so the first pass draws it
-        exps = np.empty((b, block))
-        us = np.empty((b, block, 2))
-        cur_t = np.full(b, t0)
-        col = np.full(b, block, dtype=np.int64)
-        active = np.full(b, lam > 0)
-        ev_path, ev_time, ev_from, ev_to = [], [], [], []
-
-        while active.any():
-            idx = np.flatnonzero(active)
-            # paths that exhausted their block get a fresh one, same stream
-            worn = idx[col[idx] >= block]
-            for k in worn:
-                exps[k] = gens[k].exponential(scale=1.0 / lam, size=block)
-                us[k] = gens[k].random((block, 2))
-            col[worn] = 0
-            tau = cur_t[idx] + exps[idx, col[idx]]
-            over = tau > t1
-            active[idx[over]] = False
-            live = idx[~over]
+    cum0 = np.cumsum(_arr(rho0))
+    state = np.searchsorted(cum0, _draws(key, 0, np.arange(n_paths), 2)[0] * cum0[-1])
+    start = state.copy()
+    cur_t = np.full(n_paths, float(t0))
+    j = np.zeros(n_paths, dtype=np.uint64)
+    events = [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))]
+    for lo in range(0, n_paths if lam > 0 else 0, chunk):
+        live = np.arange(lo, min(lo + chunk, n_paths))
+        while len(live):
+            u_gap, u_acc = _draws(key, j[live], live, 0)
+            tau = cur_t[live] - np.log(u_gap) / lam
+            inside = tau <= t1
+            live, tau, u_acc = live[inside], tau[inside], u_acc[inside]
             if len(live) == 0:
                 break
-            tau = tau[~over]
             q = rates.at_many(tau)
             diag = q[np.arange(len(live)), state[live], state[live]]
             if np.max(np.abs(diag)) > lam:
                 raise RateBoundExceeded(
                     "|Q_ii| = %g exceeds the bound %g; rerun with larger safety"
                     % (np.max(np.abs(diag)), lam))
-            accept = us[live, col[live], 0] < (-diag / lam)
+            accept = np.flatnonzero(u_acc < (-diag / lam))
             jump = live[accept]
-            tau_j = tau[accept]
-            if len(jump) > 0:
-                rows = q[accept][np.arange(len(jump)), state[jump], :]
-                rows[np.arange(len(jump)), state[jump]] = 0.0
-                rows = np.clip(rows, 0.0, None)
-                tot = rows.sum(axis=1)
-                # clamp-residue rows with no positive exit are no jump at all
-                solid = tot > 0
-                jump, rows, tot, tau_j = jump[solid], rows[solid], tot[solid], tau_j[solid]
-            if len(jump) > 0:
-                cum = np.cumsum(rows, axis=1)
-                u2 = us[jump, col[jump], 1] * tot
-                tgt = (cum < u2[:, None]).sum(axis=1)
-                ev_path.append(jump + lo)
-                ev_time.append(tau_j)
-                ev_from.append(state[jump].copy())
-                ev_to.append(tgt.astype(np.int64))
-                state[jump] = tgt
+            rows = np.clip(q[accept, state[jump]], 0.0, None)
+            rows[np.arange(len(jump)), state[jump]] = 0.0
+            # clamp-residue rows with no positive exit are no jump at all
+            solid = rows.sum(axis=1) > 0
+            jump, rows = jump[solid], rows[solid]
+            state[jump] = _jump_targets(rows, _draws(key, j[jump], jump, 1)[0])
+            events.append((jump, tau[accept[solid]], state[jump]))
             cur_t[live] = tau
-            col[live] += 1
+            j[live] += np.uint64(1)
 
-        if ev_path:
-            p_arr = np.concatenate(ev_path)
-            t_arr = np.concatenate(ev_time)
-            f_arr = np.concatenate(ev_from)
-            to_arr = np.concatenate(ev_to)
-            order = np.lexsort((t_arr, p_arr))
-            p_arr, t_arr, f_arr, to_arr = p_arr[order], t_arr[order], f_arr[order], to_arr[order]
-            bounds = np.searchsorted(p_arr, np.arange(lo, hi + 1))
-        else:
-            bounds = np.zeros(hi - lo + 1, dtype=int)
-            t_arr = np.empty(0)
-            f_arr = np.empty(0, dtype=np.int64)
-            to_arr = np.empty(0, dtype=np.int64)
-
-        part = []
-        for k in range(lo, hi):
-            a, z = bounds[k - lo], bounds[k - lo + 1]
-            if z > a:
-                sts = np.concatenate([[f_arr[a]], to_arr[a:z]])
-            else:
-                sts = state[k - lo:k - lo + 1].copy()
-            part.append(PathSample(t_arr[a:z].copy(), sts.astype(np.int64),
-                                   (seed, k), n, t0, t1))
-        return part
-
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
-        out[lo:hi] = run_chunk(lo, hi)
-    return out
+    owner, times, targets = map(np.concatenate, zip(*events))
+    order = np.argsort(owner, kind="stable")      # each path's jumps stay in time order
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=n_paths))])
+    # path k's start state goes right before its first jump target
+    return Paths(offsets, times[order], np.insert(targets[order], offsets[:-1], start),
+                 seed, rates.n, float(t0), float(t1))
 
 
-def empirical_densities(samples: list, times) -> np.ndarray:
-    """(len(times), n) histogram matrix; one searchsorted pass per path."""
-    if not samples:
+def empirical_densities(paths: Paths, times) -> np.ndarray:
+    """(len(times), n) share of the paths in each state at each time."""
+    if len(paths) == 0:
         raise ValueError("no samples")
-    times = np.asarray(times, dtype=float)
-    counts = np.zeros((len(times), samples[0].n))
-    rows = np.arange(len(times))
-    for s in samples:
-        if times.min() < s.t0 or times.max() > s.t1:
-            raise ValueError("a checkpoint lies outside the sampled horizon")
-        sts = s.states[np.searchsorted(s.jump_times, times, side="right")]
-        counts[rows, sts] += 1
-    return counts / len(samples)
+    return np.array([np.bincount(row, minlength=paths.n) for row in paths.states_at(times)],
+                    dtype=float).reshape(-1, paths.n) / len(paths)

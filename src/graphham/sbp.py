@@ -225,14 +225,12 @@ def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
     if flow.g.min() <= 0 or flow.f.min() <= 0:
         raise NonpositiveFG("bridge factors left the positive cone")
 
-    steps = len(flow.times)
     n = problem.reference.n
     ms = problem.reference.at_many(flow.times)
-    ghost = flow.g[:, None, :] / flow.g[:, :, None]
-    m_hat = ms * ghost
-    for t_idx in range(steps):
-        np.fill_diagonal(m_hat[t_idx], 0.0)
-        np.fill_diagonal(m_hat[t_idx], -m_hat[t_idx].sum(axis=1))
+    m_hat = ms * (flow.g[:, None, :] / flow.g[:, :, None])
+    diag = np.arange(n)
+    m_hat[:, diag, diag] = 0.0
+    m_hat[:, diag, diag] = -m_hat.sum(axis=2)
     off = ~np.eye(n, dtype=bool)
     if m_hat[:, off].min() < -1e-12 * max(1.0, float(np.abs(m_hat).max())):
         raise AssertionError("bridged generator grew a negative rate")

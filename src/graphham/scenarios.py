@@ -233,6 +233,23 @@ def _parse_hamiltonian(data, g: Graph, reference):
     raise ConfigError("variant", "unknown variant %r" % variant)
 
 
+# type and [low, high) range of each sampler setting; a seed is a 64-bit Philox key
+_SAMPLER = {"particles": (int, 1, np.inf), "seed": (int, 0, 2 ** 64),
+            "checkpoints": (int, 1, np.inf), "lam": (float, -np.inf, np.inf)}
+
+
+def sampler_setting(key: str, value):
+    """A sampler setting cast to its type and checked against its range."""
+    cast, low, high = _SAMPLER[key]
+    try:
+        value = cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(key, "expected %s, got %r" % (cast.__name__, value)) from exc
+    if not low <= value < high:
+        raise ConfigError(key, "%r outside [%r, %r)" % (value, low, high))
+    return value
+
+
 _RATE_KIND = {"upwind": "upwind_ot", "average": "theta_general",
               "logmean": "theta_general"}
 
@@ -301,10 +318,9 @@ def parse_config(data: dict, name: str = "config") -> Scenario:
     sampler = data.get("sampler", {})
     if not isinstance(sampler, dict):
         raise ConfigError("sampler", "expected an object")
-    for key, cast in (("particles", int), ("seed", int), ("checkpoints", int),
-                      ("lam", float)):
+    for key in _SAMPLER:
         if key in sampler:
-            setattr(scenario, key, cast(sampler[key]))
+            setattr(scenario, key, sampler_setting(key, sampler[key]))
     echo = dict(data)
     echo.update(scenario.echo)
     scenario.echo = echo

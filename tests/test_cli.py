@@ -204,6 +204,32 @@ class TestErrors:
         assert rc == 1
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, sampler", [
+        (["--seed", "-1"], {}),
+        (["--seed", str(2 ** 64)], {}),
+        (["--particles", "0"], {}),
+        (["--particles", "-3"], {}),
+        ([], {"checkpoints": 0}),
+        ([], {"particles": "x"}),
+        ([], {"seed": 2 ** 64}),
+        ([], {"lam": "fast"}),
+    ])
+    def test_bad_sampler_settings_exit_1(self, tmp_path, capsys, flags, sampler):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"builtin": "two-node-periodic",
+                                   "sampler": dict({"particles": 20}, **sampler)}))
+        rc, out = run(tmp_path, "simulate", "--config", str(cfg), *flags)
+        assert rc == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "paths.jsonl").exists()
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        rc, out = run(tmp_path, "simulate", "--config", "two-node-periodic",
+                      "--particles", "5", "--seed", str(2 ** 64 - 1))
+        assert rc == 0
+        assert json.loads((out / "paths.jsonl").read_text().splitlines()[4])["seed"] \
+            == [2 ** 64 - 1, 4]
+
     def test_run_json_is_config_plus_versions(self, tmp_path):
         _, out = run(tmp_path, "analyze", "--config", "two-node-upwind")
         doc = json.loads((out / "run.json").read_text())

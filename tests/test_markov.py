@@ -7,9 +7,14 @@ entry for entry. That pins the index convention without trusting any
 transcription twice.
 """
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
+
+from graphham import markov
+from graphham.cli import _write_paths
 
 from graphham.errors import InvalidGenerator, RateBoundExceeded
 from graphham.graph import complete_graph, validate_graph
@@ -23,10 +28,13 @@ from graphham.hamiltonians import (
     vector_field,
 )
 from graphham.markov import (
-    PathSample,
+    Paths,
+    _draws,
     _invalid,
+    _jump_targets,
     build_rate_matrix,
     empirical_densities,
+    philox4x32,
     propagator,
     rate_bound,
     sample_paths,
@@ -267,28 +275,46 @@ class TestPropagator:
 class TestSampler:
     def test_zero_generator_constant_paths(self):
         paths = sample_paths(np.zeros((2, 2)), [0.3, 0.7], 50, 0.0, 1.0, seed=1)
-        assert all(len(p.jump_times) == 0 for p in paths)
-        assert all(p.state_at(0.0) == p.state_at(1.0) for p in paths)
+        assert len(paths) == 50 and len(paths.times) == 0
+        np.testing.assert_array_equal(paths.offsets, 0)
+        at = paths.states_at([0.0, 1.0])
+        np.testing.assert_array_equal(at[0], at[1])
 
     def test_deterministic_and_chunk_invariant(self):
         q = np.array([[-1.0, 1.0], [1.0, -1.0]])
         a = sample_paths(q, [0.5, 0.5], 40, 0.0, 2.0, seed=9, chunk=7)
         b = sample_paths(q, [0.5, 0.5], 40, 0.0, 2.0, seed=9, chunk=40)
         c = sample_paths(q, [0.5, 0.5], 40, 0.0, 2.0, seed=10)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.jump_times, y.jump_times)
-            np.testing.assert_array_equal(x.states, y.states)
-        assert any(len(x.jump_times) != len(z.jump_times)
-                   or not np.array_equal(x.jump_times, z.jump_times)
-                   for x, z in zip(a, c))
+        for name in ("offsets", "times", "states"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert len(a.times) != len(c.times) or not np.array_equal(a.times, c.times)
+
+    def test_path_sampled_alone_is_the_same_path(self):
+        q = np.array([[-1.5, 1.0, 0.5], [0.3, -0.3, 0.0], [2.0, 1.0, -3.0]])
+        rho0 = [0.2, 0.3, 0.5]
+        every = sample_paths(q, rho0, 30, 0.0, 2.0, seed=2 ** 40 + 5)
+        alone = sample_paths(q, rho0, 30, 0.0, 2.0, seed=2 ** 40 + 5, chunk=1)
+        for name in ("offsets", "times", "states"):
+            np.testing.assert_array_equal(getattr(every, name), getattr(alone, name))
+        k = 17                              # the last path of a shorter run
+        short = sample_paths(q, rho0, k + 1, 0.0, 2.0, seed=2 ** 40 + 5)
+        a, z = every.offsets[k], every.offsets[k + 1]
+        np.testing.assert_array_equal(short.times[short.offsets[k]:], every.times[a:z])
+        np.testing.assert_array_equal(short.states[short.offsets[k] + k:],
+                                      every.states[a + k:z + k + 1])
+
+    def test_seed_outside_the_key_range(self):
+        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError):
+                sample_paths(q, [0.5, 0.5], 3, 0.0, 1.0, seed=seed)
 
     def test_jump_count_matches_poisson_mean(self):
         # symmetric unit rates: jumps over [0, T] are Poisson(T)
         q = np.array([[-1.0, 1.0], [1.0, -1.0]])
         paths = sample_paths(q, [0.5, 0.5], 4000, 0.0, 2.0, seed=21)
-        counts = np.array([len(p.jump_times) for p in paths])
+        counts = np.diff(paths.offsets)
         assert abs(counts.mean() - 2.0) < 3 * np.sqrt(2.0 / 4000)
-
     def test_density_matches_propagator(self):
         q = np.array([[-2.0, 2.0], [1.0, -1.0]])
         m = 20000
@@ -338,18 +364,117 @@ class TestSampler:
         assert rate_bound(rates, 0.0, 1.0) == pytest.approx(2.4)
 
     def test_state_lookup(self):
-        p = PathSample(np.array([0.25, 0.75]), np.array([0, 1, 0]), (0, 0), 2, 0.0, 1.0)
-        assert p.state_at(0.0) == 0
-        assert p.state_at(0.25) == 1
-        assert p.state_at(0.5) == 1
-        assert p.state_at(1.0) == 0
+        p = Paths(np.array([0, 2]), np.array([0.25, 0.75]), np.array([0, 1, 0]),
+                  0, 2, 0.0, 1.0)
+        np.testing.assert_array_equal(p.states_at([0.0, 0.25, 0.5, 1.0]),
+                                      [[0], [1], [1], [0]])
         with pytest.raises(ValueError):
-            p.state_at(1.5)
+            p.states_at([1.5])
+
+    def test_jump_target_stays_in_range(self):
+        # for n >= 8 the pairwise row sum can exceed the cumsum's last entry,
+        # and a uniform at the top of (0, 1) then lands past every column
+        rows = np.random.default_rng(7).random((2000, 12))
+        rows[:, 3] = 0.0
+        u = np.full(len(rows), 1.0 - 2.0 ** -53)
+        pairwise = (np.cumsum(rows, axis=1) < (u * rows.sum(axis=1))[:, None]).sum(axis=1)
+        assert (pairwise == 12).any()
+        got = _jump_targets(rows, u)
+        assert got.max() == 11
+        assert (rows[np.arange(len(rows)), _jump_targets(rows, u / 3)] > 0).all()
+
+
+class TestStreams:
+    @pytest.mark.parametrize("ctr, key, want", [
+        ((0, 0, 0, 0), (0, 0), "6627e8d5 e169c58d bc57ac4c 9b00dbd8"),
+        ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, "408f276d 41c83b0e a20bc7c6 6d5451fd"),
+        ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+         "d16cfe09 94fdcceb 5001e420 24126ea1"),
+    ])
+    def test_philox_known_answers(self, ctr, key, want):
+        # the Random123 known-answer vectors of Philox4x32-10
+        words = philox4x32(ctr, key)
+        assert " ".join("%08x" % int(w) for w in words) == want
+
+    def test_philox_broadcasts_counter_arrays(self):
+        lanes = philox4x32((np.arange(5), 7, 0, 1), (3, 4))
+        for i in range(5):
+            one = philox4x32((i, 7, 0, 1), (3, 4))
+            assert [int(w[i]) for w in lanes] == [int(w) for w in one]
+
+    @pytest.mark.parametrize("word", [0, 0xFFFFFFFF])
+    def test_uniforms_strictly_inside_the_unit_interval(self, monkeypatch, word):
+        monkeypatch.setattr(markov, "philox4x32",
+                            lambda ctr, key: [np.full(3, word, dtype=np.uint64)] * 4)
+        for u in _draws((0, 0), 0, np.arange(3), 0):
+            assert (u > 0.0).all() and (u < 1.0).all()
+            assert u[0] == (2.0 ** -53 if word == 0 else 1.0 - 2.0 ** -53)
+
+    def test_uniforms_are_uniform(self):
+        u = np.concatenate(_draws((5, 0), np.arange(20000), 3, 0))
+        assert (u > 0.0).all() and (u < 1.0).all()
+        assert abs(u.mean() - 0.5) < 4 * np.sqrt(1 / 12 / len(u))
+        hist = np.bincount((u * 10).astype(int), minlength=10)
+        assert hist.min() > 0.9 * len(u) / 10
+
+
+def _random_paths(rng, m, n, t0, t1, checkpoints):
+    """Seeded CSR paths with zero-jump paths and jumps exactly at checkpoints."""
+    counts = rng.integers(0, 5, size=m)
+    counts[::4] = 0
+    times, states = [], []
+    for c in counts:
+        ts = np.sort(rng.uniform(t0, t1, size=c))
+        if c >= 2:
+            ts[rng.integers(c)] = rng.choice(checkpoints)
+            ts = np.sort(ts)
+        times.append(ts)
+        states.append(rng.integers(0, n, size=c + 1))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return Paths(offsets, np.concatenate(times), np.concatenate(states),
+                 1234, n, t0, t1), times, states
+
+
+class TestPaths:
+    def test_states_at_matches_a_per_path_loop(self):
+        rng = np.random.default_rng(11)
+        checkpoints = np.array([0.0, 0.3, 0.3, 1.1, 0.7, 2.0])   # unsorted, repeated
+        paths, times, states = _random_paths(rng, 60, 4, 0.0, 2.0, checkpoints)
+        want = np.array([[s[np.searchsorted(ts, t, side="right")]
+                          for ts, s in zip(times, states)] for t in checkpoints])
+        np.testing.assert_array_equal(paths.states_at(checkpoints), want)
+        counts = np.zeros((len(checkpoints), 4))
+        for k in range(len(checkpoints)):
+            np.add.at(counts[k], want[k], 1)
+        np.testing.assert_array_equal(empirical_densities(paths, checkpoints),
+                                      counts / 60)
+
+    def test_states_at_refuses_times_off_the_horizon(self):
+        paths, _, _ = _random_paths(np.random.default_rng(1), 5, 3, 0.0, 1.0, [0.5])
+        with pytest.raises(ValueError):
+            paths.states_at([-0.1, 0.5])
+
+    def test_writer_matches_json_dumps(self, tmp_path):
+        t1 = 2 * np.pi
+        paths, times, states = _random_paths(np.random.default_rng(3), 25, 3, 0.0, t1,
+                                             [t1 / 3, t1])
+        _write_paths(tmp_path, paths)
+        lines = (tmp_path / "paths.jsonl").read_text().splitlines()
+        assert len(lines) == 25
+        for k, line in enumerate(lines):
+            assert line == json.dumps({"seed": [1234, k], "t0": 0.0, "t1": t1,
+                                       "jump_times": times[k].tolist(),
+                                       "states": states[k].tolist()})
 
 
 class TestEmpiricalDensity:
     def test_sums_to_one_with_unvisited_states(self):
-        p = PathSample(np.empty(0), np.array([0]), (0, 0), 3, 0.0, 1.0)
-        got = empirical_densities([p], [0.5])[0]
+        p = Paths(np.array([0, 0]), np.empty(0), np.array([0]), 0, 3, 0.0, 1.0)
+        got = empirical_densities(p, [0.5])[0]
         np.testing.assert_allclose(got, [1.0, 0.0, 0.0])
         assert got.sum() == 1.0
+
+    def test_no_paths(self):
+        p = Paths(np.array([0]), np.empty(0), np.empty(0, dtype=np.int64), 0, 3, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            empirical_densities(p, [0.5])
