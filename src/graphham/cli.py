@@ -30,6 +30,7 @@ from .dynamics import (
 )
 from .errors import (
     GraphHamError,
+    NoRateDecomposition,
     NonconvergedIPFP,
     NonsmoothSpec,
     RateBoundExceeded,
@@ -84,17 +85,14 @@ def _to_s_chart(state: PhasePoint) -> PhasePoint:
 
 def _write_trajectory(out: Path, traj) -> None:
     n = traj.rho.shape[1]
+    rhos = traj.rho * traj.pot if traj.chart == "fg" else traj.rho
     with open(out / "trajectory.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time"] + ["rho_%d" % i for i in range(n)]
                         + ["S_%d" % i for i in range(n)] + ["H", "mass_defect"])
         for k, t in enumerate(traj.times):
-            if traj.chart == "fg":
-                rho = traj.rho[k] * traj.pot[k]
-            else:
-                rho = traj.rho[k]
             writer.writerow(["%.17g" % t]
-                            + ["%.17g" % v for v in rho]
+                            + ["%.17g" % v for v in rhos[k]]
                             + ["%.17g" % v for v in traj.pot[k]]
                             + ["%.17g" % traj.H[k], "%.17g" % traj.mass_defect[k]])
 
@@ -279,7 +277,7 @@ def cmd_analyze(scenario: Scenario, out: Path, args) -> int:
                                             t=scenario.t0)
             report["markov_residual"] = {"max": float(res.max()),
                                          "entries": res.tolist()}
-        except (NonsmoothSpec, ValueError) as exc:
+        except (NonsmoothSpec, NoRateDecomposition) as exc:
             report["markov_residual"] = {"error": str(exc)}
 
     rho = (_to_s_chart(scenario.initial).rho if scenario.initial is not None

@@ -37,7 +37,7 @@ from .errors import (
     NonpositiveFG,
 )
 from .graph import _arr
-from .hamiltonians import HamiltonianSpec, PhasePoint, ReferenceRates, eval_H, vector_field
+from .hamiltonians import HamiltonianSpec, PhasePoint, ReferenceRates, _check_chart, prepare
 
 _POT_CAP = 1e6
 _RHO_FLOOR = -1e-9
@@ -72,10 +72,11 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-def _mass(rho: np.ndarray, pot: np.ndarray, chart: str) -> float:
+def _audit(rho: np.ndarray, pot: np.ndarray, chart: str):
+    """(total mass, smallest node mass) of a state in its chart."""
     if chart == "fg":
-        return float(np.dot(rho, pot))
-    return float(rho.sum())
+        return float(np.dot(rho, pot)), float(np.min(rho * pot))
+    return float(rho.sum()), float(np.min(rho))
 
 
 def _guard(rho: np.ndarray, pot: np.ndarray, chart: str, t: float):
@@ -125,42 +126,26 @@ def integrate(spec: HamiltonianSpec, state: PhasePoint, t0: float, t1: float,
     """Flow a phase point from t0 to t1 and record the trajectory."""
     if method not in ("rk4", "implicit_midpoint"):
         raise ValueError("unknown method %r" % method)
-    if state.chart != spec.chart:
-        raise ValueError("state chart %r does not match spec chart %r"
-                         % (state.chart, spec.chart))
+    _check_chart(spec, state)
     steps = max(1, int(round((t1 - t0) / dt)))
     dt = (t1 - t0) / steps
     stepper = _rk4_step if method == "rk4" else _midpoint_step
+    field, energy = prepare(spec)
 
-    def field(r, p, t):
-        return vector_field(spec, PhasePoint(r, p, spec.chart), t)
+    def record(tk, r, p):
+        return (tk, r, p, energy(r, p, tk)) + _audit(r, p, spec.chart)
 
     r, p = state.rho.copy(), state.pot.copy()
     _guard(r, p, spec.chart, t0)
-    mass0 = _mass(r, p, spec.chart)
-
-    times, rhos, pots, hs, defects, mins = [t0], [r.copy()], [p.copy()], \
-        [eval_H(spec, state, t0)], [0.0], [_min_mass(r, p, spec.chart)]
+    rows = [record(t0, r, p)]
     for k in range(steps):
         t = t0 + k * dt
-        r, p = stepper(field, r, p, t, dt)
+        r, p = stepper(field, r, p, t, dt)       # fresh arrays every step
         _guard(r, p, spec.chart, t + dt)
         if (k + 1) % record_every == 0 or k == steps - 1:
-            tk = t0 + (k + 1) * dt
-            times.append(tk)
-            rhos.append(r.copy())
-            pots.append(p.copy())
-            hs.append(eval_H(spec, PhasePoint(r, p, spec.chart), tk))
-            defects.append(_mass(r, p, spec.chart) - mass0)
-            mins.append(_min_mass(r, p, spec.chart))
-    return Trajectory(np.array(times), np.array(rhos), np.array(pots),
-                      spec.chart, np.array(hs), np.array(defects), np.array(mins))
-
-
-def _min_mass(rho, pot, chart):
-    if chart == "fg":
-        return float(np.min(rho * pot))
-    return float(np.min(rho))
+            rows.append(record(t0 + (k + 1) * dt, r, p))
+    times, rhos, pots, hs, masses, mins = map(np.array, zip(*rows))
+    return Trajectory(times, rhos, pots, spec.chart, hs, masses - masses[0], mins)
 
 
 # -- chart transforms ---------------------------------------------------------------

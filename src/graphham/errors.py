@@ -70,6 +70,10 @@ class InvalidGenerator(GraphHamError):
     """A rate matrix violates the generator conditions beyond tolerance."""
 
 
+class NoRateDecomposition(GraphHamError):
+    """No generator can be extracted from this Hamiltonian variant or state."""
+
+
 class RateBoundExceeded(GraphHamError):
     """A sampled exit rate exceeded the uniformization bound."""
 

@@ -7,8 +7,9 @@ coordinate charts appear:
 * (rho, psi)  the dual chart of the entropic bridge problem
 * (f, g)      the Schroedinger factorization, rho = f * g componentwise
 
-Supported Hamiltonian families (all evaluated by eval_H and differentiated
-exactly by vector_field; grad_check compares the two):
+Supported Hamiltonian families. prepare(spec) gives each one's energy and
+exactly differentiated field on plain arrays; eval_H and vector_field
+evaluate them at a phase point, and grad_check compares the two:
 
 * ot_kinetic      H = 1/4 sum_ij (S_i - S_j)^2 theta_ij w_ij + V(rho, t)
 * fisher_ot       ot kinetic energy minus beta * Fisher information
@@ -33,7 +34,7 @@ saturating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -51,11 +52,6 @@ def _capped(x, mask):
     if np.abs(x).max(initial=0.0) > _EXP_CAP:
         raise NonfiniteValue("potential gap beyond +-700; exp would overflow")
     return x
-
-
-def _guarded_exp(x, mask):
-    """exp(x) on the masked entries and 1 elsewhere, refusing to overflow silently."""
-    return np.exp(_capped(x, mask))
 
 
 # -- states ----------------------------------------------------------------------
@@ -90,9 +86,6 @@ class PhasePoint:
         if self.chart != "fg":
             raise ValueError("g only exists in the fg chart")
         return self.pot
-
-    def copy(self) -> "PhasePoint":
-        return PhasePoint(self.rho.copy(), self.pot.copy(), self.chart)
 
 
 # -- reference jump rates ----------------------------------------------------------
@@ -153,9 +146,19 @@ class ReferenceRates:
         return self._support
 
 
-def _carrying(rates: ReferenceRates, m: np.ndarray) -> np.ndarray:
-    """Support pairs whose rate m = rates.at(t) is nonzero at that t."""
-    return rates.support() if rates.constant else rates.support() & (m != 0)
+def _reference_at(rates: ReferenceRates):
+    """t -> (m(t), a mask of the support pairs whose rate at t is nonzero, the
+    diagonal of m(t)); one fixed triple for a constant reference, whose mask
+    is 0/1 floats: products with it equal those with booleans and cost less."""
+    def at(t):
+        m = rates.at(t)
+        return m, rates.support() if rates.constant else rates.support() & (m != 0), m.diagonal()
+
+    if rates.constant:
+        m, sup, diag = at(0.0)
+        fixed = m, sup.astype(float), diag
+        return lambda t: fixed
+    return at
 
 
 def _validated_generator(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -330,143 +333,172 @@ def _fisher_grad(g: Graph, rho, kind: ThetaKind) -> np.ndarray:
     return (np.where(g.adjacency, term, 0.0) * w).sum(axis=1)
 
 
-# -- evaluation ---------------------------------------------------------------------------
+# -- prepared Hamiltonians ------------------------------------------------------------------
 
 
-def _kinetic_energy(spec: HamiltonianSpec, rho, ds) -> float:
-    g = spec.graph
-    th = edge_theta(g, rho, spec.theta, direction=ds)
-    if spec.variant == "lp_kinetic":
-        dens = np.abs(ds) ** spec.q
-        return float((dens * th * g.weight).sum() / (2.0 * spec.q))
-    return float(0.25 * (ds ** 2 * th * g.weight).sum())
+def prepare(spec: HamiltonianSpec):
+    """(field, energy) of a spec on plain arrays in its chart.
+
+    energy(rho, pot, t) is H; field(rho, pot, t) is (d rho/dt, d pot/dt) =
+    (+dH/dpot, -dH/drho), differentiated exactly. The variant is dispatched
+    here once, and everything that does not depend on the state (graph
+    arrays, theta kinds, potential terms, a constant reference with its
+    support and diagonal) is fixed here. In the fg chart rho and pot hold
+    f and g.
+    """
+    return {"sbp_entropic": _entropic, "sbp_psi": _dual,
+            "schrodinger_fg": _bilinear}.get(spec.variant, _kinetic)(spec)
 
 
-def eval_H(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0) -> float:
-    """Value of the Hamiltonian at a phase point."""
-    if state.chart != spec.chart:
-        raise ValueError("state chart %r does not match spec chart %r"
-                         % (state.chart, spec.chart))
-    g = spec.graph
-    if spec.variant == "schrodinger_fg":
-        m = spec.reference.at(t)
-        val = float(state.f @ m @ state.g)
+def _kinetic(spec: HamiltonianSpec):
+    """ot_kinetic and lp_kinetic, and fisher_ot as ot_kinetic minus beta * I."""
+    g, kind, q = spec.graph, spec.theta, spec.q
+    adj, w = g.adjacency, g.weight
+    lp = spec.variant == "lp_kinetic"
+    terms = [fisher_potential(g, spec.theta_tilde, -spec.beta)] if spec.variant == "fisher_ot" else []
+    terms += [spec.potential] if spec.potential is not None else []
+
+    def edges(rho, pot):
+        if kind.kind == "logmean":
+            _interior(rho)
+        ds = (pot[:, None] - pot[None, :]) * adj
+        return ds, edge_theta(g, rho, kind, direction=ds)
+
+    def energy(rho, pot, t):
+        ds, th = edges(rho, pot)
+        if lp:
+            val = float((np.abs(ds) ** q * th * w).sum() / (2.0 * q))
+        else:
+            val = float(0.25 * (ds ** 2 * th * w).sum())
+        for term in terms:
+            val += float(term.value(rho, t))
+        return val
+
+    def field(rho, pot, t):
+        ds, th = edges(rho, pot)
+        psum = edge_theta_partial_sum(g, rho, kind, direction=ds)
+        if lp:
+            flow = np.abs(ds) ** (q - 1.0) * np.sign(ds)
+            drho = 0.5 * (w * flow * (th + th.T)).sum(axis=1)
+            dpot = -(w * np.abs(ds) ** q * psum).sum(axis=1) / (2.0 * q)
+        else:
+            drho = 0.5 * (w * ds * (th + th.T)).sum(axis=1)
+            dpot = -0.25 * (w * ds ** 2 * psum).sum(axis=1)
+        for term in terms:
+            dpot -= np.asarray(term.grad(rho, t), dtype=float)
+        return drho, dpot
+
+    return field, energy
+
+
+def _entropic(spec: HamiltonianSpec):
+    """sbp_entropic over the (rho, S) chart."""
+    at = _reference_at(spec.reference)
+
+    def flux(rho, pot, t):
+        """flux_ij, the mass moving i -> j, and the diagonal of m(t)."""
+        m, sup, diag = at(t)
+        gap = pot[None, :] - pot[:, None]          # pot_j - pot_i
+        _interior(rho)
+        return np.exp(_capped(gap, sup)) * m * np.sqrt(rho[:, None] * rho) * sup, diag
+
+    def energy(rho, pot, t):
+        fl, diag = flux(rho, pot, t)
+        return float(fl.sum()) + float(diag @ rho)
+
+    def field(rho, pot, t):
+        fl, diag = flux(rho, pot, t)
+        out, inflow = fl.sum(axis=1), fl.sum(axis=0)     # sum_j fl_ij, sum_i fl_ij
+        return inflow - out, -diag - (out + inflow) / (2.0 * rho)
+
+    return field, energy
+
+
+def _dual(spec: HamiltonianSpec):
+    """sbp_psi over the (rho, psi) chart:
+    d rho_i = sum_j -u*'(gap_ij) m_ij rho_i + u*'(gap_ji) m_ji rho_j,
+    d psi_i = -sum_j u*(gap_ij) m_ij."""
+    at, dual = _reference_at(spec.reference), spec.dual
+    clip = _capped if dual.name == "entropy" else lambda x, mask: np.where(mask, x, 0.0)
+
+    def gaps(pot, t):
+        m, sup, _ = at(t)
+        return m, sup, clip(pot[None, :] - pot[:, None], sup)
+
+    def energy(rho, pot, t):
+        m, sup, z = gaps(pot, t)
+        val = float((np.where(sup, dual.value(z), 0.0) * m * rho[:, None]).sum())
+        if not np.isfinite(val):
+            raise NonfiniteValue("Hamiltonian is not finite")
+        return val
+
+    def field(rho, pot, t):
+        m, sup, z = gaps(pot, t)
+        out = np.where(sup, dual.derivative(z), 0.0) * m * rho[:, None]   # rate-weighted outflow i -> j
+        return out.sum(axis=0) - out.sum(axis=1), -(np.where(sup, dual.value(z), 0.0) * m).sum(axis=1)
+
+    return field, energy
+
+
+def _bilinear(spec: HamiltonianSpec):
+    """schrodinger_fg over the (f, g) chart."""
+    at = spec.reference.at
+
+    def energy(f, g, t):
+        val = float(f @ at(t) @ g)
         if not np.isfinite(val):
             raise NonfiniteValue("bilinear Hamiltonian is not finite")
         return val
 
-    rho, pot = state.rho, state.pot
-    if spec.variant in ("ot_kinetic", "fisher_ot", "lp_kinetic"):
-        if spec.theta.kind == "logmean" or spec.variant == "fisher_ot":
-            _interior(rho)
-        ds = (pot[:, None] - pot[None, :]) * g.adjacency
-        val = _kinetic_energy(spec, rho, ds)
-        if spec.variant == "fisher_ot":
-            val -= spec.beta * fisher_information(g, rho, spec.theta_tilde)
-        if spec.potential is not None:
-            val += float(spec.potential.value(rho, t))
-        return val
+    def field(f, g, t):
+        m = at(t)
+        return f @ m, -(m @ g)
 
-    m = spec.reference.at(t)
-    sup = _carrying(spec.reference, m)
-    gap = pot[None, :] - pot[:, None]          # pot_j - pot_i
-    if spec.variant == "sbp_entropic":
-        _interior(rho)
-        ex = _guarded_exp(gap, sup)
-        bulk = float((ex * m * np.sqrt(rho[:, None] * rho) * sup).sum())
-        return bulk + float(m.diagonal() @ rho)
-    # sbp_psi
-    z = _capped(gap, sup) if spec.dual.name == "entropy" else np.where(sup, gap, 0.0)
-    vals = np.where(sup, spec.dual.value(z), 0.0)
-    val = float((vals * m * rho[:, None]).sum())
-    if not np.isfinite(val):
-        raise NonfiniteValue("Hamiltonian is not finite")
-    return val
+    return field, energy
 
 
-# -- exact vector fields --------------------------------------------------------------------
+# -- evaluation at a phase point --------------------------------------------------------------
+
+
+def _check_chart(spec: HamiltonianSpec, state: PhasePoint):
+    if state.chart != spec.chart:
+        raise ValueError("state chart %r does not match spec chart %r"
+                         % (state.chart, spec.chart))
+
+
+def eval_H(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0) -> float:
+    """Value of the Hamiltonian at a phase point."""
+    _check_chart(spec, state)
+    return prepare(spec)[1](state.rho, state.pot, t)
 
 
 def vector_field(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0):
     """(d rho/dt, d pot/dt) = (+dH/dpot, -dH/drho), differentiated exactly."""
-    if state.chart != spec.chart:
-        raise ValueError("state chart %r does not match spec chart %r"
-                         % (state.chart, spec.chart))
-    g = spec.graph
-
-    if spec.variant == "schrodinger_fg":
-        m = spec.reference.at(t)
-        return state.f @ m, -(m @ state.g)
-
-    rho, pot = state.rho, state.pot
-
-    if spec.variant in ("ot_kinetic", "fisher_ot", "lp_kinetic"):
-        if spec.theta.kind == "logmean" or spec.variant == "fisher_ot":
-            _interior(rho)
-        ds = (pot[:, None] - pot[None, :]) * g.adjacency
-        th = edge_theta(g, rho, spec.theta, direction=ds)
-        psum = edge_theta_partial_sum(g, rho, spec.theta, direction=ds)
-        if spec.variant == "lp_kinetic":
-            flow = np.abs(ds) ** (spec.q - 1.0) * np.sign(ds)
-            dens = np.abs(ds) ** spec.q
-            drho = 0.5 * (g.weight * flow * (th + th.T)).sum(axis=1)
-            dpot = -(g.weight * dens * psum).sum(axis=1) / (2.0 * spec.q)
-        else:
-            drho = 0.5 * (g.weight * ds * (th + th.T)).sum(axis=1)
-            dpot = -0.25 * (g.weight * ds ** 2 * psum).sum(axis=1)
-        if spec.variant == "fisher_ot":
-            dpot += spec.beta * _fisher_grad(g, rho, spec.theta_tilde)
-        if spec.potential is not None:
-            dpot -= np.asarray(spec.potential.grad(rho, t), dtype=float)
-        return drho, dpot
-
-    m = spec.reference.at(t)
-    sup = _carrying(spec.reference, m)
-    gap = pot[None, :] - pot[:, None]
-
-    if spec.variant == "sbp_entropic":
-        _interior(rho)
-        ex = _guarded_exp(gap, sup)
-        flux = ex * m * np.sqrt(rho[:, None] * rho) * sup   # flux_ij, mass i -> j
-        drho = flux.sum(axis=0) - flux.sum(axis=1)
-        dpot = -m.diagonal() - (flux.sum(axis=1) + flux.T.sum(axis=1)) / (2.0 * rho)
-        return drho, dpot
-
-    # sbp_psi: d rho_i = sum_j -u*'(gap_ij) m_ij rho_i + u*'(gap_ji) m_ji rho_j
-    #          d psi_i = -sum_j u*(gap_ij) m_ij
-    z = _capped(gap, sup) if spec.dual.name == "entropy" else np.where(sup, gap, 0.0)
-    du = np.where(sup, spec.dual.derivative(z), 0.0)
-    uval = np.where(sup, spec.dual.value(z), 0.0)
-    out = (du * m * rho[:, None])               # rate-weighted outflow i -> j
-    drho = out.sum(axis=0) - out.sum(axis=1)
-    dpot = -(uval * m).sum(axis=1)
-    return drho, dpot
+    _check_chart(spec, state)
+    return prepare(spec)[0](state.rho, state.pot, t)
 
 
 def grad_check(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0, h: float = 1e-5) -> dict:
-    """Compare vector_field with central differences of eval_H.
+    """Compare the exact field with central differences of the energy.
 
     Returns a report with the maximum relative deviation across both blocks.
     Refuses to difference across an upwind branch boundary.
     """
-    if spec.variant != "schrodinger_fg":
-        kinds = [k for k in (spec.theta,) if k is not None]
-        if any(k.kind == "upwind" for k in kinds):
-            ds = (state.pot[:, None] - state.pot[None, :])[spec.graph.adjacency]
-            if np.min(np.abs(ds)) <= 10 * h:
-                raise KinkProximity("potential gap within 10h of an upwind kink")
-    n = len(state.rho)
-    fd_rho = np.zeros(n)
-    fd_pot = np.zeros(n)
-    for i in range(n):
-        for arrname, store in (("rho", fd_rho), ("pot", fd_pot)):
-            plus = state.copy()
-            minus = state.copy()
-            getattr(plus, arrname)[i] += h
-            getattr(minus, arrname)[i] -= h
-            store[i] = (eval_H(spec, plus, t) - eval_H(spec, minus, t)) / (2 * h)
-    drho, dpot = vector_field(spec, state, t)
-    want_drho, want_dpot = fd_pot, -fd_rho
+    _check_chart(spec, state)
+    if spec.theta is not None and spec.theta.kind == "upwind":
+        ds = (state.pot[:, None] - state.pot[None, :])[spec.graph.adjacency]
+        if np.min(np.abs(ds)) <= 10 * h:
+            raise KinkProximity("potential gap within 10h of an upwind kink")
+    field, energy = prepare(spec)
+    x = np.array([state.rho, state.pot])
+    fd = np.zeros_like(x)                       # central differences in rho, then pot
+    for i, k in np.ndindex(x.shape[1], 2):
+        plus, minus = x.copy(), x.copy()
+        plus[k, i] += h
+        minus[k, i] -= h
+        fd[k, i] = (energy(*plus, t) - energy(*minus, t)) / (2 * h)
+    drho, dpot = field(state.rho, state.pot, t)
+    want_drho, want_dpot = fd[1], -fd[0]
     scale = max(np.max(np.abs(want_drho)), np.max(np.abs(want_dpot)), 1e-10)
     dev = max(np.max(np.abs(drho - want_drho)), np.max(np.abs(dpot - want_dpot)))
     return {

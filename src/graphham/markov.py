@@ -19,8 +19,8 @@ Rate matrices extracted from phase-space states come in three kinds:
 
 from __future__ import annotations
 
+import logging
 import operator
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +29,7 @@ from .dynamics import rk4_grid, rk4_step_product
 from .errors import (
     BoundaryDensity,
     InvalidGenerator,
+    NoRateDecomposition,
     RateBoundExceeded,
 )
 from .graph import Graph, _arr
@@ -36,10 +37,12 @@ from .hamiltonians import (
     HamiltonianSpec,
     PhasePoint,
     ReferenceRates,
-    _carrying,
-    _guarded_exp,
+    _capped,
+    _reference_at,
     constant_rates,
 )
+
+_log = logging.getLogger(__name__)
 
 _OFF_TOL = 1e-12
 _DIAG_TOL = 1e-12
@@ -134,8 +137,8 @@ def build_rate_matrix(kind: str, g: Graph, state: PhasePoint,
             raise ValueError("sbp kind needs reference rates")
         if np.min(rho) <= 0:
             raise BoundaryDensity("reweighted rates need interior masses")
-        m = reference.at(t)
-        ex = _guarded_exp(-ds, _carrying(reference, m))  # e^{S_b - S_a} where m carries rate
+        m, sup, _ = _reference_at(reference)(t)
+        ex = np.exp(_capped(-ds, sup))              # e^{S_b - S_a} where m carries rate
         q = ex * np.sqrt(rho[None, :] / rho[:, None]) * m
         np.fill_diagonal(q, 0.0)
         np.fill_diagonal(q, -q.sum(axis=1))
@@ -155,7 +158,7 @@ def build_rate_matrix(kind: str, g: Graph, state: PhasePoint,
             off = np.abs(dlog) < 1e-12
             np.fill_diagonal(off, False)
             if (off & g.adjacency).any():
-                raise ValueError("log-mean splitting degenerates at equal masses")
+                raise NoRateDecomposition("log-mean splitting degenerates at equal masses")
             safe = np.where(np.abs(dlog) < 1e-300, 1.0, dlog)
             q = np.where(g.adjacency, -g.weight * ds / safe, 0.0)
             np.fill_diagonal(q, (np.where(g.adjacency, g.weight * ds / safe, 0.0)).sum(axis=1))
@@ -182,7 +185,7 @@ def propagator(rates_like, s: float, t: float, dt: float = 1e-3,
     """Row-stochastic P with rho(t) = rho(s) P, by rk4 on dP = P Q(tau).
 
     Validity of Q is spot-checked on the integration grid; tiny negative
-    entries of the result are clipped to zero with a warning.
+    entries of the result are clipped to zero and logged as a warning.
     """
     rates = _as_reference(rates_like)
     _, dt, full, half = rk4_grid(rates, s, t, dt)
@@ -193,8 +196,7 @@ def propagator(rates_like, s: float, t: float, dt: float = 1e-3,
     if low < -1e-9:
         raise InvalidGenerator("propagator entry %r below tolerance" % low)
     if low < 0:
-        warnings.warn("clipped %d tiny negative propagator entries"
-                      % int((p < 0).sum()), stacklevel=2)
+        _log.warning("clipped %d tiny negative propagator entries", int((p < 0).sum()))
         p = np.clip(p, 0.0, None)
     if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-9:
         raise InvalidGenerator("propagator rows drifted off 1")

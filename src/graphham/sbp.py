@@ -25,6 +25,7 @@ from .errors import (
     NonpositiveFG,
     NonsmoothSpec,
     NoFeasibleK,
+    NoRateDecomposition,
     NotInterior,
     NotStationary,
     NegativeStepProbability,
@@ -408,18 +409,15 @@ def markov_condition_residual(spec: HamiltonianSpec, state: PhasePoint,
     generator, so the residual vanishes there and is order one elsewhere.
     Only smooth variants carry a differentiable generator.
     """
-    if spec.variant in ("ot_kinetic", "lp_kinetic", "fisher_ot") \
-            and spec.theta.kind == "upwind":
+    if spec.theta is not None and spec.theta.kind == "upwind":
         raise NonsmoothSpec("the donor-cell splitting has no smooth generator")
+    kind = {"sbp_entropic": "sbp", "ot_kinetic": "theta_general"}.get(spec.variant)
+    if kind is None:
+        raise NoRateDecomposition("no rate decomposition for variant %r" % spec.variant)
 
     def extract(st, at):
-        if spec.variant == "sbp_entropic":
-            return build_rate_matrix("sbp", spec.graph, st,
-                                     reference=spec.reference, t=at).entries
-        if spec.variant == "ot_kinetic":
-            return build_rate_matrix("theta_general", spec.graph, st,
-                                     theta_kind=spec.theta).entries
-        raise ValueError("no rate decomposition for variant %r" % spec.variant)
+        return build_rate_matrix(kind, spec.graph, st, reference=spec.reference,
+                                 theta_kind=spec.theta, t=at).entries
 
     q0 = extract(state, t)
     moved = integrate(spec, state, t, t + step, dt=step).final

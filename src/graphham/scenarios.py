@@ -242,12 +242,14 @@ def sampler_setting(key: str, value):
     """A sampler setting cast to its type and checked against its range."""
     cast, low, high = _SAMPLER[key]
     try:
-        value = cast(value)
+        cast_value = cast(value)
+        if cast is int and isinstance(value, float) and cast_value != value:
+            raise ValueError("not an integer")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(key, "expected %s, got %r" % (cast.__name__, value)) from exc
-    if not low <= value < high:
-        raise ConfigError(key, "%r outside [%r, %r)" % (value, low, high))
-    return value
+    if not low <= cast_value < high:
+        raise ConfigError(key, "%r outside [%r, %r)" % (cast_value, low, high))
+    return cast_value
 
 
 _RATE_KIND = {"upwind": "upwind_ot", "average": "theta_general",

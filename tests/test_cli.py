@@ -213,6 +213,9 @@ class TestErrors:
         ([], {"particles": "x"}),
         ([], {"seed": 2 ** 64}),
         ([], {"lam": "fast"}),
+        ([], {"particles": 2.7}),
+        ([], {"seed": 3.5}),
+        ([], {"checkpoints": 2.5}),
     ])
     def test_bad_sampler_settings_exit_1(self, tmp_path, capsys, flags, sampler):
         cfg = tmp_path / "cfg.json"
@@ -222,6 +225,35 @@ class TestErrors:
         assert rc == 1
         assert "config error:" in capsys.readouterr().err
         assert not (out / "paths.jsonl").exists()
+
+    def test_integral_float_counts_are_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"builtin": "two-node-periodic", "sampler": {
+            "particles": 20.0, "seed": 3.0, "checkpoints": 4.0}}))
+        rc, out = run(tmp_path, "simulate", "--config", str(cfg))
+        assert rc == 0
+        assert len((out / "paths.jsonl").read_text().splitlines()) == 20
+        assert len(json.loads((out / "report.json").read_text())["checkpoints"]) == 4
+
+    @pytest.mark.parametrize("command, code", [("geodesic", 1), ("analyze", 0)])
+    def test_logmean_at_equal_masses_is_a_typed_refusal(self, tmp_path, capsys, command, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+            "hamiltonian": {"variant": "ot_kinetic", "theta": "logmean"},
+            "initial": {"rho": [0.5, 0.5], "pot": [0.1, -0.1]},
+            "horizon": {"t0": 0, "t1": 0.01, "dt": 0.001},
+        }))
+        rc, out = run(tmp_path, command, "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert rc == code
+        assert "Traceback" not in err
+        message = "log-mean splitting degenerates at equal masses"
+        if command == "geodesic":
+            assert "error: %s" % message in err
+        else:
+            report = json.loads((out / "report.json").read_text())
+            assert report["markov_residual"] == {"error": message}
 
     def test_largest_seed_is_accepted(self, tmp_path):
         rc, out = run(tmp_path, "simulate", "--config", "two-node-periodic",

@@ -36,14 +36,20 @@ from graphham.hamiltonians import (
     ReferenceRates,
     constant_rates,
     eval_H,
+    fisher_ot,
+    linear_potential,
+    lp_kinetic,
     ot_kinetic,
     sbp_entropic,
     sbp_psi,
     schrodinger_fg,
     symmetric_rates,
+    vector_field,
 )
 from graphham.dynamics import (
     _BLOCK_ENTRIES,
+    _midpoint_step,
+    _rk4_step,
     FGFlow,
     fundamental_matrix,
     hopf_cole,
@@ -56,7 +62,7 @@ from graphham.dynamics import (
     symplectic_check,
 )
 from graphham.markov import propagator
-from graphham.theta import AVERAGE
+from graphham.theta import AVERAGE, LOGMEAN, upwind
 
 
 def two_node():
@@ -147,6 +153,37 @@ class TestIntegrators:
         state = PhasePoint([0.5, 0.3, 0.2], [0.4, -0.1, 0.3])
         with pytest.raises(NonconvergentImplicitStep):
             integrate(spec, state, 0.0, 1.0, 0.5, method="implicit_midpoint")
+
+    @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+    @pytest.mark.parametrize("variant", ["ot_kinetic", "fisher_ot", "lp_kinetic",
+                                         "sbp_entropic", "sbp_psi", "schrodinger_fg"])
+    def test_prepared_flow_matches_the_public_field(self, variant, method):
+        g = complete_graph(3)
+        ramp = ReferenceRates(3, fn=lambda t: (1.0 + t) * symmetric_rates(g).matrix)
+        start = PhasePoint(self.SAFE_RHO, self.SAFE_S)
+        spec, state = {
+            "ot_kinetic": (ot_kinetic(g, LOGMEAN, linear_potential([0.1, 0.0, -0.2])), start),
+            "fisher_ot": (fisher_ot(g, AVERAGE, beta=0.05), start),
+            "lp_kinetic": (lp_kinetic(g, upwind(), q=3.0), start),
+            "sbp_entropic": (sbp_entropic(g, symmetric_rates(g)), start),
+            "sbp_psi": (sbp_psi(g, ramp), hopf_cole(start)),
+            "schrodinger_fg": (schrodinger_fg(g, ramp), madelung(start)),
+        }[variant]
+        traj = integrate(spec, state, 0.0, 0.2, 0.02, method=method, record_every=3)
+
+        def field(r, p, t):
+            return vector_field(spec, PhasePoint(r, p, spec.chart), t)
+
+        stepper = _rk4_step if method == "rk4" else _midpoint_step
+        dt = 0.2 / 10
+        r, p = state.rho, state.pot
+        want = [(r, p, eval_H(spec, state, 0.0))]
+        for k in range(10):
+            r, p = stepper(field, r, p, k * dt, dt)
+            if (k + 1) % 3 == 0 or k == 9:
+                want.append((r, p, eval_H(spec, PhasePoint(r, p, spec.chart), (k + 1) * dt)))
+        for got, expected in zip((traj.rho, traj.pot, traj.H), zip(*want)):
+            assert np.array_equal(got, np.array(expected))
 
     def test_recording_and_landing(self):
         spec = ot_kinetic(two_node(), AVERAGE)

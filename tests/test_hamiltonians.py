@@ -46,6 +46,7 @@ from graphham.hamiltonians import (
     vector_field,
 )
 from graphham.theta import AVERAGE, LOGMEAN, upwind
+from graphham.dynamics import integrate
 
 
 def two_node():
@@ -172,6 +173,11 @@ class TestDeclaredSupport:
         for k in range(5):
             vector_field(spec, state, t=0.3 * k)
         assert len(times) == 5
+        # integrate: 4 field calls per rk4 step, one energy per recorded state
+        for record_every, recorded in ((1, 6), (2, 4)):
+            times.clear()
+            integrate(spec, state, 0.0, 0.5, 0.1, record_every=record_every)
+            assert len(times) == 5 * 4 + recorded
 
 
 class TestConvexDuals:

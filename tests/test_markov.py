@@ -8,6 +8,8 @@ transcription twice.
 """
 
 import json
+import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ import scipy.linalg
 from graphham import markov
 from graphham.cli import _write_paths
 
-from graphham.errors import InvalidGenerator, RateBoundExceeded
+from graphham.errors import InvalidGenerator, NoRateDecomposition, RateBoundExceeded
 from graphham.graph import complete_graph, validate_graph
 from graphham.hamiltonians import (
     PhasePoint,
@@ -212,11 +214,23 @@ class TestThetaRates:
 
     def test_logmean_degenerates_at_equal_masses(self):
         state = PhasePoint(np.array([0.25, 0.25, 0.5]), np.array([1.0, 0.0, 0.5]))
-        with pytest.raises(ValueError, match="equal masses"):
+        with pytest.raises(NoRateDecomposition, match="equal masses"):
             build_rate_matrix("theta_general", K3, state, theta_kind=LOGMEAN)
 
 
 class TestPropagator:
+    def test_clipping_is_logged(self, caplog):
+        # 2a dt = 2.785293564 sits just past rk4's stability limit on the real
+        # axis (2.7852935634), so the step's off-diagonal (1 - R(-2a dt)) / 2 is
+        # a hair below zero
+        a = 1.392646782
+        with warnings.catch_warnings(), caplog.at_level(logging.WARNING, "graphham.markov"):
+            warnings.simplefilter("error")
+            p = propagator([[-a, a], [a, -a]], 0.0, 1.0, dt=1.0)
+        assert p.min() == 0.0
+        assert [r.getMessage() for r in caplog.records] == [
+            "clipped 2 tiny negative propagator entries"]
+
     def test_identity_at_zero_span(self):
         q = np.array([[-1.0, 1.0], [1.0, -1.0]])
         np.testing.assert_allclose(propagator(q, 0.3, 0.3), np.eye(2), atol=1e-14)
