@@ -53,6 +53,10 @@ from .sbp import (
 from .scenarios import ConfigError, Scenario, load_config, sampler_setting
 
 
+# paths per block of paths.jsonl turned into strings at once
+_PATH_BLOCK = 1024
+
+
 def _version() -> str:
     try:
         return metadata.version("graphham")
@@ -98,15 +102,26 @@ def _write_trajectory(out: Path, traj) -> None:
 
 
 def _write_paths(out: Path, paths) -> None:
-    """One line per path, byte for byte what json.dumps gives its dict."""
+    """One line per path, byte for byte what json.dumps gives its dict.
+
+    Paths are turned into strings _PATH_BLOCK at a time, so the writer's
+    memory does not grow with the ensemble.
+    """
     head = '{"seed": [%d, %%d], "t0": %r, "t1": %r, "jump_times": [' % (
         paths.seed, paths.t0, paths.t1)
-    times, states = list(map(repr, paths.times.tolist())), list(map(str, paths.states.tolist()))
-    offsets = paths.offsets.tolist()
+    offsets = paths.offsets
+    count = len(offsets) - 1
     with open(out / "paths.jsonl", "w") as fh:
-        fh.writelines('%s%s], "states": [%s]}\n' % (
-            head % k, ", ".join(times[a:z]), ", ".join(states[a + k:z + k + 1]))
-            for k, (a, z) in enumerate(zip(offsets, offsets[1:])))
+        for b in range(0, count, _PATH_BLOCK):
+            e = min(b + _PATH_BLOCK, count)
+            lo, hi = int(offsets[b]), int(offsets[e])
+            # path b + k holds times[a:z] and states[a + k:z + k + 1] of its block
+            times = list(map(repr, paths.times[lo:hi].tolist()))
+            states = list(map(str, paths.states[lo + b:hi + e].tolist()))
+            local = (offsets[b:e + 1] - lo).tolist()
+            fh.writelines('%s%s], "states": [%s]}\n' % (
+                head % (b + k), ", ".join(times[a:z]), ", ".join(states[a + k:z + k + 1]))
+                for k, (a, z) in enumerate(zip(local, local[1:])))
 
 
 def _rate_report(scenario: Scenario, traj):

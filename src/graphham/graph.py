@@ -5,6 +5,13 @@ strictly positive symmetric edge weights w, plus an optional second weight
 family wt ("fisher weights") used by the Fisher information functional and
 defaulting to w.
 
+The calculus runs over the 2|E| ordered pairs, each edge in both
+directions: a Graph carries the pairs' endpoints src and dst, their weights
+w and wt, and rev, the index of each pair's reverse. Pairs are sorted by
+(src, dst), and a sum over a node's pairs is a bincount over src. Theta
+weights are (2|E|,) vectors on these pairs. The dense (n, n) weight matrix
+stays for the dense edge fields below and for callers that want it.
+
 States living on a graph:
 
 * Density     nonnegative node vector summing to one.
@@ -38,7 +45,7 @@ from .errors import (
     SelfLoop,
     SingularLaplacian,
 )
-from .theta import ThetaKind, AVERAGE, theta, theta_partial, resolve_direction
+from .theta import ThetaKind, AVERAGE, theta, theta_partial
 
 _SUM_TOL = 1e-12
 
@@ -53,7 +60,11 @@ class Graph:
     n: int
     edges: tuple            # tuple of (i, j) with i < j
     weight: np.ndarray      # (n, n) symmetric, zero off-edge
-    fisher_weight: np.ndarray
+    src: np.ndarray         # (2|E|,) ordered pairs (src, dst), sorted
+    dst: np.ndarray
+    w: np.ndarray           # (2|E|,) edge weight of each pair
+    wt: np.ndarray          # (2|E|,) fisher weight of each pair
+    rev: np.ndarray         # (2|E|,) index of the pair (dst, src)
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -69,8 +80,6 @@ def validate_graph(raw_nodes, raw_edges) -> Graph:
     n = int(raw_nodes)
     if n < 2:
         raise DisconnectedGraph("need at least two nodes, got %d" % n)
-    weight = np.zeros((n, n))
-    fisher = np.zeros((n, n))
     seen = {}
     for row in raw_edges:
         if len(row) == 3:
@@ -93,25 +102,34 @@ def validate_graph(raw_nodes, raw_edges) -> Graph:
         if key in seen and seen[key] != (w, wt):
             raise AsymmetricWeight("conflicting weights for edge %s" % (key,))
         seen[key] = (w, wt)
-        weight[i, j] = weight[j, i] = w
-        fisher[i, j] = fisher[j, i] = wt
-    # connectivity by breadth-first search from node 0
+    edges = tuple(sorted(seen))
+    ij = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    ww = np.array([seen[e] for e in edges], dtype=float).reshape(-1, 2)
+    # both orientations of every edge, sorted by (src, dst)
+    src, dst = np.concatenate([ij[:, 0], ij[:, 1]]), np.concatenate([ij[:, 1], ij[:, 0]])
+    order = np.argsort(src * n + dst)
+    src, dst = src[order], dst[order]
+    w, wt = np.tile(ww[:, 0], 2)[order], np.tile(ww[:, 1], 2)[order]
+    rev = np.searchsorted(src * n + dst, dst * n + src)
+    # connectivity by breadth-first search from node 0 over the sorted pairs
+    start = np.searchsorted(src, np.arange(n + 1))
     reached = np.zeros(n, dtype=bool)
     stack = [0]
     reached[0] = True
     while stack:
         i = stack.pop()
-        for j in np.flatnonzero(weight[i] > 0):
-            if not reached[j]:
-                reached[j] = True
-                stack.append(int(j))
+        nbrs = dst[start[i]:start[i + 1]]
+        new = nbrs[~reached[nbrs]]
+        reached[new] = True
+        stack.extend(new.tolist())
     if not reached.all():
         raise DisconnectedGraph("nodes %s unreachable from node 0"
                                 % np.flatnonzero(~reached).tolist())
-    edges = tuple(sorted(seen))
-    weight.setflags(write=False)
-    fisher.setflags(write=False)
-    return Graph(n=n, edges=edges, weight=weight, fisher_weight=fisher)
+    weight = np.zeros((n, n))
+    weight[src, dst] = w
+    for a in (weight, src, dst, w, wt, rev):
+        a.setflags(write=False)
+    return Graph(n, edges, weight, src, dst, w, wt, rev)
 
 
 def complete_graph(n: int, w: float = 1.0) -> Graph:
@@ -169,42 +187,56 @@ def graph_gradient(g: Graph, S) -> SkewField:
     return SkewField(v)
 
 
-def edge_theta(g: Graph, rho, kind: ThetaKind, direction=None) -> np.ndarray:
-    """Theta weights as an (n, n) matrix over ordered adjacent pairs.
+def _pair_direction(g: Graph, kind: ThetaKind, direction):
+    """Upwind directions over the ordered pairs: the kind's own source, else
+    `direction`, already over the pairs. The source may be a node potential S
+    (direction S_i - S_j) or an antisymmetric (n, n) matrix. Non-upwind kinds
+    ignore directions; returns 0.0."""
+    if kind.kind != "upwind":
+        return 0.0
+    if kind.direction is None:
+        if direction is None:
+            raise ValueError("upwind theta needs a direction source")
+        return direction
+    d = _arr(kind.direction)
+    return d[g.src] - d[g.dst] if d.ndim == 1 else d[g.src, g.dst]
 
-    `direction` feeds the upwind kind when the kind itself carries no
-    source.
+
+def edge_theta(g: Graph, rho, kind: ThetaKind, direction=None) -> np.ndarray:
+    """Theta weights as a (2|E|,) vector over the ordered pairs.
+
+    `direction`, a (2|E|,) antisymmetric pair vector, feeds the upwind kind
+    when the kind itself carries no source.
     """
     r = _arr(rho)
-    th = theta(kind, r[:, None], r[None, :], resolve_direction(kind, direction))
-    return np.where(g.adjacency, th, 0.0)
+    return theta(kind, r[g.src], r[g.dst], _pair_direction(g, kind, direction))
 
 
 def edge_theta_partial_sum(g: Graph, rho, kind: ThetaKind, direction=None) -> np.ndarray:
-    """P[i, j] = d theta_ij / d rho_i + d theta_ji / d rho_i on adjacent pairs.
+    """P_k = d theta_ij / d rho_i + d theta_ji / d rho_i for each pair k = (i, j).
 
-    Directions resolve as in edge_theta; an upwind direction matrix must be
+    Directions resolve as in edge_theta; an upwind direction must be
     antisymmetric, so that d_ji = -d_ij.
     """
     r = _arr(rho)
-    first, second = theta_partial(kind, r[:, None], r[None, :],
-                                  resolve_direction(kind, direction))
-    return np.where(g.adjacency, first + second.T, 0.0)
+    first, second = theta_partial(kind, r[g.src], r[g.dst],
+                                  _pair_direction(g, kind, direction))
+    return first + second[g.rev]
 
 
 def divergence(g: Graph, rho, v, kind: ThetaKind = AVERAGE) -> np.ndarray:
     """div(rho v)_j = -(sum_l w_jl v_jl theta_jl)."""
-    vv = _arr(v)
+    vv = _arr(v)[g.src, g.dst]
     th = edge_theta(g, rho, kind, direction=vv)
-    return -(g.weight * vv * th).sum(axis=1)
+    return -np.bincount(g.src, g.w * vv * th, minlength=g.n)
 
 
 def inner_product(g: Graph, u, v, rho, kind: ThetaKind = AVERAGE) -> float:
     """<u, v>_rho, summed over both orientations of every edge with a 1/2."""
-    uu = _arr(u)
-    vv = _arr(v)
+    uu = _arr(u)[g.src, g.dst]
+    vv = _arr(v)[g.src, g.dst]
     th = edge_theta(g, rho, kind, direction=vv)
-    return float(0.5 * (uu * vv * th * g.weight).sum())
+    return float(0.5 * (uu * vv * th * g.w).sum())
 
 
 def hodge_decompose(g: Graph, rho, v, kind: ThetaKind = AVERAGE):
@@ -218,8 +250,8 @@ def hodge_decompose(g: Graph, rho, v, kind: ThetaKind = AVERAGE):
     if r.min() <= 0:
         raise BoundaryDensity("decomposition needs an interior density")
     vv = _arr(v)
-    th = edge_theta(g, r, kind, direction=vv)
-    cond = g.weight * th                     # edge conductances
+    cond = np.zeros((g.n, g.n))              # edge conductances
+    cond[g.src, g.dst] = g.w * edge_theta(g, r, kind, direction=vv[g.src, g.dst])
     lap = np.diag(cond.sum(axis=1)) - cond   # L = -div(rho grad .)
     eigs = np.sort(np.abs(np.linalg.eigvalsh(lap)))
     scale = max(eigs[-1], 1.0)

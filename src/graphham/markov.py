@@ -124,13 +124,10 @@ def build_rate_matrix(kind: str, g: Graph, state: PhasePoint,
     equation of the matching Hamiltonian flow, which pins every sign.
     """
     rho, s = state.rho, state.pot
-    ds = s[:, None] - s[None, :]                    # S_i - S_j
 
     if kind == "upwind_ot":
-        q = g.weight * np.clip(-ds, 0.0, None)      # w_ab (S_b - S_a)^+
-        np.fill_diagonal(q, 0.0)
-        np.fill_diagonal(q, (g.weight * np.minimum(ds, 0.0)).sum(axis=1))
-        return validate_rate_matrix(q, kind)
+        ds = s[g.src] - s[g.dst]                    # S_a - S_b over the pairs
+        return validate_rate_matrix(_scatter(g, g.w * np.clip(-ds, 0.0, None)), kind)
 
     if kind == "sbp":
         if reference is None:
@@ -138,7 +135,7 @@ def build_rate_matrix(kind: str, g: Graph, state: PhasePoint,
         if np.min(rho) <= 0:
             raise BoundaryDensity("reweighted rates need interior masses")
         m, sup, _ = _reference_at(reference)(t)
-        ex = np.exp(_capped(-ds, sup))              # e^{S_b - S_a} where m carries rate
+        ex = np.exp(_capped(s[None, :] - s[:, None], sup))   # e^{S_b - S_a} where m carries rate
         q = ex * np.sqrt(rho[None, :] / rho[:, None]) * m
         np.fill_diagonal(q, 0.0)
         np.fill_diagonal(q, -q.sum(axis=1))
@@ -147,26 +144,32 @@ def build_rate_matrix(kind: str, g: Graph, state: PhasePoint,
     if kind == "theta_general":
         if theta_kind is None:
             raise ValueError("theta_general kind needs a theta kind")
+        ds = s[g.src] - s[g.dst]
         if theta_kind.kind == "average":
-            q = 0.5 * g.weight * (-ds)
-            np.fill_diagonal(q, 0.0)
-            np.fill_diagonal(q, 0.5 * (g.weight * ds).sum(axis=1))
+            rate = 0.5 * g.w * (-ds)
         elif theta_kind.kind == "logmean":
             if np.min(rho) <= 0:
                 raise BoundaryDensity("log-mean splitting needs interior masses")
-            dlog = np.log(rho)[:, None] - np.log(rho)[None, :]
-            off = np.abs(dlog) < 1e-12
-            np.fill_diagonal(off, False)
-            if (off & g.adjacency).any():
+            logs = np.log(rho)
+            dlog = logs[g.src] - logs[g.dst]
+            if (np.abs(dlog) < 1e-12).any():
                 raise NoRateDecomposition("log-mean splitting degenerates at equal masses")
-            safe = np.where(np.abs(dlog) < 1e-300, 1.0, dlog)
-            q = np.where(g.adjacency, -g.weight * ds / safe, 0.0)
-            np.fill_diagonal(q, (np.where(g.adjacency, g.weight * ds / safe, 0.0)).sum(axis=1))
+            rate = -g.w * ds / dlog
         else:
             raise ValueError("theta_general supports average or logmean")
-        return validate_rate_matrix(q, kind)
+        return validate_rate_matrix(_scatter(g, rate), kind)
 
     raise ValueError("unknown rate-matrix kind %r" % kind)
+
+
+def _scatter(g: Graph, rate: np.ndarray) -> np.ndarray:
+    """Dense generator with the pair rates off the diagonal and minus their
+    row sums on it. Summing -rate keeps the diagonal of a row without
+    outflow +0.0, as rates.json has always written it."""
+    q = np.zeros((g.n, g.n))
+    q[g.src, g.dst] = rate
+    q[np.diag_indices(g.n)] = np.bincount(g.src, -rate, minlength=g.n)
+    return q
 
 
 # -- propagators ----------------------------------------------------------------------

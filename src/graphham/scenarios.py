@@ -242,6 +242,8 @@ def sampler_setting(key: str, value):
     """A sampler setting cast to its type and checked against its range."""
     cast, low, high = _SAMPLER[key]
     try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
         cast_value = cast(value)
         if cast is int and isinstance(value, float) and cast_value != value:
             raise ValueError("not an integer")
@@ -295,6 +297,9 @@ def parse_config(data: dict, name: str = "config") -> Scenario:
             chart = init.get("chart", "S")
             if chart not in ("S", "psi", "fg"):
                 raise ConfigError("chart", "unknown chart %r" % chart)
+            if ham is not None and chart != ham.chart:
+                raise ConfigError("initial", "state chart %r does not match the %s chart %r"
+                                  % (chart, ham.variant, ham.chart))
             scenario.initial = PhasePoint(rho, pot, chart=chart)
         if "marginals" in data:
             marg = _need(data, "marginals", dict)

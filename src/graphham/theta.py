@@ -64,7 +64,7 @@ def from_name(name: str) -> ThetaKind:
 
 
 def _check_positive(kind, a, b):
-    if kind == "logmean" and (np.any(np.asarray(a) <= 0) or np.any(np.asarray(b) <= 0)):
+    if kind == "logmean" and ((np.asarray(a) <= 0).any() or (np.asarray(b) <= 0).any()):
         raise BoundaryDensity("logarithmic mean requires strictly positive masses")
 
 
@@ -78,7 +78,8 @@ def _logmean(a, b):
         eta = np.where(s > 0, (a - b) / (2.0 * np.where(s > 0, s, 1.0)), 0.0)
         near = np.abs(eta) < _SERIES_CUTOFF
         # series: L = s (1 - eta^2/3 - 4 eta^4/45 + ...)
-        series = s * (1.0 - eta * eta / 3.0 - 4.0 * eta ** 4 / 45.0)
+        eta2 = eta * eta
+        series = s * (1.0 - eta2 / 3.0 - 4.0 * (eta2 * eta2) / 45.0)
         delta = np.log(np.where(near, 1.0, a)) - np.log(np.where(near, 1.0, b))
         quotient = np.where(near, series, (a - b) / np.where(near, 1.0, delta))
     return np.where(near, series, quotient), eta, near, delta
@@ -119,27 +120,11 @@ def theta(kind: ThetaKind, rho_i, rho_j, dir_ij=0.0):
 def theta_partial(kind: ThetaKind, rho_i, rho_j, dir_ij=0.0):
     """Both partial derivatives (d theta / d rho_i, d theta / d rho_j)."""
     _check_positive(kind.kind, rho_i, rho_j)
-    shape = np.broadcast(np.asarray(rho_i), np.asarray(rho_j), np.asarray(dir_ij)).shape
     if kind.kind == "average":
+        shape = np.broadcast(np.asarray(rho_i), np.asarray(rho_j), np.asarray(dir_ij)).shape
         return (np.full(shape, 0.5), np.full(shape, 0.5)) if shape else (0.5, 0.5)
     if kind.kind == "logmean":
         return _logmean_partials(rho_i, rho_j)
     on_i = np.asarray(dir_ij) <= 0  # donor is i at ties and negative direction
     return np.where(on_i, 1.0, 0.0), np.where(on_i, 0.0, 1.0)
 
-
-def resolve_direction(kind: ThetaKind, fallback=None):
-    """Direction matrix for an upwind kind: attached source, else fallback.
-
-    The source may be a node potential S (direction S_i - S_j) or an
-    antisymmetric matrix. Non-upwind kinds ignore directions; returns 0.0.
-    """
-    if kind.kind != "upwind":
-        return 0.0
-    src = kind.direction if kind.direction is not None else fallback
-    if src is None:
-        raise ValueError("upwind theta needs a direction source")
-    src = np.asarray(getattr(src, "values", src), dtype=float)
-    if src.ndim == 1:
-        return src[:, None] - src[None, :]
-    return src

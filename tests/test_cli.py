@@ -216,6 +216,10 @@ class TestErrors:
         ([], {"particles": 2.7}),
         ([], {"seed": 3.5}),
         ([], {"checkpoints": 2.5}),
+        ([], {"particles": True, "checkpoints": True}),
+        ([], {"checkpoints": False}),
+        ([], {"seed": False}),
+        ([], {"lam": True}),
     ])
     def test_bad_sampler_settings_exit_1(self, tmp_path, capsys, flags, sampler):
         cfg = tmp_path / "cfg.json"
@@ -225,6 +229,27 @@ class TestErrors:
         assert rc == 1
         assert "config error:" in capsys.readouterr().err
         assert not (out / "paths.jsonl").exists()
+
+    @pytest.mark.parametrize("variant, chart", [
+        ("sbp_psi", None), ("schrodinger_fg", None), ("sbp_entropic", "psi"),
+    ])
+    def test_initial_chart_must_match_the_hamiltonian(self, tmp_path, capsys, variant, chart):
+        init = {"rho": [0.2, 0.3, 0.5], "pot": [0.1, 0.0, -0.1]}
+        if chart is not None:
+            init["chart"] = chart
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": {"nodes": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]},
+            "reference": {"kind": "symmetric", "value": 1.0},
+            "hamiltonian": {"variant": variant},
+            "initial": init,
+            "horizon": {"t0": 0, "t1": 0.01, "dt": 0.001},
+        }))
+        rc, out = run(tmp_path, "geodesic", "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error:" in err and "Traceback" not in err
+        assert not (out / "trajectory.csv").exists()
 
     def test_integral_float_counts_are_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 
 from graphham import markov
-from graphham.cli import _write_paths
+from graphham.cli import _PATH_BLOCK, _write_paths
 
 from graphham.errors import InvalidGenerator, NoRateDecomposition, RateBoundExceeded
 from graphham.graph import complete_graph, validate_graph
@@ -432,10 +432,12 @@ class TestStreams:
         assert hist.min() > 0.9 * len(u) / 10
 
 
-def _random_paths(rng, m, n, t0, t1, checkpoints):
-    """Seeded CSR paths with zero-jump paths and jumps exactly at checkpoints."""
+def _random_paths(rng, m, n, t0, t1, checkpoints, zero_at=()):
+    """Seeded CSR paths with zero-jump paths and jumps exactly at checkpoints;
+    every fourth path and those listed in zero_at have no jumps."""
     counts = rng.integers(0, 5, size=m)
     counts[::4] = 0
+    counts[list(zero_at)] = 0
     times, states = [], []
     for c in counts:
         ts = np.sort(rng.uniform(t0, t1, size=c))
@@ -469,16 +471,20 @@ class TestPaths:
             paths.states_at([-0.1, 0.5])
 
     def test_writer_matches_json_dumps(self, tmp_path):
+        # the larger count spans three blocks, with zero-jump paths on both
+        # sides of each block edge
         t1 = 2 * np.pi
-        paths, times, states = _random_paths(np.random.default_rng(3), 25, 3, 0.0, t1,
-                                             [t1 / 3, t1])
-        _write_paths(tmp_path, paths)
-        lines = (tmp_path / "paths.jsonl").read_text().splitlines()
-        assert len(lines) == 25
-        for k, line in enumerate(lines):
-            assert line == json.dumps({"seed": [1234, k], "t0": 0.0, "t1": t1,
-                                       "jump_times": times[k].tolist(),
-                                       "states": states[k].tolist()})
+        for m in (25, 2 * _PATH_BLOCK + 5):
+            edges = [k for b in range(_PATH_BLOCK, m, _PATH_BLOCK) for k in (b - 1, b)]
+            paths, times, states = _random_paths(np.random.default_rng(3), m, 3, 0.0, t1,
+                                                 [t1 / 3, t1], zero_at=edges)
+            _write_paths(tmp_path, paths)
+            lines = (tmp_path / "paths.jsonl").read_text().splitlines()
+            assert len(lines) == m
+            for k, line in enumerate(lines):
+                assert line == json.dumps({"seed": [1234, k], "t0": 0.0, "t1": t1,
+                                           "jump_times": times[k].tolist(),
+                                           "states": states[k].tolist()})
 
 
 class TestEmpiricalDensity:
