@@ -35,7 +35,7 @@ from .errors import (
     NonsmoothSpec,
     RateBoundExceeded,
 )
-from .hamiltonians import PhasePoint, ReferenceRates, sbp_entropic, vector_field
+from .hamiltonians import PhasePoint, _recorded_rates, sbp_entropic, vector_field
 from .markov import (
     build_rate_matrix,
     empirical_densities,
@@ -173,12 +173,7 @@ def cmd_geodesic(scenario: Scenario, out: Path, args) -> int:
     qs = qs.copy()
     rec_dt = float(traj.times[1] - traj.times[0]) if len(traj.times) > 1 else scenario.dt
     # nearest recorded snapshot; the final recording gap may be short
-    top = len(qs) - 1
-
-    def snap(ts):
-        return np.clip(np.round((np.asarray(ts) - scenario.t0) / rec_dt), 0, top).astype(int)
-
-    frozen = ReferenceRates(scenario.graph.n, batch_fn=lambda ts: qs[snap(ts)])
+    frozen = _recorded_rates(scenario.t0, rec_dt, qs)
     rho0 = _to_s_chart(scenario.initial).rho
     paths = sample_paths(frozen, rho0, scenario.particles, scenario.t0,
                          scenario.t1, seed=scenario.seed, lam=scenario.lam)

@@ -146,6 +146,17 @@ class ReferenceRates:
         return self._support
 
 
+def _recorded_rates(t0: float, dt: float, stack: np.ndarray) -> ReferenceRates:
+    """Rates read from a (K, n, n) stack recorded every dt from t0: each time
+    takes the nearest row, clipped to the first and last."""
+    top = len(stack) - 1
+
+    def batch(ts):
+        return stack[np.clip(np.round((np.asarray(ts) - t0) / dt), 0, top).astype(int)]
+
+    return ReferenceRates(stack.shape[1], batch_fn=batch)
+
+
 def _reference_at(rates: ReferenceRates):
     """t -> (m(t), a mask of the support pairs whose rate at t is nonzero, the
     diagonal of m(t)); one fixed triple for a constant reference, whose mask

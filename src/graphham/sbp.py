@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     BoundaryMarginal,
+    InvalidGenerator,
     NonconvergedIPFP,
     NonpositiveFG,
     NonsmoothSpec,
@@ -33,7 +34,7 @@ from .errors import (
     SupportMismatch,
 )
 from .graph import _arr
-from .hamiltonians import HamiltonianSpec, PhasePoint, ReferenceRates
+from .hamiltonians import HamiltonianSpec, PhasePoint, ReferenceRates, _recorded_rates
 from .dynamics import integrate, schrodinger_evolve
 from .markov import build_rate_matrix, propagator
 
@@ -62,41 +63,37 @@ def relative_entropy(p, q) -> float:
 # -- relative entropy rate -------------------------------------------------------------
 
 
-def _u(x: np.ndarray) -> np.ndarray:
-    # x log x - x + 1, continuously extended by u(0) = 1
-    out = np.ones_like(x)
-    on = x > 0
-    out[on] = x[on] * np.log(x[on]) - x[on] + 1.0
-    return out
-
-
-def relative_entropy_rate(rho, m_hat: np.ndarray, m: np.ndarray) -> float:
+def relative_entropy_rate(rho, m_hat: np.ndarray, m: np.ndarray):
     """Instantaneous entropy production of rates m_hat against reference m.
 
-    Sums rho_i u(m_hat_ij / m_ij) m_ij over ordered pairs, u(x) = x log x - x + 1.
-    Channels absent from both generators contribute nothing; a channel open
-    in m_hat but closed in m is a support mismatch.
+    Sums rho_i u(m_hat_ij / m_ij) m_ij over ordered pairs, u(x) = x log x - x + 1
+    continuously extended by u(0) = 1. Channels absent from both generators
+    contribute nothing; a channel open in m_hat but closed in m is a support
+    mismatch. A (T, n) stack of rho with (T, n, n) stacks of generators gives
+    the (T,) rates; one rho with one pair of generators gives a float.
     """
     rho = _arr(rho)
-    n = len(rho)
-    off = ~np.eye(n, dtype=bool)
-    mh, mr = m_hat[off], m[off]
-    if np.any((mh > 0) & (mr <= 0)):
+    off = ~np.eye(rho.shape[-1], dtype=bool)
+    on = off & (m > 0)
+    if np.any(off & (m_hat > 0) & (m <= 0)):
         raise SupportMismatch("bridged rates leave the reference support")
-    ratio = np.zeros_like(mh)
-    on = mr > 0
-    ratio[on] = mh[on] / mr[on]
-    cell = np.zeros((n, n))
-    cell[off] = np.where(on, _u(ratio) * mr, 0.0)
-    return float(np.sum(rho[:, None] * cell))
+    x = np.divide(m_hat, m, out=np.zeros(on.shape), where=on)
+    # u(x) m in place, so a stack holds two (T, n, n) arrays; log stays 0 at x = 0
+    cell = np.log(x, out=np.zeros_like(x), where=x > 0)
+    cell *= x
+    cell -= x
+    cell += 1.0
+    cell *= m
+    cell[~on] = 0.0
+    cell *= rho[..., :, None]
+    total = cell.sum(axis=(-2, -1))
+    return total if total.ndim else float(total)
 
 
 def integrated_entropy_rate(times: np.ndarray, rho: np.ndarray,
                             m_hat: np.ndarray, m: np.ndarray) -> float:
     """Trapezoid rule over a uniformly sampled trajectory of the rate above."""
-    vals = np.array([relative_entropy_rate(rho[k], m_hat[k], m[k])
-                     for k in range(len(times))])
-    return _trapezoid(vals, float(times[1] - times[0]))
+    return _trapezoid(relative_entropy_rate(rho, m_hat, m), float(times[1] - times[0]))
 
 
 # -- the bridge solver ------------------------------------------------------------------
@@ -135,12 +132,7 @@ class BridgeSolution:
     entropy: float              # integrated entropy production of m_hat vs m
 
     def rates(self) -> ReferenceRates:
-        dt = float(self.times[1] - self.times[0])
-
-        def batch(ts):
-            return self.m_hat[np.round((np.asarray(ts) - self.times[0]) / dt).astype(int)]
-
-        return ReferenceRates(self.m_hat.shape[1], batch_fn=batch)
+        return _recorded_rates(self.times[0], float(self.times[1] - self.times[0]), self.m_hat)
 
 
 def _coupling_entropy(logk: np.ndarray, phi: np.ndarray, gam: np.ndarray,
@@ -209,17 +201,17 @@ def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
         if max(residuals) <= tol:
             done = it
             break
+    drift = np.diff(objective)
+    failure = None
     if not done:
-        err = NonconvergedIPFP(
-            "marginal residuals %r still above %g after %d sweeps"
-            % (residuals, tol, max_iter))
-        err.residuals = residuals
+        failure = "marginal residuals %r still above %g after %d sweeps" % (
+            residuals, tol, max_iter)
+    elif len(drift) and drift.max() > 1e-10:
+        failure = "sweep cost lost monotonicity: worst rise %g" % drift.max()
+    if failure is not None:
+        err = NonconvergedIPFP(failure, residuals)
         err.history = history
         raise err
-    drift = np.diff(objective)
-    if len(drift) and drift.max() > 1e-10:
-        raise AssertionError(
-            "sweep cost lost monotonicity: worst rise %g" % drift.max())
 
     flow = schrodinger_evolve(problem.reference, f0=f0, g1=g1,
                               t0=problem.t0, t1=problem.t1, dt=dt)
@@ -233,8 +225,9 @@ def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
     m_hat[:, diag, diag] = 0.0
     m_hat[:, diag, diag] = -m_hat.sum(axis=2)
     off = ~np.eye(n, dtype=bool)
-    if m_hat[:, off].min() < -1e-12 * max(1.0, float(np.abs(m_hat).max())):
-        raise AssertionError("bridged generator grew a negative rate")
+    low = float(m_hat[:, off].min())
+    if low < -1e-12 * max(1.0, float(np.abs(m_hat).max())):
+        raise InvalidGenerator("bridged generator grew a negative rate %r" % low)
 
     entropy = integrated_entropy_rate(flow.times, flow.rho, m_hat, ms)
     return BridgeSolution(problem, flow.times, flow.f, flow.g, flow.rho,
@@ -264,7 +257,6 @@ def path_entropy_bruteforce(solution: BridgeSolution, n_steps: int) -> float:
             "about %g support paths; brute force stops at 1e7"
             % (float(maxdeg + 1) ** n_steps))
 
-    grid_dt = float(solution.times[1] - solution.times[0])
     bridged = solution.rates()
     refr = problem.reference
 
@@ -277,8 +269,7 @@ def path_entropy_bruteforce(solution: BridgeSolution, n_steps: int) -> float:
 
     for step in range(n_steps):
         t = problem.t0 + step * h
-        snap = solution.times[0] + grid_dt * round((t - solution.times[0]) / grid_dt)
-        pi_hat = np.eye(n) + h * bridged.at(snap)
+        pi_hat = np.eye(n) + h * bridged.at(t)
         pi_ref = np.eye(n) + h * refr.at(t)
         for name, pi in (("bridged", pi_hat), ("reference", pi_ref)):
             if np.diagonal(pi).min() < 0:

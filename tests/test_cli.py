@@ -85,6 +85,27 @@ class TestBridge:
         assert doc["converged"] is False
         assert len(doc["history"]) == 200
 
+    def test_sweep_cost_rise_exits_3_with_history(self, tmp_path, capsys):
+        # slow rates and far-apart marginals: the fit reaches its marginals,
+        # but one sweep costs more than the one before it
+        cfg = tmp_path / "rise.json"
+        cfg.write_text(json.dumps({
+            "graph": {"nodes": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]},
+            "reference": {"kind": "constant",
+                          "matrix": [[-0.0034, 0.0, 0.0034], [0.0027, -0.0027, 0.0],
+                                     [0.0039, 0.0048, -0.0087]]},
+            "marginals": {"rho0": [0.1, 0.7, 0.2], "rho1": [0.08, 0.86, 0.06]},
+            "horizon": {"dt": 0.01},
+        }))
+        rc, out = run(tmp_path, "bridge", "--config", str(cfg))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "sweep cost lost monotonicity" in err and "Traceback" not in err
+        doc = json.loads((out / "bridge.json").read_text())
+        assert doc["converged"] is False
+        assert max(doc["residuals"]) <= 1e-8
+        assert len(doc["history"]) >= 2
+
     def test_requires_marginals(self, tmp_path):
         rc, _ = run(tmp_path, "bridge", "--config", "two-node-upwind")
         assert rc == 1
@@ -143,6 +164,20 @@ class TestSimulate:
                       "--particles", "150")
         for name in ("run.json", "paths.jsonl", "report.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["bridge", "--config", "three-node-bridge", "--oracle", "12"], ["bridge.json"]),
+    (["geodesic", "--config", "two-node-upwind", "--particles", "200"],
+     ["trajectory.csv", "rates.json", "paths.jsonl"]),
+    (["analyze", "--config", "two-node-periodic"], ["report.json"]),
+], ids=["bridge", "geodesic", "analyze"])
+def test_every_subcommand_reruns_byte_identical(tmp_path, argv, names):
+    rc1, out1 = run(tmp_path / "a", *argv)
+    rc2, out2 = run(tmp_path / "b", *argv)
+    assert rc1 == rc2 == 0
+    for name in ["run.json"] + names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestAnalyze:

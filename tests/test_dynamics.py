@@ -24,6 +24,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from graphham.errors import (
     BlowUp,
@@ -372,8 +373,8 @@ class TestMonodromy:
 
 class TestBlockedMarcher:
     """fundamental_matrix and propagator share a blocked step-matrix product;
-    its block boundaries must not show against a step-by-step rk4, and large
-    graphs, which it steps directly, must agree too."""
+    its block boundaries must not show against a step-by-step rk4, at any
+    graph size."""
 
     BLOCK = _BLOCK_ENTRIES // 16   # steps per block for 4 nodes
     DT = 1e-3
@@ -415,6 +416,62 @@ class TestBlockedMarcher:
             assert np.max(np.abs(got - want)) <= 1e-13
             assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-12
 
-    def test_large_graph_steps_directly(self):
-        assert _BLOCK_ENTRIES // 50 ** 2 < 8   # below the blocking threshold
-        self.test_block_boundaries_match_sequential_rk4(7, n=50)
+    @pytest.mark.parametrize("n", [50, 96])
+    def test_large_graphs_match_sequential_rk4(self, n):
+        # a block holds 6 step matrices at n = 50 and one at n = 96
+        self.test_block_boundaries_match_sequential_rk4(13, n=n)
+
+
+def sequential_factors(ms, hs, dt, f0, g1):
+    """Step-by-step rk4 of df/dt = f m forward and of dg/dt = -m g backward,
+    each in its own orientation, from m at the grid times (ms) and midpoints (hs)."""
+    steps = len(hs)
+    f, g = [np.asarray(f0, dtype=float)], [np.asarray(g1, dtype=float)]
+    for k in range(steps):
+        y, m0, mh, m1 = f[-1], ms[k], hs[k], ms[k + 1]
+        k1 = y @ m0
+        k2 = (y + 0.5 * dt * k1) @ mh
+        k3 = (y + 0.5 * dt * k2) @ mh
+        k4 = (y + dt * k3) @ m1
+        f.append(y + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0)
+    h = -dt
+    for k in range(steps, 0, -1):
+        y, m0, mh, m1 = g[-1], ms[k], hs[k - 1], ms[k - 1]
+        k1 = -(m0 @ y)
+        k2 = -(mh @ (y + 0.5 * h * k1))
+        k3 = -(mh @ (y + 0.5 * h * k2))
+        k4 = -(m1 @ (y + h * k3))
+        g.append(y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0)
+    return np.array(f), np.array(g[::-1])
+
+
+class TestFactorMarch:
+    """schrodinger_evolve marches both factors on the forward rk4 step
+    matrices; each must match a step-by-step rk4 in its own orientation,
+    the backward factor included, on both sides of a block boundary."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1),
+           side=st.sampled_from([-1, 1]), dt=st.floats(1e-3, 1e-2))
+    def test_factors_match_sequential_rk4(self, n, seed, side, dt):
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0.0, 1.5, size=(n, n))
+        phase = rng.uniform(0.0, 2 * math.pi, size=(n, n))
+        freq = rng.uniform(0.5, 5.0)
+        np.fill_diagonal(base, 0.0)
+
+        def batch(ts):
+            off = base * (1.0 + 0.5 * np.sin(freq * np.asarray(ts)[:, None, None] + phase))
+            return off - np.eye(n) * off.sum(axis=2)[:, :, None]
+
+        steps = _BLOCK_ENTRIES // n ** 2 + side
+        f0, g1 = rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n)
+        flow = schrodinger_evolve(ReferenceRates(n, batch_fn=batch), f0=f0, g1=g1,
+                                  t1=steps * dt, dt=dt)
+        times = flow.times
+        grid_dt = times[1] - times[0]
+        want_f, want_g = sequential_factors(batch(times), batch(times[:-1] + 0.5 * grid_dt),
+                                            grid_dt, f0, g1)
+        assert len(times) == steps + 1
+        for got, want in ((flow.f, want_f), (flow.g, want_g)):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13

@@ -12,6 +12,7 @@ import pytest
 
 from graphham.errors import (
     BoundaryMarginal,
+    InvalidGenerator,
     NegativeStepProbability,
     NonconvergedIPFP,
     NonsmoothSpec,
@@ -87,6 +88,35 @@ class TestRelativeEntropy:
         m_hat[0, 2] = 0.5
         with pytest.raises(SupportMismatch):
             relative_entropy_rate([0.3, 0.3, 0.4], m_hat, m)
+
+    def test_rate_stack_matches_rows(self):
+        # a (T, n) rho with (T, n, n) generators gives each row's rate; the
+        # oracle is the row-by-row formula with closed channels and u(0) = 1,
+        # in the same arithmetic, so the values are equal
+        rng = np.random.default_rng(12)
+        n, count = 5, 9
+        m = random_generator(rng, n)
+        m[0, 3] = m[3, 0] = 0.0
+        np.fill_diagonal(m, 0.0)
+        np.fill_diagonal(m, -m.sum(axis=1))
+        ms = np.broadcast_to(m, (count, n, n))
+        m_hat = ms * rng.uniform(0.2, 3.0, size=(count, n, n))
+        m_hat[2, 1, :] = np.where(np.arange(n) == 1, m_hat[2, 1, 1], 0.0)
+        rho = rng.dirichlet(np.ones(n), count)
+        off = ~np.eye(n, dtype=bool)
+        want = []
+        for k in range(count):
+            x = np.where(m > 0, m_hat[k] / np.where(m > 0, m, 1.0), 0.0)
+            u = np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0)) - x + 1.0, 1.0)
+            want.append(np.sum(rho[k][:, None] * np.where(off & (m > 0), u * m, 0.0)))
+        got = relative_entropy_rate(rho, m_hat, ms)
+        assert got.shape == (count,)
+        assert got.tolist() == want
+        assert [relative_entropy_rate(rho[k], m_hat[k], m) for k in range(count)] \
+            == got.tolist()
+        m_hat[4, 0, 3] = 0.1
+        with pytest.raises(SupportMismatch):
+            relative_entropy_rate(rho, m_hat, ms)
 
     def test_integration_of_constant_rate(self):
         times = np.linspace(0.0, 2.0, 401)
@@ -178,6 +208,20 @@ class TestBridge:
     def test_boundary_marginal_rejected(self):
         with pytest.raises(BoundaryMarginal):
             solve_bridge(BridgeProblem(constant_rates(FLIP), [1.0, 0.0], [0.5, 0.5]))
+
+    def test_negative_bridged_rate_is_typed(self):
+        # the reference turns invalid only within 2e-4 of t = 0.5, a grid time
+        # that the propagator's spot check skips
+        good = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        bad = np.array([[0.3, -0.3], [1.0, -1.0]])
+
+        def batch(ts):
+            near = np.abs(np.asarray(ts, dtype=float) - 0.5) < 2e-4
+            return np.where(near[:, None, None], bad, good)
+
+        problem = BridgeProblem(ReferenceRates(2, batch_fn=batch), [0.6, 0.4], [0.4, 0.6])
+        with pytest.raises(InvalidGenerator, match="negative rate"):
+            solve_bridge(problem, dt=1e-3)
 
     def test_nonconvergence_carries_residuals(self):
         with pytest.raises(NonconvergedIPFP) as info:
