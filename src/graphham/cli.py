@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from importlib import metadata
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,11 @@ from .scenarios import ConfigError, Scenario, load_config, sampler_setting
 
 # paths per block of paths.jsonl turned into strings at once
 _PATH_BLOCK = 1024
+# array entries per block of a JSON artifact turned into strings at once
+_ARRAY_BLOCK = 1 << 14
+_INDENT = "  "
+# float.__repr__ spellings that JSON writes differently
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _version() -> str:
@@ -65,7 +70,100 @@ def _version() -> str:
 
 
 def _dump(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write obj byte for byte as json.dumps(obj, indent=2, sort_keys=True)
+    plus a newline, streaming to the file.
+
+    An ndarray is written as its tolist() would be, in blocks of
+    leading-axis slices of about _ARRAY_BLOCK entries (at least one slice),
+    so the writer's memory does not grow with the leading axis.
+    """
+    with open(path, "w") as fh:
+        _write_value(fh.write, obj, 0)
+        fh.write("\n")
+
+
+def _write_value(write, obj, depth: int) -> None:
+    """Write one JSON value whose opening sits at nesting depth `depth`."""
+    if isinstance(obj, np.ndarray):
+        if obj.ndim and obj.size:
+            _write_array(write, obj, depth)
+            return
+        obj = obj.tolist()                  # a scalar or nested empty lists
+    if isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        write(_NONFINITE.get(text, text))
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            write("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = "\n" + _INDENT * (depth + 1)
+        if isinstance(obj, dict):
+            write("{")
+            for k, key in enumerate(sorted(obj)):
+                if not isinstance(key, str):
+                    raise TypeError("artifact keys must be str, not %s" % type(key).__name__)
+                write(("," if k else "") + inner + encode_basestring_ascii(key) + ": ")
+                _write_value(write, obj[key], depth + 1)
+            write("\n" + _INDENT * depth + "}")
+        else:
+            write("[")
+            for k, item in enumerate(obj):
+                write(("," if k else "") + inner)
+                _write_value(write, item, depth + 1)
+            write("\n" + _INDENT * depth + "]")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+
+
+def _entry_texts(block: np.ndarray) -> list:
+    """The entries of an array in C order, spelled as json.dumps spells them."""
+    flat = block.ravel()
+    kind = flat.dtype.kind
+    if kind in "iu":
+        return list(map(int.__repr__, flat.tolist()))
+    if kind == "b":
+        return np.where(flat, "true", "false").tolist()
+    if kind != "f":
+        raise TypeError("arrays of dtype %s are not JSON serializable" % flat.dtype)
+    # every +0.0 shares one string; -0.0 and NaN are "nonzero" here
+    texts = np.empty(flat.size, dtype=object)
+    texts.fill("0.0")               # np.full of an object costs twice as much
+    nonzero = np.flatnonzero((flat != 0) | np.signbit(flat))
+    texts[nonzero] = list(map(float.__repr__, flat[nonzero].tolist()))
+    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+        texts[i] = _NONFINITE[texts[i]]
+    return texts.tolist()
+
+
+def _write_array(write, a: np.ndarray, depth: int) -> None:
+    """Write a nonempty array of at least one axis as its nested lists, one
+    block of leading-axis slices of about _ARRAY_BLOCK entries at a time."""
+    # the opener, separator and closer of a list on each axis
+    levels = [("[\n" + _INDENT * (depth + k + 1), ",\n" + _INDENT * (depth + k + 1),
+               "\n" + _INDENT * (depth + k) + "]") for k in range(a.ndim)]
+    step = max(1, _ARRAY_BLOCK // (a.size // a.shape[0]))
+    write(levels[0][0])
+    for b in range(0, a.shape[0], step):
+        texts = _entry_texts(a[b:b + step])
+        for k in range(a.ndim - 1, 0, -1):
+            opener, sep, closer = levels[k]
+            n = a.shape[k]
+            texts = [opener + sep.join(texts[i:i + n]) + closer
+                     for i in range(0, len(texts), n)]
+        if b:
+            write(levels[0][1])
+        write(levels[0][1].join(texts))
+    write(levels[0][2])
 
 
 def _write_run(out: Path, command: str, scenario: Scenario) -> None:
@@ -140,7 +238,7 @@ def _rate_report(scenario: Scenario, traj):
         report["checked_times"] += 1
         report["clamped"] += rm.clamped
         if k == 0:
-            report["entries_t0"] = rm.entries.tolist()
+            report["entries_t0"] = rm.entries
         if not rm.valid and report["first_invalid_time"] is None:
             report["valid"] = False
             report["first_invalid_time"] = float(t)
@@ -207,11 +305,11 @@ def cmd_bridge(scenario: Scenario, out: Path, args) -> int:
         "objective": sol.objective,
         "coupling_entropy": sol.coupling_entropy,
         "grid": {"t0": scenario.t0, "t1": scenario.t1, "dt": scenario.dt},
-        "times": sol.times.tolist(),
-        "f": sol.f.tolist(),
-        "g": sol.g.tolist(),
-        "rho": sol.rho.tolist(),
-        "m_hat": sol.m_hat.tolist(),
+        "times": sol.times,
+        "f": sol.f,
+        "g": sol.g,
+        "rho": sol.rho,
+        "m_hat": sol.m_hat,
     }
     if args.oracle:
         brute = path_entropy_bruteforce(sol, args.oracle)
@@ -247,7 +345,7 @@ def cmd_simulate(scenario: Scenario, out: Path, args) -> int:
         "max_tv": float(tv.max()),
         "checkpoints": [
             {"t": float(ts[k]), "tv": float(tv[k]),
-             "empirical": empirical[k].tolist(), "master": master[k].tolist()}
+             "empirical": empirical[k], "master": master[k]}
             for k in range(len(ts))],
     })
     return 0
@@ -273,7 +371,7 @@ def cmd_analyze(scenario: Scenario, out: Path, args) -> int:
         star = stationary_point(scenario.reference)
         drho, dpot = vector_field(sbp_entropic(scenario.graph, scenario.reference), star)
         report["stationary"] = {
-            "rho": star.rho.tolist(),
+            "rho": star.rho,
             "field_residual": float(max(np.abs(drho).max(), np.abs(dpot).max())),
         }
 
@@ -286,7 +384,7 @@ def cmd_analyze(scenario: Scenario, out: Path, args) -> int:
             res = markov_condition_residual(spec, _to_s_chart(scenario.initial),
                                             t=scenario.t0)
             report["markov_residual"] = {"max": float(res.max()),
-                                         "entries": res.tolist()}
+                                         "entries": res}
         except (NonsmoothSpec, NoRateDecomposition) as exc:
             report["markov_residual"] = {"error": str(exc)}
 

@@ -45,7 +45,7 @@ from .errors import (
     SelfLoop,
     SingularLaplacian,
 )
-from .theta import ThetaKind, AVERAGE, theta, theta_partial
+from .theta import ThetaKind, AVERAGE, theta, theta_with_partial
 
 _SUM_TOL = 1e-12
 
@@ -212,16 +212,17 @@ def edge_theta(g: Graph, rho, kind: ThetaKind, direction=None) -> np.ndarray:
     return theta(kind, r[g.src], r[g.dst], _pair_direction(g, kind, direction))
 
 
-def edge_theta_partial_sum(g: Graph, rho, kind: ThetaKind, direction=None) -> np.ndarray:
-    """P_k = d theta_ij / d rho_i + d theta_ji / d rho_i for each pair k = (i, j).
+def edge_theta_with_partial_sum(g: Graph, rho, kind: ThetaKind, direction=None):
+    """(edge_theta, P) from one evaluation of the weights, where
+    P_k = d theta_ij / d rho_i + d theta_ji / d rho_i for each pair k = (i, j).
 
     Directions resolve as in edge_theta; an upwind direction must be
     antisymmetric, so that d_ji = -d_ij.
     """
     r = _arr(rho)
-    first, second = theta_partial(kind, r[g.src], r[g.dst],
-                                  _pair_direction(g, kind, direction))
-    return first + second[g.rev]
+    th, (first, second) = theta_with_partial(kind, r[g.src], r[g.dst],
+                                             _pair_direction(g, kind, direction))
+    return th, first + second[g.rev]
 
 
 def divergence(g: Graph, rho, v, kind: ThetaKind = AVERAGE) -> np.ndarray:

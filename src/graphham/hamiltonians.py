@@ -40,10 +40,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundaryDensity, InvalidGenerator, KinkProximity, NonfiniteValue
-from .graph import Graph, _arr, edge_theta, edge_theta_partial_sum
+from .graph import Graph, _arr, edge_theta, edge_theta_with_partial_sum
 from .theta import ThetaKind
 
 _EXP_CAP = 700.0
+# the Kolmogorov rule's tolerances: sign bounds of entries, zero row sums
+_OFF_TOL = 1e-12
+_DIAG_TOL = 1e-12
+_ROW_TOL = 1e-10
 
 
 def _capped(x, mask):
@@ -172,16 +176,41 @@ def _reference_at(rates: ReferenceRates):
     return at
 
 
-def _validated_generator(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    off = m - np.diag(np.diag(m))
-    if off.min() < -tol:
-        raise InvalidGenerator("negative off-diagonal rate %r" % off.min())
-    off = np.clip(off, 0.0, None)
+def _kolmogorov(q: np.ndarray):
+    """Kolmogorov rule over a (..., n, n) stack of generator candidates.
+
+    Returns (clamped, clamp, bad, rows, bad_rows): the stack with entries
+    within 1e-12 of a violated sign bound zeroed (q itself when none are),
+    the mask of those entries, the mask of worse sign violations, the row
+    sums of the clamped stack and the mask of rows off zero beyond 1e-10.
+    """
+    diag = np.eye(q.shape[-1], dtype=bool)
+    bad = np.where(diag, q > _DIAG_TOL, q < -_OFF_TOL)
+    clamp = np.where(diag, q > 0, q < 0) & ~bad
+    if clamp.any():
+        q = np.where(clamp, 0.0, q)
+    rows = q.sum(axis=-1)
+    return q, clamp, bad, rows, np.abs(rows) > _ROW_TOL
+
+
+def _validated_generator(m: np.ndarray) -> np.ndarray:
+    """A constant matrix that passes the Kolmogorov rule, its diagonal rebuilt
+    as minus the clipped off-diagonal row sums. An all-zero diagonal stands
+    for that rebuilt one, so only the signs of its entries are checked."""
+    q, _, bad, rows, bad_rows = _kolmogorov(m)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise InvalidGenerator("rate matrix entry (%d, %d) is %r" % (i, j, float(q[i, j])))
+    if m.diagonal().any() and bad_rows.any():
+        i = np.flatnonzero(bad_rows)[0]
+        raise InvalidGenerator("rate matrix row %d sums to %r, not 0" % (i, float(rows[i])))
+    off = np.clip(m - np.diag(np.diag(m)), 0.0, None)
     return off - np.diag(off.sum(axis=1))
 
 
 def constant_rates(matrix) -> ReferenceRates:
-    """Reference rates from a constant matrix; the diagonal is rebuilt."""
+    """Reference rates from a constant matrix that passes the Kolmogorov rule;
+    the diagonal is rebuilt, and an all-zero one is filled in."""
     m = np.asarray(matrix, dtype=float)
     return ReferenceRates(m.shape[0], matrix=m)
 
@@ -338,8 +367,7 @@ def _fisher_grad(g: Graph, rho, kind: ThetaKind) -> np.ndarray:
     _interior(r)
     logs = np.log(r)
     dlog = logs[g.src] - logs[g.dst]
-    th = edge_theta(g, r, kind)
-    psum = edge_theta_partial_sum(g, r, kind)
+    th, psum = edge_theta_with_partial_sum(g, r, kind)
     term = 2.0 * dlog * th / r[g.src] + 0.5 * dlog ** 2 * psum
     return np.bincount(g.src, term * g.wt, minlength=g.n)
 
@@ -374,14 +402,14 @@ def _kinetic(spec: HamiltonianSpec):
     terms = [fisher_potential(g, spec.theta_tilde, -spec.beta)] if spec.variant == "fisher_ot" else []
     terms += [spec.potential] if spec.potential is not None else []
 
-    def edges(rho, pot):
+    def gaps(rho, pot):
         if kind.kind == "logmean":
             _interior(rho)
-        ds = pot[src] - pot[dst]
-        return ds, edge_theta(g, rho, kind, direction=ds)
+        return pot[src] - pot[dst]
 
     def energy(rho, pot, t):
-        ds, th = edges(rho, pot)
+        ds = gaps(rho, pot)
+        th = edge_theta(g, rho, kind, direction=ds)
         if lp:
             val = float((np.abs(ds) ** q * th * w).sum() / (2.0 * q))
         else:
@@ -391,8 +419,8 @@ def _kinetic(spec: HamiltonianSpec):
         return val
 
     def field(rho, pot, t):
-        ds, th = edges(rho, pot)
-        psum = edge_theta_partial_sum(g, rho, kind, direction=ds)
+        ds = gaps(rho, pot)
+        th, psum = edge_theta_with_partial_sum(g, rho, kind, direction=ds)
         if lp:
             flow = np.abs(ds) ** (q - 1.0) * np.sign(ds)
             drho = np.bincount(src, w * flow * th, minlength=n)

@@ -38,15 +38,12 @@ from .hamiltonians import (
     PhasePoint,
     ReferenceRates,
     _capped,
+    _kolmogorov,
     _reference_at,
     constant_rates,
 )
 
 _log = logging.getLogger(__name__)
-
-_OFF_TOL = 1e-12
-_DIAG_TOL = 1e-12
-_ROW_TOL = 1e-10
 
 
 # -- rate matrices -------------------------------------------------------------------
@@ -69,23 +66,6 @@ class RateMatrix:
                 "%s rate matrix invalid, worst violation at (%d, %d): %r"
                 % (self.kind, worst[0], worst[1], worst[2]))
         return self.entries
-
-
-def _kolmogorov(q: np.ndarray):
-    """Kolmogorov rule over a (..., n, n) stack of generator candidates.
-
-    Returns (clamped, clamp, bad, rows, bad_rows): the stack with entries
-    within 1e-12 of a violated sign bound zeroed (q itself when none are),
-    the mask of those entries, the mask of worse sign violations, the row
-    sums of the clamped stack and the mask of rows off zero beyond 1e-10.
-    """
-    diag = np.eye(q.shape[-1], dtype=bool)
-    bad = np.where(diag, q > _DIAG_TOL, q < -_OFF_TOL)
-    clamp = np.where(diag, q > 0, q < 0) & ~bad
-    if clamp.any():
-        q = np.where(clamp, 0.0, q)
-    rows = q.sum(axis=-1)
-    return q, clamp, bad, rows, np.abs(rows) > _ROW_TOL
 
 
 def _invalid(stack: np.ndarray) -> np.ndarray:

@@ -85,11 +85,9 @@ def _logmean(a, b):
     return np.where(near, series, quotient), eta, near, delta
 
 
-def _logmean_partials(a, b):
-    """(dL/da, dL/db) with the same series switch as the value."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    lm, eta, near, delta = _logmean(a, b)
+def _logmean_partials(a, b, lm, eta, near, delta):
+    """(dL/da, dL/db) with the same series switch as the value, from the
+    float masses and the _logmean tuple evaluated at them."""
     # dL/da = (1/Delta)(1 - L/a), dL/db = (1/Delta)(L/b - 1) off the diagonal
     with np.errstate(divide="ignore", invalid="ignore"):
         da_far = (1.0 - lm / a) / np.where(near, 1.0, delta)
@@ -124,7 +122,19 @@ def theta_partial(kind: ThetaKind, rho_i, rho_j, dir_ij=0.0):
         shape = np.broadcast(np.asarray(rho_i), np.asarray(rho_j), np.asarray(dir_ij)).shape
         return (np.full(shape, 0.5), np.full(shape, 0.5)) if shape else (0.5, 0.5)
     if kind.kind == "logmean":
-        return _logmean_partials(rho_i, rho_j)
+        a = np.asarray(rho_i, dtype=float)
+        b = np.asarray(rho_j, dtype=float)
+        return _logmean_partials(a, b, *_logmean(a, b))
     on_i = np.asarray(dir_ij) <= 0  # donor is i at ties and negative direction
     return np.where(on_i, 1.0, 0.0), np.where(on_i, 0.0, 1.0)
 
+
+def theta_with_partial(kind: ThetaKind, rho_i, rho_j, dir_ij=0.0):
+    """(theta(...), theta_partial(...)) with the log mean evaluated once."""
+    if kind.kind != "logmean":
+        return theta(kind, rho_i, rho_j, dir_ij), theta_partial(kind, rho_i, rho_j, dir_ij)
+    _check_positive(kind.kind, rho_i, rho_j)
+    a = np.asarray(rho_i, dtype=float)
+    b = np.asarray(rho_j, dtype=float)
+    lm = _logmean(a, b)
+    return lm[0], _logmean_partials(a, b, *lm)

@@ -222,6 +222,23 @@ class TestErrors:
     def test_missing_subcommand(self):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("matrix, message", [
+        ([[-5.0, 1.0], [1.0, -1.0]], "row 0 sums to -4.0"),
+        ([[0.0, -1e-11], [1.0, 0.0]], "entry (0, 1) is -1e-11"),
+    ])
+    def test_constant_generator_off_the_rule_exits_1(self, tmp_path, capsys, matrix, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+            "reference": {"kind": "constant", "matrix": matrix},
+            "initial": {"rho": [0.6, 0.4], "pot": [0.0, 0.0]},
+        }))
+        rc, out = run(tmp_path, "simulate", "--config", str(cfg), "--particles", "10")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (out / "paths.jsonl").exists()
+
     @pytest.mark.parametrize("hamiltonian", [
         {"variant": "ot_kinetic", "theta": "bogus"},
         {"variant": "lp_kinetic", "theta": "average", "q": 0.5},

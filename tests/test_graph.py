@@ -28,13 +28,13 @@ from graphham.graph import (
     complete_graph,
     divergence,
     edge_theta,
-    edge_theta_partial_sum,
+    edge_theta_with_partial_sum,
     graph_gradient,
     hodge_decompose,
     inner_product,
     validate_graph,
 )
-from graphham.theta import AVERAGE, LOGMEAN, upwind
+from graphham.theta import AVERAGE, LOGMEAN, theta_partial, upwind
 
 
 def two_node():
@@ -205,7 +205,13 @@ class TestEdgeTheta:
         # P_k = d theta_ij / d rho_i + d theta_ji / d rho_i for pair k = (i, j)
         g = validate_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5), (0, 2, 1.5)])
         rho = np.array([0.1, 0.2, 0.3, 0.4])
-        p = edge_theta_partial_sum(g, rho, kind)
+        th, p = edge_theta_with_partial_sum(g, rho, kind)
+        # the same bits as the weights and partials evaluated apart
+        np.testing.assert_array_equal(th, edge_theta(g, rho, kind))
+        first, second = theta_partial(kind, rho[g.src], rho[g.dst],
+                                      np.zeros(len(g.src)) if kind.direction is None
+                                      else kind.direction[g.src] - kind.direction[g.dst])
+        np.testing.assert_array_equal(p, first + second[g.rev])
         h = 1e-6
         for i in range(g.n):
             e = h * np.eye(g.n)[i]

@@ -78,6 +78,28 @@ class TestReferenceRates:
         with pytest.raises(InvalidGenerator):
             constant_rates([[0.0, -1.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("matrix", [
+        [[-5.0, 1.0], [1.0, -1.0]],                 # diagonal off its row sum
+        [[0.0, 1.0], [1.0, -1.0]],                  # a zero entry of a given diagonal
+        [[-1.0, 1.0], [1.0, -1.0 + 2e-10]],
+        [[0.0, -2e-12], [1.0, 0.0]],                # below the off-diagonal bound
+        [[-1.0 + 2e-12, 1.0 - 2e-12], [-2e-12, 2e-12]],
+    ])
+    def test_the_kolmogorov_rule_is_not_rewritten_away(self, matrix):
+        with pytest.raises(InvalidGenerator):
+            constant_rates(matrix)
+
+    @pytest.mark.parametrize("matrix", [
+        [[0.0, 2.0, 0.5], [3.0, 0.0, 0.0], [0.1, 0.2, 0.0]],
+        [[-1.0, 1.0, 0.0], [0.7, -1.0, 0.3], [0.0, 0.0, 0.0]],
+        [[-1.0 + 5e-11, 1.0, 0.0], [0.7, -1.0, 0.3], [0.0, -5e-13, 5e-13]],
+    ])
+    def test_passing_matrices_keep_the_rebuilt_diagonal(self, matrix):
+        m = np.array(matrix)
+        off = np.clip(m - np.diag(np.diag(m)), 0.0, None)
+        np.testing.assert_array_equal(constant_rates(m).matrix,
+                                      off - np.diag(off.sum(axis=1)))
+
     def test_symmetric_rates_on_graph(self):
         g = validate_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         m = symmetric_rates(g, 2.0).matrix
