@@ -50,7 +50,7 @@ from .sbp import (
     solve_bridge,
     stationary_point,
 )
-from .scenarios import ConfigError, Scenario, load_config, sampler_setting
+from .scenarios import ConfigError, Scenario, check_horizon, load_config, sampler_setting
 
 
 # paths per block of paths.jsonl turned into strings at once
@@ -437,6 +437,7 @@ def main(argv=None) -> int:
         scenario = load_config(args.config)
         if args.dt is not None:
             scenario.dt = args.dt
+            check_horizon(scenario)
         if args.particles is not None:
             scenario.particles = sampler_setting("particles", args.particles)
         if args.seed is not None:

@@ -8,7 +8,10 @@ Integrators:
 Both land exactly on the final time by rounding the step count. Each step is
 guarded: potentials beyond 1e6 in magnitude or node masses below -1e-9 abort
 with BlowUp, non-finite values abort with NonfiniteValue (raised by the
-Hamiltonian layer).
+Hamiltonian layer). A time-dependent reference is evaluated once per flow, on
+the stage-time grid: integrate hands prepare every step's start, midpoint and
+(rk4) end and the final time, and each distinct one is evaluated once, in
+blocks through ReferenceRates.at_many.
 
 Transforms between the three charts:
 
@@ -26,7 +29,8 @@ Linear marchers. Every linear flow over reference rates m(t) marches on the
 rk4 step matrices R_k of its grid intervals, written once in _step_blocks:
 fundamental_matrix and monodromy take the product R_0 R_1 ... R_{K-1}, and
 schrodinger_evolve steps f_{k+1} = f_k R_k forward and g_k = R_k g_{k+1}
-backward.
+backward. A bridge builds the stack of R_k once and takes both its endpoint
+kernel and its factor march from it.
 """
 
 from __future__ import annotations
@@ -43,13 +47,19 @@ from .errors import (
     NonpositiveFG,
 )
 from .graph import _arr
-from .hamiltonians import HamiltonianSpec, PhasePoint, ReferenceRates, _check_chart, prepare
+from .hamiltonians import (
+    HamiltonianSpec,
+    PhasePoint,
+    ReferenceRates,
+    _block_size,
+    _check_chart,
+    prepare,
+)
 
 _POT_CAP = 1e6
 _RHO_FLOOR = -1e-9
 _FP_TOL = 1e-12
 _FP_MAXITER = 50
-_BLOCK_ENTRIES = 1 << 14   # matrix entries per block of rk4 step matrices; bounds memory
 
 
 # -- trajectories ------------------------------------------------------------------
@@ -135,8 +145,21 @@ def integrate(spec: HamiltonianSpec, state: PhasePoint, t0: float, t1: float,
     _check_chart(spec, state)
     steps = max(1, int(round((t1 - t0) / dt)))
     dt = (t1 - t0) / steps
-    stepper = _rk4_step if method == "rk4" else _midpoint_step
-    field, energy = prepare(spec)
+    rk4 = method == "rk4"
+    stepper = _rk4_step if rk4 else _midpoint_step
+
+    def stage_times():
+        """Every time the loop below evaluates at, as the same floats and in
+        order: each step's start, midpoint and (rk4) end, then the last record."""
+        for k in range(steps):
+            t = t0 + k * dt
+            yield t
+            yield t + 0.5 * dt
+            if rk4:
+                yield t + dt
+        yield t0 + steps * dt
+
+    field, energy = prepare(spec, stage_times())
 
     def record(tk, r, p):
         return (tk, r, p, energy(r, p, tk)) + _audit(r, p, spec.chart)
@@ -256,15 +279,15 @@ def rk4_grid(rates: ReferenceRates, t0: float, t1: float, dt: float):
 
 def _step_blocks(full: np.ndarray, half: np.ndarray, dt: float):
     """Yield the rk4 step matrices R_k = I + dt (m0 + 2 k2 + 2 k3 + k4) / 6 of
-    dU = U m(t), one per grid interval and in order, as (b, n, n) blocks of at
-    most _BLOCK_ENTRIES entries and at least one matrix.
+    dU = U m(t), one per grid interval and in order, as (b, n, n) blocks of
+    _block_size(n) matrices (the last may hold fewer).
 
     R_k is one rk4 step from U = I, so k1 = I m0 = m0. It also serves the
     backward factor: the rk4 step of dg/dt = -m g from t_{k+1} back to t_k
     expands to the same polynomial in (m0, mh, m1), so g_k = R_k g_{k+1}.
     """
     eye = np.eye(full.shape[-1])
-    block = max(1, _BLOCK_ENTRIES // eye.size)
+    block = _block_size(len(eye))
     for lo in range(0, len(half), block):
         mh = half[lo:lo + block]
         m0, m1 = full[lo:lo + len(mh)], full[lo + 1:lo + len(mh) + 1]
@@ -274,23 +297,61 @@ def _step_blocks(full: np.ndarray, half: np.ndarray, dt: float):
         yield eye + dt * (m0 + 2 * k2 + 2 * k3 + k4) / 6.0
 
 
-def rk4_step_product(full: np.ndarray, half: np.ndarray, dt: float) -> np.ndarray:
-    """R_0 R_1 ... R_{K-1}: rk4 for dU = U m(t) from U = I over the K steps
-    of a grid with m at the K + 1 grid times (full) and the K midpoints (half).
-
-    Each block of step matrices is reduced by pairwise products in order and
-    multiplies the running product. Building R_k costs three n^3 products and
-    the reduction one, the four that stepping U itself costs, so there is no
-    size threshold: batching wins where per-step overhead dominates (small n)
-    and stays within about 7% of stepping U up to n = 128 on a 2-core x86 host.
-    """
-    u = np.eye(full.shape[-1])
-    for r in _step_blocks(full, half, dt):
+def _product(blocks, n: int) -> np.ndarray:
+    """R_0 R_1 ... R_{K-1} of step matrices given as consecutive (b, n, n)
+    blocks: each block is reduced by pairwise products in order and
+    multiplies the running product."""
+    u = np.eye(n)
+    for r in blocks:
         while len(r) > 1:
             paired = r[0:len(r) - 1:2] @ r[1::2]
             r = np.concatenate([paired, r[-1:]]) if len(r) % 2 else paired
         u = u @ r[0]
     return u
+
+
+def rk4_step_product(full: np.ndarray, half: np.ndarray, dt: float) -> np.ndarray:
+    """R_0 R_1 ... R_{K-1}: rk4 for dU = U m(t) from U = I over the K steps
+    of a grid with m at the K + 1 grid times (full) and the K midpoints (half).
+
+    Building R_k costs three n^3 products and the block-wise pairwise
+    reduction one, the four that stepping U itself costs, so there is no
+    size threshold: batching wins where per-step overhead dominates (small n)
+    and stays within about 7% of stepping U up to n = 128 on a 2-core x86 host.
+    """
+    return _product(_step_blocks(full, half, dt), full.shape[-1])
+
+
+def _step_stack(full: np.ndarray, half: np.ndarray, dt: float) -> np.ndarray:
+    """The (K, n, n) stack of the rk4 step matrices of a grid."""
+    return np.concatenate(list(_step_blocks(full, half, dt)))
+
+
+def _stack_product(r: np.ndarray) -> np.ndarray:
+    """rk4_step_product from a stack of its step matrices, reduced in the
+    blocks that _step_blocks yields, so the two agree bit for bit."""
+    n = r.shape[-1]
+    size = _block_size(n)
+    return _product((r[lo:lo + size] for lo in range(0, len(r), size)), n)
+
+
+def _march(times: np.ndarray, r: np.ndarray, f0=None, g1=None) -> FGFlow:
+    """f_{k+1} = f_k R_k forward from f0 and g_k = R_k g_{k+1} backward from
+    g1 on a (K, n, n) stack of step matrices over the K + 1 times."""
+    steps, n = len(r), r.shape[-1]
+    f = None
+    if f0 is not None:
+        f = np.empty((steps + 1, n))
+        f[0] = _arr(f0)
+        for k in range(steps):
+            f[k + 1] = f[k] @ r[k]
+    g = None
+    if g1 is not None:
+        g = np.empty((steps + 1, n))
+        g[steps] = _arr(g1)
+        for k in range(steps - 1, -1, -1):
+            g[k] = r[k] @ g[k + 1]
+    return FGFlow(times, f, g)
 
 
 def schrodinger_evolve(rates: ReferenceRates, f0=None, g1=None,
@@ -305,22 +366,7 @@ def schrodinger_evolve(rates: ReferenceRates, f0=None, g1=None,
     if f0 is None and g1 is None:
         raise ValueError("give at least one of f0, g1")
     times, dt, full, half = rk4_grid(rates, t0, t1, dt)
-    steps = len(half)
-    r = np.concatenate(list(_step_blocks(full, half, dt)))
-
-    f = None
-    if f0 is not None:
-        f = np.empty((steps + 1, rates.n))
-        f[0] = _arr(f0)
-        for k in range(steps):
-            f[k + 1] = f[k] @ r[k]
-    g = None
-    if g1 is not None:
-        g = np.empty((steps + 1, rates.n))
-        g[steps] = _arr(g1)
-        for k in range(steps - 1, -1, -1):
-            g[k] = r[k] @ g[k + 1]
-    return FGFlow(times, f, g)
+    return _march(times, _step_stack(full, half, dt), f0, g1)
 
 
 # -- monodromy of the density equation ---------------------------------------------------

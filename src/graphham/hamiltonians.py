@@ -44,6 +44,7 @@ from .graph import Graph, _arr, edge_theta, edge_theta_with_partial_sum
 from .theta import ThetaKind
 
 _EXP_CAP = 700.0
+_BLOCK_ENTRIES = 1 << 14   # matrix entries per block of a stack of (n, n) matrices; bounds memory
 # the Kolmogorov rule's tolerances: sign bounds of entries, zero row sums
 _OFF_TOL = 1e-12
 _DIAG_TOL = 1e-12
@@ -161,19 +162,65 @@ def _recorded_rates(t0: float, dt: float, stack: np.ndarray) -> ReferenceRates:
     return ReferenceRates(stack.shape[1], batch_fn=batch)
 
 
-def _reference_at(rates: ReferenceRates):
+def _block_size(n: int) -> int:
+    """(n, n) matrices per block of at most _BLOCK_ENTRIES entries, at least one."""
+    return max(1, _BLOCK_ENTRIES // (n * n))
+
+
+def _blocks(times, size: int):
+    """Lists of `size` times (the last may hold fewer) drawn from an iterable
+    as they are needed; a time equal to the one before it is skipped."""
+    block, last = [], None
+    for t in times:
+        if t != last:
+            block.append(t)
+            last = t
+            if len(block) == size:
+                yield block
+                block = []
+    if block:
+        yield block
+
+
+def _reference_at(rates: ReferenceRates, times=()):
     """t -> (m(t), a mask of the support pairs whose rate at t is nonzero, the
-    diagonal of m(t)); one fixed triple for a constant reference, whose mask
-    is 0/1 floats: products with it equal those with booleans and cost less."""
+    diagonal of m(t)).
+
+    A constant reference has one fixed triple, whose mask is 0/1 floats:
+    products with it equal those with booleans and cost less. A
+    time-dependent one is evaluated at `times`, an iterable of the times a
+    flow will ask for in order, through at_many in blocks of _block_size(n)
+    times. Only the current block is held, and `times` is read one block
+    ahead of it. A call at the planned time served last, or at the one after
+    it, is served from the blocks; a call at any other time evaluates m(t)
+    alone.
+    """
+    support = rates.support()
+    if rates.constant:
+        fixed = rates.matrix, support.astype(float), rates.matrix.diagonal()
+        return lambda t: fixed
+
     def at(t):
         m = rates.at(t)
-        return m, rates.support() if rates.constant else rates.support() & (m != 0), m.diagonal()
+        return m, support & (m != 0), m.diagonal()
 
-    if rates.constant:
-        m, sup, diag = at(0.0)
-        fixed = m, sup.astype(float), diag
-        return lambda t: fixed
-    return at
+    blocks = _blocks(times, _block_size(rates.n))
+    ts, pos, block, ahead = [], -1, None, next(blocks, None)
+
+    def lookup(t):
+        nonlocal ts, pos, block, ahead
+        if pos < 0 or t != ts[pos]:
+            if pos + 1 < len(ts) and t == ts[pos + 1]:
+                pos += 1
+            elif pos + 1 == len(ts) and ahead is not None and t == ahead[0]:
+                ts, pos, ahead = ahead, 0, next(blocks, None)
+                ms = rates.at_many(ts)
+                block = ms, support & (ms != 0), np.diagonal(ms, axis1=1, axis2=2)
+            else:
+                return at(t)
+        return block[0][pos], block[1][pos], block[2][pos]
+
+    return lookup if ahead is not None else at
 
 
 def _kolmogorov(q: np.ndarray):
@@ -375,7 +422,7 @@ def _fisher_grad(g: Graph, rho, kind: ThetaKind) -> np.ndarray:
 # -- prepared Hamiltonians ------------------------------------------------------------------
 
 
-def prepare(spec: HamiltonianSpec):
+def prepare(spec: HamiltonianSpec, times=()):
     """(field, energy) of a spec on plain arrays in its chart.
 
     energy(rho, pot, t) is H; field(rho, pot, t) is (d rho/dt, d pot/dt) =
@@ -384,9 +431,18 @@ def prepare(spec: HamiltonianSpec):
     arrays, theta kinds, potential terms, a constant reference with its
     support and diagonal) is fixed here. In the fg chart rho and pot hold
     f and g.
+
+    `times` iterates over the times at which a flow will evaluate the pair,
+    in order, such as the stage times of an rk4 grid. A time-dependent
+    reference is then evaluated once per flow, on that grid: once at each
+    distinct time, in blocks, with its mask and diagonal. Any other time
+    evaluates it per call.
     """
-    return {"sbp_entropic": _entropic, "sbp_psi": _dual,
-            "schrodinger_fg": _bilinear}.get(spec.variant, _kinetic)(spec)
+    variant = {"sbp_entropic": _entropic, "sbp_psi": _dual,
+               "schrodinger_fg": _bilinear}.get(spec.variant)
+    if variant is None:
+        return _kinetic(spec)
+    return variant(spec, _reference_at(spec.reference, times))
 
 
 def _kinetic(spec: HamiltonianSpec):
@@ -435,9 +491,8 @@ def _kinetic(spec: HamiltonianSpec):
     return field, energy
 
 
-def _entropic(spec: HamiltonianSpec):
-    """sbp_entropic over the (rho, S) chart."""
-    at = _reference_at(spec.reference)
+def _entropic(spec: HamiltonianSpec, at):
+    """sbp_entropic over the (rho, S) chart; `at` is _reference_at's lookup."""
 
     def flux(rho, pot, t):
         """flux_ij, the mass moving i -> j, and the diagonal of m(t)."""
@@ -458,11 +513,11 @@ def _entropic(spec: HamiltonianSpec):
     return field, energy
 
 
-def _dual(spec: HamiltonianSpec):
+def _dual(spec: HamiltonianSpec, at):
     """sbp_psi over the (rho, psi) chart:
     d rho_i = sum_j -u*'(gap_ij) m_ij rho_i + u*'(gap_ji) m_ji rho_j,
     d psi_i = -sum_j u*(gap_ij) m_ij."""
-    at, dual = _reference_at(spec.reference), spec.dual
+    dual = spec.dual
     clip = _capped if dual.name == "entropy" else lambda x, mask: np.where(mask, x, 0.0)
 
     def gaps(pot, t):
@@ -484,18 +539,17 @@ def _dual(spec: HamiltonianSpec):
     return field, energy
 
 
-def _bilinear(spec: HamiltonianSpec):
+def _bilinear(spec: HamiltonianSpec, at):
     """schrodinger_fg over the (f, g) chart."""
-    at = spec.reference.at
 
     def energy(f, g, t):
-        val = float(f @ at(t) @ g)
+        val = float(f @ at(t)[0] @ g)
         if not np.isfinite(val):
             raise NonfiniteValue("bilinear Hamiltonian is not finite")
         return val
 
     def field(f, g, t):
-        m = at(t)
+        m = at(t)[0]
         return f @ m, -(m @ g)
 
     return field, energy

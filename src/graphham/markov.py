@@ -163,18 +163,18 @@ def _as_reference(rates_like) -> ReferenceRates:
     return constant_rates(np.asarray(rates_like, dtype=float))
 
 
-def propagator(rates_like, s: float, t: float, dt: float = 1e-3,
-               validate: bool = True) -> np.ndarray:
-    """Row-stochastic P with rho(t) = rho(s) P, by rk4 on dP = P Q(tau).
+def _check_grid(rates: ReferenceRates, full: np.ndarray, half: np.ndarray) -> None:
+    """Raise InvalidGenerator if a time-dependent reference breaks the
+    Kolmogorov rule at a grid time (full) or midpoint (half) of an rk4 grid;
+    a constant reference was checked at construction."""
+    if not rates.constant:
+        _require_valid_stack(full)
+        _require_valid_stack(half)
 
-    Validity of Q is spot-checked on the integration grid; tiny negative
-    entries of the result are clipped to zero and logged as a warning.
-    """
-    rates = _as_reference(rates_like)
-    _, dt, full, half = rk4_grid(rates, s, t, dt)
-    if validate:
-        _require_valid_stack(full[::max(1, len(half) // 16)])
-    p = rk4_step_product(full, half, dt)
+
+def _stochastic(p: np.ndarray) -> np.ndarray:
+    """A propagator with its tiny negative entries clipped to zero (logged as
+    a warning); a worse negative entry or a row sum off 1 is InvalidGenerator."""
     low = p.min()
     if low < -1e-9:
         raise InvalidGenerator("propagator entry %r below tolerance" % low)
@@ -184,6 +184,19 @@ def propagator(rates_like, s: float, t: float, dt: float = 1e-3,
     if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-9:
         raise InvalidGenerator("propagator rows drifted off 1")
     return p
+
+
+def propagator(rates_like, s: float, t: float, dt: float = 1e-3) -> np.ndarray:
+    """Row-stochastic P with rho(t) = rho(s) P, by rk4 on dP = P Q(tau).
+
+    A time-dependent Q is checked at every grid time and midpoint of the
+    integration grid; tiny negative entries of the result are clipped to zero
+    and logged as a warning.
+    """
+    rates = _as_reference(rates_like)
+    _, dt, full, half = rk4_grid(rates, s, t, dt)
+    _check_grid(rates, full, half)
+    return _stochastic(rk4_step_product(full, half, dt))
 
 
 # -- path sampling ----------------------------------------------------------------------

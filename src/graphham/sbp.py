@@ -35,8 +35,8 @@ from .errors import (
 )
 from .graph import _arr
 from .hamiltonians import HamiltonianSpec, PhasePoint, ReferenceRates, _recorded_rates
-from .dynamics import integrate, schrodinger_evolve
-from .markov import build_rate_matrix, propagator
+from .dynamics import _march, _stack_product, _step_stack, integrate, rk4_grid
+from .markov import _check_grid, _stochastic, build_rate_matrix
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -170,12 +170,18 @@ def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
         if abs(r.sum() - 1.0) > 1e-9:
             raise ValueError("%s marginal does not sum to 1" % name)
 
-    k = propagator(problem.reference, problem.t0, problem.t1, dt)
+    # one stack of rk4 step matrices serves the endpoint kernel, which is
+    # what propagator would return, and the factor march
+    reference = problem.reference
+    times, grid_dt, full, half = rk4_grid(reference, problem.t0, problem.t1, dt)
+    _check_grid(reference, full, half)
+    steps = _step_stack(full, half, grid_dt)
+    k = _stochastic(_stack_product(steps))
     with np.errstate(divide="ignore"):
         logk = np.log(k)
         logr0, logr1 = np.log(rho0), np.log(rho1)
 
-    phi = np.zeros(problem.reference.n)
+    phi = np.zeros(reference.n)
     objective = []
     coupling_entropy = []
     history = []
@@ -213,14 +219,13 @@ def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
         err.history = history
         raise err
 
-    flow = schrodinger_evolve(problem.reference, f0=f0, g1=g1,
-                              t0=problem.t0, t1=problem.t1, dt=dt)
+    flow = _march(times, steps, f0=f0, g1=g1)
+    del steps                       # before the (T, n, n) bridged generators
     if flow.g.min() <= 0 or flow.f.min() <= 0:
         raise NonpositiveFG("bridge factors left the positive cone")
 
-    n = problem.reference.n
-    ms = problem.reference.at_many(flow.times)
-    m_hat = ms * (flow.g[:, None, :] / flow.g[:, :, None])
+    n = reference.n
+    m_hat = full * (flow.g[:, None, :] / flow.g[:, :, None])
     diag = np.arange(n)
     m_hat[:, diag, diag] = 0.0
     m_hat[:, diag, diag] = -m_hat.sum(axis=2)
@@ -229,7 +234,7 @@ def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
     if low < -1e-12 * max(1.0, float(np.abs(m_hat).max())):
         raise InvalidGenerator("bridged generator grew a negative rate %r" % low)
 
-    entropy = integrated_entropy_rate(flow.times, flow.rho, m_hat, ms)
+    entropy = integrated_entropy_rate(flow.times, flow.rho, m_hat, full)
     return BridgeSolution(problem, flow.times, flow.f, flow.g, flow.rho,
                           m_hat, done, residuals, objective,
                           coupling_entropy, entropy)

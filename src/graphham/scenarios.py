@@ -10,6 +10,7 @@ plus overrides and still reproduces the identical run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,6 +255,26 @@ def sampler_setting(key: str, value):
     return cast_value
 
 
+def check_horizon(scenario: Scenario) -> None:
+    """Refuse a horizon no grid can step, and store its values as floats:
+    t0 and t1 must be finite numbers with t1 > t0, and dt a finite number > 0."""
+    for key in ("t0", "t1", "dt"):
+        value = getattr(scenario, key)
+        try:
+            if isinstance(value, bool):
+                raise TypeError("a boolean is not a number")
+            value = float(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(key, "expected a number, got %r" % (value,)) from exc
+        if not math.isfinite(value):
+            raise ConfigError(key, "%r is not finite" % value)
+        setattr(scenario, key, value)
+    if not scenario.dt > 0:
+        raise ConfigError("dt", "%r is not positive" % scenario.dt)
+    if not scenario.t1 > scenario.t0:
+        raise ConfigError("t1", "%r is not after t0 = %r" % (scenario.t1, scenario.t0))
+
+
 _RATE_KIND = {"upwind": "upwind_ot", "average": "theta_general",
               "logmean": "theta_general"}
 
@@ -317,7 +338,8 @@ def parse_config(data: dict, name: str = "config") -> Scenario:
         raise ConfigError("horizon", "expected an object")
     for key in ("t0", "t1", "dt"):
         if key in horizon:
-            setattr(scenario, key, float(horizon[key]))
+            setattr(scenario, key, horizon[key])
+    check_horizon(scenario)
     if "method" in horizon:
         if horizon["method"] not in ("rk4", "implicit_midpoint"):
             raise ConfigError("method", "unknown integrator %r" % horizon["method"])

@@ -303,6 +303,39 @@ class TestErrors:
         assert "config error:" in err and "Traceback" not in err
         assert not (out / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("dt", ["0", "nan", "-1", "inf", "-inf", "-0"])
+    def test_bad_dt_flag_exits_1(self, tmp_path, capsys, dt):
+        rc, out = run(tmp_path, "geodesic", "--config", "two-node-periodic", "--dt=" + dt)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error: config key 'dt'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizon, key", [
+        ({"dt": 0}, "dt"),
+        ({"dt": -0.01}, "dt"),
+        ({"dt": float("nan")}, "dt"),
+        ({"dt": float("inf")}, "dt"),
+        ({"dt": "fast"}, "dt"),
+        ({"dt": True}, "dt"),
+        ({"t0": float("-inf")}, "t0"),
+        ({"t1": float("nan")}, "t1"),
+        ({"t1": float("inf")}, "t1"),
+        ({"t0": 1.0, "t1": 1.0}, "t1"),
+        ({"t0": 2.0, "t1": 1.0}, "t1"),
+        ({"t1": [1]}, "t1"),
+    ])
+    @pytest.mark.parametrize("command", ["geodesic", "bridge"])
+    def test_bad_horizon_exits_1(self, tmp_path, capsys, horizon, key, command):
+        builtin = "two-node-upwind" if command == "geodesic" else "two-node-bridge"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"builtin": builtin, "horizon": horizon}))
+        rc, out = run(tmp_path, command, "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error: config key %r" % key in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_integral_float_counts_are_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"builtin": "two-node-periodic", "sampler": {

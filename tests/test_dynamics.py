@@ -19,6 +19,7 @@ closed-form factor solution; each flow test also asserts the margin it
 relies on.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -33,6 +34,8 @@ from graphham.errors import (
 )
 from graphham.graph import complete_graph, validate_graph
 from graphham.hamiltonians import (
+    _BLOCK_ENTRIES,
+    _block_size,
     PhasePoint,
     ReferenceRates,
     constant_rates,
@@ -41,6 +44,7 @@ from graphham.hamiltonians import (
     linear_potential,
     lp_kinetic,
     ot_kinetic,
+    prepare,
     sbp_entropic,
     sbp_psi,
     schrodinger_fg,
@@ -48,9 +52,10 @@ from graphham.hamiltonians import (
     vector_field,
 )
 from graphham.dynamics import (
-    _BLOCK_ENTRIES,
     _midpoint_step,
     _rk4_step,
+    _stack_product,
+    _step_stack,
     FGFlow,
     fundamental_matrix,
     hopf_cole,
@@ -59,10 +64,13 @@ from graphham.dynamics import (
     madelung,
     madelung_inverse,
     monodromy,
+    rk4_grid,
+    rk4_step_product,
     schrodinger_evolve,
     symplectic_check,
 )
 from graphham.markov import propagator
+from graphham.scenarios import load_config
 from graphham.theta import AVERAGE, LOGMEAN, upwind
 
 
@@ -421,6 +429,13 @@ class TestBlockedMarcher:
         # a block holds 6 step matrices at n = 50 and one at n = 96
         self.test_block_boundaries_match_sequential_rk4(13, n=n)
 
+    @pytest.mark.parametrize("n, steps", [(4, 1), (4, BLOCK + 1), (4, 2 * BLOCK + 453), (50, 13)])
+    def test_stack_product_is_the_streamed_product(self, n, steps):
+        # solve_bridge takes its kernel from the stack it marches the factors on
+        _, dt, full, half = rk4_grid(self.rates(n), 0.0, steps * self.DT, self.DT)
+        np.testing.assert_array_equal(_stack_product(_step_stack(full, half, dt)),
+                                      rk4_step_product(full, half, dt))
+
 
 def sequential_factors(ms, hs, dt, f0, g1):
     """Step-by-step rk4 of df/dt = f m forward and of dg/dt = -m g backward,
@@ -475,3 +490,78 @@ class TestFactorMarch:
         assert len(times) == steps + 1
         for got, want in ((flow.f, want_f), (flow.g, want_g)):
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+def periodic_counting(name):
+    """The built-in's periodic reference and a copy whose batch closure
+    records the times of each call."""
+    rates = load_config(name).reference
+    calls = []
+
+    def batch(ts):
+        calls.append(np.array(ts, dtype=float))
+        return rates.at_many(ts)
+
+    return rates, ReferenceRates(rates.n, batch_fn=batch, period=rates.period), calls
+
+
+def stage_times(t0, t1, dt, offsets):
+    """Every time integrate evaluates at: each step's start plus offsets, and t1."""
+    steps = max(1, int(round((t1 - t0) / dt)))
+    dt = (t1 - t0) / steps
+    starts = [t0 + k * dt for k in range(steps + 1)]
+    return set(starts) | {t + h * dt for t in starts[:-1] for h in offsets}
+
+
+class TestPreparedReference:
+    """integrate evaluates a time-dependent reference once per distinct stage
+    time, in blocks, and the flow does not change."""
+
+    @pytest.mark.parametrize("method, offsets", [("rk4", (0.5, 1.0)),
+                                                 ("implicit_midpoint", (0.5,))])
+    def test_one_batch_call_per_block(self, method, offsets):
+        _, counted, calls = periodic_counting("two-node-periodic")
+        spec = sbp_psi(complete_graph(2), counted)
+        state = PhasePoint([0.75, 0.25], [0.0, 0.0], chart="psi")
+        dt = 2 * math.pi / 2500
+        integrate(spec, state, 0.0, 2 * math.pi, dt, method=method, record_every=7)
+        want = stage_times(0.0, 2 * math.pi, dt, offsets)
+        size = _block_size(2)
+        assert len(calls) == -(-len(want) // size) >= 2
+        assert all(len(ts) == size for ts in calls[:-1])
+        seen = np.concatenate(calls).tolist()
+        assert len(seen) == len(set(seen)) and set(seen) == want
+
+    @pytest.mark.parametrize("name", ["two-node-periodic", "three-node-circle"])
+    @pytest.mark.parametrize("variant", ["sbp_psi", "sbp_entropic"])
+    def test_trajectory_matches_a_per_call_reference(self, name, variant):
+        scenario = load_config(name)
+        rates = scenario.reference
+        per_call = ReferenceRates(rates.n, fn=lambda t: rates.at_many([t])[0],
+                                  period=rates.period)
+        g = complete_graph(rates.n)
+        maker, state = {"sbp_psi": (sbp_psi, scenario.initial),
+                        "sbp_entropic": (sbp_entropic, hopf_cole_inverse(scenario.initial))}[variant]
+        digests = []
+        for ref in (rates, per_call):
+            traj = integrate(maker(g, ref), state, 0.0, 2 * math.pi, 0.01, record_every=3)
+            digests.append([hashlib.sha256(a.tobytes()).hexdigest()
+                            for a in (traj.rho, traj.pot, traj.H)])
+        assert digests[0] == digests[1]
+
+    def test_off_grid_evaluations_are_unchanged(self):
+        rates, counted, calls = periodic_counting("three-node-circle")
+        spec = sbp_psi(complete_graph(3), counted)
+        state = PhasePoint([0.5, 0.3, 0.2], [0.1, 0.0, -0.1], chart="psi")
+        plain = sbp_psi(complete_graph(3), rates)
+        field, energy = prepare(spec, [0.0, 0.25, 0.5])
+        for t in (0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 0.25):
+            want = vector_field(plain, state, t)
+            got = field(state.rho, state.pot, t)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            assert energy(state.rho, state.pot, t) == eval_H(plain, state, t)
+        # one block for the three planned times; every other evaluation alone,
+        # the planned 0.25 too once the flow has moved past it
+        assert calls[0].tolist() == [0.0, 0.25, 0.5]
+        assert [len(ts) for ts in calls[1:]] == [1] * 8

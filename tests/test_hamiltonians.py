@@ -195,11 +195,15 @@ class TestDeclaredSupport:
         for k in range(5):
             vector_field(spec, state, t=0.3 * k)
         assert len(times) == 5
-        # integrate: 4 field calls per rk4 step, one energy per recorded state
-        for record_every, recorded in ((1, 6), (2, 4)):
-            times.clear()
-            integrate(spec, state, 0.0, 0.5, 0.1, record_every=record_every)
-            assert len(times) == 5 * 4 + recorded
+        # integrate: one evaluation per distinct time its steps and records use
+        dt = 0.1
+        starts = [0.0 + k * dt for k in range(6)]
+        for method, offsets in (("rk4", (0.5, 1.0)), ("implicit_midpoint", (0.5,))):
+            want = sorted(set(starts) | {t + h * dt for t in starts[:-1] for h in offsets})
+            for record_every in (1, 2):
+                times.clear()
+                integrate(spec, state, 0.0, 0.5, dt, method=method, record_every=record_every)
+                assert sorted(times) == want
 
 
 class TestConvexDuals:

@@ -267,6 +267,18 @@ class TestPropagator:
         with pytest.raises(InvalidGenerator):
             propagator(np.array([[0.5, -0.5], [1.0, -1.0]]), 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad_time", [0.5, 0.5005])   # a grid time, a midpoint
+    def test_rejects_a_reference_invalid_at_one_stage_time(self, bad_time):
+        good = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        bad = np.array([[0.3, -0.3], [1.0, -1.0]])
+
+        def batch(ts):
+            near = np.abs(np.asarray(ts, dtype=float) - bad_time) < 2e-4
+            return np.where(near[:, None, None], bad, good)
+
+        with pytest.raises(InvalidGenerator, match="raw rate matrix invalid"):
+            propagator(ReferenceRates(2, batch_fn=batch), 0.0, 1.0, dt=1e-3)
+
     def test_couples_to_hamiltonian_flow(self):
         # freezing Q(t) along a flow and propagating the start density must
         # land on the flow's own endpoint density

@@ -210,8 +210,8 @@ class TestBridge:
             solve_bridge(BridgeProblem(constant_rates(FLIP), [1.0, 0.0], [0.5, 0.5]))
 
     def test_negative_bridged_rate_is_typed(self):
-        # the reference turns invalid only within 2e-4 of t = 0.5, a grid time
-        # that the propagator's spot check skips
+        # the reference turns invalid only within 2e-4 of t = 0.5, one grid
+        # time; the check of every grid time refuses it before the fit
         good = np.array([[-1.0, 1.0], [1.0, -1.0]])
         bad = np.array([[0.3, -0.3], [1.0, -1.0]])
 
@@ -220,7 +220,7 @@ class TestBridge:
             return np.where(near[:, None, None], bad, good)
 
         problem = BridgeProblem(ReferenceRates(2, batch_fn=batch), [0.6, 0.4], [0.4, 0.6])
-        with pytest.raises(InvalidGenerator, match="negative rate"):
+        with pytest.raises(InvalidGenerator, match="raw rate matrix invalid"):
             solve_bridge(problem, dt=1e-3)
 
     def test_nonconvergence_carries_residuals(self):
