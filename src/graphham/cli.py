@@ -37,6 +37,7 @@ from .errors import (
 )
 from .hamiltonians import PhasePoint, _recorded_rates, sbp_entropic, vector_field
 from .markov import (
+    _step_count,
     build_rate_matrix,
     empirical_densities,
     propagator,
@@ -252,7 +253,7 @@ def cmd_geodesic(scenario: Scenario, out: Path, args) -> int:
         raise ConfigError("initial", "geodesic runs need an initial state")
     if scenario.hamiltonian is None or scenario.rate_kind is None:
         raise ConfigError("hamiltonian", "geodesic runs need a hamiltonian")
-    steps = max(1, int(round((scenario.t1 - scenario.t0) / scenario.dt)))
+    steps = _step_count(scenario.t0, scenario.t1, scenario.dt)
     every = max(1, steps // 256)
     traj = integrate(scenario.hamiltonian, scenario.initial, scenario.t0,
                      scenario.t1, scenario.dt, method=scenario.method,

@@ -25,12 +25,9 @@ Transforms between the three charts:
 No transform renormalizes the potential; gauge fixing is the caller's
 business, because trajectories must stay in the gauge the flow picked.
 
-Linear marchers. Every linear flow over reference rates m(t) marches on the
-rk4 step matrices R_k of its grid intervals, written once in _step_blocks:
-fundamental_matrix and monodromy take the product R_0 R_1 ... R_{K-1}, and
-schrodinger_evolve steps f_{k+1} = f_k R_k forward and g_k = R_k g_{k+1}
-backward. A bridge builds the stack of R_k once and takes both its endpoint
-kernel and its factor march from it.
+Linear marchers run on the rk4 step matrices R_k of a markov.LinearGrid:
+fundamental_matrix and monodromy take their product R_0 ... R_{K-1} unchecked,
+and schrodinger_evolve steps f_{k+1} = f_k R_k and g_k = R_k g_{k+1}.
 """
 
 from __future__ import annotations
@@ -46,15 +43,14 @@ from .errors import (
     NonfiniteValue,
     NonpositiveFG,
 )
-from .graph import _arr
 from .hamiltonians import (
     HamiltonianSpec,
     PhasePoint,
     ReferenceRates,
-    _block_size,
     _check_chart,
     prepare,
 )
+from .markov import LinearGrid, _step_count
 
 _POT_CAP = 1e6
 _RHO_FLOOR = -1e-9
@@ -143,7 +139,7 @@ def integrate(spec: HamiltonianSpec, state: PhasePoint, t0: float, t1: float,
     if method not in ("rk4", "implicit_midpoint"):
         raise ValueError("unknown method %r" % method)
     _check_chart(spec, state)
-    steps = max(1, int(round((t1 - t0) / dt)))
+    steps = _step_count(t0, t1, dt)
     dt = (t1 - t0) / steps
     rk4 = method == "rk4"
     stepper = _rk4_step if rk4 else _midpoint_step
@@ -269,104 +265,18 @@ class FGFlow:
         return self.f * self.g
 
 
-def rk4_grid(rates: ReferenceRates, t0: float, t1: float, dt: float):
-    """(times, dt, m(times), m(midpoints)); the rounded step count lands on t1."""
-    steps = max(1, int(round((t1 - t0) / dt)))
-    dt = (t1 - t0) / steps
-    times = t0 + dt * np.arange(steps + 1)
-    return times, dt, rates.at_many(times), rates.at_many(times[:-1] + 0.5 * dt)
-
-
-def _step_blocks(full: np.ndarray, half: np.ndarray, dt: float):
-    """Yield the rk4 step matrices R_k = I + dt (m0 + 2 k2 + 2 k3 + k4) / 6 of
-    dU = U m(t), one per grid interval and in order, as (b, n, n) blocks of
-    _block_size(n) matrices (the last may hold fewer).
-
-    R_k is one rk4 step from U = I, so k1 = I m0 = m0. It also serves the
-    backward factor: the rk4 step of dg/dt = -m g from t_{k+1} back to t_k
-    expands to the same polynomial in (m0, mh, m1), so g_k = R_k g_{k+1}.
-    """
-    eye = np.eye(full.shape[-1])
-    block = _block_size(len(eye))
-    for lo in range(0, len(half), block):
-        mh = half[lo:lo + block]
-        m0, m1 = full[lo:lo + len(mh)], full[lo + 1:lo + len(mh) + 1]
-        k2 = (eye + 0.5 * dt * m0) @ mh
-        k3 = (eye + 0.5 * dt * k2) @ mh
-        k4 = (eye + dt * k3) @ m1
-        yield eye + dt * (m0 + 2 * k2 + 2 * k3 + k4) / 6.0
-
-
-def _product(blocks, n: int) -> np.ndarray:
-    """R_0 R_1 ... R_{K-1} of step matrices given as consecutive (b, n, n)
-    blocks: each block is reduced by pairwise products in order and
-    multiplies the running product."""
-    u = np.eye(n)
-    for r in blocks:
-        while len(r) > 1:
-            paired = r[0:len(r) - 1:2] @ r[1::2]
-            r = np.concatenate([paired, r[-1:]]) if len(r) % 2 else paired
-        u = u @ r[0]
-    return u
-
-
-def rk4_step_product(full: np.ndarray, half: np.ndarray, dt: float) -> np.ndarray:
-    """R_0 R_1 ... R_{K-1}: rk4 for dU = U m(t) from U = I over the K steps
-    of a grid with m at the K + 1 grid times (full) and the K midpoints (half).
-
-    Building R_k costs three n^3 products and the block-wise pairwise
-    reduction one, the four that stepping U itself costs, so there is no
-    size threshold: batching wins where per-step overhead dominates (small n)
-    and stays within about 7% of stepping U up to n = 128 on a 2-core x86 host.
-    """
-    return _product(_step_blocks(full, half, dt), full.shape[-1])
-
-
-def _step_stack(full: np.ndarray, half: np.ndarray, dt: float) -> np.ndarray:
-    """The (K, n, n) stack of the rk4 step matrices of a grid."""
-    return np.concatenate(list(_step_blocks(full, half, dt)))
-
-
-def _stack_product(r: np.ndarray) -> np.ndarray:
-    """rk4_step_product from a stack of its step matrices, reduced in the
-    blocks that _step_blocks yields, so the two agree bit for bit."""
-    n = r.shape[-1]
-    size = _block_size(n)
-    return _product((r[lo:lo + size] for lo in range(0, len(r), size)), n)
-
-
-def _march(times: np.ndarray, r: np.ndarray, f0=None, g1=None) -> FGFlow:
-    """f_{k+1} = f_k R_k forward from f0 and g_k = R_k g_{k+1} backward from
-    g1 on a (K, n, n) stack of step matrices over the K + 1 times."""
-    steps, n = len(r), r.shape[-1]
-    f = None
-    if f0 is not None:
-        f = np.empty((steps + 1, n))
-        f[0] = _arr(f0)
-        for k in range(steps):
-            f[k + 1] = f[k] @ r[k]
-    g = None
-    if g1 is not None:
-        g = np.empty((steps + 1, n))
-        g[steps] = _arr(g1)
-        for k in range(steps - 1, -1, -1):
-            g[k] = r[k] @ g[k + 1]
-    return FGFlow(times, f, g)
-
-
 def schrodinger_evolve(rates: ReferenceRates, f0=None, g1=None,
                        t0: float = 0.0, t1: float = 1.0, dt: float = 1e-3) -> FGFlow:
     """March the linear factor equations across [t0, t1].
 
     f0 seeds the forward equation at t0, g1 seeds the backward equation at
-    t1; either or both. Both factors are reported on the same ascending grid
-    and march on the same rk4 step matrices: f_{k+1} = f_k R_k and
-    g_k = R_k g_{k+1}.
+    t1; either or both. Both factors march on the LinearGrid from t0 to t1
+    and are reported at its times.
     """
     if f0 is None and g1 is None:
         raise ValueError("give at least one of f0, g1")
-    times, dt, full, half = rk4_grid(rates, t0, t1, dt)
-    return _march(times, _step_stack(full, half, dt), f0, g1)
+    grid = LinearGrid(rates, t0, t1, dt)
+    return FGFlow(grid.times, *grid.march(list(grid.blocks()), f0, g1))
 
 
 # -- monodromy of the density equation ---------------------------------------------------
@@ -389,8 +299,8 @@ class Monodromy:
 
 def fundamental_matrix(rates: ReferenceRates, t0: float, t1: float, dt: float = 1e-4) -> np.ndarray:
     """U with rho(t1) = rho(t0) U, from rk4 on dU = U m(t), U(t0) = I."""
-    _, dt, full, half = rk4_grid(rates, t0, t1, dt)
-    return rk4_step_product(full, half, dt)
+    grid = LinearGrid(rates, t0, t1, dt)
+    return grid.product(grid.blocks())
 
 
 def monodromy(rates: ReferenceRates, period: float | None = None,

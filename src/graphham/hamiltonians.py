@@ -101,24 +101,22 @@ class ReferenceRates:
 
     Off-diagonal entries are nonnegative jump rates i -> j; the diagonal is
     minus the row sum, so rows sum to zero and d rho/dt = rho m is mass
-    preserving. Either a constant matrix or a matrix-valued function of
-    time; a period can be declared for time-periodic families.
+    preserving. Either a constant matrix or a batch_fn(times) giving the
+    (len(times), n, n) stack of a time-dependent m, whose at(t) is
+    batch_fn([t])[0]; a period can be declared for time-periodic families.
 
     The support, the off-diagonal mask of pairs that may carry rate, is fixed
     at construction: the nonzero pattern of a constant matrix, and every
-    off-diagonal pair for a function of time. A function of time is fn(t), a
-    batch_fn(times) giving the (len(times), n, n) stack, or both; with
-    batch_fn alone, at(t) is batch_fn([t])[0].
+    off-diagonal pair for a function of time.
     """
 
-    def __init__(self, n: int, fn: Callable[[float], np.ndarray] | None = None,
-                 matrix: np.ndarray | None = None, period: float | None = None,
+    def __init__(self, n: int, matrix: np.ndarray | None = None,
+                 period: float | None = None,
                  batch_fn: Callable[[np.ndarray], np.ndarray] | None = None):
-        if (fn is None and batch_fn is None) == (matrix is None):
-            raise ValueError("give exactly one of matrix or fn/batch_fn")
+        if (batch_fn is None) == (matrix is None):
+            raise ValueError("give exactly one of matrix or batch_fn")
         self.n = int(n)
         self.period = period
-        self._fn = fn if fn is not None or batch_fn is None else lambda t: batch_fn([t])[0]
         self._batch_fn = batch_fn
         self.matrix = None
         if matrix is not None:
@@ -135,16 +133,14 @@ class ReferenceRates:
     def at(self, t: float) -> np.ndarray:
         if self.matrix is not None:
             return self.matrix
-        return np.asarray(self._fn(float(t)), dtype=float)
+        return np.asarray(self._batch_fn([float(t)])[0], dtype=float)
 
     def at_many(self, ts: np.ndarray) -> np.ndarray:
-        """(len(ts), n, n) stack; uses a vectorized closure when available."""
+        """(len(ts), n, n) stack of m at the times ts."""
         ts = np.asarray(ts, dtype=float)
         if self.matrix is not None:
             return np.broadcast_to(self.matrix, (len(ts), self.n, self.n))
-        if self._batch_fn is not None:
-            return np.asarray(self._batch_fn(ts), dtype=float)
-        return np.stack([self.at(t) for t in ts])
+        return np.asarray(self._batch_fn(ts), dtype=float)
 
     def support(self) -> np.ndarray:
         """Read-only boolean off-diagonal mask of the pairs that may carry rate."""

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import rk4_grid, rk4_step_product
 from .errors import (
     BoundaryDensity,
     InvalidGenerator,
@@ -37,6 +36,7 @@ from .hamiltonians import (
     HamiltonianSpec,
     PhasePoint,
     ReferenceRates,
+    _block_size,
     _capped,
     _kolmogorov,
     _reference_at,
@@ -44,6 +44,7 @@ from .hamiltonians import (
 )
 
 _log = logging.getLogger(__name__)
+_MAX_STEPS = 10 ** 7   # steps of one fixed-step grid; the largest in use is 62,832
 
 
 # -- rate matrices -------------------------------------------------------------------
@@ -163,40 +164,99 @@ def _as_reference(rates_like) -> ReferenceRates:
     return constant_rates(np.asarray(rates_like, dtype=float))
 
 
-def _check_grid(rates: ReferenceRates, full: np.ndarray, half: np.ndarray) -> None:
-    """Raise InvalidGenerator if a time-dependent reference breaks the
-    Kolmogorov rule at a grid time (full) or midpoint (half) of an rk4 grid;
-    a constant reference was checked at construction."""
-    if not rates.constant:
-        _require_valid_stack(full)
-        _require_valid_stack(half)
+def _step_count(t0: float, t1: float, dt: float) -> int:
+    """Steps of dt from t0 to t1, rounded and at least one; ValueError for a reversed
+    window, a dt <= 0, or a count that is not finite or is above _MAX_STEPS."""
+    if t1 < t0 or not dt > 0:
+        raise ValueError("no forward grid from t0 = %r to t1 = %r by dt = %r" % (t0, t1, dt))
+    count = (t1 - t0) / dt
+    if not count <= _MAX_STEPS:
+        raise ValueError("%r steps of dt = %r exceed the cap of %d" % (count, dt, _MAX_STEPS))
+    return max(1, int(round(count)))
 
 
-def _stochastic(p: np.ndarray) -> np.ndarray:
-    """A propagator with its tiny negative entries clipped to zero (logged as
-    a warning); a worse negative entry or a row sum off 1 is InvalidGenerator."""
-    low = p.min()
-    if low < -1e-9:
-        raise InvalidGenerator("propagator entry %r below tolerance" % low)
-    if low < 0:
-        _log.warning("clipped %d tiny negative propagator entries", int((p < 0).sum()))
-        p = np.clip(p, 0.0, None)
-    if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-9:
-        raise InvalidGenerator("propagator rows drifted off 1")
-    return p
+class LinearGrid:
+    """The rk4 grid of d rho = rho m(t) over [t0, t1]: its times, its rounded
+    dt, and m at the grid times (full) and midpoints (half). product() and
+    kernel() reduce the step matrices of blocks(); march() steps on them."""
+
+    def __init__(self, rates: ReferenceRates, t0: float, t1: float, dt: float):
+        steps = _step_count(t0, t1, dt)
+        self.rates = rates
+        self.dt = (t1 - t0) / steps
+        self.times = t0 + self.dt * np.arange(steps + 1)
+        self.full = rates.at_many(self.times)
+        self.half = rates.at_many(self.times[:-1] + 0.5 * self.dt)
+
+    def blocks(self):
+        """Yield the rk4 step matrices R_k = I + dt (m0 + 2 k2 + 2 k3 + k4) / 6
+        of dU = U m(t) in order, in (b, n, n) blocks of _block_size(n) matrices.
+
+        R_k is one rk4 step from U = I, so k1 = I m0 = m0. It also serves the
+        backward factor: the rk4 step of dg/dt = -m g from t_{k+1} back to t_k
+        expands to the same polynomial in (m0, mh, m1), so g_k = R_k g_{k+1}.
+        """
+        full, half, dt = self.full, self.half, self.dt
+        eye = np.eye(self.rates.n)
+        block = _block_size(len(eye))
+        for lo in range(0, len(half), block):
+            mh = half[lo:lo + block]
+            m0, m1 = full[lo:lo + len(mh)], full[lo + 1:lo + len(mh) + 1]
+            k2 = (eye + 0.5 * dt * m0) @ mh
+            k3 = (eye + 0.5 * dt * k2) @ mh
+            k4 = (eye + dt * k3) @ m1
+            yield eye + dt * (m0 + 2 * k2 + 2 * k3 + k4) / 6.0
+
+    def product(self, blocks) -> np.ndarray:
+        """R_0 R_1 ... R_{K-1}, rk4 for dU = U m(t) from U = I: each block is
+        reduced by pairwise products in order and multiplies the running product."""
+        u = np.eye(self.rates.n)
+        for r in blocks:
+            while len(r) > 1:
+                paired = r[0:len(r) - 1:2] @ r[1::2]
+                r = np.concatenate([paired, r[-1:]]) if len(r) % 2 else paired
+            u = u @ r[0]
+        return u
+
+    def kernel(self, blocks) -> np.ndarray:
+        """The product as a row-stochastic kernel. A time-dependent m must pass the
+        Kolmogorov rule at every grid time and midpoint; tiny negative entries are
+        clipped to zero with a warning, a worse one or a row sum off 1 raises."""
+        if not self.rates.constant:
+            _require_valid_stack(self.full)
+            _require_valid_stack(self.half)
+        p = self.product(blocks)
+        low = p.min()
+        if low < -1e-9:
+            raise InvalidGenerator("propagator entry %r below tolerance" % low)
+        if low < 0:
+            _log.warning("clipped %d tiny negative propagator entries", int((p < 0).sum()))
+            p = np.clip(p, 0.0, None)
+        if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-9:
+            raise InvalidGenerator("propagator rows drifted off 1")
+        return p
+
+    def march(self, blocks: list, f0=None, g1=None):
+        """(f, g) at the grid times by f_{k+1} = f_k R_k from f0 and g_k = R_k g_{k+1}
+        from g1, over a list of the blocks; a factor without a seed is None."""
+        f = g = None
+        if f0 is not None:
+            f = np.empty((len(self.times), self.rates.n))
+            f[0] = _arr(f0)
+            for k, r in enumerate(r for block in blocks for r in block):
+                f[k + 1] = f[k] @ r
+        if g1 is not None:
+            g = np.empty((len(self.times), self.rates.n))
+            g[-1] = _arr(g1)
+            for k, r in enumerate(r for block in reversed(blocks) for r in block[::-1]):
+                g[-k - 2] = r @ g[-k - 1]
+        return f, g
 
 
 def propagator(rates_like, s: float, t: float, dt: float = 1e-3) -> np.ndarray:
-    """Row-stochastic P with rho(t) = rho(s) P, by rk4 on dP = P Q(tau).
-
-    A time-dependent Q is checked at every grid time and midpoint of the
-    integration grid; tiny negative entries of the result are clipped to zero
-    and logged as a warning.
-    """
-    rates = _as_reference(rates_like)
-    _, dt, full, half = rk4_grid(rates, s, t, dt)
-    _check_grid(rates, full, half)
-    return _stochastic(rk4_step_product(full, half, dt))
+    """Row-stochastic P with rho(t) = rho(s) P: the LinearGrid kernel from s to t."""
+    grid = LinearGrid(_as_reference(rates_like), s, t, dt)
+    return grid.kernel(grid.blocks())
 
 
 # -- path sampling ----------------------------------------------------------------------
@@ -260,13 +320,6 @@ class Paths:
         first = self.offsets[:-1] + np.arange(m)
         return np.array([self.states[first + np.bincount(owner[self.times <= t], minlength=m)]
                          for t in times], dtype=np.int64).reshape(len(times), m)
-
-
-def rate_bound(rates: ReferenceRates, t0: float, t1: float,
-               grid_points: int = 1000, safety: float = 1.2) -> float:
-    """Safety-factored bound on |Q_ii| from a time-grid scan."""
-    stack = rates.at_many(np.linspace(t0, t1, grid_points))
-    return safety * float(np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2))))
 
 
 def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,

@@ -35,8 +35,8 @@ from .errors import (
 )
 from .graph import _arr
 from .hamiltonians import HamiltonianSpec, PhasePoint, ReferenceRates, _recorded_rates
-from .dynamics import _march, _stack_product, _step_stack, integrate, rk4_grid
-from .markov import _check_grid, _stochastic, build_rate_matrix
+from .dynamics import integrate
+from .markov import LinearGrid, build_rate_matrix
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -45,10 +45,6 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.squeeze(top, axis=axis) + np.log(
             np.exp(a - top).sum(axis=axis))
-
-
-def _trapezoid(values: np.ndarray, dt: float) -> float:
-    return float(dt * (values.sum() - 0.5 * (values[0] + values[-1])))
 
 
 def relative_entropy(p, q) -> float:
@@ -93,7 +89,8 @@ def relative_entropy_rate(rho, m_hat: np.ndarray, m: np.ndarray):
 def integrated_entropy_rate(times: np.ndarray, rho: np.ndarray,
                             m_hat: np.ndarray, m: np.ndarray) -> float:
     """Trapezoid rule over a uniformly sampled trajectory of the rate above."""
-    return _trapezoid(relative_entropy_rate(rho, m_hat, m), float(times[1] - times[0]))
+    values = relative_entropy_rate(rho, m_hat, m)
+    return float((times[1] - times[0]) * (values.sum() - 0.5 * (values[0] + values[-1])))
 
 
 # -- the bridge solver ------------------------------------------------------------------
@@ -170,13 +167,12 @@ def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
         if abs(r.sum() - 1.0) > 1e-9:
             raise ValueError("%s marginal does not sum to 1" % name)
 
-    # one stack of rk4 step matrices serves the endpoint kernel, which is
-    # what propagator would return, and the factor march
+    # one list of the grid's rk4 step blocks serves the endpoint kernel, which
+    # is what propagator would return, and the factor march
     reference = problem.reference
-    times, grid_dt, full, half = rk4_grid(reference, problem.t0, problem.t1, dt)
-    _check_grid(reference, full, half)
-    steps = _step_stack(full, half, grid_dt)
-    k = _stochastic(_stack_product(steps))
+    grid = LinearGrid(reference, problem.t0, problem.t1, dt)
+    blocks = list(grid.blocks())
+    k = grid.kernel(blocks)
     with np.errstate(divide="ignore"):
         logk = np.log(k)
         logr0, logr1 = np.log(rho0), np.log(rho1)
@@ -219,13 +215,13 @@ def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
         err.history = history
         raise err
 
-    flow = _march(times, steps, f0=f0, g1=g1)
-    del steps                       # before the (T, n, n) bridged generators
-    if flow.g.min() <= 0 or flow.f.min() <= 0:
+    f, g = grid.march(blocks, f0=f0, g1=g1)
+    del blocks                      # before the (T, n, n) bridged generators
+    if g.min() <= 0 or f.min() <= 0:
         raise NonpositiveFG("bridge factors left the positive cone")
 
     n = reference.n
-    m_hat = full * (flow.g[:, None, :] / flow.g[:, :, None])
+    m_hat = grid.full * (g[:, None, :] / g[:, :, None])
     diag = np.arange(n)
     m_hat[:, diag, diag] = 0.0
     m_hat[:, diag, diag] = -m_hat.sum(axis=2)
@@ -234,8 +230,8 @@ def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
     if low < -1e-12 * max(1.0, float(np.abs(m_hat).max())):
         raise InvalidGenerator("bridged generator grew a negative rate %r" % low)
 
-    entropy = integrated_entropy_rate(flow.times, flow.rho, m_hat, full)
-    return BridgeSolution(problem, flow.times, flow.f, flow.g, flow.rho,
+    entropy = integrated_entropy_rate(grid.times, f * g, m_hat, grid.full)
+    return BridgeSolution(problem, grid.times, f, g, f * g,
                           m_hat, done, residuals, objective,
                           coupling_entropy, entropy)
 

@@ -30,6 +30,7 @@ from .hamiltonians import (
     schrodinger_fg,
     symmetric_rates,
 )
+from .markov import _step_count
 from .sbp import periodic_rate_from_density
 from .theta import from_name
 
@@ -257,7 +258,8 @@ def sampler_setting(key: str, value):
 
 def check_horizon(scenario: Scenario) -> None:
     """Refuse a horizon no grid can step, and store its values as floats:
-    t0 and t1 must be finite numbers with t1 > t0, and dt a finite number > 0."""
+    t0 and t1 must be finite numbers with t1 > t0, and dt a finite number > 0
+    that takes at most markov._MAX_STEPS steps from t0 to t1."""
     for key in ("t0", "t1", "dt"):
         value = getattr(scenario, key)
         try:
@@ -269,10 +271,12 @@ def check_horizon(scenario: Scenario) -> None:
         if not math.isfinite(value):
             raise ConfigError(key, "%r is not finite" % value)
         setattr(scenario, key, value)
-    if not scenario.dt > 0:
-        raise ConfigError("dt", "%r is not positive" % scenario.dt)
     if not scenario.t1 > scenario.t0:
         raise ConfigError("t1", "%r is not after t0 = %r" % (scenario.t1, scenario.t0))
+    try:
+        _step_count(scenario.t0, scenario.t1, scenario.dt)
+    except ValueError as exc:
+        raise ConfigError("dt", str(exc)) from exc
 
 
 _RATE_KIND = {"upwind": "upwind_ot", "average": "theta_general",

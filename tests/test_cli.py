@@ -311,6 +311,16 @@ class TestErrors:
         assert "config error: config key 'dt'" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dt", ["1e-320", "1e-300"])
+    def test_dt_beyond_the_step_cap_exits_1(self, tmp_path, capsys, dt):
+        # 1e-320 gave an infinite step count and a raw OverflowError after
+        # run.json was written; 1e-300 asked for about 1e300 steps
+        rc, out = run(tmp_path, "geodesic", "--config", "two-node-upwind", "--dt", dt)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error: config key 'dt'" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("horizon, key", [
         ({"dt": 0}, "dt"),
         ({"dt": -0.01}, "dt"),
@@ -324,6 +334,7 @@ class TestErrors:
         ({"t0": 1.0, "t1": 1.0}, "t1"),
         ({"t0": 2.0, "t1": 1.0}, "t1"),
         ({"t1": [1]}, "t1"),
+        ({"dt": 1e-9}, "dt"),
     ])
     @pytest.mark.parametrize("command", ["geodesic", "bridge"])
     def test_bad_horizon_exits_1(self, tmp_path, capsys, horizon, key, command):

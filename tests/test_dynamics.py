@@ -54,8 +54,6 @@ from graphham.hamiltonians import (
 from graphham.dynamics import (
     _midpoint_step,
     _rk4_step,
-    _stack_product,
-    _step_stack,
     FGFlow,
     fundamental_matrix,
     hopf_cole,
@@ -64,12 +62,10 @@ from graphham.dynamics import (
     madelung,
     madelung_inverse,
     monodromy,
-    rk4_grid,
-    rk4_step_product,
     schrodinger_evolve,
     symplectic_check,
 )
-from graphham.markov import propagator
+from graphham.markov import LinearGrid, propagator
 from graphham.scenarios import load_config
 from graphham.theta import AVERAGE, LOGMEAN, upwind
 
@@ -168,7 +164,8 @@ class TestIntegrators:
                                          "sbp_entropic", "sbp_psi", "schrodinger_fg"])
     def test_prepared_flow_matches_the_public_field(self, variant, method):
         g = complete_graph(3)
-        ramp = ReferenceRates(3, fn=lambda t: (1.0 + t) * symmetric_rates(g).matrix)
+        ramp = ReferenceRates(3, batch_fn=lambda ts: (1.0 + np.asarray(ts))[:, None, None]
+                              * symmetric_rates(g).matrix)
         start = PhasePoint(self.SAFE_RHO, self.SAFE_S)
         spec, state = {
             "ot_kinetic": (ot_kinetic(g, LOGMEAN, linear_potential([0.1, 0.0, -0.2])), start),
@@ -357,10 +354,10 @@ class TestMonodromy:
     def test_commuting_time_dependent_family(self):
         base = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
-        def fn(t):
-            return (1.0 + math.sin(t) ** 2) * base
+        def batch(ts):
+            return (1.0 + np.sin(ts) ** 2)[:, None, None] * base
 
-        rates = ReferenceRates(2, fn=fn, period=2 * math.pi)
+        rates = ReferenceRates(2, batch_fn=batch, period=2 * math.pi)
         mono = monodromy(rates, dt=1e-4)
         # integral of 1 + sin^2 over a period is 3 pi
         want = scipy.linalg.expm(3 * math.pi * base)
@@ -429,12 +426,22 @@ class TestBlockedMarcher:
         # a block holds 6 step matrices at n = 50 and one at n = 96
         self.test_block_boundaries_match_sequential_rk4(13, n=n)
 
-    @pytest.mark.parametrize("n, steps", [(4, 1), (4, BLOCK + 1), (4, 2 * BLOCK + 453), (50, 13)])
-    def test_stack_product_is_the_streamed_product(self, n, steps):
-        # solve_bridge takes its kernel from the stack it marches the factors on
-        _, dt, full, half = rk4_grid(self.rates(n), 0.0, steps * self.DT, self.DT)
-        np.testing.assert_array_equal(_stack_product(_step_stack(full, half, dt)),
-                                      rk4_step_product(full, half, dt))
+    @pytest.mark.parametrize("n, steps", [(4, 1), (4, BLOCK - 1), (4, BLOCK), (4, BLOCK + 1),
+                                          (4, 2 * BLOCK + 453), (50, 13)])
+    def test_held_blocks_give_the_propagator_and_the_factor_march(self, n, steps):
+        # solve_bridge takes its kernel and its factor march from one held list
+        # of the grid's blocks; both must equal the public marchers bit for bit
+        rates, t1 = self.rates(n), steps * self.DT
+        grid = LinearGrid(rates, 0.0, t1, self.DT)
+        blocks = list(grid.blocks())
+        assert sum(map(len, blocks)) == steps
+        np.testing.assert_array_equal(grid.kernel(blocks), propagator(rates, 0.0, t1, dt=self.DT))
+        f0, g1 = np.linspace(0.2, 1.0, n), np.linspace(1.0, 0.3, n)
+        f, g = grid.march(blocks, f0, g1)
+        flow = schrodinger_evolve(rates, f0=f0, g1=g1, t0=0.0, t1=t1, dt=self.DT)
+        np.testing.assert_array_equal(grid.times, flow.times)
+        np.testing.assert_array_equal(f, flow.f)
+        np.testing.assert_array_equal(g, flow.g)
 
 
 def sequential_factors(ms, hs, dt, f0, g1):
@@ -537,8 +544,9 @@ class TestPreparedReference:
     def test_trajectory_matches_a_per_call_reference(self, name, variant):
         scenario = load_config(name)
         rates = scenario.reference
-        per_call = ReferenceRates(rates.n, fn=lambda t: rates.at_many([t])[0],
-                                  period=rates.period)
+        per_call = ReferenceRates(
+            rates.n, batch_fn=lambda ts: np.stack([rates.at_many([t])[0] for t in ts]),
+            period=rates.period)
         g = complete_graph(rates.n)
         maker, state = {"sbp_psi": (sbp_psi, scenario.initial),
                         "sbp_entropic": (sbp_entropic, hopf_cole_inverse(scenario.initial))}[variant]

@@ -109,10 +109,11 @@ class TestReferenceRates:
     def test_time_dependent_and_batch(self):
         from graphham.hamiltonians import ReferenceRates
 
-        def fn(t):
-            return np.array([[-1.0 - t, 1.0 + t], [1.0, -1.0]])
+        def batch(ts):
+            t = np.asarray(ts, dtype=float)[:, None, None]
+            return np.array([[-1.0, 1.0], [1.0, -1.0]]) + t * np.array([[-1.0, 1.0], [0.0, 0.0]])
 
-        rates = ReferenceRates(2, fn=fn, period=2 * math.pi)
+        rates = ReferenceRates(2, batch_fn=batch, period=2 * math.pi)
         assert rates.at(0.5)[0, 1] == 1.5
         stack = rates.at_many(np.array([0.0, 0.5]))
         assert stack.shape == (2, 2, 2)
@@ -133,7 +134,7 @@ class TestDeclaredSupport:
         # m(t) = t B is zero at t = 0, where a probe for the support finds none
         from graphham.hamiltonians import ReferenceRates
 
-        ramp = ReferenceRates(2, fn=lambda t: t * self.RAMP)
+        ramp = ReferenceRates(2, batch_fn=lambda ts: np.asarray(ts)[:, None, None] * self.RAMP)
         frozen = constant_rates(self.RAMP)
         for maker, chart in ((sbp_entropic, "S"), (sbp_psi, "psi")):
             state = PhasePoint([0.7, 0.3], [0.2, -0.1], chart=chart)
@@ -145,7 +146,7 @@ class TestDeclaredSupport:
     def test_default_support(self):
         from graphham.hamiltonians import ReferenceRates
 
-        sup = ReferenceRates(3, fn=lambda t: np.zeros((3, 3))).support()
+        sup = ReferenceRates(3, batch_fn=lambda ts: np.zeros((len(ts), 3, 3))).support()
         np.testing.assert_array_equal(sup, ~np.eye(3, dtype=bool))
         with pytest.raises(ValueError):
             sup[0, 1] = False
@@ -156,7 +157,8 @@ class TestDeclaredSupport:
 
         path = np.where(self.PATH, 1.0, 0.0)
         path -= np.diag(path.sum(axis=1))
-        sparse = ReferenceRates(3, fn=lambda t: (1.0 + t) * path)
+        sparse = ReferenceRates(
+            3, batch_fn=lambda ts: (1.0 + np.asarray(ts))[:, None, None] * path)
         frozen = constant_rates(2.0 * path)
         g = validate_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         for maker, chart in ((sbp_entropic, "S"), (sbp_psi, "psi")):
@@ -186,11 +188,11 @@ class TestDeclaredSupport:
 
         times = []
 
-        def fn(t):
-            times.append(t)
-            return (1.0 + math.sin(t) ** 2) * self.RAMP
+        def batch(ts):
+            times.extend(ts)
+            return (1.0 + np.sin(ts) ** 2)[:, None, None] * self.RAMP
 
-        spec = sbp_entropic(two_node(), ReferenceRates(2, fn=fn, period=2 * math.pi))
+        spec = sbp_entropic(two_node(), ReferenceRates(2, batch_fn=batch, period=2 * math.pi))
         state = PhasePoint([0.6, 0.4], [0.1, -0.1])
         for k in range(5):
             vector_field(spec, state, t=0.3 * k)
@@ -460,10 +462,11 @@ class TestGradientConsistency:
     def test_time_dependent_rates_enter_eval(self):
         from graphham.hamiltonians import ReferenceRates
 
-        def fn(t):
-            return np.array([[-1.0 - t, 1.0 + t], [1.0, -1.0]])
+        def batch(ts):
+            t = np.asarray(ts, dtype=float)[:, None, None]
+            return np.array([[-1.0, 1.0], [1.0, -1.0]]) + t * np.array([[-1.0, 1.0], [0.0, 0.0]])
 
-        spec = sbp_psi(two_node(), ReferenceRates(2, fn=fn))
+        spec = sbp_psi(two_node(), ReferenceRates(2, batch_fn=batch))
         state = PhasePoint([0.6, 0.4], [0.3, 0.0], chart="psi")
         assert eval_H(spec, state, t=1.0) != eval_H(spec, state, t=0.0)
         report = grad_check(spec, state, t=1.0, h=1e-6)

@@ -30,20 +30,21 @@ from graphham.hamiltonians import (
     vector_field,
 )
 from graphham.markov import (
+    _MAX_STEPS,
     Paths,
     _draws,
     _invalid,
     _jump_targets,
+    _step_count,
     build_rate_matrix,
     empirical_densities,
     philox4x32,
     propagator,
-    rate_bound,
     sample_paths,
     validate_rate_matrix,
 )
 from graphham.theta import AVERAGE, LOGMEAN, upwind
-from graphham.dynamics import integrate
+from graphham.dynamics import fundamental_matrix, integrate, schrodinger_evolve
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -252,7 +253,8 @@ class TestPropagator:
 
     def test_semigroup_property(self):
         base = np.array([[-1.0, 0.6, 0.4], [0.3, -0.5, 0.2], [0.7, 0.3, -1.0]])
-        rates = ReferenceRates(3, fn=lambda t: base * (1.0 + 0.5 * np.sin(t)))
+        rates = ReferenceRates(
+            3, batch_fn=lambda ts: base * (1.0 + 0.5 * np.sin(ts))[:, None, None])
         full = propagator(rates, 0.0, 1.5, dt=1e-3)
         split = propagator(rates, 0.0, 0.7, dt=1e-3) @ propagator(rates, 0.7, 1.5, dt=1e-3)
         np.testing.assert_allclose(full, split, atol=1e-8)
@@ -291,11 +293,55 @@ class TestPropagator:
             for k in range(len(traj.times))
         ])
 
-        def frozen(t):
-            return qs[int(round((t - 0.0) / 5e-4))]
+        def frozen(ts):
+            return qs[np.round((np.asarray(ts) - 0.0) / 5e-4).astype(int)]
 
-        p = propagator(ReferenceRates(3, fn=frozen), 0.0, 0.3, dt=1e-3)
+        p = propagator(ReferenceRates(3, batch_fn=frozen), 0.0, 0.3, dt=1e-3)
         np.testing.assert_allclose(state.rho @ p, traj.final.rho, atol=1e-6)
+
+
+class TestStepCount:
+    """Every fixed-step grid takes its step count from _step_count, which
+    refuses a window it cannot step forward in a bounded number of steps."""
+
+    Q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+
+    def test_rounds_to_at_least_one_step(self):
+        assert _step_count(0.0, 1.0, 0.3) == 3
+        assert _step_count(0.0, 1.0, 0.26) == 4
+        assert _step_count(0.3, 0.3, 1e-3) == 1          # one step of size zero
+        assert _step_count(0.0, 1.0, 1.0 / _MAX_STEPS) == _MAX_STEPS
+
+    def reversed_windows(self):
+        flip, state = constant_rates(self.Q), PhasePoint([0.6, 0.4], [0.1, 0.0])
+        return {
+            "fundamental_matrix": lambda: fundamental_matrix(flip, 1.0, 0.0, dt=1e-3),
+            "propagator": lambda: propagator(self.Q, 1.0, 0.0),
+            "schrodinger_evolve": lambda: schrodinger_evolve(flip, f0=[1.0, 1.0],
+                                                             t0=1.0, t1=0.0),
+            "integrate": lambda: integrate(ot_kinetic(K2, upwind()), state, 1.0, 0.0, 1e-2),
+        }
+
+    @pytest.mark.parametrize("name", ["fundamental_matrix", "propagator",
+                                      "schrodinger_evolve", "integrate"])
+    def test_reversed_window_is_refused(self, name):
+        # it used to take one rk4 step of size -1 (or fail the kernel's row
+        # check with InvalidGenerator on a valid generator)
+        with pytest.raises(ValueError, match="no forward grid"):
+            self.reversed_windows()[name]()
+
+    @pytest.mark.parametrize("dt", [0.0, -0.0, -1e-3, float("nan")])
+    def test_dt_not_positive_is_refused(self, dt):
+        with pytest.raises(ValueError, match="no forward grid"):
+            propagator(self.Q, 0.0, 1.0, dt=dt)
+
+    @pytest.mark.parametrize("t1, dt", [(1.0, 1e-320), (1.0, 1e-300), (float("inf"), 1e-3),
+                                        (1.0, 0.99 / _MAX_STEPS)])
+    def test_count_not_finite_or_above_the_cap_is_refused(self, t1, dt):
+        for march in (lambda: propagator(self.Q, 0.0, t1, dt=dt),
+                      lambda: fundamental_matrix(constant_rates(self.Q), 0.0, t1, dt=dt)):
+            with pytest.raises(ValueError, match="exceed the cap"):
+                march()
 
 
 class TestSampler:
@@ -353,8 +399,7 @@ class TestSampler:
     def test_time_dependent_density(self):
         base = np.array([[-1.5, 1.5], [0.8, -0.8]])
         rates = ReferenceRates(
-            2, fn=lambda t: base * (1.0 + 0.5 * np.sin(2 * np.pi * t)),
-            batch_fn=lambda ts: base[None] * (1.0 + 0.5 * np.sin(2 * np.pi * ts))[:, None, None])
+            2, batch_fn=lambda ts: base[None] * (1.0 + 0.5 * np.sin(2 * np.pi * ts))[:, None, None])
         m = 20000
         paths = sample_paths(rates, [0.5, 0.5], m, 0.0, 1.0, seed=41)
         want = np.array([0.5, 0.5]) @ propagator(rates, 0.0, 1.0)
@@ -383,11 +428,6 @@ class TestSampler:
             sample_paths(rates, [0.2, 0.3, 0.5], 10, 0.0, 1.0, seed=3)
         assert "(0, 2)" in str(want.value)
         assert str(got.value) == str(want.value)
-
-    def test_rate_bound_scan(self):
-        base = np.array([[-1.0, 1.0], [1.0, -1.0]])
-        rates = ReferenceRates(2, fn=lambda t: base * (1.0 + t))
-        assert rate_bound(rates, 0.0, 1.0) == pytest.approx(2.4)
 
     def test_state_lookup(self):
         p = Paths(np.array([0, 2]), np.array([0.25, 0.75]), np.array([0, 1, 0]),

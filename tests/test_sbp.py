@@ -283,7 +283,8 @@ class TestBruteForce:
         # enumerated, where every pair (4^12 > 1e7) would be refused
         path = np.diag([1.0, 1.0, 1.0], 1) + np.diag([1.0, 1.0, 1.0], -1)
         path -= np.diag(path.sum(axis=1))
-        rates = ReferenceRates(4, fn=lambda t: (1.0 + 0.5 * np.sin(t)) * path)
+        rates = ReferenceRates(
+            4, batch_fn=lambda ts: (1.0 + 0.5 * np.sin(ts))[:, None, None] * path)
         sol = solve_bridge(BridgeProblem(rates, [0.4, 0.3, 0.2, 0.1],
                                          [0.1, 0.2, 0.3, 0.4]), dt=1.0 / 256)
         assert np.isfinite(path_entropy_bruteforce(sol, 12))
