@@ -428,7 +428,7 @@ class TestBlockedMarcher:
 
     @pytest.mark.parametrize("n, steps", [(4, 1), (4, BLOCK - 1), (4, BLOCK), (4, BLOCK + 1),
                                           (4, 2 * BLOCK + 453), (50, 13)])
-    def test_held_blocks_give_the_propagator_and_the_factor_march(self, n, steps):
+    def test_stack_product_is_the_streamed_product(self, n, steps):
         # solve_bridge takes its kernel and its factor march from one held list
         # of the grid's blocks; both must equal the public marchers bit for bit
         rates, t1 = self.rates(n), steps * self.DT
