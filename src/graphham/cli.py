@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from importlib import metadata
 from json.encoder import encode_basestring_ascii
@@ -231,10 +232,7 @@ def _rate_report(scenario: Scenario, traj):
     qs = np.empty((len(traj.times), scenario.graph.n, scenario.graph.n))
     for k, t in enumerate(traj.times):
         state = _to_s_chart(traj.state(k))
-        rm = build_rate_matrix(scenario.rate_kind, scenario.graph, state,
-                               reference=scenario.reference, t=float(t),
-                               theta_kind=scenario.hamiltonian.theta
-                               if scenario.rate_kind == "theta_general" else None)
+        rm = build_rate_matrix(scenario.hamiltonian, state, float(t))
         qs[k] = rm.entries
         report["checked_times"] += 1
         report["clamped"] += rm.clamped
@@ -251,7 +249,7 @@ def _rate_report(scenario: Scenario, traj):
 def cmd_geodesic(scenario: Scenario, out: Path, args) -> int:
     if scenario.initial is None:
         raise ConfigError("initial", "geodesic runs need an initial state")
-    if scenario.hamiltonian is None or scenario.rate_kind is None:
+    if scenario.hamiltonian is None:
         raise ConfigError("hamiltonian", "geodesic runs need a hamiltonian")
     steps = _step_count(scenario.t0, scenario.t1, scenario.dt)
     every = max(1, steps // 256)
@@ -288,9 +286,8 @@ def cmd_bridge(scenario: Scenario, out: Path, args) -> int:
     problem = BridgeProblem(scenario.reference, scenario.rho0, scenario.rho1,
                             reference_initial=scenario.reference_initial,
                             t0=scenario.t0, t1=scenario.t1)
-    tol = args.tol if args.tol is not None else 1e-8
     try:
-        sol = solve_bridge(problem, dt=scenario.dt, tol=tol)
+        sol = solve_bridge(problem, dt=scenario.dt, tol=args.tol)
     except NonconvergedIPFP as exc:
         _dump(out / "bridge.json", {
             "converged": False,
@@ -312,7 +309,7 @@ def cmd_bridge(scenario: Scenario, out: Path, args) -> int:
         "rho": sol.rho,
         "m_hat": sol.m_hat,
     }
-    if args.oracle:
+    if args.oracle is not None:
         brute = path_entropy_bruteforce(sol, args.oracle)
         target = relative_entropy(problem.rho0, problem.reference_initial) + sol.entropy
         doc["oracle"] = {"n_steps": args.oracle, "bruteforce": brute,
@@ -414,6 +411,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError("args", message)
 
 
+def _positive(cast):
+    """An argparse type: text cast to a finite number above 0."""
+    def parse(text):
+        value = cast(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError("%r is not a finite number above 0" % text)
+        return value
+    parse.__name__ = cast.__name__
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="graphham",
                      description="Hamiltonian flows and bridges on finite graphs")
@@ -423,12 +431,16 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True,
                        help="JSON config path or built-in scenario name")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--oracle", type=int, default=None,
-                       help="brute-force step count for the bridge cross-check")
-        p.add_argument("--particles", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        # a subcommand takes only the flags it reads
+        if name != "analyze":
+            p.add_argument("--dt", type=float)
+        if name == "bridge":
+            p.add_argument("--tol", type=_positive(float), default=1e-8)
+            p.add_argument("--oracle", type=_positive(int),
+                           help="brute-force step count for the bridge cross-check")
+        elif name != "analyze":
+            p.add_argument("--particles", type=int)
+            p.add_argument("--seed", type=int)
     return parser
 
 
@@ -436,13 +448,12 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         scenario = load_config(args.config)
-        if args.dt is not None:
+        if getattr(args, "dt", None) is not None:
             scenario.dt = args.dt
             check_horizon(scenario)
-        if args.particles is not None:
-            scenario.particles = sampler_setting("particles", args.particles)
-        if args.seed is not None:
-            scenario.seed = sampler_setting("seed", args.seed)
+        for key in ("particles", "seed"):
+            if getattr(args, key, None) is not None:
+                setattr(scenario, key, sampler_setting(key, getattr(args, key)))
         out = Path(args.out) if args.out else Path("runs") / (
             "%s-%s" % (args.command, scenario.name))
         out.mkdir(parents=True, exist_ok=True)
@@ -451,9 +462,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
-    except NonconvergedIPFP as exc:
-        print("bridge did not converge: %s" % exc, file=sys.stderr)
-        return 3
     except RateBoundExceeded as exc:
         print("sampler bound violated: %s" % exc, file=sys.stderr)
         return 4

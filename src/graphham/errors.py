@@ -28,6 +28,10 @@ class AsymmetricWeight(GraphHamError):
     """Conflicting weights were given for the two orientations of an edge."""
 
 
+class MalformedEdge(GraphHamError):
+    """An edge row is not (i, j, w) or (i, j, w, wt), or names a node outside 0..n-1."""
+
+
 # -- states on the simplex -----------------------------------------------------
 
 class BoundaryDensity(GraphHamError):

@@ -41,6 +41,7 @@ from .errors import (
     AsymmetricWeight,
     BoundaryDensity,
     DisconnectedGraph,
+    MalformedEdge,
     NonpositiveWeight,
     SelfLoop,
     SingularLaplacian,
@@ -82,21 +83,17 @@ def validate_graph(raw_nodes, raw_edges) -> Graph:
         raise DisconnectedGraph("need at least two nodes, got %d" % n)
     seen = {}
     for row in raw_edges:
-        if len(row) == 3:
-            i, j, w = row
-            wt = w
-        elif len(row) == 4:
-            i, j, w, wt = row
-        else:
-            raise ValueError("edge rows must be (i, j, w) or (i, j, w, wt)")
-        i, j = int(i), int(j)
+        try:
+            i, j, w, wt = (*row, row[2]) if len(row) == 3 else row
+            i, j, w, wt = int(i), int(j), float(w), float(wt)
+        except (TypeError, ValueError, LookupError) as exc:
+            raise MalformedEdge("edge row %r is not (i, j, w) or (i, j, w, wt)"
+                                % (row,)) from exc
         if not (0 <= i < n and 0 <= j < n):
-            raise ValueError("edge (%d, %d) outside node range 0..%d" % (i, j, n - 1))
+            raise MalformedEdge("edge (%d, %d) outside node range 0..%d" % (i, j, n - 1))
         if i == j:
             raise SelfLoop("edge (%d, %d) is a self loop" % (i, j))
-        w = float(w)
-        wt = float(wt)
-        if w <= 0 or wt <= 0:
+        if not (w > 0 and wt > 0):                      # NaN fails too
             raise NonpositiveWeight("edge (%d, %d) has nonpositive weight" % (i, j))
         key = (min(i, j), max(i, j))
         if key in seen and seen[key] != (w, wt):
@@ -147,12 +144,9 @@ class Density:
         v = np.asarray(self.values, dtype=float)
         if np.any(v < -_SUM_TOL):
             raise BoundaryDensity("negative mass %r" % v[v < -_SUM_TOL][0])
-        if abs(v.sum() - 1.0) > _SUM_TOL * max(1, len(v)):
+        if not abs(v.sum() - 1.0) <= _SUM_TOL * max(1, len(v)):   # NaN fails too
             raise BoundaryDensity("mass sums to %r, not 1" % v.sum())
         object.__setattr__(self, "values", v)
-
-    def interior(self, margin: float = 0.0) -> bool:
-        return bool(self.values.min() > margin)
 
 
 @dataclass(frozen=True)
@@ -187,41 +181,35 @@ def graph_gradient(g: Graph, S) -> SkewField:
     return SkewField(v)
 
 
-def _pair_direction(g: Graph, kind: ThetaKind, direction):
-    """Upwind directions over the ordered pairs: the kind's own source, else
-    `direction`, already over the pairs. The source may be a node potential S
-    (direction S_i - S_j) or an antisymmetric (n, n) matrix. Non-upwind kinds
-    ignore directions; returns 0.0."""
+def _pair_direction(kind: ThetaKind, direction):
+    """The upwind kind's directions over the ordered pairs; other kinds ignore
+    directions and get 0.0."""
     if kind.kind != "upwind":
         return 0.0
-    if kind.direction is None:
-        if direction is None:
-            raise ValueError("upwind theta needs a direction source")
-        return direction
-    d = _arr(kind.direction)
-    return d[g.src] - d[g.dst] if d.ndim == 1 else d[g.src, g.dst]
+    if direction is None:
+        raise ValueError("upwind theta needs a direction source")
+    return direction
 
 
 def edge_theta(g: Graph, rho, kind: ThetaKind, direction=None) -> np.ndarray:
     """Theta weights as a (2|E|,) vector over the ordered pairs.
 
-    `direction`, a (2|E|,) antisymmetric pair vector, feeds the upwind kind
-    when the kind itself carries no source.
+    `direction`, a (2|E|,) antisymmetric pair vector, feeds the upwind kind.
     """
     r = _arr(rho)
-    return theta(kind, r[g.src], r[g.dst], _pair_direction(g, kind, direction))
+    return theta(kind, r[g.src], r[g.dst], _pair_direction(kind, direction))
 
 
 def edge_theta_with_partial_sum(g: Graph, rho, kind: ThetaKind, direction=None):
     """(edge_theta, P) from one evaluation of the weights, where
     P_k = d theta_ij / d rho_i + d theta_ji / d rho_i for each pair k = (i, j).
 
-    Directions resolve as in edge_theta; an upwind direction must be
+    Directions are as in edge_theta; an upwind direction must be
     antisymmetric, so that d_ji = -d_ij.
     """
     r = _arr(rho)
     th, (first, second) = theta_with_partial(kind, r[g.src], r[g.dst],
-                                             _pair_direction(g, kind, direction))
+                                             _pair_direction(kind, direction))
     return th, first + second[g.rev]
 
 

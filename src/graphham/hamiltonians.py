@@ -281,13 +281,6 @@ ENTROPY_DUAL = ConvexDual("entropy", np.expm1, np.exp)
 QUADRATIC_DUAL = ConvexDual("quadratic", lambda x: x + 0.5 * x * x, lambda x: 1.0 + x)
 
 
-def dual_from_name(name: str) -> ConvexDual:
-    table = {"entropy": ENTROPY_DUAL, "quadratic": QUADRATIC_DUAL}
-    if name not in table:
-        raise ValueError("unknown convex dual %r" % name)
-    return table[name]
-
-
 # -- node potentials V(rho, t) --------------------------------------------------------
 
 
@@ -319,6 +312,9 @@ def fisher_potential(g: Graph, kind: ThetaKind, coeff: float) -> NodePotential:
 
 # -- Hamiltonian variants ---------------------------------------------------------------
 
+_KINETIC = ("ot_kinetic", "fisher_ot", "lp_kinetic")
+_ENTROPIC = ("sbp_entropic", "sbp_psi", "schrodinger_fg")
+
 
 @dataclass
 class HamiltonianSpec:
@@ -333,10 +329,9 @@ class HamiltonianSpec:
     potential: NodePotential | None = None
 
     def __post_init__(self):
-        if self.variant not in ("ot_kinetic", "fisher_ot", "lp_kinetic",
-                                "sbp_entropic", "sbp_psi", "schrodinger_fg"):
+        if self.variant not in _KINETIC + _ENTROPIC:
             raise ValueError("unknown Hamiltonian variant %r" % (self.variant,))
-        if self.variant in ("sbp_entropic", "sbp_psi", "schrodinger_fg"):
+        if self.variant in _ENTROPIC:
             if self.reference is None:
                 raise ValueError("%s needs reference rates" % self.variant)
         elif self.theta is None:
@@ -354,6 +349,14 @@ class HamiltonianSpec:
     @property
     def chart(self) -> str:
         return {"sbp_psi": "psi", "schrodinger_fg": "fg"}.get(self.variant, "S")
+
+    @property
+    def rate_kind(self) -> str:
+        """The kind of jump generator its flow extracts (markov.build_rate_matrix):
+        sbp when entropic, else upwind_ot for an upwind theta, else theta_general."""
+        if self.variant in _ENTROPIC:
+            return "sbp"
+        return "upwind_ot" if self.theta.kind == "upwind" else "theta_general"
 
 
 def ot_kinetic(graph: Graph, kind: ThetaKind, potential: NodePotential | None = None) -> HamiltonianSpec:

@@ -5,7 +5,8 @@ by d rho/dt = rho Q, so (rho Q)_j collects inflow Q_ij from each i and the
 diagonal drain Q_jj. All constructed matrices are transcribed into this
 convention and checked against the Hamiltonian density equations they encode.
 
-Rate matrices extracted from phase-space states come in three kinds:
+Rate matrices extracted from phase-space states come in three kinds; a
+Hamiltonian's own kind is HamiltonianSpec.rate_kind:
 
 * upwind_ot      Q_ab = w_ab (S_b - S_a)^+ off the diagonal; mass rides the
                  potential gradient from the donor node. Always valid.
@@ -96,51 +97,40 @@ def validate_rate_matrix(q: np.ndarray, kind: str = "raw") -> RateMatrix:
                       violations=violations, clamped=int(clamp.sum()))
 
 
-def build_rate_matrix(kind: str, g: Graph, state: PhasePoint,
-                      reference: ReferenceRates | None = None,
-                      theta_kind=None, t: float = 0.0) -> RateMatrix:
-    """Extract the jump generator encoded by a phase-space state.
+def build_rate_matrix(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0) -> RateMatrix:
+    """Extract the jump generator of the spec's flow, of kind spec.rate_kind,
+    at a phase-space state in the S chart.
 
     The index order is fixed by requiring rho Q to reproduce the density
     equation of the matching Hamiltonian flow, which pins every sign.
     """
+    kind, g = spec.rate_kind, spec.graph
     rho, s = state.rho, state.pot
 
-    if kind == "upwind_ot":
-        ds = s[g.src] - s[g.dst]                    # S_a - S_b over the pairs
-        return validate_rate_matrix(_scatter(g, g.w * np.clip(-ds, 0.0, None)), kind)
-
     if kind == "sbp":
-        if reference is None:
-            raise ValueError("sbp kind needs reference rates")
         if np.min(rho) <= 0:
             raise BoundaryDensity("reweighted rates need interior masses")
-        m, sup, _ = _reference_at(reference)(t)
+        m, sup, _ = _reference_at(spec.reference)(t)
         ex = np.exp(_capped(s[None, :] - s[:, None], sup))   # e^{S_b - S_a} where m carries rate
         q = ex * np.sqrt(rho[None, :] / rho[:, None]) * m
         np.fill_diagonal(q, 0.0)
         np.fill_diagonal(q, -q.sum(axis=1))
         return validate_rate_matrix(q, kind)
 
-    if kind == "theta_general":
-        if theta_kind is None:
-            raise ValueError("theta_general kind needs a theta kind")
-        ds = s[g.src] - s[g.dst]
-        if theta_kind.kind == "average":
-            rate = 0.5 * g.w * (-ds)
-        elif theta_kind.kind == "logmean":
-            if np.min(rho) <= 0:
-                raise BoundaryDensity("log-mean splitting needs interior masses")
-            logs = np.log(rho)
-            dlog = logs[g.src] - logs[g.dst]
-            if (np.abs(dlog) < 1e-12).any():
-                raise NoRateDecomposition("log-mean splitting degenerates at equal masses")
-            rate = -g.w * ds / dlog
-        else:
-            raise ValueError("theta_general supports average or logmean")
-        return validate_rate_matrix(_scatter(g, rate), kind)
-
-    raise ValueError("unknown rate-matrix kind %r" % kind)
+    ds = s[g.src] - s[g.dst]                        # S_a - S_b over the pairs
+    if kind == "upwind_ot":
+        rate = g.w * np.clip(-ds, 0.0, None)
+    elif spec.theta.kind == "average":
+        rate = 0.5 * g.w * (-ds)
+    else:                                           # the log-mean splitting
+        if np.min(rho) <= 0:
+            raise BoundaryDensity("log-mean splitting needs interior masses")
+        logs = np.log(rho)
+        dlog = logs[g.src] - logs[g.dst]
+        if (np.abs(dlog) < 1e-12).any():
+            raise NoRateDecomposition("log-mean splitting degenerates at equal masses")
+        rate = -g.w * ds / dlog
+    return validate_rate_matrix(_scatter(g, rate), kind)
 
 
 def _scatter(g: Graph, rate: np.ndarray) -> np.ndarray:
@@ -262,6 +252,7 @@ def propagator(rates_like, s: float, t: float, dt: float = 1e-3) -> np.ndarray:
 # -- path sampling ----------------------------------------------------------------------
 
 _WORD = 0xFFFFFFFF
+_BOUND_GRID = 1000      # evenly spaced times on which sample_paths checks Q and bounds |Q_ii|
 
 
 def philox4x32(ctr, key) -> list:
@@ -323,8 +314,7 @@ class Paths:
 
 
 def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,
-                 seed: int, lam: float | None = None, grid_points: int = 1000,
-                 chunk: int = 20000) -> Paths:
+                 seed: int, lam: float | None = None, chunk: int = 20000) -> Paths:
     """Thinning sampler: M independent paths of the (possibly inhomogeneous)
     jump process with generator Q(t), exact in distribution.
 
@@ -335,8 +325,8 @@ def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,
     word, lane): lane 0 gives proposal j's gap and accept uniform, lane 1
     its jump-target uniform, lane 2 at j = 0 the start state. So a path
     depends only on (seed, path index), not on `chunk`, which bounds the
-    (paths, n, n) rate stack of one step. lam must bound |Q_ii| on the grid
-    check; a zero generator with lam = 0 never proposes.
+    (paths, n, n) rate stack of one step. lam must bound |Q_ii| on a
+    grid of _BOUND_GRID times; a zero generator with lam = 0 never proposes.
     """
     rates = _as_reference(rates_like)
     seed = operator.index(seed)
@@ -344,7 +334,7 @@ def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,
         raise ValueError("seed %d outside the Philox key range [0, 2**64)" % seed)
     key = (seed & _WORD, seed >> 32)
 
-    stack = rates.at_many(np.linspace(t0, t1, grid_points))
+    stack = rates.at_many(np.linspace(t0, t1, _BOUND_GRID))
     _require_valid_stack(stack)
     peak = float(np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2))))
     lam = 1.2 * peak if lam is None else lam

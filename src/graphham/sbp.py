@@ -38,6 +38,9 @@ from .hamiltonians import HamiltonianSpec, PhasePoint, ReferenceRates, _recorded
 from .dynamics import integrate
 from .markov import LinearGrid, build_rate_matrix
 
+_RATE_MARGIN = 1e-9       # least off-diagonal rate of a constructed periodic generator
+_RESIDUAL_STEP = 1e-4     # time step of markov_condition_residual's difference
+
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     top = np.max(a, axis=axis, keepdims=True)
@@ -247,6 +250,8 @@ def path_entropy_bruteforce(solution: BridgeSolution, n_steps: int) -> float:
     subinterval, h = horizon / n_steps. The count of support-consistent
     paths is capped near 1e7; beyond that the enumeration refuses.
     """
+    if n_steps < 1:
+        raise ValueError("the skeleton needs at least one step, got %r" % (n_steps,))
     problem = solution.problem
     n = problem.reference.n
     h = (problem.t1 - problem.t0) / n_steps
@@ -298,13 +303,12 @@ def path_entropy_bruteforce(solution: BridgeSolution, n_steps: int) -> float:
 
 @dataclass
 class PeriodicRates:
-    rates: ReferenceRates
+    rates: ReferenceRates       # its period is the loop's
     strength: float             # chosen kernel multiple
-    period: float
 
 
 def periodic_rate_from_density(density_fn, period: float, n: int,
-                               deriv_fn=None, margin: float = 1e-9) -> PeriodicRates:
+                               deriv_fn=None) -> PeriodicRates:
     """Rates m(t) on the complete graph whose master equation runs along a
     prescribed smooth density loop.
 
@@ -312,7 +316,7 @@ def periodic_rate_from_density(density_fn, period: float, n: int,
     off-diagonals 1 / ((n-1) rho_i), which moves no mass, and a directed
     cycle correction through nodes 0 -> 1 -> ... -> n-1 -> 0 whose fluxes
     telescope the density derivative. The smallest feasible K (all
-    off-diagonals nonnegative with margin) is found by doubling and
+    off-diagonals at least _RATE_MARGIN) is found by doubling and
     bisection to 0.1% relative.
 
     density_fn and deriv_fn map an array of K times to the (K, n) densities
@@ -341,7 +345,7 @@ def periodic_rate_from_density(density_fn, period: float, n: int,
     def feasible(strength):
         # off-diagonals: mix everywhere, plus the loop on the cycle entries
         mix = strength / ((n - 1) * rho_grid)
-        return (mix + loop_grid).min() >= margin and (n == 2 or mix.min() >= margin)
+        return (mix + loop_grid).min() >= _RATE_MARGIN and (n == 2 or mix.min() >= _RATE_MARGIN)
 
     hi = 1.0
     while not feasible(hi):
@@ -365,7 +369,7 @@ def periodic_rate_from_density(density_fn, period: float, n: int,
         m[:, nodes, (nodes + 1) % n] += loop
         return m
 
-    return PeriodicRates(ReferenceRates(n, period=period, batch_fn=batch), float(hi), period)
+    return PeriodicRates(ReferenceRates(n, period=period, batch_fn=batch), float(hi))
 
 
 # -- stationarity ------------------------------------------------------------------------
@@ -394,8 +398,9 @@ def stationary_point(rates: ReferenceRates, rho_star=None) -> PhasePoint:
 
 
 def markov_condition_residual(spec: HamiltonianSpec, state: PhasePoint,
-                              step: float = 1e-4, t: float = 0.0) -> np.ndarray:
-    """Entrywise |d/dt Q| of the extracted generator along the flow.
+                              t: float = 0.0) -> np.ndarray:
+    """Entrywise |d/dt Q| of the extracted generator along the flow, by one
+    forward difference over _RESIDUAL_STEP.
 
     A flow that solves a time-homogeneous master equation freezes its own
     generator, so the residual vanishes there and is order one elsewhere.
@@ -403,18 +408,12 @@ def markov_condition_residual(spec: HamiltonianSpec, state: PhasePoint,
     """
     if spec.theta is not None and spec.theta.kind == "upwind":
         raise NonsmoothSpec("the donor-cell splitting has no smooth generator")
-    kind = {"sbp_entropic": "sbp", "ot_kinetic": "theta_general"}.get(spec.variant)
-    if kind is None:
+    if spec.variant not in ("sbp_entropic", "ot_kinetic"):
         raise NoRateDecomposition("no rate decomposition for variant %r" % spec.variant)
-
-    def extract(st, at):
-        return build_rate_matrix(kind, spec.graph, st, reference=spec.reference,
-                                 theta_kind=spec.theta, t=at).entries
-
-    q0 = extract(state, t)
-    moved = integrate(spec, state, t, t + step, dt=step).final
-    q1 = extract(moved, t + step)
-    return np.abs(q1 - q0) / step
+    h = _RESIDUAL_STEP
+    q0 = build_rate_matrix(spec, state, t).entries
+    q1 = build_rate_matrix(spec, integrate(spec, state, t, t + h, dt=h).final, t + h).entries
+    return np.abs(q1 - q0) / h
 
 
 def dual_balance_residual(rates: ReferenceRates, psi, t: float = 0.0) -> np.ndarray:

@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GraphHamError
-from .graph import Graph, complete_graph, validate_graph
+from .errors import BoundaryDensity, GraphHamError
+from .graph import Density, Graph, complete_graph, validate_graph
 from .hamiltonians import (
+    _ENTROPIC,
+    _KINETIC,
     HamiltonianSpec,
     PhasePoint,
     ReferenceRates,
@@ -32,7 +34,7 @@ from .hamiltonians import (
 )
 from .markov import _step_count
 from .sbp import periodic_rate_from_density
-from .theta import from_name
+from .theta import AVERAGE, UPWIND, from_name
 
 
 class ConfigError(GraphHamError):
@@ -48,7 +50,6 @@ class Scenario:
     name: str
     graph: Graph
     hamiltonian: HamiltonianSpec | None = None
-    rate_kind: str | None = None          # generator extraction for geodesic runs
     reference: ReferenceRates | None = None
     initial: PhasePoint | None = None
     rho0: np.ndarray | None = None
@@ -62,9 +63,17 @@ class Scenario:
     seed: int = 0
     checkpoints: int = 10
     lam: float | None = None              # explicit proposal rate; None auto-bounds
-    period: float | None = None
-    density: object | None = None         # analytic density closure, periodic only
     echo: dict = field(default_factory=dict)  # re-readable config for run.json
+
+    @property
+    def rate_kind(self) -> str | None:
+        """The generator a geodesic run extracts, from its Hamiltonian."""
+        return None if self.hamiltonian is None else self.hamiltonian.rate_kind
+
+    @property
+    def period(self) -> float | None:
+        """The period the reference rates declare, if any."""
+        return None if self.reference is None else self.reference.period
 
 
 # -- built-in scenarios --------------------------------------------------------------
@@ -102,10 +111,9 @@ def _periodic_scenario(name, n, density, deriv):
     period = 2 * np.pi
     rates = periodic_rate_from_density(density, period, n, deriv_fn=deriv).rates
     return Scenario(
-        name=name, graph=g, hamiltonian=sbp_psi(g, rates), rate_kind="sbp",
-        reference=rates,
+        name=name, graph=g, hamiltonian=sbp_psi(g, rates), reference=rates,
         initial=PhasePoint(density(0.0), np.zeros(n), chart="psi"),
-        t1=period, period=period, density=density, echo={"builtin": name})
+        t1=period, echo={"builtin": name})
 
 
 def _two_node_periodic():
@@ -121,7 +129,7 @@ def _two_node_bridge():
     rates = symmetric_rates(g, 1.0)
     return Scenario(
         name="two-node-bridge", graph=g, hamiltonian=sbp_entropic(g, rates),
-        rate_kind="sbp", reference=rates,
+        reference=rates,
         rho0=np.array([0.9, 0.1]), rho1=np.array([0.1, 0.9]),
         reference_initial=np.array([0.5, 0.5]), echo={"builtin": "two-node-bridge"})
 
@@ -131,7 +139,7 @@ def _three_node_bridge():
     rates = symmetric_rates(g, 0.8)
     return Scenario(
         name="three-node-bridge", graph=g, hamiltonian=sbp_entropic(g, rates),
-        rate_kind="sbp", reference=rates,
+        reference=rates,
         rho0=np.array([0.5, 0.3, 0.2]), rho1=np.array([0.2, 0.3, 0.5]),
         reference_initial=np.full(3, 1 / 3), echo={"builtin": "three-node-bridge"})
 
@@ -142,7 +150,7 @@ def _two_node_self_bridge():
     flat = np.array([0.5, 0.5])
     return Scenario(
         name="two-node-self-bridge", graph=g, hamiltonian=sbp_entropic(g, rates),
-        rate_kind="sbp", reference=rates,
+        reference=rates,
         rho0=flat.copy(), rho1=flat.copy(), reference_initial=flat.copy(),
         echo={"builtin": "two-node-self-bridge"})
 
@@ -151,7 +159,7 @@ def _two_node_upwind():
     g = complete_graph(2)
     return Scenario(
         name="two-node-upwind", graph=g,
-        hamiltonian=ot_kinetic(g, from_name("upwind")), rate_kind="upwind_ot",
+        hamiltonian=ot_kinetic(g, UPWIND),
         initial=PhasePoint(np.array([0.75, 0.25]), np.array([0.2, -0.1])),
         echo={"builtin": "two-node-upwind"})
 
@@ -161,7 +169,7 @@ def _theta_average_counter():
     g = complete_graph(2)
     return Scenario(
         name="theta-average-counter", graph=g,
-        hamiltonian=ot_kinetic(g, from_name("average")), rate_kind="theta_general",
+        hamiltonian=ot_kinetic(g, AVERAGE),
         initial=PhasePoint(np.array([0.5, 0.5]), np.array([1.0, 0.0])),
         t1=0.5, echo={"builtin": "theta-average-counter"})
 
@@ -216,14 +224,14 @@ def _parse_reference(data, g: Graph) -> ReferenceRates:
 def _parse_hamiltonian(data, g: Graph, reference):
     variant = _need(data, "variant", str)
     try:
-        if variant in ("ot_kinetic", "lp_kinetic", "fisher_ot"):
+        if variant in _KINETIC:
             theta = from_name(_need(data, "theta", str))
             if variant == "ot_kinetic":
                 return ot_kinetic(g, theta)
             if variant == "lp_kinetic":
                 return lp_kinetic(g, theta, q=float(data.get("q", 2.0)))
             return fisher_ot(g, theta, beta=float(data.get("beta", 0.125)))
-        if variant in ("sbp_entropic", "sbp_psi", "schrodinger_fg"):
+        if variant in _ENTROPIC:
             if reference is None:
                 raise ConfigError("reference", "required for variant %r" % variant)
             maker = {"sbp_entropic": sbp_entropic, "sbp_psi": sbp_psi,
@@ -233,6 +241,23 @@ def _parse_hamiltonian(data, g: Graph, reference):
         # argument checks of the constructors, e.g. an unknown theta or q <= 1
         raise ConfigError("hamiltonian", str(exc)) from exc
     raise ConfigError("variant", "unknown variant %r" % variant)
+
+
+def _vector(data: dict, key: str, n: int, density: bool = False) -> np.ndarray:
+    """data[key] as n floats; a density must also lie on the simplex by
+    graph.Density's rule."""
+    try:
+        v = np.asarray(_need(data, key, list), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(key, "expected a list of numbers") from exc
+    if v.shape != (n,):
+        raise ConfigError(key, "expected %d entries, got shape %s" % (n, v.shape))
+    if density:
+        try:
+            Density(v)
+        except BoundaryDensity as exc:
+            raise ConfigError(key, "not a density: %s" % exc) from exc
+    return v
 
 
 # type and [low, high) range of each sampler setting; a seed is a 64-bit Philox key
@@ -279,10 +304,6 @@ def check_horizon(scenario: Scenario) -> None:
         raise ConfigError("dt", str(exc)) from exc
 
 
-_RATE_KIND = {"upwind": "upwind_ot", "average": "theta_general",
-              "logmean": "theta_general"}
-
-
 def parse_config(data: dict, name: str = "config") -> Scenario:
     """Assemble a Scenario from a parsed JSON object.
 
@@ -303,36 +324,28 @@ def parse_config(data: dict, name: str = "config") -> Scenario:
         if "reference" in data:
             reference = _parse_reference(_need(data, "reference", dict), g)
         ham = None
-        rate_kind = None
         if "hamiltonian" in data:
             ham = _parse_hamiltonian(_need(data, "hamiltonian", dict), g, reference)
-            if ham.variant in ("ot_kinetic", "lp_kinetic", "fisher_ot"):
-                rate_kind = _RATE_KIND[ham.theta.kind]
-            else:
-                rate_kind = "sbp"
-        scenario = Scenario(name=name, graph=g, hamiltonian=ham,
-                            rate_kind=rate_kind, reference=reference,
+        scenario = Scenario(name=name, graph=g, hamiltonian=ham, reference=reference,
                             echo={})
         if "initial" in data:
             init = _need(data, "initial", dict)
-            rho = np.asarray(_need(init, "rho", list), dtype=float)
-            pot = np.asarray(_need(init, "pot", list), dtype=float)
-            if rho.shape != (g.n,) or pot.shape != (g.n,):
-                raise ConfigError("initial", "rho and pot must have %d entries" % g.n)
             chart = init.get("chart", "S")
             if chart not in ("S", "psi", "fg"):
                 raise ConfigError("chart", "unknown chart %r" % chart)
             if ham is not None and chart != ham.chart:
                 raise ConfigError("initial", "state chart %r does not match the %s chart %r"
                                   % (chart, ham.variant, ham.chart))
-            scenario.initial = PhasePoint(rho, pot, chart=chart)
+            # the fg chart's rho slot holds the factor f, not a density
+            scenario.initial = PhasePoint(_vector(init, "rho", g.n, density=chart != "fg"),
+                                          _vector(init, "pot", g.n), chart=chart)
         if "marginals" in data:
             marg = _need(data, "marginals", dict)
-            scenario.rho0 = np.asarray(_need(marg, "rho0", list), dtype=float)
-            scenario.rho1 = np.asarray(_need(marg, "rho1", list), dtype=float)
+            scenario.rho0 = _vector(marg, "rho0", g.n, density=True)
+            scenario.rho1 = _vector(marg, "rho1", g.n, density=True)
             if "reference_initial" in marg:
-                scenario.reference_initial = np.asarray(
-                    marg["reference_initial"], dtype=float)
+                scenario.reference_initial = _vector(marg, "reference_initial", g.n,
+                                                     density=True)
         if scenario.initial is not None and scenario.rho0 is not None:
             raise ConfigError("initial",
                               "give an initial state or marginals, not both")

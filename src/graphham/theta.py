@@ -29,37 +29,26 @@ _SERIES_CUTOFF = 1e-6
 
 @dataclass(frozen=True)
 class ThetaKind:
-    """Tagged choice of edge interpolation.
+    """Tagged choice of edge interpolation: "average", "logmean" or "upwind".
 
-    kind is one of "average", "logmean", "upwind". For the upwind kind an
-    optional direction source can be attached: a node potential (direction
-    on edge (i, j) is S_i - S_j) or a full antisymmetric matrix. When no
-    source is attached the operation using the weight supplies directions,
-    typically the velocity field it is contracting against.
+    The upwind kind takes its directions from the operation using the
+    weight, typically the velocity field it is contracting against.
     """
 
     kind: str
-    direction: object | None = None
 
     def __post_init__(self):
         if self.kind not in ("average", "logmean", "upwind"):
             raise ValueError("unknown theta kind %r" % (self.kind,))
-        if self.kind != "upwind" and self.direction is not None:
-            raise ValueError("only the upwind kind carries a direction source")
 
 
 AVERAGE = ThetaKind("average")
 LOGMEAN = ThetaKind("logmean")
-
-
-def upwind(direction=None) -> ThetaKind:
-    return ThetaKind("upwind", direction)
+UPWIND = ThetaKind("upwind")
 
 
 def from_name(name: str) -> ThetaKind:
     """Deserialize a theta kind from its config name."""
-    if name == "upwind":
-        return upwind()
     return ThetaKind(name)
 
 

@@ -162,7 +162,7 @@ def _json_artifacts(out: Path) -> list:
 
 @pytest.mark.parametrize("argv, code", [
     (["bridge", "--config", "two-node-bridge", "--oracle", "8"], 0),
-    (["bridge", "--config", "two-node-bridge", "--tol", "-1"], 3),
+    (["bridge", "--config", "two-node-bridge", "--tol", "1e-300"], 3),
     (["simulate", "--config", "two-node-periodic", "--particles", "100"], 0),
     (["analyze", "--config", "two-node-periodic"], 0),
     (["analyze", "--config", "three-node-bridge"], 0),

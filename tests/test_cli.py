@@ -78,8 +78,9 @@ class TestBridge:
         assert abs(oracle["gap"]) < 0.2
 
     def test_nonconvergence_exits_3_with_history(self, tmp_path):
+        # the residuals settle near 1.5e-16, so a tolerance of 1e-300 is never met
         rc, out = run(tmp_path, "bridge", "--config", "two-node-bridge",
-                      "--tol", "-1")
+                      "--tol", "1e-300")
         assert rc == 3
         doc = json.loads((out / "bridge.json").read_text())
         assert doc["converged"] is False
@@ -218,6 +219,73 @@ class TestErrors:
                     "--particles", "10", "--threads", "2")
         assert rc == 1
         assert "config error:" in capsys.readouterr().err
+
+    # every (subcommand, flag) pair of a flag the subcommand does not read
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "--config", "two-node-upwind", "--tol", "1e-6"],
+        ["geodesic", "--config", "two-node-upwind", "--oracle", "4"],
+        ["simulate", "--config", "two-node-periodic", "--tol", "1e-6"],
+        ["simulate", "--config", "two-node-periodic", "--oracle", "4"],
+        ["bridge", "--config", "two-node-bridge", "--particles", "5"],
+        ["bridge", "--config", "two-node-bridge", "--seed", "5"],
+        ["analyze", "--config", "two-node-bridge", "--dt", "0.01"],
+        ["analyze", "--config", "two-node-bridge", "--tol", "3"],
+        ["analyze", "--config", "two-node-bridge", "--oracle", "7"],
+        ["analyze", "--config", "two-node-bridge", "--particles", "5"],
+        ["analyze", "--config", "two-node-bridge", "--seed", "5"],
+    ], ids=lambda argv: "%s%s" % (argv[0], argv[3]))
+    def test_unread_flag_exits_1(self, tmp_path, capsys, argv):
+        rc, out = run(tmp_path, *argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error:" in err and "unrecognized arguments: %s" % argv[3] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--oracle", "-2"), ("--oracle", "0"), ("--oracle", "1.5"), ("--oracle", "x"),
+        ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "x"),
+    ])
+    def test_bad_bridge_flag_exits_1(self, tmp_path, capsys, flag, value):
+        rc, out = run(tmp_path, "bridge", "--config", "two-node-bridge", flag + "=" + value)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error:" in err and "argument %s" % flag in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edges", [
+        [[0, 1, 1.0], [1, 5, 1.0]],
+        [[0, 1], [1, 2, 1.0]],
+    ], ids=["dangling", "short-row"])
+    def test_malformed_edge_exits_1(self, tmp_path, capsys, edges):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": {"nodes": 3, "edges": edges},
+            "reference": {"kind": "symmetric", "value": 1.0},
+            "marginals": {"rho0": [0.5, 0.3, 0.2], "rho1": [0.2, 0.3, 0.5]},
+        }))
+        rc, out = run(tmp_path, "bridge", "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error: config key 'edges'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, block, key", [
+        ("bridge", {"marginals": {"rho0": [0.8, 0.1], "rho1": [0.1, 0.9]}}, "rho0"),
+        ("bridge", {"marginals": {"rho0": [0.8, 0.1, 0.1], "rho1": [0.1, 0.9]}}, "rho0"),
+        ("simulate", {"initial": {"rho": [1.5, 0.5], "pot": [0.0, 0.0]}}, "rho"),
+    ])
+    def test_off_simplex_density_exits_1(self, tmp_path, capsys, command, block, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict({
+            "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+            "reference": {"kind": "symmetric", "value": 1.0},
+        }, **block)))
+        rc, out = run(tmp_path, command, "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error: config key %r" % key in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_subcommand(self):
         assert main([]) == 1

@@ -67,7 +67,7 @@ from graphham.dynamics import (
 )
 from graphham.markov import LinearGrid, propagator
 from graphham.scenarios import load_config
-from graphham.theta import AVERAGE, LOGMEAN, upwind
+from graphham.theta import AVERAGE, LOGMEAN, UPWIND
 
 
 def two_node():
@@ -170,7 +170,7 @@ class TestIntegrators:
         spec, state = {
             "ot_kinetic": (ot_kinetic(g, LOGMEAN, linear_potential([0.1, 0.0, -0.2])), start),
             "fisher_ot": (fisher_ot(g, AVERAGE, beta=0.05), start),
-            "lp_kinetic": (lp_kinetic(g, upwind(), q=3.0), start),
+            "lp_kinetic": (lp_kinetic(g, UPWIND, q=3.0), start),
             "sbp_entropic": (sbp_entropic(g, symmetric_rates(g)), start),
             "sbp_psi": (sbp_psi(g, ramp), hopf_cole(start)),
             "schrodinger_fg": (schrodinger_fg(g, ramp), madelung(start)),

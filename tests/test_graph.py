@@ -18,6 +18,7 @@ from graphham.errors import (
     AsymmetricWeight,
     BoundaryDensity,
     DisconnectedGraph,
+    MalformedEdge,
     NonpositiveWeight,
     SelfLoop,
 )
@@ -34,7 +35,7 @@ from graphham.graph import (
     inner_product,
     validate_graph,
 )
-from graphham.theta import AVERAGE, LOGMEAN, theta_partial, upwind
+from graphham.theta import AVERAGE, LOGMEAN, UPWIND, theta_partial
 
 
 def two_node():
@@ -75,13 +76,31 @@ class TestValidation:
         with pytest.raises(AsymmetricWeight):
             validate_graph(2, [(0, 1, 1.0), (1, 0, 2.0)])
 
+    @pytest.mark.parametrize("nodes, edges, message", [
+        (3, [[0, 1, 1.0], [1, 5, 1.0]], "outside node range"),
+        (3, [[0, 1], [1, 2, 1.0]], "is not"),
+        (3, [[0, 1, 1.0, 1.0, 1.0], [1, 2, 1.0]], "is not"),
+        (2, [[0, "x", 1.0]], "is not"),
+        (2, [[0, 1, "heavy"]], "is not"),
+        (2, [7], "is not"),
+    ])
+    def test_malformed_edge_is_typed(self, nodes, edges, message):
+        with pytest.raises(MalformedEdge, match=message):
+            validate_graph(nodes, edges)
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(NonpositiveWeight):
+            validate_graph(2, [(0, 1, float("nan"))])
+
     def test_density_gauge(self):
         with pytest.raises(BoundaryDensity):
             Density(np.array([0.7, 0.7]))
         with pytest.raises(BoundaryDensity):
             Density(np.array([1.2, -0.2]))
+        with pytest.raises(BoundaryDensity):
+            Density(np.array([0.5, float("nan")]))
         d = Density(np.array([0.25, 0.75]))
-        assert d.interior()
+        assert d.values.min() > 0
 
     def test_potential_zero_mean(self):
         p = Potential(np.array([1.0, 2.0, 6.0]))
@@ -112,7 +131,7 @@ class TestCalculus:
     def test_divergence_sums_to_zero(self):
         rng = np.random.default_rng(3)
         g = complete_graph(5)
-        for kind in (AVERAGE, LOGMEAN, upwind()):
+        for kind in (AVERAGE, LOGMEAN, UPWIND):
             for _ in range(25):
                 rho = rng.dirichlet(np.ones(5))
                 raw = rng.normal(size=(5, 5))
@@ -200,21 +219,22 @@ class TestHodge:
 
 
 class TestEdgeTheta:
-    @pytest.mark.parametrize("kind", [AVERAGE, LOGMEAN, upwind(np.array([0.3, -0.2, 0.5, 0.1]))])
+    @pytest.mark.parametrize("kind", [AVERAGE, LOGMEAN, UPWIND])
     def test_partial_sum_matches_differences(self, kind):
         # P_k = d theta_ij / d rho_i + d theta_ji / d rho_i for pair k = (i, j)
         g = validate_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5), (0, 2, 1.5)])
         rho = np.array([0.1, 0.2, 0.3, 0.4])
-        th, p = edge_theta_with_partial_sum(g, rho, kind)
+        s = np.array([0.3, -0.2, 0.5, 0.1])
+        direction = s[g.src] - s[g.dst]     # read by the upwind kind only
+        th, p = edge_theta_with_partial_sum(g, rho, kind, direction=direction)
         # the same bits as the weights and partials evaluated apart
-        np.testing.assert_array_equal(th, edge_theta(g, rho, kind))
-        first, second = theta_partial(kind, rho[g.src], rho[g.dst],
-                                      np.zeros(len(g.src)) if kind.direction is None
-                                      else kind.direction[g.src] - kind.direction[g.dst])
+        np.testing.assert_array_equal(th, edge_theta(g, rho, kind, direction=direction))
+        first, second = theta_partial(kind, rho[g.src], rho[g.dst], direction)
         np.testing.assert_array_equal(p, first + second[g.rev])
         h = 1e-6
         for i in range(g.n):
             e = h * np.eye(g.n)[i]
-            d = (edge_theta(g, rho + e, kind) - edge_theta(g, rho - e, kind)) / (2 * h)
+            d = (edge_theta(g, rho + e, kind, direction=direction)
+                 - edge_theta(g, rho - e, kind, direction=direction)) / (2 * h)
             at_i = g.src == i
             np.testing.assert_allclose(p[at_i], (d + d[g.rev])[at_i], atol=1e-8)

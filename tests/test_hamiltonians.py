@@ -29,7 +29,6 @@ from graphham.hamiltonians import (
     QUADRATIC_DUAL,
     PhasePoint,
     constant_rates,
-    dual_from_name,
     eval_H,
     fisher_information,
     fisher_ot,
@@ -45,7 +44,7 @@ from graphham.hamiltonians import (
     symmetric_rates,
     vector_field,
 )
-from graphham.theta import AVERAGE, LOGMEAN, upwind
+from graphham.theta import AVERAGE, LOGMEAN, UPWIND
 from graphham.dynamics import integrate
 
 
@@ -218,11 +217,6 @@ class TestConvexDuals:
         assert QUADRATIC_DUAL.value(0.0) == 0.0
         assert QUADRATIC_DUAL.value(2.0) == 4.0
 
-    def test_lookup(self):
-        assert dual_from_name("entropy") is ENTROPY_DUAL
-        with pytest.raises(ValueError):
-            dual_from_name("cubic")
-
 
 class TestKineticPinned:
     # 2 nodes, w = 1, rho = (0.7, 0.3), S = (1, 0), average weights:
@@ -238,7 +232,7 @@ class TestKineticPinned:
 
     def test_upwind_two_node_matches_donor_form(self):
         # S = (0, 1): the gap at node 0 is negative, node 0 donates its mass.
-        spec = ot_kinetic(two_node(), upwind())
+        spec = ot_kinetic(two_node(), UPWIND)
         state = PhasePoint([0.7, 0.3], [0.0, 1.0])
         drho, dpot = vector_field(spec, state)
         assert np.allclose(drho, [-0.7, 0.7])
@@ -332,7 +326,7 @@ class TestFisher:
 
     def test_information_rejects_upwind(self):
         with pytest.raises(ValueError):
-            fisher_information(two_node(), np.array([0.5, 0.5]), upwind())
+            fisher_information(two_node(), np.array([0.5, 0.5]), UPWIND)
 
 
 class TestEntropicPinned:
@@ -447,14 +441,14 @@ class TestGradientConsistency:
 
     def test_upwind_away_from_kinks(self):
         g = complete_graph(3)
-        spec = ot_kinetic(g, upwind())
+        spec = ot_kinetic(g, UPWIND)
         state = PhasePoint([0.5, 0.3, 0.2], [0.9, 0.1, -0.6])
         report = grad_check(spec, state, h=1e-6)
         assert report["max_rel_deviation"] < 1e-6
 
     def test_kink_proximity_raises(self):
         g = complete_graph(3)
-        spec = ot_kinetic(g, upwind())
+        spec = ot_kinetic(g, UPWIND)
         state = PhasePoint([0.5, 0.3, 0.2], [0.5, 0.5 + 1e-9, -0.6])
         with pytest.raises(KinkProximity):
             grad_check(spec, state, h=1e-6)

@@ -43,7 +43,7 @@ from graphham.markov import (
     sample_paths,
     validate_rate_matrix,
 )
-from graphham.theta import AVERAGE, LOGMEAN, upwind
+from graphham.theta import AVERAGE, LOGMEAN, UPWIND
 from graphham.dynamics import fundamental_matrix, integrate, schrodinger_evolve
 
 K2 = complete_graph(2)
@@ -127,7 +127,7 @@ class TestUpwindRates:
         # S = (1, 0): mass rides toward the larger potential, so node 2
         # drains into node 1 and row 1 is silent
         state = PhasePoint(np.array([0.4, 0.6]), np.array([1.0, 0.0]))
-        r = build_rate_matrix("upwind_ot", K2, state)
+        r = build_rate_matrix(ot_kinetic(K2, UPWIND), state)
         assert r.valid
         np.testing.assert_allclose(r.entries, [[0.0, 0.0], [1.0, -1.0]], atol=1e-15)
 
@@ -136,15 +136,15 @@ class TestUpwindRates:
         g = validate_graph(3, [(0, 1, 1.3), (1, 2, 0.7), (0, 2, 2.0)])
         for _ in range(100):
             state = PhasePoint(random_interior(rng, 3), rng.normal(size=3))
-            assert build_rate_matrix("upwind_ot", g, state).valid
+            assert build_rate_matrix(ot_kinetic(g, UPWIND), state).valid
 
     def test_reproduces_density_equation(self):
         rng = np.random.default_rng(11)
-        spec = ot_kinetic(K3, upwind())
+        spec = ot_kinetic(K3, UPWIND)
         for _ in range(20):
             state = PhasePoint(random_interior(rng, 3), rng.normal(size=3))
             drho, _ = vector_field(spec, state)
-            q = build_rate_matrix("upwind_ot", K3, state).entries
+            q = build_rate_matrix(spec, state).entries
             np.testing.assert_allclose(state.rho @ q, drho, atol=1e-13)
 
 
@@ -159,7 +159,7 @@ class TestSbpRates:
         rho = np.real(v[:, np.argmin(np.abs(w))])
         rho = rho / rho.sum()
         state = PhasePoint(rho, -0.5 * np.log(rho))
-        r = build_rate_matrix("sbp", K3, state, reference=rates)
+        r = build_rate_matrix(sbp_entropic(K3, rates), state)
         assert r.valid
         np.testing.assert_allclose(r.entries, m, atol=1e-12)
 
@@ -170,7 +170,7 @@ class TestSbpRates:
         for _ in range(20):
             state = PhasePoint(random_interior(rng, 3), 0.5 * rng.normal(size=3))
             drho, _ = vector_field(spec, state)
-            q = build_rate_matrix("sbp", K3, state, reference=rates)
+            q = build_rate_matrix(spec, state)
             assert q.valid
             np.testing.assert_allclose(state.rho @ q.entries, drho, atol=1e-12)
 
@@ -179,7 +179,7 @@ class TestSbpRates:
         g = validate_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         rates = symmetric_rates(g)
         state = PhasePoint(np.full(3, 1 / 3), [0.0, -360.0, -720.0])
-        q = build_rate_matrix("sbp", g, state, reference=rates)
+        q = build_rate_matrix(sbp_entropic(g, rates), state)
         assert q.valid
         drho, _ = vector_field(sbp_entropic(g, rates), state)
         scale = np.abs(drho).max()
@@ -190,7 +190,7 @@ class TestThetaRates:
     def test_average_counterexample_flagged(self):
         # the arithmetic splitting at S = (1, 0) wants a negative rate
         state = PhasePoint(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
-        r = build_rate_matrix("theta_general", K2, state, theta_kind=AVERAGE)
+        r = build_rate_matrix(ot_kinetic(K2, AVERAGE), state)
         assert not r.valid
         assert any(i == 0 and j == 1 and v < 0 for i, j, v in r.violations)
         np.testing.assert_allclose(r.entries[0, 1], -0.5, atol=1e-15)
@@ -201,7 +201,7 @@ class TestThetaRates:
         for _ in range(20):
             state = PhasePoint(random_interior(rng, 3), rng.normal(size=3))
             drho, _ = vector_field(spec, state)
-            q = build_rate_matrix("theta_general", K3, state, theta_kind=AVERAGE)
+            q = build_rate_matrix(spec, state)
             np.testing.assert_allclose(state.rho @ q.entries, drho, atol=1e-13)
 
     def test_logmean_reproduces_density_equation(self):
@@ -210,13 +210,13 @@ class TestThetaRates:
         for _ in range(20):
             state = PhasePoint(random_interior(rng, 3), rng.normal(size=3))
             drho, _ = vector_field(spec, state)
-            q = build_rate_matrix("theta_general", K3, state, theta_kind=LOGMEAN)
+            q = build_rate_matrix(spec, state)
             np.testing.assert_allclose(state.rho @ q.entries, drho, atol=1e-12)
 
     def test_logmean_degenerates_at_equal_masses(self):
         state = PhasePoint(np.array([0.25, 0.25, 0.5]), np.array([1.0, 0.0, 0.5]))
         with pytest.raises(NoRateDecomposition, match="equal masses"):
-            build_rate_matrix("theta_general", K3, state, theta_kind=LOGMEAN)
+            build_rate_matrix(ot_kinetic(K3, LOGMEAN), state)
 
 
 class TestPropagator:
@@ -284,12 +284,12 @@ class TestPropagator:
     def test_couples_to_hamiltonian_flow(self):
         # freezing Q(t) along a flow and propagating the start density must
         # land on the flow's own endpoint density
-        spec = ot_kinetic(K3, upwind())
+        spec = ot_kinetic(K3, UPWIND)
         state = PhasePoint(np.array([0.5, 0.3, 0.2]), np.array([0.2, -0.05, 0.15]))
         traj = integrate(spec, state, 0.0, 0.3, dt=5e-4)
         assert traj.min_rho.min() > 0.02
         qs = np.stack([
-            build_rate_matrix("upwind_ot", K3, traj.state(k)).entries
+            build_rate_matrix(spec, traj.state(k)).entries
             for k in range(len(traj.times))
         ])
 
@@ -319,7 +319,7 @@ class TestStepCount:
             "propagator": lambda: propagator(self.Q, 1.0, 0.0),
             "schrodinger_evolve": lambda: schrodinger_evolve(flip, f0=[1.0, 1.0],
                                                              t0=1.0, t1=0.0),
-            "integrate": lambda: integrate(ot_kinetic(K2, upwind()), state, 1.0, 0.0, 1e-2),
+            "integrate": lambda: integrate(ot_kinetic(K2, UPWIND), state, 1.0, 0.0, 1e-2),
         }
 
     @pytest.mark.parametrize("name", ["fundamental_matrix", "propagator",

@@ -21,9 +21,9 @@ from hypothesis import given, settings, strategies as st
 from graphham.graph import validate_graph
 from graphham.hamiltonians import PhasePoint, fisher_ot, lp_kinetic, ot_kinetic, prepare
 from graphham.markov import build_rate_matrix, validate_rate_matrix
-from graphham.theta import AVERAGE, LOGMEAN, theta, theta_partial, upwind
+from graphham.theta import AVERAGE, LOGMEAN, UPWIND, theta, theta_partial
 
-KINDS = {"average": AVERAGE, "logmean": LOGMEAN, "upwind": upwind()}
+KINDS = {"average": AVERAGE, "logmean": LOGMEAN, "upwind": UPWIND}
 
 
 # -- the dense oracle: the (n, n) formulas the pair calculus replaced -------------
@@ -31,11 +31,10 @@ KINDS = {"average": AVERAGE, "logmean": LOGMEAN, "upwind": upwind()}
 # edge rows, not from the pair arrays under test.
 
 
-def dense_direction(kind, fallback):
+def dense_direction(kind, source):
     if kind.kind != "upwind":
         return 0.0
-    src = kind.direction if kind.direction is not None else fallback
-    src = np.asarray(src, dtype=float)
+    src = np.asarray(source, dtype=float)
     if src.ndim == 1:
         return src[:, None] - src[None, :]
     return src
@@ -185,7 +184,7 @@ def test_pair_calculus_matches_dense_oracle(n, seed, kind, smooth, q):
     specs = [ot_kinetic(g, theta_kind), lp_kinetic(g, theta_kind, q=q)]
     if kind != "upwind":
         specs.append(fisher_ot(g, theta_kind, beta=float(rng.uniform(0.0, 0.5))))
-    specs.append(fisher_ot(g, upwind() if kind == "upwind" else theta_kind,
+    specs.append(fisher_ot(g, UPWIND if kind == "upwind" else theta_kind,
                            kind_tilde=KINDS[smooth], beta=0.125))
     for spec in specs:
         field, energy = prepare(spec)
@@ -196,10 +195,10 @@ def test_pair_calculus_matches_dense_oracle(n, seed, kind, smooth, q):
 
     state = PhasePoint(rho, pot)
     if kind == "upwind":
-        close(build_rate_matrix("upwind_ot", g, state).entries,
+        close(build_rate_matrix(ot_kinetic(g, UPWIND), state).entries,
               dense_rates(d, "upwind_ot", rho, pot))
     else:
-        close(build_rate_matrix("theta_general", g, state, theta_kind=theta_kind).entries,
+        close(build_rate_matrix(ot_kinetic(g, theta_kind), state).entries,
               dense_rates(d, "theta_general", rho, pot, theta_kind))
 
 

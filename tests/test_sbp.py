@@ -44,7 +44,7 @@ from graphham.sbp import (
     stationary_density,
     stationary_point,
 )
-from graphham.theta import upwind
+from graphham.theta import UPWIND
 
 FLIP = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -297,6 +297,12 @@ class TestBruteForce:
         with pytest.raises(NegativeStepProbability):
             path_entropy_bruteforce(sol, 2)
 
+    @pytest.mark.parametrize("n_steps", [0, -2])
+    def test_bruteforce_needs_a_step(self, n_steps):
+        sol = solve_bridge(BridgeProblem(constant_rates(FLIP), [0.9, 0.1], [0.1, 0.9]), dt=0.01)
+        with pytest.raises(ValueError, match="at least one step"):
+            path_entropy_bruteforce(sol, n_steps)
+
 
 class TestPeriodicConstruction:
     def test_two_node_loop(self):
@@ -396,7 +402,7 @@ class TestStationarity:
         assert markov_condition_residual(spec, state).max() > 1e-3
 
     def test_donor_splitting_has_no_smooth_generator(self):
-        spec = ot_kinetic(self.g, upwind())
+        spec = ot_kinetic(self.g, UPWIND)
         state = PhasePoint(np.array([0.5, 0.3, 0.2]), np.array([0.3, -0.1, 0.0]))
         with pytest.raises(NonsmoothSpec):
             markov_condition_residual(spec, state)

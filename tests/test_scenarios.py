@@ -120,6 +120,39 @@ class TestCustomConfig:
             parse_config(data)
         assert err.value.key == "edges"
 
+    @pytest.mark.parametrize("block, key", [
+        ({"marginals": {"rho0": [0.5, 0.4], "rho1": [0.4, 0.6]}}, "rho0"),
+        ({"marginals": {"rho0": [0.5, 0.3, 0.2], "rho1": [0.4, 0.6]}}, "rho0"),
+        ({"marginals": {"rho0": [0.6, 0.4], "rho1": [1.2, -0.2]}}, "rho1"),
+        ({"marginals": {"rho0": [0.6, 0.4], "rho1": [0.4, 0.6],
+                        "reference_initial": [0.5, 0.6]}}, "reference_initial"),
+        ({"marginals": {"rho0": [0.6, "x"], "rho1": [0.4, 0.6]}}, "rho0"),
+        ({"initial": {"rho": [1.5, 0.5], "pot": [0.0, 0.0]}}, "rho"),
+        ({"initial": {"rho": [0.5, 0.5], "pot": [0.0, 0.0, 0.0]}}, "pot"),
+        ({"initial": {"rho": [1.0, float("nan")], "pot": [0.0, 0.0]}}, "rho"),
+    ])
+    def test_densities_must_lie_on_the_simplex(self, block, key):
+        data = {"graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+                "reference": {"kind": "symmetric", "value": 1.0}}
+        with pytest.raises(ConfigError) as err:
+            parse_config(dict(data, **block))
+        assert err.value.key == key
+
+    def test_fg_factor_need_not_be_a_density(self):
+        data = {"graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+                "reference": {"kind": "symmetric", "value": 1.0},
+                "hamiltonian": {"variant": "schrodinger_fg"},
+                "initial": {"rho": [0.9, 0.4], "pot": [0.5, 0.5], "chart": "fg"}}
+        assert parse_config(data).initial.chart == "fg"
+
+    def test_rate_kind_and_period_follow_the_parts(self):
+        sc = parse_config(dict(CUSTOM, hamiltonian={"variant": "ot_kinetic",
+                                                    "theta": "upwind"}))
+        assert sc.rate_kind == sc.hamiltonian.rate_kind == "upwind_ot"
+        assert sc.period is None
+        periodic = load_config("two-node-periodic")
+        assert periodic.period == periodic.reference.period
+
     def test_top_level_must_be_object(self):
         with pytest.raises(ConfigError):
             parse_config([1, 2])

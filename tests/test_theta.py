@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graphham.errors import BoundaryDensity
-from graphham.theta import AVERAGE, LOGMEAN, ThetaKind, from_name, theta, theta_partial, upwind
+from graphham.theta import AVERAGE, LOGMEAN, UPWIND, ThetaKind, from_name, theta, theta_partial
 
 masses = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False, allow_infinity=False)
 
@@ -36,9 +36,9 @@ class TestPinnedValues:
         assert theta(LOGMEAN, 0.37, 0.37) == pytest.approx(0.37, rel=1e-14)
 
     def test_upwind_branches(self):
-        assert theta(upwind(), 0.2, 0.4, dir_ij=1.0) == 0.4
-        assert theta(upwind(), 0.2, 0.4, dir_ij=-1.0) == 0.2
-        assert theta(upwind(), 0.2, 0.4, dir_ij=0.0) == 0.2  # tie goes to rho_i
+        assert theta(UPWIND, 0.2, 0.4, dir_ij=1.0) == 0.4
+        assert theta(UPWIND, 0.2, 0.4, dir_ij=-1.0) == 0.2
+        assert theta(UPWIND, 0.2, 0.4, dir_ij=0.0) == 0.2  # tie goes to rho_i
 
     def test_from_name_roundtrip(self):
         for name in ("average", "logmean", "upwind"):
@@ -123,10 +123,10 @@ class TestPartials:
 
     def test_upwind_partials_match_fd(self):
         for dir_ij in (1.0, -1.0):
-            partials = theta_partial(upwind(), 0.3, 0.6, dir_ij)
+            partials = theta_partial(UPWIND, 0.3, 0.6, dir_ij)
             for got, which in zip(partials, ("first", "second")):
                 got = float(got)
-                want = self._fd(upwind(), 0.3, 0.6, which, dir_ij=dir_ij)
+                want = self._fd(UPWIND, 0.3, 0.6, which, dir_ij=dir_ij)
                 assert got == pytest.approx(want, abs=1e-9)
 
     def test_logmean_partials_sum_to_one_on_diagonal(self):
@@ -142,4 +142,4 @@ class TestUpwindSymmetry:
         # exactly at ties, which the flow factor kills anyway
         if d == 0:
             return
-        assert float(theta(upwind(), a, b, d)) == float(theta(upwind(), b, a, -d))
+        assert float(theta(UPWIND, a, b, d)) == float(theta(UPWIND, b, a, -d))
