@@ -36,7 +36,7 @@ from .errors import (
     NonsmoothSpec,
     RateBoundExceeded,
 )
-from .hamiltonians import PhasePoint, _recorded_rates, sbp_entropic, vector_field
+from .hamiltonians import PhasePoint, _RecordedRates, sbp_entropic, vector_field
 from .markov import (
     _step_count,
     build_rate_matrix,
@@ -264,13 +264,9 @@ def cmd_geodesic(scenario: Scenario, out: Path, args) -> int:
               % report["first_invalid_time"], file=sys.stderr)
         return 2
 
-    # The sampler keeps a copy made after the report loop. Keeping the stack
-    # allocated before that loop's temporaries left about 80 MB more of freed
-    # heap resident in later invocations of one process (glibc malloc, n = 64).
-    qs = qs.copy()
     rec_dt = float(traj.times[1] - traj.times[0]) if len(traj.times) > 1 else scenario.dt
     # nearest recorded snapshot; the final recording gap may be short
-    frozen = _recorded_rates(scenario.t0, rec_dt, qs)
+    frozen = _RecordedRates(scenario.t0, rec_dt, qs)
     rho0 = _to_s_chart(scenario.initial).rho
     paths = sample_paths(frozen, rho0, scenario.particles, scenario.t0,
                          scenario.t1, seed=scenario.seed, lam=scenario.lam)

@@ -29,7 +29,8 @@ class AsymmetricWeight(GraphHamError):
 
 
 class MalformedEdge(GraphHamError):
-    """An edge row is not (i, j, w) or (i, j, w, wt), or names a node outside 0..n-1."""
+    """The node count is not an integer, or an edge row is not (i, j, w) or
+    (i, j, w, wt) with integer nodes, or names a node outside 0..n-1."""
 
 
 # -- states on the simplex -----------------------------------------------------

@@ -72,21 +72,33 @@ class Graph:
         return self.weight > 0
 
 
+def _integer(x) -> int:
+    """x as an int if it is a number of integral value other than a boolean;
+    TypeError, ValueError or OverflowError otherwise."""
+    i = int(x)
+    if i != x or isinstance(x, (bool, np.bool_)):
+        raise ValueError("%r is not an integer" % (x,))
+    return i
+
+
 def validate_graph(raw_nodes, raw_edges) -> Graph:
     """Build a Graph from a node count and an edge list.
 
     raw_edges rows are (i, j, w) or (i, j, w, wt); duplicate orientations
     are allowed only when their weights agree exactly.
     """
-    n = int(raw_nodes)
+    try:
+        n = _integer(raw_nodes)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedEdge("node count %r is not an integer" % (raw_nodes,)) from exc
     if n < 2:
         raise DisconnectedGraph("need at least two nodes, got %d" % n)
     seen = {}
     for row in raw_edges:
         try:
             i, j, w, wt = (*row, row[2]) if len(row) == 3 else row
-            i, j, w, wt = int(i), int(j), float(w), float(wt)
-        except (TypeError, ValueError, LookupError) as exc:
+            i, j, w, wt = _integer(i), _integer(j), float(w), float(wt)
+        except (TypeError, ValueError, LookupError, OverflowError) as exc:
             raise MalformedEdge("edge row %r is not (i, j, w) or (i, j, w, wt)"
                                 % (row,)) from exc
         if not (0 <= i < n and 0 <= j < n):

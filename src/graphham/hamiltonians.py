@@ -142,20 +142,43 @@ class ReferenceRates:
             return np.broadcast_to(self.matrix, (len(ts), self.n, self.n))
         return np.asarray(self._batch_fn(ts), dtype=float)
 
+    def rows(self, times, states) -> np.ndarray:
+        """(len(times), n) rows m(times[k])[states[k]], equal to
+        at_many(times)[k, states[k]] without holding the (len, n, n) stack: a
+        time-dependent m is evaluated in blocks of times whose stack holds at
+        most as many entries as the rows, or as one _block_size(n) block."""
+        states = np.asarray(states, dtype=np.intp)
+        if self.matrix is not None:
+            return self.matrix[states]
+        times = np.asarray(times, dtype=float)
+        out = np.empty((len(times), self.n))
+        size = max(_block_size(self.n), -(-len(times) // self.n))
+        for lo in range(0, len(times), size):
+            ms = self.at_many(times[lo:lo + size])
+            out[lo:lo + len(ms)] = ms[np.arange(len(ms)), states[lo:lo + size]]
+        return out
+
     def support(self) -> np.ndarray:
         """Read-only boolean off-diagonal mask of the pairs that may carry rate."""
         return self._support
 
 
-def _recorded_rates(t0: float, dt: float, stack: np.ndarray) -> ReferenceRates:
+class _RecordedRates(ReferenceRates):
     """Rates read from a (K, n, n) stack recorded every dt from t0: each time
-    takes the nearest row, clipped to the first and last."""
-    top = len(stack) - 1
+    takes the nearest row, clipped to the first and last. rows() gathers
+    from the stack itself."""
 
-    def batch(ts):
-        return stack[np.clip(np.round((np.asarray(ts) - t0) / dt), 0, top).astype(int)]
+    def __init__(self, t0: float, dt: float, stack: np.ndarray):
+        self._t0, self._dt, self._stack = t0, dt, stack
+        super().__init__(stack.shape[1], batch_fn=lambda ts: stack[self._index(ts)])
 
-    return ReferenceRates(stack.shape[1], batch_fn=batch)
+    def _index(self, ts) -> np.ndarray:
+        steps = np.round((np.asarray(ts) - self._t0) / self._dt)
+        return np.clip(steps, 0, len(self._stack) - 1).astype(int)
+
+    def rows(self, times, states) -> np.ndarray:
+        return self._stack[self._index(np.asarray(times, dtype=float)),
+                           np.asarray(states, dtype=np.intp)]
 
 
 def _block_size(n: int) -> int:
@@ -444,6 +467,11 @@ def prepare(spec: HamiltonianSpec, times=()):
     return variant(spec, _reference_at(spec.reference, times))
 
 
+def _lp_flow(ds, q: float):
+    """|ds|^(q-1) sign(ds), the lp_kinetic flux per unit weight and theta of a gap ds."""
+    return np.abs(ds) ** (q - 1.0) * np.sign(ds)
+
+
 def _kinetic(spec: HamiltonianSpec):
     """ot_kinetic and lp_kinetic, and fisher_ot as ot_kinetic minus beta * I,
     over the graph's ordered pairs.
@@ -477,7 +505,7 @@ def _kinetic(spec: HamiltonianSpec):
         ds = gaps(rho, pot)
         th, psum = edge_theta_with_partial_sum(g, rho, kind, direction=ds)
         if lp:
-            flow = np.abs(ds) ** (q - 1.0) * np.sign(ds)
+            flow = _lp_flow(ds, q)
             drho = np.bincount(src, w * flow * th, minlength=n)
             dpot = -np.bincount(src, w * np.abs(ds) ** q * psum, minlength=n) / (2.0 * q)
         else:

@@ -10,6 +10,8 @@ Hamiltonian's own kind is HamiltonianSpec.rate_kind:
 
 * upwind_ot      Q_ab = w_ab (S_b - S_a)^+ off the diagonal; mass rides the
                  potential gradient from the donor node. Always valid.
+                 lp_kinetic takes the flux |S_b - S_a|^(q-1) sign(S_b - S_a)
+                 in place of the gap here and in theta_general.
 * sbp            Q_ab = e^{S_b - S_a} sqrt(rho_b / rho_a) m_ab; the
                  reweighting of the reference by h = e^S sqrt(rho). Always
                  valid when rho is interior.
@@ -40,6 +42,7 @@ from .hamiltonians import (
     _block_size,
     _capped,
     _kolmogorov,
+    _lp_flow,
     _reference_at,
     constant_rates,
 )
@@ -118,10 +121,12 @@ def build_rate_matrix(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0) 
         return validate_rate_matrix(q, kind)
 
     ds = s[g.src] - s[g.dst]                        # S_a - S_b over the pairs
+    # the flow's flux function of the gaps; at q = 2 it is the gap itself
+    flow = _lp_flow(ds, spec.q) if spec.variant == "lp_kinetic" and spec.q != 2 else ds
     if kind == "upwind_ot":
-        rate = g.w * np.clip(-ds, 0.0, None)
+        rate = g.w * np.clip(-flow, 0.0, None)
     elif spec.theta.kind == "average":
-        rate = 0.5 * g.w * (-ds)
+        rate = 0.5 * g.w * (-flow)
     else:                                           # the log-mean splitting
         if np.min(rho) <= 0:
             raise BoundaryDensity("log-mean splitting needs interior masses")
@@ -129,7 +134,7 @@ def build_rate_matrix(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0) 
         dlog = logs[g.src] - logs[g.dst]
         if (np.abs(dlog) < 1e-12).any():
             raise NoRateDecomposition("log-mean splitting degenerates at equal masses")
-        rate = -g.w * ds / dlog
+        rate = -g.w * flow / dlog
     return validate_rate_matrix(_scatter(g, rate), kind)
 
 
@@ -324,9 +329,12 @@ def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,
     seed's two 32-bit words at counter (proposal j, path index low and high
     word, lane): lane 0 gives proposal j's gap and accept uniform, lane 1
     its jump-target uniform, lane 2 at j = 0 the start state. So a path
-    depends only on (seed, path index), not on `chunk`, which bounds the
-    (paths, n, n) rate stack of one step. lam must bound |Q_ii| on a
-    grid of _BOUND_GRID times; a zero generator with lam = 0 never proposes.
+    depends only on (seed, path index), not on `chunk`, the number of paths
+    one proposal round carries: rounds over all 40,000 paths of a run ran
+    slower, their working arrays falling out of cache. Each proposal reads
+    only its current state's row, through ReferenceRates.rows, so memory is
+    O(paths n). lam must bound |Q_ii| on a grid of _BOUND_GRID times; a zero
+    generator with lam = 0 never proposes.
     """
     rates = _as_reference(rates_like)
     seed = operator.index(seed)
@@ -334,9 +342,11 @@ def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,
         raise ValueError("seed %d outside the Philox key range [0, 2**64)" % seed)
     key = (seed & _WORD, seed >> 32)
 
-    stack = rates.at_many(np.linspace(t0, t1, _BOUND_GRID))
-    _require_valid_stack(stack)
-    peak = float(np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2))))
+    grid, size, peak = np.linspace(t0, t1, _BOUND_GRID), _block_size(rates.n), 0.0
+    for lo in range(0, _BOUND_GRID, size):
+        stack = rates.at_many(grid[lo:lo + size])
+        _require_valid_stack(stack)
+        peak = max(peak, float(np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2)))))
     lam = 1.2 * peak if lam is None else lam
     if lam < peak:
         raise RateBoundExceeded(
@@ -348,6 +358,8 @@ def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,
     cur_t = np.full(n_paths, float(t0))
     j = np.zeros(n_paths, dtype=np.uint64)
     events = [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))]
+    # a constant generator's diagonal is fixed: it reads rows for the jumps only
+    fixed = rates.matrix.diagonal() if rates.constant else None
     for lo in range(0, n_paths if lam > 0 else 0, chunk):
         live = np.arange(lo, min(lo + chunk, n_paths))
         while len(live):
@@ -357,15 +369,19 @@ def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,
             live, tau, u_acc = live[inside], tau[inside], u_acc[inside]
             if len(live) == 0:
                 break
-            q = rates.at_many(tau)
-            diag = q[np.arange(len(live)), state[live], state[live]]
+            if fixed is None:
+                q = rates.rows(tau, state[live])
+                diag = q[np.arange(len(live)), state[live]]
+            else:
+                diag = fixed[state[live]]
             if np.max(np.abs(diag)) > lam:
                 raise RateBoundExceeded(
                     "|Q_ii| = %g exceeds the bound %g; rerun with larger safety"
                     % (np.max(np.abs(diag)), lam))
             accept = np.flatnonzero(u_acc < (-diag / lam))
             jump = live[accept]
-            rows = np.clip(q[accept, state[jump]], 0.0, None)
+            rows = np.clip(q[accept] if fixed is None else rates.rows(tau[accept], state[jump]),
+                           0.0, None)
             rows[np.arange(len(jump)), state[jump]] = 0.0
             # clamp-residue rows with no positive exit are no jump at all
             solid = rows.sum(axis=1) > 0

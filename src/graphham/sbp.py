@@ -34,7 +34,7 @@ from .errors import (
     SupportMismatch,
 )
 from .graph import _arr
-from .hamiltonians import HamiltonianSpec, PhasePoint, ReferenceRates, _recorded_rates
+from .hamiltonians import HamiltonianSpec, PhasePoint, ReferenceRates, _BLOCK_ENTRIES, _RecordedRates
 from .dynamics import integrate
 from .markov import LinearGrid, build_rate_matrix
 
@@ -132,7 +132,7 @@ class BridgeSolution:
     entropy: float              # integrated entropy production of m_hat vs m
 
     def rates(self) -> ReferenceRates:
-        return _recorded_rates(self.times[0], float(self.times[1] - self.times[0]), self.m_hat)
+        return _RecordedRates(self.times[0], float(self.times[1] - self.times[0]), self.m_hat)
 
 
 def _coupling_entropy(logk: np.ndarray, phi: np.ndarray, gam: np.ndarray,
@@ -282,20 +282,40 @@ def path_entropy_bruteforce(solution: BridgeSolution, n_steps: int) -> float:
                 raise NegativeStepProbability(
                     "%s holding probability negative at t = %g; take more steps"
                     % (name, t))
-        b = len(states)
-        idx = np.repeat(np.arange(b), n)
-        tgt = np.tile(np.arange(n), b)
         with np.errstate(divide="ignore"):
-            lp = logp[idx] + np.log(pi_hat[states[idx], tgt])
-            lr = logr[idx] + np.log(pi_ref[states[idx], tgt])
-        keep = np.isfinite(lp)
-        if np.any(~np.isfinite(lr[keep])):
-            raise SupportMismatch("bridged chain leaves the reference support")
-        states, logp, logr = tgt[keep], lp[keep], lr[keep]
-        if len(states) > 2e7:
-            raise PathExplosion("path frontier outgrew memory bounds")
+            log_hat, log_ref = np.log(pi_hat), np.log(pi_ref)
+        states, logp, logr = _next_frontier(states, logp, logr, log_hat, log_ref)
+    del states      # the sum reads only the log-probabilities
 
     return float(np.sum(np.exp(logp) * (logp - logr)))
+
+
+def _next_frontier(states, logp, logr, log_hat, log_ref):
+    """Every child (path, target) of the frontier with a finite bridged
+    log-probability, in row-major order, expanded _BLOCK_ENTRIES entries at
+    a time: its target, and its bridged and reference log-probabilities.
+
+    Frontier log-probabilities are finite and no step log is below
+    log(5e-324), so a child is kept exactly where its log pi_hat is finite.
+    """
+    kept = np.isfinite(log_hat)
+    total = int(kept.sum(axis=1)[states].sum())
+    if total > 2e7:
+        raise PathExplosion("path frontier outgrew memory bounds")
+    out = np.empty(total, np.int64), np.empty(total), np.empty(total)
+    size, at = max(1, _BLOCK_ENTRIES // len(log_hat)), 0
+    for lo in range(0, len(states), size):
+        src = states[lo:lo + size]
+        keep = kept[src]
+        lr = (logr[lo:lo + size, None] + log_ref[src])[keep]
+        if not np.isfinite(lr).all():
+            raise SupportMismatch("bridged chain leaves the reference support")
+        end = at + len(lr)
+        out[0][at:end] = np.nonzero(keep)[1]
+        out[1][at:end] = (logp[lo:lo + size, None] + log_hat[src])[keep]
+        out[2][at:end] = lr
+        at = end
+    return out
 
 
 # -- periodic rates from a prescribed density loop -------------------------------------

@@ -1,9 +1,9 @@
 """Generated configs and argv through cli.main.
 
 Claims checked here, for small generated configs of every subcommand with
-refusable faults mixed in (flags the subcommand does not read, malformed
-and dangling edges, wrong-length and off-simplex densities, bad --oracle
-and --tol values):
+refusable faults mixed in (flags the subcommand does not read, malformed,
+fractional and dangling edges, a fractional node count, wrong-length and
+off-simplex densities, bad --oracle and --tol values):
   * main returns an exit code in 0-4 and no exception escapes it, so no
     traceback reaches stderr
   * an input refused while parsing argv or the config exits 1 and leaves
@@ -53,11 +53,13 @@ def cases(draw):
     """(argv, config, fault): fault names the parse-time fault mixed in, or is None."""
     n = draw(st.integers(2, 3))
     command = draw(st.sampled_from(sorted(READS)))
-    fault = draw(st.sampled_from([None] * 4 + ["edge", "density", "unread flag", "bad value"]))
+    fault = draw(st.sampled_from([None] * 4 + ["edge", "nodes", "density", "unread flag",
+                                               "bad value"]))
     edges = [[i, i + 1, 1.0] for i in range(n - 1)]
     if fault == "edge":
-        edges.append(draw(st.sampled_from([[0, n + 1, 1.0], [0, 1], [0, 1, "heavy"]])))
-    config = {"graph": {"nodes": n, "edges": edges},
+        edges.append(draw(st.sampled_from([[0, n + 1, 1.0], [0, 1], [0, 1, "heavy"],
+                                           [0.5, 1, 1.0], [0, n - 0.1, 1.0]])))
+    config = {"graph": {"nodes": n + 0.5 if fault == "nodes" else n, "edges": edges},
               "horizon": {"t0": 0.0, "t1": 0.1, "dt": 0.01},
               "sampler": {"particles": 20, "seed": 1}}
     shape = {"geodesic": "flow", "simulate": "chain", "bridge": "bridge"}.get(

@@ -83,10 +83,22 @@ class TestValidation:
         (2, [[0, "x", 1.0]], "is not"),
         (2, [[0, 1, "heavy"]], "is not"),
         (2, [7], "is not"),
+        (3, [[0.5, 1, 1.0], [1, 2.9, 1.0]], "is not"),
+        (3, [[0, 1, 1.0], [1, 2.9, 1.0]], "is not"),
+        (2, [[0, float("inf"), 1.0]], "is not"),
+        (2, [[0, 1, 10 ** 400]], "is not"),
+        (2, [[False, True, 1.0]], "is not"),
+        (2, [["0", 1, 1.0]], "is not"),
+        (3.5, [[0, 1, 1.0], [1, 2, 1.0]], "node count"),
+        (True, [], "node count"),
     ])
     def test_malformed_edge_is_typed(self, nodes, edges, message):
         with pytest.raises(MalformedEdge, match=message):
             validate_graph(nodes, edges)
+
+    def test_integral_floats_are_nodes(self):
+        g = validate_graph(3.0, [[0.0, 1.0, 1.0], [np.int64(1), 2, 1.0]])
+        assert g.n == 3 and g.edges == ((0, 1), (1, 2))
 
     def test_nan_weight_rejected(self):
         with pytest.raises(NonpositiveWeight):

@@ -118,6 +118,33 @@ class TestReferenceRates:
         assert stack.shape == (2, 2, 2)
         assert stack[1, 0, 1] == 1.5
 
+    def test_rows_are_the_stack_rows(self):
+        # a constant matrix, both periodic built-ins, a recorded stack read
+        # before, inside and past its rows, and a batch_fn reference asked for
+        # more times than one block
+        from graphham.hamiltonians import ReferenceRates, _RecordedRates
+        from graphham.scenarios import load_config
+
+        rng = np.random.default_rng(23)
+        m = rng.random((5, 5))
+        np.fill_diagonal(m, 0.0)
+        cases = [(constant_rates(m), rng.uniform(0.0, 3.0, 40))]
+        for name in ("two-node-periodic", "three-node-circle"):
+            rates = load_config(name).reference
+            cases.append((rates, rng.uniform(0.0, rates.period, 9000)))
+        stack = rng.random((11, 40, 40))
+        cases.append((_RecordedRates(0.5, 0.1, stack),
+                      np.concatenate([[0.0, 0.5, 0.54, 0.56, 1.5, 3.0], rng.uniform(0.0, 2.0, 30)])))
+        cases.append((ReferenceRates(40, batch_fn=lambda ts: np.asarray(ts)[:, None, None] * stack[3]),
+                      rng.uniform(0.0, 1.0, 37)))
+        for rates, times in cases:
+            states = rng.integers(0, rates.n, len(times))
+            want = rates.at_many(times)[np.arange(len(times)), states]
+            got = rates.rows(times, states)
+            assert got.shape == (len(times), rates.n)
+            assert got.tobytes() == want.tobytes()
+            assert rates.rows(times[:0], states[:0]).shape == (0, rates.n)
+
     def test_support_mask(self):
         rates = constant_rates([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         sup = rates.support()

@@ -9,6 +9,7 @@ transcription twice.
 
 import json
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,9 @@ from graphham.graph import complete_graph, validate_graph
 from graphham.hamiltonians import (
     PhasePoint,
     ReferenceRates,
+    _RecordedRates,
     constant_rates,
+    lp_kinetic,
     ot_kinetic,
     sbp_entropic,
     symmetric_rates,
@@ -217,6 +220,27 @@ class TestThetaRates:
         state = PhasePoint(np.array([0.25, 0.25, 0.5]), np.array([1.0, 0.0, 0.5]))
         with pytest.raises(NoRateDecomposition, match="equal masses"):
             build_rate_matrix(ot_kinetic(K3, LOGMEAN), state)
+
+
+class TestLpRates:
+    # the flux of lp_kinetic is w |dS|^(q-1) sign(dS), not the q = 2 gap
+    STATE = PhasePoint(np.array([0.5, 0.3, 0.2]), np.array([0.4, -0.1, 0.0]))
+
+    @pytest.mark.parametrize("q", [1.5, 3.0])
+    @pytest.mark.parametrize("kind", [UPWIND, AVERAGE, LOGMEAN], ids=["upwind", "average", "logmean"])
+    def test_reproduces_density_equation(self, kind, q):
+        spec = lp_kinetic(K3, kind, q=q)
+        drho, _ = vector_field(spec, self.STATE)
+        entries = build_rate_matrix(spec, self.STATE).entries
+        assert np.abs(self.STATE.rho @ entries - drho).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", [UPWIND, AVERAGE, LOGMEAN], ids=["upwind", "average", "logmean"])
+    def test_quadratic_rates_are_the_ot_rates(self, kind):
+        # bit for bit, signed zeros included: the gap of nodes 0 and 2 is zero
+        state = PhasePoint(self.STATE.rho, np.array([0.4, -0.1, 0.4]))
+        got = build_rate_matrix(lp_kinetic(K3, kind, q=2.0), state).entries
+        want = build_rate_matrix(ot_kinetic(K3, kind), state).entries
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPropagator:
@@ -428,6 +452,41 @@ class TestSampler:
             sample_paths(rates, [0.2, 0.3, 0.5], 10, 0.0, 1.0, seed=3)
         assert "(0, 2)" in str(want.value)
         assert str(got.value) == str(want.value)
+
+    def test_recorded_and_batch_rows_give_the_same_paths(self):
+        # a recorded stack gathers its rows from the stack; the same stack
+        # behind a batch_fn is read through at_many in blocks of times
+        rng = np.random.default_rng(37)
+        n = 40
+        stack = rng.random((21, n, n)) * (rng.random((21, n, n)) < 0.2)
+        stack[:, np.arange(n), np.arange(n)] = 0.0
+        stack[:, np.arange(n), np.arange(n)] = -stack.sum(axis=2)
+        recorded = _RecordedRates(0.0, 0.05, stack)
+        batch = ReferenceRates(n, batch_fn=lambda ts: stack[
+            np.clip(np.round(np.asarray(ts) / 0.05), 0, 20).astype(int)])
+        a = sample_paths(recorded, np.full(n, 1.0 / n), 300, 0.0, 1.0, seed=4)
+        b = sample_paths(batch, np.full(n, 1.0 / n), 300, 0.0, 1.0, seed=4)
+        assert len(a.times) > 300
+        for name in ("offsets", "times", "states"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_memory_is_per_path_rows(self):
+        # 2,000 paths over a recorded (501, 64, 64) stack read one row per
+        # proposal; the (paths, n, n) stack of a round alone would be 65 MB
+        rng = np.random.default_rng(19)
+        n = 64
+        stack = rng.random((501, n, n)) * (rng.random((501, n, n)) < 0.1)
+        stack[:, np.arange(n), np.arange(n)] = 0.0
+        stack[:, np.arange(n), np.arange(n)] = -stack.sum(axis=2)
+        rates = _RecordedRates(0.0, 0.002, stack)
+        tracemalloc.start()
+        try:
+            paths = sample_paths(rates, np.full(n, 1.0 / n), 2000, 0.0, 1.0, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(paths.times) > 2000
+        assert peak < 8e6
 
     def test_state_lookup(self):
         p = Paths(np.array([0, 2]), np.array([0.25, 0.75]), np.array([0, 1, 0]),

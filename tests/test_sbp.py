@@ -7,6 +7,8 @@ bridged rates. The discrete-chain brute force then closes the triangle at
 finite step counts.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -251,7 +253,99 @@ class TestBridge:
             assert moved <= 100 * eps ** 2
 
 
+def _enumerated(solution, n_steps):
+    """The oracle by index arrays of length b n over the whole frontier: the
+    enumeration path_entropy_bruteforce replaced, kept as its reference."""
+    problem = solution.problem
+    n = problem.reference.n
+    h = (problem.t1 - problem.t0) / n_steps
+    bridged, refr = solution.rates(), problem.reference
+    with np.errstate(divide="ignore"):
+        logp = np.log(problem.rho0)
+        logr = np.log(problem.reference_initial)
+    states = np.arange(n)
+    keep = np.isfinite(logp)
+    states, logp, logr = states[keep], logp[keep], logr[keep]
+    for step in range(n_steps):
+        t = problem.t0 + step * h
+        pi_hat = np.eye(n) + h * bridged.at(t)
+        pi_ref = np.eye(n) + h * refr.at(t)
+        b = len(states)
+        idx = np.repeat(np.arange(b), n)
+        tgt = np.tile(np.arange(n), b)
+        with np.errstate(divide="ignore"):
+            lp = logp[idx] + np.log(pi_hat[states[idx], tgt])
+            lr = logr[idx] + np.log(pi_ref[states[idx], tgt])
+        keep = np.isfinite(lp)
+        assert np.isfinite(lr[keep]).all()
+        states, logp, logr = tgt[keep], lp[keep], lr[keep]
+    return float(np.sum(np.exp(logp) * (logp - logr)))
+
+
+def _builtin_bridge(name):
+    """The bridge `graphham bridge --config name` solves."""
+    from graphham.scenarios import load_config
+
+    sc = load_config(name)
+    return solve_bridge(BridgeProblem(sc.reference, sc.rho0, sc.rho1,
+                                      reference_initial=sc.reference_initial,
+                                      t0=sc.t0, t1=sc.t1), dt=sc.dt)
+
+
 class TestBruteForce:
+    def test_equals_the_full_index_enumeration(self):
+        sol = _builtin_bridge("three-node-bridge")
+        for n_steps in (5, 8, 10):
+            assert path_entropy_bruteforce(sol, n_steps) == _enumerated(sol, n_steps)
+        rng = np.random.default_rng(31)
+        for _ in range(6):
+            n = int(rng.integers(2, 5))
+            m = random_generator(rng, n, low=0.1)
+            m[rng.random((n, n)) < 0.3] = 0.0
+            np.fill_diagonal(m, 0.0)
+            m[0, 1] = m[1, 0] = 0.5                 # stays connected through node 0
+            for i in range(2, n):
+                m[0, i] = m[i, 0] = max(m[0, i], 0.2)
+            rho0, rho1 = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+            sol = solve_bridge(BridgeProblem(constant_rates(m), rho0, rho1), dt=1.0 / 256)
+            for n_steps in (3, 6):
+                assert path_entropy_bruteforce(sol, n_steps) == _enumerated(sol, n_steps)
+
+    def test_bounded_frontier_memory(self):
+        sol = _builtin_bridge("three-node-bridge")
+        tracemalloc.start()
+        try:
+            value = path_entropy_bruteforce(sol, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 0.14327213171322747
+        assert peak < 70e6
+
+    def test_rate_off_the_reference_support(self):
+        # a bridged jump 0 -> 2 that the reference path 0 - 1 - 2 never makes
+        path = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
+        sol = solve_bridge(BridgeProblem(constant_rates(path), [0.5, 0.3, 0.2],
+                                         [0.2, 0.3, 0.5]), dt=1.0 / 256)
+        sol.m_hat = sol.m_hat + np.array([[-0.1, 0.0, 0.1], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(SupportMismatch):
+            path_entropy_bruteforce(sol, 3)
+
+    def test_frontier_guard(self):
+        # 30^4 paths pass the 1e7 count, but 30 start states times 30^4 children
+        # outgrow the 2e7 frontier: refused before the last expansion
+        rates = constant_rates(0.1 * (np.ones((30, 30)) - np.eye(30)))
+        flat = np.full(30, 1.0 / 30)
+        sol = solve_bridge(BridgeProblem(rates, flat, flat), dt=0.05)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PathExplosion, match="frontier"):
+                path_entropy_bruteforce(sol, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
+
     def test_gaps_halve_toward_the_identity(self):
         problem = BridgeProblem(constant_rates(FLIP), [0.9, 0.1], [0.1, 0.9])
         sol = solve_bridge(problem, dt=1.0 / 1024)
