@@ -171,17 +171,15 @@ def _step_count(t0: float, t1: float, dt: float) -> int:
 
 
 class LinearGrid:
-    """The rk4 grid of d rho = rho m(t) over [t0, t1]: its times, its rounded
-    dt, and m at the grid times (full) and midpoints (half). product() and
-    kernel() reduce the step matrices of blocks(); march() steps on them."""
+    """The rk4 grid of d rho = rho m(t) over [t0, t1]: its times and its rounded
+    dt. blocks() evaluates m at each block's grid times and midpoints as it
+    goes; product() and kernel() reduce its step matrices, march() steps on them."""
 
     def __init__(self, rates: ReferenceRates, t0: float, t1: float, dt: float):
         steps = _step_count(t0, t1, dt)
         self.rates = rates
         self.dt = (t1 - t0) / steps
         self.times = t0 + self.dt * np.arange(steps + 1)
-        self.full = rates.at_many(self.times)
-        self.half = rates.at_many(self.times[:-1] + 0.5 * self.dt)
 
     def blocks(self):
         """Yield the rk4 step matrices R_k = I + dt (m0 + 2 k2 + 2 k3 + k4) / 6
@@ -191,12 +189,22 @@ class LinearGrid:
         backward factor: the rk4 step of dg/dt = -m g from t_{k+1} back to t_k
         expands to the same polynomial in (m0, mh, m1), so g_k = R_k g_{k+1}.
         """
-        full, half, dt = self.full, self.half, self.dt
+        return self._blocks(check=False)
+
+    def _blocks(self, check: bool):
+        """blocks(); with check, a time-dependent m must pass the Kolmogorov rule
+        at each block's grid times, then at its midpoints, before its steps."""
+        times, dt = self.times, self.dt
         eye = np.eye(self.rates.n)
-        block = _block_size(len(eye))
-        for lo in range(0, len(half), block):
-            mh = half[lo:lo + block]
-            m0, m1 = full[lo:lo + len(mh)], full[lo + 1:lo + len(mh) + 1]
+        block, steps = _block_size(len(eye)), len(times) - 1
+        for lo in range(0, steps, block):
+            hi = min(lo + block, steps)
+            full = self.rates.at_many(times[lo:hi + 1])
+            mh = self.rates.at_many(times[lo:hi] + 0.5 * dt)
+            if check and not self.rates.constant:
+                _require_valid_stack(full)
+                _require_valid_stack(mh)
+            m0, m1 = full[:-1], full[1:]
             k2 = (eye + 0.5 * dt * m0) @ mh
             k3 = (eye + 0.5 * dt * k2) @ mh
             k4 = (eye + dt * k3) @ m1
@@ -214,12 +222,9 @@ class LinearGrid:
         return u
 
     def kernel(self, blocks) -> np.ndarray:
-        """The product as a row-stochastic kernel. A time-dependent m must pass the
-        Kolmogorov rule at every grid time and midpoint; tiny negative entries are
-        clipped to zero with a warning, a worse one or a row sum off 1 raises."""
-        if not self.rates.constant:
-            _require_valid_stack(self.full)
-            _require_valid_stack(self.half)
+        """The product of checked blocks, _blocks(check=True), as a row-stochastic
+        kernel: tiny negative entries are clipped to zero with a warning, a worse
+        one or a row sum off 1 raises."""
         p = self.product(blocks)
         low = p.min()
         if low < -1e-9:
@@ -251,7 +256,7 @@ class LinearGrid:
 def propagator(rates_like, s: float, t: float, dt: float = 1e-3) -> np.ndarray:
     """Row-stochastic P with rho(t) = rho(s) P: the LinearGrid kernel from s to t."""
     grid = LinearGrid(_as_reference(rates_like), s, t, dt)
-    return grid.kernel(grid.blocks())
+    return grid.kernel(grid._blocks(check=True))
 
 
 # -- path sampling ----------------------------------------------------------------------
@@ -342,7 +347,10 @@ def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,
         raise ValueError("seed %d outside the Philox key range [0, 2**64)" % seed)
     key = (seed & _WORD, seed >> 32)
 
-    grid, size, peak = np.linspace(t0, t1, _BOUND_GRID), _block_size(rates.n), 0.0
+    # blocks sized as ReferenceRates.rows sizes them: a block's stack holds as many
+    # entries as the grid's rows of Q, or as one _block_size(n) block if that is more
+    grid, peak = np.linspace(t0, t1, _BOUND_GRID), 0.0
+    size = max(_block_size(rates.n), -(-_BOUND_GRID // rates.n))
     for lo in range(0, _BOUND_GRID, size):
         stack = rates.at_many(grid[lo:lo + size])
         _require_valid_stack(stack)

@@ -34,7 +34,8 @@ from .errors import (
     SupportMismatch,
 )
 from .graph import _arr
-from .hamiltonians import HamiltonianSpec, PhasePoint, ReferenceRates, _BLOCK_ENTRIES, _RecordedRates
+from .hamiltonians import (HamiltonianSpec, PhasePoint, ReferenceRates, _BLOCK_ENTRIES,
+                           _RecordedRates, _block_size)
 from .dynamics import integrate
 from .markov import LinearGrid, build_rate_matrix
 
@@ -92,7 +93,10 @@ def relative_entropy_rate(rho, m_hat: np.ndarray, m: np.ndarray):
 def integrated_entropy_rate(times: np.ndarray, rho: np.ndarray,
                             m_hat: np.ndarray, m: np.ndarray) -> float:
     """Trapezoid rule over a uniformly sampled trajectory of the rate above."""
-    values = relative_entropy_rate(rho, m_hat, m)
+    return _trapezoid(times, relative_entropy_rate(rho, m_hat, m))
+
+
+def _trapezoid(times: np.ndarray, values: np.ndarray) -> float:
     return float((times[1] - times[0]) * (values.sum() - 0.5 * (values[0] + values[-1])))
 
 
@@ -174,7 +178,7 @@ def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
     # is what propagator would return, and the factor march
     reference = problem.reference
     grid = LinearGrid(reference, problem.t0, problem.t1, dt)
-    blocks = list(grid.blocks())
+    blocks = list(grid._blocks(check=True))
     k = grid.kernel(blocks)
     with np.errstate(divide="ignore"):
         logk = np.log(k)
@@ -223,18 +227,25 @@ def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
     if g.min() <= 0 or f.min() <= 0:
         raise NonpositiveFG("bridge factors left the positive cone")
 
-    n = reference.n
-    m_hat = grid.full * (g[:, None, :] / g[:, :, None])
-    diag = np.arange(n)
-    m_hat[:, diag, diag] = 0.0
-    m_hat[:, diag, diag] = -m_hat.sum(axis=2)
-    off = ~np.eye(n, dtype=bool)
-    low = float(m_hat[:, off].min())
-    if low < -1e-12 * max(1.0, float(np.abs(m_hat).max())):
+    # the bridged generators, block by block from m at the block's grid times
+    n, times, rho = reference.n, grid.times, f * g
+    m_hat, rate = np.empty((len(times), n, n)), np.empty(len(times))
+    diag, off = np.arange(n), ~np.eye(n, dtype=bool)
+    low, top, size = np.inf, 1.0, _block_size(n)   # top scales the check: max(1, |m_hat|)
+    for lo in range(0, len(times), size):
+        m = reference.at_many(times[lo:lo + size])
+        hi, gb = lo + len(m), g[lo:lo + size]
+        block = np.multiply(m, gb[:, None, :] / gb[:, :, None], out=m_hat[lo:hi])
+        block[:, diag, diag] = 0.0
+        block[:, diag, diag] = -block.sum(axis=2)
+        low = min(low, float(block[:, off].min()))
+        top = max(top, float(np.abs(block).max()))
+        rate[lo:hi] = relative_entropy_rate(rho[lo:hi], block, m)
+    if low < -1e-12 * top:
         raise InvalidGenerator("bridged generator grew a negative rate %r" % low)
 
-    entropy = integrated_entropy_rate(grid.times, f * g, m_hat, grid.full)
-    return BridgeSolution(problem, grid.times, f, g, f * g,
+    entropy = _trapezoid(times, rate)
+    return BridgeSolution(problem, times, f, g, rho,
                           m_hat, done, residuals, objective,
                           coupling_entropy, entropy)
 

@@ -202,6 +202,8 @@ def _need(data: dict, key: str, kind=None):
 
 def _parse_graph(data) -> Graph:
     nodes = _need(data, "nodes", int)
+    if isinstance(nodes, bool) or nodes < 2:
+        raise ConfigError("nodes", "expected a count of at least two nodes, got %r" % (nodes,))
     edges = _need(data, "edges", list)
     try:
         return validate_graph(nodes, edges)

@@ -2,12 +2,13 @@
 
 Claims checked here, for small generated configs of every subcommand with
 refusable faults mixed in (flags the subcommand does not read, malformed,
-fractional and dangling edges, a fractional node count, wrong-length and
-off-simplex densities, bad --oracle and --tol values):
+fractional and dangling edges, a fractional, boolean or too small node
+count, wrong-length and off-simplex densities, bad --oracle and --tol values):
   * main returns an exit code in 0-4 and no exception escapes it, so no
     traceback reaches stderr
   * an input refused while parsing argv or the config exits 1 and leaves
-    no artifact, not even the --out directory
+    no artifact, not even the --out directory; a bad node count is reported
+    under the key nodes
   * an exit 2 leaves rates.json and an exit 3 leaves bridge.json
 """
 
@@ -59,7 +60,8 @@ def cases(draw):
     if fault == "edge":
         edges.append(draw(st.sampled_from([[0, n + 1, 1.0], [0, 1], [0, 1, "heavy"],
                                            [0.5, 1, 1.0], [0, n - 0.1, 1.0]])))
-    config = {"graph": {"nodes": n + 0.5 if fault == "nodes" else n, "edges": edges},
+    nodes = draw(st.sampled_from([n + 0.5, True, 1, 0])) if fault == "nodes" else n
+    config = {"graph": {"nodes": nodes, "edges": edges},
               "horizon": {"t0": 0.0, "t1": 0.1, "dt": 0.01},
               "sampler": {"particles": 20, "seed": 1}}
     shape = {"geodesic": "flow", "simulate": "chain", "bridge": "bridge"}.get(
@@ -109,6 +111,8 @@ def test_generated_runs_exit_with_a_code_and_their_artifacts(case):
         assert "Traceback" not in stderr
         if fault is not None:
             assert rc == 1 and stderr.startswith("config error:"), (rc, stderr)
+            if fault == "nodes":
+                assert stderr.startswith("config error: config key 'nodes'"), stderr
             assert not out.exists()
         if rc == 2:
             assert (out / "rates.json").exists()

@@ -21,6 +21,7 @@ relies on.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -442,6 +443,62 @@ class TestBlockedMarcher:
         np.testing.assert_array_equal(grid.times, flow.times)
         np.testing.assert_array_equal(f, flow.f)
         np.testing.assert_array_equal(g, flow.g)
+
+    @staticmethod
+    def held_blocks(grid):
+        """The grid's step-matrix blocks from m held at every grid time and
+        midpoint at once, each block a slice of the two whole stacks."""
+        rates, dt = grid.rates, grid.dt
+        full, half = rates.at_many(grid.times), rates.at_many(grid.times[:-1] + 0.5 * dt)
+        eye, size = np.eye(rates.n), _block_size(rates.n)
+        blocks = []
+        for lo in range(0, len(half), size):
+            mh = half[lo:lo + size]
+            m0, m1 = full[lo:lo + len(mh)], full[lo + 1:lo + len(mh) + 1]
+            k2 = (eye + 0.5 * dt * m0) @ mh
+            k3 = (eye + 0.5 * dt * k2) @ mh
+            k4 = (eye + dt * k3) @ m1
+            blocks.append(eye + dt * (m0 + 2 * k2 + 2 * k3 + k4) / 6.0)
+        return blocks
+
+    @pytest.mark.parametrize("steps", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 453])
+    def test_streamed_rates_match_a_held_stack(self, steps, n=4):
+        # blocks() evaluates m per block; product, kernel and march must be
+        # the ones the whole (K, n, n) stacks of m gave, bit for bit
+        rates, t1 = self.rates(n), steps * self.DT
+        grid = LinearGrid(rates, 0.0, t1, self.DT)
+        held = self.held_blocks(grid)
+        streamed = list(grid.blocks())
+        assert len(streamed) == len(held)
+        for got, want in zip(streamed, held):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(fundamental_matrix(rates, 0.0, t1, dt=self.DT),
+                                      grid.product(held))
+        np.testing.assert_array_equal(propagator(rates, 0.0, t1, dt=self.DT), grid.kernel(held))
+        f0, g1 = np.linspace(0.2, 1.0, n), np.linspace(1.0, 0.3, n)
+        flow = schrodinger_evolve(rates, f0=f0, g1=g1, t0=0.0, t1=t1, dt=self.DT)
+        f, g = grid.march(held, f0, g1)
+        np.testing.assert_array_equal(flow.f, f)
+        np.testing.assert_array_equal(flow.g, g)
+
+    @pytest.mark.parametrize("name", ["two-node-periodic", "three-node-circle"])
+    def test_monodromy_matches_a_held_stack(self, name):
+        rates = load_config(name).reference
+        grid = LinearGrid(rates, 0.0, rates.period, 1e-4)
+        np.testing.assert_array_equal(monodromy(rates).matrix, grid.product(self.held_blocks(grid)))
+
+    def test_monodromy_memory_does_not_grow_with_the_steps(self):
+        # 62,832 steps; the (K, 3, 3) stacks of m at the grid times and the
+        # midpoints alone would take 9 MB
+        rates = load_config("three-node-circle").reference
+        tracemalloc.start()
+        try:
+            mono = monodromy(rates, dt=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mono.has_unit_multiplier
+        assert peak < 4e6
 
 
 def sequential_factors(ms, hs, dt, f0, g1):

@@ -46,6 +46,7 @@ from graphham.markov import (
     sample_paths,
     validate_rate_matrix,
 )
+from graphham.sbp import BridgeProblem, solve_bridge
 from graphham.theta import AVERAGE, LOGMEAN, UPWIND
 from graphham.dynamics import fundamental_matrix, integrate, schrodinger_evolve
 
@@ -305,6 +306,35 @@ class TestPropagator:
         with pytest.raises(InvalidGenerator, match="raw rate matrix invalid"):
             propagator(ReferenceRates(2, batch_fn=batch), 0.0, 1.0, dt=1e-3)
 
+    @pytest.mark.parametrize("caller", ["propagator", "solve_bridge"])
+    def test_reports_the_first_bad_generator_in_block_order(self, caller):
+        # a midpoint of the first block (t = 0.0105) and a grid time of the
+        # second (t = 4.5; a block holds 4,096 steps at n = 2) are invalid: m
+        # is checked per block, grid times before midpoints, so the midpoint's
+        # generator is the one reported
+        good = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        bad_mid = np.array([[0.3, -0.3], [1.0, -1.0]])
+        bad_grid = np.array([[-1.0, 1.0], [-0.4, 0.4]])
+
+        def batch(ts):
+            ts = np.asarray(ts, dtype=float)[:, None, None]
+            return np.where(np.abs(ts - 0.0105) < 2e-4, bad_mid,
+                            np.where(np.abs(ts - 4.5) < 2e-4, bad_grid, good))
+
+        rates = ReferenceRates(2, batch_fn=batch)
+        messages = []
+        for bad in (bad_mid, bad_grid):
+            with pytest.raises(InvalidGenerator) as want:
+                validate_rate_matrix(bad).require_valid()
+            messages.append(str(want.value))
+        with pytest.raises(InvalidGenerator) as got:
+            if caller == "propagator":
+                propagator(rates, 0.0, 5.0, dt=1e-3)
+            else:
+                solve_bridge(BridgeProblem(rates, [0.6, 0.4], [0.4, 0.6], t1=5.0), dt=1e-3)
+        assert messages[0] != messages[1]
+        assert str(got.value) == messages[0]
+
     def test_couples_to_hamiltonian_flow(self):
         # freezing Q(t) along a flow and propagating the start density must
         # land on the flow's own endpoint density
@@ -452,6 +482,20 @@ class TestSampler:
             sample_paths(rates, [0.2, 0.3, 0.5], 10, 0.0, 1.0, seed=3)
         assert "(0, 2)" in str(want.value)
         assert str(got.value) == str(want.value)
+
+    def test_grid_check_blocks_hold_the_rows_of_the_grid(self):
+        # at n = 64 a _block_size(n) block holds 4 times; the check reads
+        # ceil(1000 / 64) = 16 at a time, 63 at_many calls for the grid
+        n = 64
+        base = symmetric_rates(complete_graph(n)).matrix
+        calls = []
+
+        def batch(ts):
+            calls.append(len(ts))
+            return np.broadcast_to(base, (len(ts), n, n))
+
+        sample_paths(ReferenceRates(n, batch_fn=batch), np.full(n, 1.0 / n), 0, 0.0, 1.0, seed=1)
+        assert calls == [16] * 62 + [8]
 
     def test_recorded_and_batch_rows_give_the_same_paths(self):
         # a recorded stack gathers its rows from the stack; the same stack

@@ -207,6 +207,48 @@ class TestBridge:
         assert max(sol.residuals) <= 1e-8
         np.testing.assert_allclose(sol.rho[-1], [0.6, 0.4], atol=1e-8)
 
+    def test_streamed_generators_match_a_held_stack(self):
+        # m_hat and the entropy are built block by block (four blocks of
+        # times at n = 8); both must be what the whole stack of m gives
+        rng = np.random.default_rng(29)
+        n = 8
+        base, phase = rng.uniform(0.3, 1.5, (n, n)), rng.uniform(0.0, 2 * np.pi, (n, n))
+        np.fill_diagonal(base, 0.0)
+
+        def batch(ts):
+            off = base * (1.0 + 0.5 * np.sin(3.0 * np.asarray(ts)[:, None, None] + phase))
+            return off - np.eye(n) * off.sum(axis=2)[:, :, None]
+
+        rates = ReferenceRates(n, batch_fn=batch)
+        sol = solve_bridge(BridgeProblem(rates, rng.dirichlet(np.full(n, 3.0)),
+                                         rng.dirichlet(np.full(n, 3.0))))
+        m, g = rates.at_many(sol.times), sol.g
+        m_hat = m * (g[:, None, :] / g[:, :, None])
+        m_hat[:, np.arange(n), np.arange(n)] = 0.0
+        m_hat[:, np.arange(n), np.arange(n)] = -m_hat.sum(axis=2)
+        np.testing.assert_array_equal(sol.m_hat, m_hat)
+        assert sol.entropy == integrated_entropy_rate(sol.times, sol.f * sol.g, m_hat, m)
+
+    def test_memory_is_one_generator_stack(self):
+        # 32 nodes, 1,001 grid times: the step matrices and m_hat take 8.2 MB
+        # each and are not held together; whole stacks of m would add 16 MB
+        rng = np.random.default_rng(5)
+        n = 32
+        m = rng.uniform(0.5, 1.5, (n, n)) * (rng.random((n, n)) < 0.3)
+        m = np.maximum(m, m.T)
+        np.fill_diagonal(m, 0.0)
+        np.fill_diagonal(m, -m.sum(axis=1))
+        problem = BridgeProblem(constant_rates(m), rng.dirichlet(np.full(n, 4.0)),
+                                rng.dirichlet(np.full(n, 4.0)))
+        tracemalloc.start()
+        try:
+            sol = solve_bridge(problem, dt=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(sol.residuals) <= 1e-8
+        assert peak < 14e6
+
     def test_boundary_marginal_rejected(self):
         with pytest.raises(BoundaryMarginal):
             solve_bridge(BridgeProblem(constant_rates(FLIP), [1.0, 0.0], [0.5, 0.5]))

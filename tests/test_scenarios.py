@@ -114,6 +114,13 @@ class TestCustomConfig:
             parse_config(data)
         assert err.value.key == "method"
 
+    @pytest.mark.parametrize("nodes", [True, False, 1, 0, -3])
+    def test_bad_node_count_reported_under_nodes(self, nodes):
+        data = dict(CUSTOM, graph={"nodes": nodes, "edges": [[0, 1, 1.0]]})
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.key == "nodes"
+
     def test_bad_edges_reported_as_config(self):
         data = dict(CUSTOM, graph={"nodes": 2, "edges": []})
         with pytest.raises(ConfigError) as err:
