@@ -11,7 +11,6 @@ contract: 0 success, 1 config or input error, 2 rate-validity failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from importlib import metadata
@@ -36,13 +35,22 @@ from .errors import (
     NonsmoothSpec,
     RateBoundExceeded,
 )
-from .hamiltonians import PhasePoint, _RecordedRates, sbp_entropic, vector_field
+from .hamiltonians import (
+    PhasePoint,
+    _block_size,
+    _kolmogorov,
+    _RecordedRates,
+    sbp_entropic,
+    vector_field,
+)
 from .markov import (
+    _rate_stack,
     _step_count,
     build_rate_matrix,
     empirical_densities,
     propagator,
     sample_paths,
+    validate_rate_matrix,
 )
 from .sbp import (
     BridgeProblem,
@@ -188,17 +196,17 @@ def _to_s_chart(state: PhasePoint) -> PhasePoint:
 
 
 def _write_trajectory(out: Path, traj) -> None:
+    """trajectory.csv byte for byte as csv.writer writes it: no field spelled
+    by %.17g needs quoting. Rows become Python floats one at a time."""
     n = traj.rho.shape[1]
     rhos = traj.rho * traj.pot if traj.chart == "fg" else traj.rho
+    row = ",".join(["%.17g"] * (2 * n + 3)) + "\r\n"
     with open(out / "trajectory.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time"] + ["rho_%d" % i for i in range(n)]
-                        + ["S_%d" % i for i in range(n)] + ["H", "mass_defect"])
-        for k, t in enumerate(traj.times):
-            writer.writerow(["%.17g" % t]
-                            + ["%.17g" % v for v in rhos[k]]
-                            + ["%.17g" % v for v in traj.pot[k]]
-                            + ["%.17g" % traj.H[k], "%.17g" % traj.mass_defect[k]])
+        fh.write(",".join(["time"] + ["rho_%d" % i for i in range(n)]
+                          + ["S_%d" % i for i in range(n)] + ["H", "mass_defect"]) + "\r\n")
+        for k, (t, h, defect) in enumerate(zip(traj.times.tolist(), traj.H.tolist(),
+                                               traj.mass_defect.tolist())):
+            fh.write(row % (t, *rhos[k].tolist(), *traj.pot[k].tolist(), h, defect))
 
 
 def _write_paths(out: Path, paths) -> None:
@@ -225,24 +233,38 @@ def _write_paths(out: Path, paths) -> None:
 
 
 def _rate_report(scenario: Scenario, traj):
-    """Validity report over the recorded states, and their (K, n, n) generators."""
+    """Validity report over the recorded states, and their (K, n, n) generators.
+
+    The states go through the S chart and _rate_stack in blocks of
+    _block_size(n) records; a block that raises is rerun record by record,
+    so the earliest failing record raises the error of its first failed check.
+    """
+    spec, times = scenario.hamiltonian, traj.times
     report = {"kind": scenario.rate_kind, "valid": True, "violations": [],
               "clamped": 0, "checked_times": 0, "first_invalid_time": None,
               "entries_t0": None}
-    qs = np.empty((len(traj.times), scenario.graph.n, scenario.graph.n))
-    for k, t in enumerate(traj.times):
-        state = _to_s_chart(traj.state(k))
-        rm = build_rate_matrix(scenario.hamiltonian, state, float(t))
-        qs[k] = rm.entries
-        report["checked_times"] += 1
-        report["clamped"] += rm.clamped
-        if k == 0:
-            report["entries_t0"] = rm.entries
-        if not rm.valid and report["first_invalid_time"] is None:
+    qs = np.empty((len(times), scenario.graph.n, scenario.graph.n))
+    size = _block_size(scenario.graph.n)
+    for lo in range(0, len(times), size):
+        hi = min(lo + size, len(times))
+        try:
+            state = _to_s_chart(PhasePoint(traj.rho[lo:hi], traj.pot[lo:hi], traj.chart))
+            stack = _rate_stack(spec, state.rho, state.pot, times[lo:hi])
+        except GraphHamError:
+            for k in range(lo, hi):
+                build_rate_matrix(spec, _to_s_chart(traj.state(k)), float(times[k]))
+            raise
+        qs[lo:hi], clamp, bad, _, bad_rows = _kolmogorov(stack)
+        report["checked_times"] += hi - lo
+        report["clamped"] += int(clamp.sum())
+        invalid = bad.any(axis=(1, 2)) | bad_rows.any(axis=1)
+        if invalid.any() and report["first_invalid_time"] is None:
+            k = int(np.argmax(invalid))
             report["valid"] = False
-            report["first_invalid_time"] = float(t)
+            report["first_invalid_time"] = float(times[lo + k])
             report["violations"] = [[int(i), int(j), float(v)]
-                                    for i, j, v in rm.violations]
+                                    for i, j, v in validate_rate_matrix(stack[k]).violations]
+    report["entries_t0"] = qs[0]
     return report, qs
 
 

@@ -34,7 +34,7 @@ from .errors import (
     NoRateDecomposition,
     RateBoundExceeded,
 )
-from .graph import Graph, _arr
+from .graph import _arr
 from .hamiltonians import (
     HamiltonianSpec,
     PhasePoint,
@@ -43,7 +43,6 @@ from .hamiltonians import (
     _capped,
     _kolmogorov,
     _lp_flow,
-    _reference_at,
     constant_rates,
 )
 
@@ -102,25 +101,36 @@ def validate_rate_matrix(q: np.ndarray, kind: str = "raw") -> RateMatrix:
 
 def build_rate_matrix(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0) -> RateMatrix:
     """Extract the jump generator of the spec's flow, of kind spec.rate_kind,
-    at a phase-space state in the S chart.
+    at a phase-space state in the S chart: the K = 1 case of _rate_stack."""
+    q = _rate_stack(spec, state.rho[None], state.pot[None], [t])
+    return validate_rate_matrix(q[0], spec.rate_kind)
+
+
+def _rate_stack(spec: HamiltonianSpec, rho: np.ndarray, s: np.ndarray, times) -> np.ndarray:
+    """(K, n, n) generator candidates of kind spec.rate_kind at K states of the
+    S chart, rows of rho and s, at their K times; unchecked by the Kolmogorov
+    rule. Each candidate is element for element what one state gives alone.
 
     The index order is fixed by requiring rho Q to reproduce the density
     equation of the matching Hamiltonian flow, which pins every sign.
     """
     kind, g = spec.rate_kind, spec.graph
-    rho, s = state.rho, state.pot
+    count, n = rho.shape
+    diag = np.arange(n)
 
     if kind == "sbp":
         if np.min(rho) <= 0:
             raise BoundaryDensity("reweighted rates need interior masses")
-        m, sup, _ = _reference_at(spec.reference)(t)
-        ex = np.exp(_capped(s[None, :] - s[:, None], sup))   # e^{S_b - S_a} where m carries rate
-        q = ex * np.sqrt(rho[None, :] / rho[:, None]) * m
-        np.fill_diagonal(q, 0.0)
-        np.fill_diagonal(q, -q.sum(axis=1))
-        return validate_rate_matrix(q, kind)
+        m = spec.reference.at_many(times)
+        sup = spec.reference.support() & (m != 0)
+        # e^{S_b - S_a} where m carries rate
+        ex = np.exp(_capped(s[:, None, :] - s[:, :, None], sup))
+        q = ex * np.sqrt(rho[:, None, :] / rho[:, :, None]) * m
+        q[:, diag, diag] = 0.0
+        q[:, diag, diag] = -q.sum(axis=2)
+        return q
 
-    ds = s[g.src] - s[g.dst]                        # S_a - S_b over the pairs
+    ds = s[:, g.src] - s[:, g.dst]                  # S_a - S_b over the pairs
     # the flow's flux function of the gaps; at q = 2 it is the gap itself
     flow = _lp_flow(ds, spec.q) if spec.variant == "lp_kinetic" and spec.q != 2 else ds
     if kind == "upwind_ot":
@@ -131,20 +141,17 @@ def build_rate_matrix(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0) 
         if np.min(rho) <= 0:
             raise BoundaryDensity("log-mean splitting needs interior masses")
         logs = np.log(rho)
-        dlog = logs[g.src] - logs[g.dst]
+        dlog = logs[:, g.src] - logs[:, g.dst]
         if (np.abs(dlog) < 1e-12).any():
             raise NoRateDecomposition("log-mean splitting degenerates at equal masses")
         rate = -g.w * flow / dlog
-    return validate_rate_matrix(_scatter(g, rate), kind)
-
-
-def _scatter(g: Graph, rate: np.ndarray) -> np.ndarray:
-    """Dense generator with the pair rates off the diagonal and minus their
-    row sums on it. Summing -rate keeps the diagonal of a row without
-    outflow +0.0, as rates.json has always written it."""
-    q = np.zeros((g.n, g.n))
-    q[g.src, g.dst] = rate
-    q[np.diag_indices(g.n)] = np.bincount(g.src, -rate, minlength=g.n)
+    # the pair rates off the diagonal and minus their row sums on it; bins
+    # k n + src add each state's pairs in order, and summing -rate keeps the
+    # diagonal of a row without outflow +0.0, as rates.json has always written it
+    q = np.zeros((count, n, n))
+    q[:, g.src, g.dst] = rate
+    bins = (n * np.arange(count)[:, None] + g.src).ravel()
+    q[:, diag, diag] = np.bincount(bins, -rate.ravel(), minlength=count * n).reshape(count, n)
     return q
 
 

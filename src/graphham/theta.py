@@ -59,11 +59,21 @@ def _check_positive(kind, a, b):
 
 def _logmean(a, b):
     """(L, eta, near, delta): the log mean with its series switch, and the
-    relative gap, switch mask and log gap it was evaluated from."""
+    relative gap, switch mask and log gap it was evaluated from.
+
+    With every s > 0 and no pair near the diagonal, each np.where of the
+    masked path below picks its far branch, so the quotient is returned
+    directly, bit for bit the same."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     s = 0.5 * (a + b)
     with np.errstate(divide="ignore", invalid="ignore"):
+        if s.min(initial=np.inf) > 0:
+            eta = (a - b) / (2.0 * s)
+            near = np.abs(eta) < _SERIES_CUTOFF
+            if not near.any():
+                delta = np.log(a) - np.log(b)
+                return (a - b) / delta, eta, near, delta
         eta = np.where(s > 0, (a - b) / (2.0 * np.where(s > 0, s, 1.0)), 0.0)
         near = np.abs(eta) < _SERIES_CUTOFF
         # series: L = s (1 - eta^2/3 - 4 eta^4/45 + ...)
@@ -79,6 +89,8 @@ def _logmean_partials(a, b, lm, eta, near, delta):
     float masses and the _logmean tuple evaluated at them."""
     # dL/da = (1/Delta)(1 - L/a), dL/db = (1/Delta)(L/b - 1) off the diagonal
     with np.errstate(divide="ignore", invalid="ignore"):
+        if not near.any():                      # every np.where below picks da_far, db_far
+            return (1.0 - lm / a) / delta, (lm / b - 1.0) / delta
         da_far = (1.0 - lm / a) / np.where(near, 1.0, delta)
         db_far = (lm / b - 1.0) / np.where(near, 1.0, delta)
     # series about the diagonal, error O(eta^3)

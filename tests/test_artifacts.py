@@ -12,8 +12,12 @@ Claims checked here:
     exit-2 and exit-3 diagnostics included, is in that canonical form
   * writing a (1001, 32, 32) array keeps the heap peak under 8 MB, and so
     does a dense array of six blocks
+  * trajectory.csv is byte for byte what csv.writer writes from the same
+    rows, for flows in the S, psi and fg charts and for a trajectory holding
+    -0.0, 5e-324, 1e16, 1e-5 and 0.1 + 0.2
 """
 
+import csv
 import json
 import math
 import tempfile
@@ -25,7 +29,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from graphham.cli import _ARRAY_BLOCK, _dump, main
+from graphham.cli import _ARRAY_BLOCK, _dump, _write_trajectory, main
+from graphham.dynamics import Trajectory, integrate
+from graphham.scenarios import load_config, parse_config
 
 SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
            1.7976931348623157e308, 0.1, 1 / 3, 2.0 ** 60]
@@ -176,3 +182,56 @@ def test_every_json_artifact_is_canonical(tmp_path, argv, code):
     for path in _json_artifacts(out):
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+
+
+def _csv_writer_trajectory(path: Path, traj) -> None:
+    """trajectory.csv as csv.writer writes it, one %.17g string per value."""
+    n = traj.rho.shape[1]
+    rhos = traj.rho * traj.pot if traj.chart == "fg" else traj.rho
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time"] + ["rho_%d" % i for i in range(n)]
+                        + ["S_%d" % i for i in range(n)] + ["H", "mass_defect"])
+        for k, t in enumerate(traj.times):
+            writer.writerow(["%.17g" % t]
+                            + ["%.17g" % v for v in rhos[k]]
+                            + ["%.17g" % v for v in traj.pot[k]]
+                            + ["%.17g" % traj.H[k], "%.17g" % traj.mass_defect[k]])
+
+
+_K3 = {"nodes": 3, "edges": [[0, 1, 1.0], [1, 2, 0.5], [0, 2, 2.0]]}
+_REF3 = {"kind": "constant", "matrix": [[0, 1, 0.5], [0.3, 0, 1], [1, 0.4, 0]]}
+
+
+def _flow(source) -> Trajectory:
+    sc = load_config(source) if isinstance(source, str) else parse_config(source)
+    return integrate(sc.hamiltonian, sc.initial, 0.0, 0.2, 0.01)
+
+
+class TestTrajectoryCsv:
+    @pytest.mark.parametrize("source, chart", [
+        ({"graph": _K3, "hamiltonian": {"variant": "ot_kinetic", "theta": "logmean"},
+          "initial": {"rho": [0.2, 0.3, 0.5], "pot": [0.1, -0.2, 0.05]}}, "S"),
+        ("two-node-periodic", "psi"),
+        ({"graph": _K3, "reference": _REF3, "hamiltonian": {"variant": "schrodinger_fg"},
+          "initial": {"chart": "fg", "rho": [0.3, 0.5, 0.4], "pot": [0.7, 0.6, 0.5]}}, "fg"),
+    ], ids=["S", "psi", "fg"])
+    def test_flows_match_csv_writer(self, tmp_path, source, chart):
+        traj = _flow(source)
+        assert traj.chart == chart
+        self._assert_matches(tmp_path, traj)
+
+    def test_special_values_match_csv_writer(self, tmp_path):
+        values = np.array([-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, -1.5e-300])
+        rows = np.stack([values, values[::-1], np.roll(values, 2)])
+        traj = Trajectory(values[:3], rows[:, :3], rows[:, 3:], "S", values[3:],
+                          values[:3][::-1], rows[:, 0])
+        self._assert_matches(tmp_path, traj)
+
+    @staticmethod
+    def _assert_matches(tmp_path, traj):
+        _write_trajectory(tmp_path, traj)
+        _csv_writer_trajectory(tmp_path / "oracle.csv", traj)
+        got = (tmp_path / "trajectory.csv").read_bytes()
+        assert got == (tmp_path / "oracle.csv").read_bytes()
+        assert got.count(b"\r\n") == len(traj.times) + 1

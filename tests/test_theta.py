@@ -9,6 +9,10 @@ Claims checked here:
     - partials match central finite differences away from branch boundaries
     - symmetry: theta(a, b) = theta(b, a) for the symmetric kinds, and for
       upwind once the direction is flipped with the pair
+    - the log mean's unmasked closed form, taken when no pair is near the
+      diagonal, gives bit for bit what the masked evaluation kept here gives,
+      for the value, the partials, theta_with_partial and
+      edge_theta_with_partial_sum, with no, some and all pairs near
 """
 
 import decimal
@@ -17,9 +21,23 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graphham.errors import BoundaryDensity
-from graphham.theta import AVERAGE, LOGMEAN, UPWIND, ThetaKind, from_name, theta, theta_partial
+from graphham.graph import edge_theta_with_partial_sum, validate_graph
+from graphham.theta import (
+    _SERIES_CUTOFF,
+    AVERAGE,
+    LOGMEAN,
+    UPWIND,
+    ThetaKind,
+    _logmean,
+    _logmean_partials,
+    from_name,
+    theta,
+    theta_partial,
+    theta_with_partial,
+)
 
 masses = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False, allow_infinity=False)
 
@@ -143,3 +161,69 @@ class TestUpwindSymmetry:
         if d == 0:
             return
         assert float(theta(UPWIND, a, b, d)) == float(theta(UPWIND, b, a, -d))
+
+
+def _masked_logmean(a, b):
+    """The log mean with every series switch taken by np.where, pair by pair."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    s = 0.5 * (a + b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.where(s > 0, (a - b) / (2.0 * np.where(s > 0, s, 1.0)), 0.0)
+        near = np.abs(eta) < _SERIES_CUTOFF
+        eta2 = eta * eta
+        series = s * (1.0 - eta2 / 3.0 - 4.0 * (eta2 * eta2) / 45.0)
+        delta = np.log(np.where(near, 1.0, a)) - np.log(np.where(near, 1.0, b))
+        quotient = np.where(near, series, (a - b) / np.where(near, 1.0, delta))
+    return np.where(near, series, quotient), eta, near, delta
+
+
+def _masked_partials(a, b, lm, eta, near, delta):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        da_far = (1.0 - lm / a) / np.where(near, 1.0, delta)
+        db_far = (lm / b - 1.0) / np.where(near, 1.0, delta)
+    da_near = 0.5 * (1.0 - 2.0 * eta / 3.0 + eta * eta / 3.0)
+    db_near = 0.5 * (1.0 + 2.0 * eta / 3.0 + eta * eta / 3.0)
+    return np.where(near, da_near, da_far), np.where(near, db_near, db_far)
+
+
+@st.composite
+def _gaps(draw, size):
+    """Relative gaps of `size` pairs, each near the diagonal (below the series
+    cutoff) or far from it: no, some or all of them near."""
+    mode = draw(st.sampled_from(["none", "some", "all"]))
+    near = {"none": np.zeros(size, bool), "all": np.ones(size, bool),
+            "some": draw(hnp.arrays(bool, size))}[mode]
+    return np.where(near, draw(hnp.arrays(float, size, elements=st.floats(-1e-7, 1e-7))),
+                    draw(hnp.arrays(float, size, elements=st.one_of(
+                        st.floats(-0.7, -1e-3), st.floats(1e-3, 2.0)))))
+
+
+class TestClosedForm:
+    @given(st.integers(1, 40).flatmap(
+        lambda n: st.tuples(hnp.arrays(float, n, elements=st.floats(1e-6, 1.0)), _gaps(n))))
+    def test_equals_the_masked_evaluation(self, drawn):
+        a, gap = drawn
+        b = a * (1.0 + gap)
+        want = _masked_logmean(a, b)
+        got = _logmean(a, b)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        want_partials = _masked_partials(a, b, *want)
+        for g, w in zip(_logmean_partials(a, b, *got), want_partials):
+            assert np.array_equal(g, w)
+        th, (first, second) = theta_with_partial(LOGMEAN, a, b)
+        assert np.array_equal(th, want[0])
+        assert np.array_equal(first, want_partials[0])
+        assert np.array_equal(second, want_partials[1])
+
+    @given(st.integers(1, 12).flatmap(_gaps))
+    def test_edge_weights_equal_the_masked_evaluation(self, gap):
+        # a path graph whose edge k joins masses in the relative gap gap[k]
+        rho = 0.5 * np.cumprod(np.concatenate([[1.0], 1.0 + gap]))
+        g = validate_graph(len(rho), [[k, k + 1, 1.0] for k in range(len(gap))])
+        lm = _masked_logmean(rho[g.src], rho[g.dst])
+        first, second = _masked_partials(rho[g.src], rho[g.dst], *lm)
+        th, psum = edge_theta_with_partial_sum(g, rho, LOGMEAN)
+        assert np.array_equal(th, lm[0])
+        assert np.array_equal(psum, first + second[g.rev])
