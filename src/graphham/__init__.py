@@ -1,99 +1,9 @@
-"""Hamiltonian flows, entropic bridges, and jump processes on finite graphs."""
+"""Hamiltonian flows, entropic bridges, and jump processes on finite graphs.
 
-from .errors import (
-    AsymmetricWeight,
-    BlowUp,
-    BoundaryDensity,
-    BoundaryMarginal,
-    DisconnectedGraph,
-    GraphHamError,
-    InvalidGenerator,
-    KinkProximity,
-    MalformedEdge,
-    NegativeStepProbability,
-    NoFeasibleK,
-    NoRateDecomposition,
-    NonconvergedIPFP,
-    NonconvergentImplicitStep,
-    NonfiniteValue,
-    NonpositiveFG,
-    NonpositiveWeight,
-    NonsmoothSpec,
-    NotInterior,
-    NotStationary,
-    PathExplosion,
-    RateBoundExceeded,
-    SelfLoop,
-    SingularLaplacian,
-    SupportMismatch,
-)
-from .theta import UPWIND, ThetaKind, from_name, theta, theta_partial
-from .graph import (
-    Graph,
-    complete_graph,
-    divergence,
-    edge_theta,
-    graph_gradient,
-    hodge_decompose,
-    inner_product,
-    validate_graph,
-)
-from .hamiltonians import (
-    HamiltonianSpec,
-    PhasePoint,
-    ReferenceRates,
-    constant_rates,
-    eval_H,
-    fisher_information,
-    fisher_ot,
-    grad_check,
-    linear_potential,
-    lp_kinetic,
-    ot_kinetic,
-    prepare,
-    quadratic_interaction,
-    sbp_entropic,
-    sbp_psi,
-    schrodinger_fg,
-    symmetric_rates,
-    vector_field,
-)
-from .dynamics import (
-    Monodromy,
-    Trajectory,
-    fundamental_matrix,
-    hopf_cole,
-    hopf_cole_inverse,
-    integrate,
-    madelung,
-    madelung_inverse,
-    monodromy,
-    schrodinger_evolve,
-    symplectic_check,
-)
-from .markov import (
-    Paths,
-    RateMatrix,
-    build_rate_matrix,
-    empirical_densities,
-    propagator,
-    sample_paths,
-    validate_rate_matrix,
-)
-from .sbp import (
-    BridgeProblem,
-    BridgeSolution,
-    dual_balance_residual,
-    integrated_entropy_rate,
-    markov_condition_residual,
-    path_entropy_bruteforce,
-    periodic_rate_from_density,
-    relative_entropy,
-    relative_entropy_rate,
-    solve_bridge,
-    stationary_density,
-    stationary_point,
-)
-from .scenarios import BUILTINS, ConfigError, Scenario, load_config, parse_config
+Import each name from its module (`graphham.hamiltonians`, `graphham.markov`,
+...); the package itself exports only `load_config`.
+"""
+
+from .scenarios import load_config
 
 __version__ = "0.1.0"

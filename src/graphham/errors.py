@@ -21,7 +21,7 @@ class SelfLoop(GraphHamError):
 
 
 class NonpositiveWeight(GraphHamError):
-    """An edge weight is zero or negative."""
+    """An edge weight is zero, negative, NaN or infinite."""
 
 
 class AsymmetricWeight(GraphHamError):

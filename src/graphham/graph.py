@@ -107,6 +107,8 @@ def validate_graph(raw_nodes, raw_edges) -> Graph:
             raise SelfLoop("edge (%d, %d) is a self loop" % (i, j))
         if not (w > 0 and wt > 0):                      # NaN fails too
             raise NonpositiveWeight("edge (%d, %d) has nonpositive weight" % (i, j))
+        if max(w, wt) == np.inf:
+            raise NonpositiveWeight("edge (%d, %d) has an infinite weight" % (i, j))
         key = (min(i, j), max(i, j))
         if key in seen and seen[key] != (w, wt):
             raise AsymmetricWeight("conflicting weights for edge %s" % (key,))

@@ -34,6 +34,7 @@ saturating.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -186,21 +187,6 @@ def _block_size(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // (n * n))
 
 
-def _blocks(times, size: int):
-    """Lists of `size` times (the last may hold fewer) drawn from an iterable
-    as they are needed; a time equal to the one before it is skipped."""
-    block, last = [], None
-    for t in times:
-        if t != last:
-            block.append(t)
-            last = t
-            if len(block) == size:
-                yield block
-                block = []
-    if block:
-        yield block
-
-
 def _reference_at(rates: ReferenceRates, times=()):
     """t -> (m(t), a mask of the support pairs whose rate at t is nonzero, the
     diagonal of m(t)).
@@ -208,11 +194,14 @@ def _reference_at(rates: ReferenceRates, times=()):
     A constant reference has one fixed triple, whose mask is 0/1 floats:
     products with it equal those with booleans and cost less. A
     time-dependent one is evaluated at `times`, an iterable of the times a
-    flow will ask for in order, through at_many in blocks of _block_size(n)
-    times. Only the current block is held, and `times` is read one block
-    ahead of it. A call at the planned time served last, or at the one after
-    it, is served from the blocks; a call at any other time evaluates m(t)
-    alone.
+    flow will ask for in order, and walked by a forward cursor over a chain
+    of (t, m, mask, diagonal) entries. The chain is built from the distinct
+    consecutive times, through at_many in blocks of _block_size(n) of them.
+    A call at the time of the entry served last is served from it again; a
+    call at the time of the entry after it moves the cursor on; a call at any
+    other time evaluates m(t) alone. The first block is evaluated when the
+    lookup is built, and each later one when the cursor reaches the last
+    time of the block before it, so at most two blocks are held.
     """
     support = rates.support()
     if rates.constant:
@@ -223,21 +212,22 @@ def _reference_at(rates: ReferenceRates, times=()):
         m = rates.at(t)
         return m, support & (m != 0), m.diagonal()
 
-    blocks = _blocks(times, _block_size(rates.n))
-    ts, pos, block, ahead = [], -1, None, next(blocks, None)
+    def entries():
+        distinct = (t for t, _ in itertools.groupby(times))
+        while ts := list(itertools.islice(distinct, _block_size(rates.n))):
+            ms = rates.at_many(ts)
+            yield from zip(ts, ms, support & (ms != 0), np.diagonal(ms, axis1=1, axis2=2))
+
+    chain = entries()
+    served, ahead = (None,), next(chain, None)
 
     def lookup(t):
-        nonlocal ts, pos, block, ahead
-        if pos < 0 or t != ts[pos]:
-            if pos + 1 < len(ts) and t == ts[pos + 1]:
-                pos += 1
-            elif pos + 1 == len(ts) and ahead is not None and t == ahead[0]:
-                ts, pos, ahead = ahead, 0, next(blocks, None)
-                ms = rates.at_many(ts)
-                block = ms, support & (ms != 0), np.diagonal(ms, axis1=1, axis2=2)
-            else:
+        nonlocal served, ahead
+        if t != served[0]:
+            if t != ahead[0]:
                 return at(t)
-        return block[0][pos], block[1][pos], block[2][pos]
+            served, ahead = ahead, next(chain, (None,))
+        return served[1:]
 
     return lookup if ahead is not None else at
 
@@ -247,11 +237,12 @@ def _kolmogorov(q: np.ndarray):
 
     Returns (clamped, clamp, bad, rows, bad_rows): the stack with entries
     within 1e-12 of a violated sign bound zeroed (q itself when none are),
-    the mask of those entries, the mask of worse sign violations, the row
-    sums of the clamped stack and the mask of rows off zero beyond 1e-10.
+    the mask of those entries, the mask of worse sign violations and of
+    non-finite entries, the row sums of the clamped stack and the mask of
+    rows off zero beyond 1e-10.
     """
     diag = np.eye(q.shape[-1], dtype=bool)
-    bad = np.where(diag, q > _DIAG_TOL, q < -_OFF_TOL)
+    bad = np.where(diag, q > _DIAG_TOL, q < -_OFF_TOL) | ~np.isfinite(q)
     clamp = np.where(diag, q > 0, q < 0) & ~bad
     if clamp.any():
         q = np.where(clamp, 0.0, q)
@@ -262,7 +253,7 @@ def _kolmogorov(q: np.ndarray):
 def _validated_generator(m: np.ndarray) -> np.ndarray:
     """A constant matrix that passes the Kolmogorov rule, its diagonal rebuilt
     as minus the clipped off-diagonal row sums. An all-zero diagonal stands
-    for that rebuilt one, so only the signs of its entries are checked."""
+    for that rebuilt one, so only its entries' signs and finiteness are checked."""
     q, _, bad, rows, bad_rows = _kolmogorov(m)
     if bad.any():
         i, j = np.argwhere(bad)[0]

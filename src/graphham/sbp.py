@@ -445,18 +445,3 @@ def markov_condition_residual(spec: HamiltonianSpec, state: PhasePoint,
     q0 = build_rate_matrix(spec, state, t).entries
     q1 = build_rate_matrix(spec, integrate(spec, state, t, t + h, dt=h).final, t + h).entries
     return np.abs(q1 - q0) / h
-
-
-def dual_balance_residual(rates: ReferenceRates, psi, t: float = 0.0) -> np.ndarray:
-    """Pairwise residual of the dual balance relation under c_ab = e^(psi_a - psi_b).
-
-    Collapses to zero whenever psi is constant, by the zero row sums of the
-    generator; a nonzero pattern localizes which node pairs are out of
-    balance.
-    """
-    psi = _arr(psi)
-    m = rates.at(t)
-    c = np.exp(psi[:, None] - psi[None, :])
-    # the balance expression telescopes: only sum_k m_ik c_ki survives per node
-    mixed = np.diagonal(m @ c)
-    return np.abs(mixed[None, :] - mixed[:, None])

@@ -116,72 +116,40 @@ def _periodic_scenario(name, n, density, deriv):
         t1=period, echo={"builtin": name})
 
 
-def _two_node_periodic():
-    return _periodic_scenario("two-node-periodic", 2, _two_node_density, _two_node_deriv)
-
-
-def _three_node_circle():
-    return _periodic_scenario("three-node-circle", 3, _circle_density, _circle_deriv)
-
-
-def _two_node_bridge():
-    g = complete_graph(2)
-    rates = symmetric_rates(g, 1.0)
+def _bridge_scenario(name, n, value, rho0, rho1):
+    """A marginal pair over the symmetric chain on K_n, whose reference starts uniform."""
+    g = complete_graph(n)
+    rates = symmetric_rates(g, value)
     return Scenario(
-        name="two-node-bridge", graph=g, hamiltonian=sbp_entropic(g, rates),
-        reference=rates,
-        rho0=np.array([0.9, 0.1]), rho1=np.array([0.1, 0.9]),
-        reference_initial=np.array([0.5, 0.5]), echo={"builtin": "two-node-bridge"})
+        name=name, graph=g, hamiltonian=sbp_entropic(g, rates), reference=rates,
+        rho0=np.array(rho0), rho1=np.array(rho1), reference_initial=np.full(n, 1 / n),
+        echo={"builtin": name})
 
 
-def _three_node_bridge():
-    g = complete_graph(3)
-    rates = symmetric_rates(g, 0.8)
+def _kinetic_scenario(name, theta, rho, pot, **horizon):
+    """An ot_kinetic flow on K_n from the S-chart state (rho, pot)."""
+    g = complete_graph(len(rho))
     return Scenario(
-        name="three-node-bridge", graph=g, hamiltonian=sbp_entropic(g, rates),
-        reference=rates,
-        rho0=np.array([0.5, 0.3, 0.2]), rho1=np.array([0.2, 0.3, 0.5]),
-        reference_initial=np.full(3, 1 / 3), echo={"builtin": "three-node-bridge"})
-
-
-def _two_node_self_bridge():
-    g = complete_graph(2)
-    rates = symmetric_rates(g, 1.0)
-    flat = np.array([0.5, 0.5])
-    return Scenario(
-        name="two-node-self-bridge", graph=g, hamiltonian=sbp_entropic(g, rates),
-        reference=rates,
-        rho0=flat.copy(), rho1=flat.copy(), reference_initial=flat.copy(),
-        echo={"builtin": "two-node-self-bridge"})
-
-
-def _two_node_upwind():
-    g = complete_graph(2)
-    return Scenario(
-        name="two-node-upwind", graph=g,
-        hamiltonian=ot_kinetic(g, UPWIND),
-        initial=PhasePoint(np.array([0.75, 0.25]), np.array([0.2, -0.1])),
-        echo={"builtin": "two-node-upwind"})
-
-
-def _theta_average_counter():
-    # the arithmetic-mean splitting asks node 1 for a negative rate here
-    g = complete_graph(2)
-    return Scenario(
-        name="theta-average-counter", graph=g,
-        hamiltonian=ot_kinetic(g, AVERAGE),
-        initial=PhasePoint(np.array([0.5, 0.5]), np.array([1.0, 0.0])),
-        t1=0.5, echo={"builtin": "theta-average-counter"})
+        name=name, graph=g, hamiltonian=ot_kinetic(g, theta),
+        initial=PhasePoint(np.array(rho), np.array(pot)), echo={"builtin": name}, **horizon)
 
 
 BUILTINS = {
-    "two-node-periodic": _two_node_periodic,
-    "three-node-circle": _three_node_circle,
-    "two-node-bridge": _two_node_bridge,
-    "three-node-bridge": _three_node_bridge,
-    "two-node-self-bridge": _two_node_self_bridge,
-    "two-node-upwind": _two_node_upwind,
-    "theta-average-counter": _theta_average_counter,
+    "two-node-periodic": lambda: _periodic_scenario(
+        "two-node-periodic", 2, _two_node_density, _two_node_deriv),
+    "three-node-circle": lambda: _periodic_scenario(
+        "three-node-circle", 3, _circle_density, _circle_deriv),
+    "two-node-bridge": lambda: _bridge_scenario(
+        "two-node-bridge", 2, 1.0, [0.9, 0.1], [0.1, 0.9]),
+    "three-node-bridge": lambda: _bridge_scenario(
+        "three-node-bridge", 3, 0.8, [0.5, 0.3, 0.2], [0.2, 0.3, 0.5]),
+    "two-node-self-bridge": lambda: _bridge_scenario(
+        "two-node-self-bridge", 2, 1.0, [0.5, 0.5], [0.5, 0.5]),
+    "two-node-upwind": lambda: _kinetic_scenario(
+        "two-node-upwind", UPWIND, [0.75, 0.25], [0.2, -0.1]),
+    # the arithmetic-mean splitting asks node 1 for a negative rate here
+    "theta-average-counter": lambda: _kinetic_scenario(
+        "theta-average-counter", AVERAGE, [0.5, 0.5], [1.0, 0.0], t1=0.5),
 }
 
 BRIDGE_BUILTINS = ("two-node-bridge", "three-node-bridge", "two-node-self-bridge")
@@ -214,7 +182,7 @@ def _parse_graph(data) -> Graph:
 def _parse_reference(data, g: Graph) -> ReferenceRates:
     kind = _need(data, "kind", str)
     if kind == "constant":
-        matrix = np.asarray(_need(data, "matrix", list), dtype=float)
+        matrix = _numbers(data, "matrix")
         if matrix.shape != (g.n, g.n):
             raise ConfigError("matrix", "expected shape %s" % ((g.n, g.n),))
         return constant_rates(matrix)
@@ -239,19 +207,25 @@ def _parse_hamiltonian(data, g: Graph, reference):
             maker = {"sbp_entropic": sbp_entropic, "sbp_psi": sbp_psi,
                      "schrodinger_fg": schrodinger_fg}[variant]
             return maker(g, reference)
-    except ValueError as exc:
-        # argument checks of the constructors, e.g. an unknown theta or q <= 1
+    except (TypeError, ValueError, OverflowError) as exc:
+        # a q or beta that is not a number, and argument checks of the
+        # constructors, e.g. an unknown theta or q <= 1
         raise ConfigError("hamiltonian", str(exc)) from exc
     raise ConfigError("variant", "unknown variant %r" % variant)
+
+
+def _numbers(data: dict, key: str) -> np.ndarray:
+    """data[key], a list of numbers or of equal-length lists of them, as floats."""
+    try:
+        return np.asarray(_need(data, key, list), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(key, "expected a list of numbers") from exc
 
 
 def _vector(data: dict, key: str, n: int, density: bool = False) -> np.ndarray:
     """data[key] as n floats; a density must also lie on the simplex by
     graph.Density's rule."""
-    try:
-        v = np.asarray(_need(data, key, list), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(key, "expected a list of numbers") from exc
+    v = _numbers(data, key)
     if v.shape != (n,):
         raise ConfigError(key, "expected %d entries, got shape %s" % (n, v.shape))
     if density:
@@ -316,7 +290,7 @@ def parse_config(data: dict, name: str = "config") -> Scenario:
         raise ConfigError("config", "top level must be an object")
     if "builtin" in data:
         key = data["builtin"]
-        if key not in BUILTINS:
+        if not isinstance(key, str) or key not in BUILTINS:
             raise ConfigError("builtin", "unknown scenario %r (have: %s)"
                               % (key, ", ".join(sorted(BUILTINS))))
         scenario = BUILTINS[key]()

@@ -10,40 +10,46 @@ import time
 import numpy as np
 import pytest
 
-from graphham import (
-    BridgeProblem,
-    PhasePoint,
-    build_rate_matrix,
-    complete_graph,
-    constant_rates,
-    empirical_densities,
-    grad_check,
+from graphham import scenarios
+from graphham.dynamics import (
     hopf_cole,
     hopf_cole_inverse,
     integrate,
-    load_config,
     madelung,
     madelung_inverse,
     monodromy,
+    symplectic_check,
+)
+from graphham.graph import complete_graph
+from graphham.hamiltonians import (
+    PhasePoint,
+    constant_rates,
+    fisher_ot,
+    grad_check,
+    lp_kinetic,
     ot_kinetic,
-    path_entropy_bruteforce,
-    propagator,
-    relative_entropy,
-    sample_paths,
     sbp_entropic,
     sbp_psi,
     schrodinger_fg,
+    symmetric_rates,
+    vector_field,
+)
+from graphham.markov import (
+    build_rate_matrix,
+    empirical_densities,
+    propagator,
+    sample_paths,
+    validate_rate_matrix,
+)
+from graphham.sbp import (
+    BridgeProblem,
+    path_entropy_bruteforce,
+    relative_entropy,
     solve_bridge,
     stationary_density,
     stationary_point,
-    symmetric_rates,
-    symplectic_check,
-    validate_rate_matrix,
-    vector_field,
 )
-from graphham import scenarios
-from graphham.hamiltonians import fisher_ot, lp_kinetic
-from graphham.scenarios import BRIDGE_BUILTINS
+from graphham.scenarios import BRIDGE_BUILTINS, load_config
 from graphham.theta import from_name
 
 K3 = complete_graph(3)

@@ -3,12 +3,15 @@
 Claims checked here, for small generated configs of every subcommand with
 refusable faults mixed in (flags the subcommand does not read, malformed,
 fractional and dangling edges, a fractional, boolean or too small node
-count, wrong-length and off-simplex densities, bad --oracle and --tol values):
+count, wrong-length and off-simplex densities, bad --oracle and --tol values,
+an infinite edge weight, a NaN or infinite reference rate, and config values
+of the wrong type):
   * main returns an exit code in 0-4 and no exception escapes it, so no
     traceback reaches stderr
   * an input refused while parsing argv or the config exits 1 and leaves
     no artifact, not even the --out directory; a bad node count is reported
-    under the key nodes
+    under the key nodes, and a non-finite reference rate as an invalid rate
+    matrix
   * an exit 2 leaves rates.json and an exit 3 leaves bridge.json
 """
 
@@ -18,6 +21,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from graphham.cli import main
@@ -29,6 +33,10 @@ READS = {"geodesic": ("--dt", "--particles", "--seed"),
 GOOD = {"--dt": ["0.01", "0.05"], "--particles": ["1", "30"], "--seed": ["0", "7"],
         "--tol": ["1e-8", "1e-300"], "--oracle": ["1", "4"]}
 BAD = {"--tol": ["-1", "0", "nan", "inf"], "--oracle": ["-2", "0", "1.5"]}
+# config values of the wrong type, each as (block, key, value)
+WRONG_TYPE = [("hamiltonian", "q", None), ("hamiltonian", "beta", [1]),
+              ("reference", "matrix", "a"), ("reference", "matrix", "ragged"),
+              ("builtin", None, ["x"])]
 
 
 @st.composite
@@ -55,7 +63,8 @@ def cases(draw):
     n = draw(st.integers(2, 3))
     command = draw(st.sampled_from(sorted(READS)))
     fault = draw(st.sampled_from([None] * 4 + ["edge", "nodes", "density", "unread flag",
-                                               "bad value"]))
+                                               "bad value", "infinite weight",
+                                               "nonfinite rate", "wrong type"]))
     edges = [[i, i + 1, 1.0] for i in range(n - 1)]
     if fault == "edge":
         edges.append(draw(st.sampled_from([[0, n + 1, 1.0], [0, 1], [0, 1, "heavy"],
@@ -82,6 +91,27 @@ def cases(draw):
         key = draw(st.sampled_from(sorted(block)))
         key = "rho" if key == "pot" else key
         block[key] = spoiled(draw, block[key])
+    if fault == "infinite weight":
+        edges[0] = draw(st.sampled_from([[0, 1, float("inf")], [0, 1, 1.0, float("inf")]]))
+    if fault == "nonfinite rate":
+        matrix = np.ones((n, n)) - n * np.eye(n)
+        matrix[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        config["reference"] = {"kind": "constant", "matrix": matrix.tolist()}
+    if fault == "wrong type":
+        where, key, value = draw(st.sampled_from(WRONG_TYPE))
+        if where == "builtin":
+            config = {"builtin": value}
+        elif where == "hamiltonian":
+            config["hamiltonian"] = {"variant": "lp_kinetic" if key == "q" else "fisher_ot",
+                                     "theta": "average", key: value}
+        else:
+            rows = (np.ones((n, n)) - n * np.eye(n)).tolist()
+            if value == "ragged":
+                rows[-1].pop()
+            else:
+                rows[0][-1] = value
+            config["reference"] = {"kind": "constant", "matrix": rows}
 
     argv = [command, "--config"]
     for flag in READS[command]:
@@ -110,7 +140,8 @@ def test_generated_runs_exit_with_a_code_and_their_artifacts(case):
         assert rc in range(5)
         assert "Traceback" not in stderr
         if fault is not None:
-            assert rc == 1 and stderr.startswith("config error:"), (rc, stderr)
+            want = "error: rate matrix" if fault == "nonfinite rate" else "config error:"
+            assert rc == 1 and stderr.startswith(want), (rc, stderr)
             if fault == "nodes":
                 assert stderr.startswith("config error: config key 'nodes'"), stderr
             assert not out.exists()

@@ -104,6 +104,11 @@ class TestValidation:
         with pytest.raises(NonpositiveWeight):
             validate_graph(2, [(0, 1, float("nan"))])
 
+    @pytest.mark.parametrize("row", [(0, 1, float("inf")), (0, 1, 1.0, float("inf"))])
+    def test_infinite_weight_rejected(self, row):
+        with pytest.raises(NonpositiveWeight, match="infinite"):
+            validate_graph(2, [row])
+
     def test_density_gauge(self):
         with pytest.raises(BoundaryDensity):
             Density(np.array([0.7, 0.7]))

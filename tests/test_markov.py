@@ -81,6 +81,17 @@ class TestValidation:
         q = np.array([[-1.0, 1.0 + 1e-6], [1.0, -1.0]])
         assert not validate_rate_matrix(q).valid
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 1)])
+    def test_flags_nonfinite_entries(self, value, i, j):
+        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        q[i, j] = value
+        r = validate_rate_matrix(q)
+        assert not r.valid and (i, j) in [(a, b) for a, b, _ in r.violations]
+        assert bool(_invalid(q[None])[0])
+        with pytest.raises(InvalidGenerator, match=r"entry \(%d, %d\)" % (i, j)):
+            constant_rates(q)
+
     def test_matches_entrywise_loop(self):
         def reference(q):
             q = np.array(q, dtype=float)

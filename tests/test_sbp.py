@@ -35,7 +35,6 @@ from graphham.hamiltonians import (
 from graphham.markov import propagator, validate_rate_matrix
 from graphham.sbp import (
     BridgeProblem,
-    dual_balance_residual,
     integrated_entropy_rate,
     markov_condition_residual,
     path_entropy_bruteforce,
@@ -542,11 +541,3 @@ class TestStationarity:
         state = PhasePoint(np.array([0.5, 0.3, 0.2]), np.array([0.3, -0.1, 0.0]))
         with pytest.raises(NonsmoothSpec):
             markov_condition_residual(spec, state)
-
-    def test_dual_balance_collapses_at_constant_psi(self):
-        res = dual_balance_residual(self.rates, [0.7, 0.7, 0.7])
-        assert res.max() <= 1e-9
-
-    def test_dual_balance_detects_imbalance(self):
-        res = dual_balance_residual(self.rates, [0.5, -0.2, 0.1])
-        assert res.max() > 1e-3

@@ -1,6 +1,8 @@
-"""Config parsing and the built-in scenario registry."""
+"""Config parsing, the built-in scenario registry and the package's one export."""
 
+import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,16 @@ from graphham.scenarios import (
     load_config,
     parse_config,
 )
+
+
+def test_the_package_exports_only_load_config():
+    import graphham
+    import graphham.theta
+    assert graphham.load_config is load_config
+    # the function theta no longer shadows its submodule
+    assert graphham.theta is sys.modules["graphham.theta"]
+    assert {name for name, value in vars(graphham).items()
+            if not name.startswith("_") and not inspect.ismodule(value)} == {"load_config"}
 
 
 class TestBuiltins:
