@@ -157,6 +157,20 @@ class TestCustomConfig:
             parse_config(dict(data, **block))
         assert err.value.key == key
 
+    @pytest.mark.parametrize("block, key", [
+        ({"hamiltonian": {"variant": "lp_kinetic", "theta": "average", "q": None}}, "hamiltonian"),
+        ({"hamiltonian": {"variant": "lp_kinetic", "theta": "average", "q": 10 ** 400}},
+         "hamiltonian"),
+        ({"hamiltonian": {"variant": "fisher_ot", "theta": "average", "beta": [1]}}, "hamiltonian"),
+        ({"reference": {"kind": "constant", "matrix": [[-1, "a"], [1, -1]]}}, "matrix"),
+        ({"reference": {"kind": "constant", "matrix": [[-1, 1], [1]]}}, "matrix"),
+        ({"builtin": ["x"]}, "builtin"),
+    ])
+    def test_wrong_typed_values_are_config_errors(self, block, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(dict(CUSTOM, **block))
+        assert err.value.key == key
+
     def test_fg_factor_need_not_be_a_density(self):
         data = {"graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
                 "reference": {"kind": "symmetric", "value": 1.0},
