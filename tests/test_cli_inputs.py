@@ -33,10 +33,12 @@ READS = {"geodesic": ("--dt", "--particles", "--seed"),
 GOOD = {"--dt": ["0.01", "0.05"], "--particles": ["1", "30"], "--seed": ["0", "7"],
         "--tol": ["1e-8", "1e-300"], "--oracle": ["1", "4"]}
 BAD = {"--tol": ["-1", "0", "nan", "inf"], "--oracle": ["-2", "0", "1.5"]}
-# config values of the wrong type, each as (block, key, value)
-WRONG_TYPE = [("hamiltonian", "q", None), ("hamiltonian", "beta", [1]),
-              ("reference", "matrix", "a"), ("reference", "matrix", "ragged"),
-              ("builtin", None, ["x"])]
+# config blocks holding a value of the wrong type
+WRONG_TYPE = [{"hamiltonian": {"variant": "lp_kinetic", "theta": "average", "q": None}},
+              {"hamiltonian": {"variant": "fisher_ot", "theta": "average", "beta": [1]}},
+              {"reference": {"kind": "constant", "matrix": [[-1, "a"], [1, -1]]}},
+              {"reference": {"kind": "constant", "matrix": [[-1, 1], [1]]}},
+              {"builtin": ["x"]}]
 
 
 @st.composite
@@ -99,19 +101,7 @@ def cases(draw):
             st.sampled_from([np.nan, np.inf, -np.inf]))
         config["reference"] = {"kind": "constant", "matrix": matrix.tolist()}
     if fault == "wrong type":
-        where, key, value = draw(st.sampled_from(WRONG_TYPE))
-        if where == "builtin":
-            config = {"builtin": value}
-        elif where == "hamiltonian":
-            config["hamiltonian"] = {"variant": "lp_kinetic" if key == "q" else "fisher_ot",
-                                     "theta": "average", key: value}
-        else:
-            rows = (np.ones((n, n)) - n * np.eye(n)).tolist()
-            if value == "ragged":
-                rows[-1].pop()
-            else:
-                rows[0][-1] = value
-            config["reference"] = {"kind": "constant", "matrix": rows}
+        config.update(draw(st.sampled_from(WRONG_TYPE)))
 
     argv = [command, "--config"]
     for flag in READS[command]:
