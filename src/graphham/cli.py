@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from importlib import metadata
 from json.encoder import encode_basestring_ascii
@@ -47,9 +48,8 @@ from .markov import (
     _rate_stack,
     _step_count,
     build_rate_matrix,
-    empirical_densities,
+    path_chunks,
     propagator,
-    sample_paths,
     validate_rate_matrix,
 )
 from .sbp import (
@@ -209,27 +209,48 @@ def _write_trajectory(out: Path, traj) -> None:
             fh.write(row % (t, *rhos[k].tolist(), *traj.pot[k].tolist(), h, defect))
 
 
-def _write_paths(out: Path, paths) -> None:
-    """One line per path, byte for byte what json.dumps gives its dict.
+def _write_paths(out: Path, chunks, each=None) -> None:
+    """Write paths.jsonl from an iterable of Paths chunks, one line per path,
+    byte for byte what json.dumps gives its dict; each(chunk), if given, is
+    called on every chunk once its lines are written.
 
-    Paths are turned into strings _PATH_BLOCK at a time, so the writer's
-    memory does not grow with the ensemble.
+    The lines go to paths.jsonl.part, renamed to paths.jsonl after the last
+    chunk and deleted if anything raises, so a failure leaves no partial
+    paths.jsonl. No chunk is held while the next is drawn, and a chunk is
+    turned into strings _PATH_BLOCK paths at a time, so the writer's memory
+    does not grow with the ensemble.
     """
+    part = out / "paths.jsonl.part"
+    try:
+        with open(part, "w") as fh:
+            for chunk in chunks:
+                _write_lines(fh, chunk)
+                if each is not None:
+                    each(chunk)
+                del chunk
+        os.replace(part, out / "paths.jsonl")
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
+def _write_lines(fh, paths) -> None:
+    """Write the lines of one Paths chunk, whose path k is path first + k."""
     head = '{"seed": [%d, %%d], "t0": %r, "t1": %r, "jump_times": [' % (
         paths.seed, paths.t0, paths.t1)
     offsets = paths.offsets
     count = len(offsets) - 1
-    with open(out / "paths.jsonl", "w") as fh:
-        for b in range(0, count, _PATH_BLOCK):
-            e = min(b + _PATH_BLOCK, count)
-            lo, hi = int(offsets[b]), int(offsets[e])
-            # path b + k holds times[a:z] and states[a + k:z + k + 1] of its block
-            times = list(map(repr, paths.times[lo:hi].tolist()))
-            states = list(map(str, paths.states[lo + b:hi + e].tolist()))
-            local = (offsets[b:e + 1] - lo).tolist()
-            fh.writelines('%s%s], "states": [%s]}\n' % (
-                head % (b + k), ", ".join(times[a:z]), ", ".join(states[a + k:z + k + 1]))
-                for k, (a, z) in enumerate(zip(local, local[1:])))
+    for b in range(0, count, _PATH_BLOCK):
+        e = min(b + _PATH_BLOCK, count)
+        lo, hi = int(offsets[b]), int(offsets[e])
+        # path b + k holds times[a:z] and states[a + k:z + k + 1] of its block
+        times = list(map(repr, paths.times[lo:hi].tolist()))
+        states = list(map(str, paths.states[lo + b:hi + e].tolist()))
+        local = (offsets[b:e + 1] - lo).tolist()
+        fh.writelines('%s%s], "states": [%s]}\n' % (
+            head % (paths.first + b + k), ", ".join(times[a:z]),
+            ", ".join(states[a + k:z + k + 1]))
+            for k, (a, z) in enumerate(zip(local, local[1:])))
 
 
 def _rate_report(scenario: Scenario, traj):
@@ -290,9 +311,9 @@ def cmd_geodesic(scenario: Scenario, out: Path, args) -> int:
     # nearest recorded snapshot; the final recording gap may be short
     frozen = _RecordedRates(scenario.t0, rec_dt, qs)
     rho0 = _to_s_chart(scenario.initial).rho
-    paths = sample_paths(frozen, rho0, scenario.particles, scenario.t0,
+    chunks = path_chunks(frozen, rho0, scenario.particles, scenario.t0,
                          scenario.t1, seed=scenario.seed, lam=scenario.lam)
-    _write_paths(out, paths)
+    _write_paths(out, chunks)
     return 0
 
 
@@ -342,13 +363,18 @@ def cmd_simulate(scenario: Scenario, out: Path, args) -> int:
     if scenario.initial is None:
         raise ConfigError("initial", "simulate runs need an initial density")
     rho0 = _to_s_chart(scenario.initial).rho
-    paths = sample_paths(scenario.reference, rho0, scenario.particles,
+    chunks = path_chunks(scenario.reference, rho0, scenario.particles,
                          scenario.t0, scenario.t1, seed=scenario.seed,
                          lam=scenario.lam)
-    _write_paths(out, paths)
-
+    # markov.empirical_densities of the whole run, from counts summed chunk by chunk
     ts = np.linspace(scenario.t0, scenario.t1, scenario.checkpoints)
-    empirical = empirical_densities(paths, ts)
+    counts = np.zeros((len(ts), scenario.reference.n), dtype=np.int64)
+
+    def tally(chunk):
+        counts[...] += chunk.counts_at(ts)
+
+    _write_paths(out, chunks, tally)
+    empirical = counts / scenario.particles
     master = [rho0]
     for a, b in zip(ts[:-1].tolist(), ts[1:].tolist()):
         master.append(master[-1] @ propagator(scenario.reference, a, b, dt=scenario.dt))

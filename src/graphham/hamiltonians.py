@@ -351,14 +351,14 @@ class HamiltonianSpec:
         elif self.theta is None:
             raise ValueError("%s needs a theta kind" % self.variant)
         if self.variant == "fisher_ot":
-            if self.beta < 0:
-                raise ValueError("beta must be nonnegative")
+            if not 0 <= self.beta < np.inf:
+                raise ValueError("beta must be a finite number >= 0, not %r" % (self.beta,))
             if self.theta_tilde is None:
                 self.theta_tilde = self.theta
             if self.theta_tilde.kind == "upwind":
                 raise ValueError("fisher information needs a smooth theta kind")
-        if self.variant == "lp_kinetic" and not self.q > 1:
-            raise ValueError("lp exponent must exceed 1")
+        if self.variant == "lp_kinetic" and not 1 < self.q < np.inf:
+            raise ValueError("lp exponent must be a finite number above 1, not %r" % (self.q,))
 
     @property
     def chart(self) -> str:

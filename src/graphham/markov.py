@@ -275,14 +275,21 @@ _BOUND_GRID = 1000      # evenly spaced times on which sample_paths checks Q and
 def philox4x32(ctr, key) -> list:
     """Philox4x32-10 (Salmon et al., SC'11) on arrays: four broadcasting
     32-bit counter words and two key words in, four uint64 word arrays out."""
-    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in ctr)
+    c0, c1, c2, c3 = (w.copy() for w in np.broadcast_arrays(
+        *(np.asarray(c, dtype=np.uint64) for c in ctr)))
     k0, k1 = key
     for _ in range(10):
         p0, p1 = c0 * np.uint64(0xD2511F53), c2 * np.uint64(0xCD9E8D57)
-        c0, c1, c2, c3 = ((p1 >> np.uint64(32)) ^ c1 ^ np.uint64(k0), p1 & np.uint64(_WORD),
-                          (p0 >> np.uint64(32)) ^ c3 ^ np.uint64(k1), p0 & np.uint64(_WORD))
+        # in place: the new words 0 and 2 in the old 1 and 3, the new 1 and 3 in p1 and p0
+        c1 ^= p1 >> np.uint64(32)
+        c1 ^= np.uint64(k0)
+        c3 ^= p0 >> np.uint64(32)
+        c3 ^= np.uint64(k1)
+        p1 &= np.uint64(_WORD)
+        p0 &= np.uint64(_WORD)
+        c0, c1, c2, c3 = c1, p1, c3, p0
         k0, k1 = (k0 + 0x9E3779B9) & _WORD, (k1 + 0xBB67AE85) & _WORD
-    return np.broadcast_arrays(c0, c1, c2, c3)
+    return [c0, c1, c2, c3]
 
 
 def _draws(key, j, path, lane) -> list:
@@ -305,7 +312,8 @@ def _jump_targets(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 class Paths:
     """M sampled jump paths in CSR form: path k jumps at times[offsets[k]:
     offsets[k + 1]] and holds states[offsets[k] + k : offsets[k + 1] + k + 1],
-    its start state and then one target per jump. Its stream is (seed, k)."""
+    its start state and then one target per jump. Path k is path first + k
+    of its run, and its stream is (seed, first + k)."""
 
     offsets: np.ndarray         # (M + 1,)
     times: np.ndarray
@@ -314,20 +322,126 @@ class Paths:
     n: int
     t0: float
     t1: float
+    first: int = 0              # the run's index of path 0
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def states_at(self, times) -> np.ndarray:
-        """(K, M) state of every path at each of K times; a jump at t counts from t on."""
+    def _rows_at(self, times):
+        """The (M,) state of every path at each of the times in turn; a jump
+        at t counts from t on."""
         times = np.asarray(times, dtype=float)
         if times.size and (times.min() < self.t0 or times.max() > self.t1):
             raise ValueError("a time lies outside the sampled horizon")
         m = len(self)
         owner = np.repeat(np.arange(m), np.diff(self.offsets))
-        first = self.offsets[:-1] + np.arange(m)
-        return np.array([self.states[first + np.bincount(owner[self.times <= t], minlength=m)]
-                         for t in times], dtype=np.int64).reshape(len(times), m)
+        begin = self.offsets[:-1] + np.arange(m)         # each path's start state
+        for t in times:
+            yield self.states[begin + np.bincount(owner[self.times <= t], minlength=m)]
+
+    def states_at(self, times) -> np.ndarray:
+        """(K, M) state of every path at each of K times."""
+        return np.array(list(self._rows_at(times)), dtype=np.int64).reshape(len(times), len(self))
+
+    def counts_at(self, times) -> np.ndarray:
+        """(K, n) number of paths in each state at each of K times, one time at a
+        time: counts of consecutive chunks of a run add up to the run's."""
+        return np.array([np.bincount(row, minlength=self.n) for row in self._rows_at(times)],
+                        dtype=np.int64).reshape(-1, self.n)
+
+
+def path_chunks(rates_like, rho0, n_paths: int, t0: float, t1: float,
+                seed: int, lam: float | None = None, chunk: int = 20000):
+    """The paths of sample_paths as an iterator of Paths of `chunk` consecutive
+    paths each (the last may hold fewer), each carrying its first path's index.
+
+    The seed, the Kolmogorov check and the bound scan on the rate grid run
+    when this is called, before any chunk is drawn, so a refusal comes
+    before a caller has written anything. A chunk's jumps are ordered by
+    path within the chunk only, and the chunks are drawn one at a time as
+    the iterator is read: a caller that writes or tallies each chunk and
+    drops it holds O(chunk n) memory, whatever n_paths is.
+    """
+    rates = _as_reference(rates_like)
+    seed = operator.index(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed %d outside the Philox key range [0, 2**64)" % seed)
+
+    # blocks sized as ReferenceRates.rows sizes them: a block's stack holds as many
+    # entries as the grid's rows of Q, or as one _block_size(n) block if that is more
+    grid, peak = np.linspace(t0, t1, _BOUND_GRID), 0.0
+    size = max(_block_size(rates.n), -(-_BOUND_GRID // rates.n))
+    for lo in range(0, _BOUND_GRID, size):
+        stack = rates.at_many(grid[lo:lo + size])
+        _require_valid_stack(stack)
+        peak = max(peak, float(np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2)))))
+    lam = 1.2 * peak if lam is None else lam
+    if lam < peak:
+        raise RateBoundExceeded(
+            "|Q_ii| = %g on the rate grid exceeds the bound %g" % (peak, lam))
+    key, cum0 = (seed & _WORD, seed >> 32), np.cumsum(_arr(rho0))
+    # a generator: each chunk is drawn as it is asked for, and nothing of it kept
+    return (Paths(*_draw(rates, key, lam, cum0, np.arange(lo, min(lo + chunk, n_paths)), t0, t1),
+                  seed, rates.n, float(t0), float(t1), first=lo)
+            for lo in range(0, n_paths, chunk))
+
+
+def _draw(rates: ReferenceRates, key, lam: float, cum0, ids, t0, t1) -> tuple:
+    """(offsets, times, states) of the paths with stream indices ids: their
+    start states from the cumulative start density cum0, then the proposal
+    rounds until every path has passed t1."""
+    state = np.searchsorted(cum0, _draws(key, 0, ids, 2)[0] * cum0[-1])
+    start = state.copy()
+    cur_t = np.full(len(ids), float(t0))
+    j = np.zeros(len(ids), dtype=np.uint64)
+    count = np.zeros(len(ids), dtype=np.int64)      # jumps of each path so far
+    events = []
+    # a constant generator's diagonal is fixed: it reads rows for the jumps only
+    fixed = rates.matrix.diagonal() if rates.constant else None
+    # live and jump index the chunk; ids[live] are the paths' stream indices
+    live = np.arange(len(ids) if lam > 0 else 0)
+    while len(live):
+        u_gap, u_acc = _draws(key, j[live], ids[live], 0)
+        tau = cur_t[live] - np.log(u_gap) / lam
+        inside = tau <= t1
+        live, tau, u_acc = live[inside], tau[inside], u_acc[inside]
+        if len(live) == 0:
+            break
+        if fixed is None:
+            q = rates.rows(tau, state[live])
+            diag = q[np.arange(len(live)), state[live]]
+        else:
+            diag = fixed[state[live]]
+        if np.max(np.abs(diag)) > lam:
+            raise RateBoundExceeded(
+                "|Q_ii| = %g exceeds the bound %g; rerun with larger safety"
+                % (np.max(np.abs(diag)), lam))
+        accept = np.flatnonzero(u_acc < (-diag / lam))
+        jump = live[accept]
+        rows = np.clip(q[accept] if fixed is None else rates.rows(tau[accept], state[jump]),
+                       0.0, None)
+        rows[np.arange(len(jump)), state[jump]] = 0.0
+        # clamp-residue rows with no positive exit are no jump at all
+        solid = rows.sum(axis=1) > 0
+        jump, rows = jump[solid], rows[solid]
+        state[jump] = _jump_targets(rows, _draws(key, j[jump], ids[jump], 1)[0])
+        events.append((jump, tau[accept[solid]], state[jump]))
+        count[jump] += 1
+        cur_t[live] = tau
+        j[live] += np.uint64(1)
+
+    # path k holds states[offsets[k] + k], its start state, then its jump targets
+    # in the order of the rounds that made them, which is their time order
+    offsets = np.concatenate([[0], np.cumsum(count)])
+    times = np.empty(offsets[-1])
+    states = np.empty(offsets[-1] + len(ids), dtype=np.int64)
+    at = offsets[:-1] + np.arange(len(ids))
+    states[at] = start
+    for jump, tau, target in events:
+        at[jump] += 1
+        states[at[jump]] = target
+        times[at[jump] - jump - 1] = tau
+    return offsets, times, states
 
 
 def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,
@@ -344,79 +458,24 @@ def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,
     depends only on (seed, path index), not on `chunk`, the number of paths
     one proposal round carries: rounds over all 40,000 paths of a run ran
     slower, their working arrays falling out of cache. Each proposal reads
-    only its current state's row, through ReferenceRates.rows, so memory is
-    O(paths n). lam must bound |Q_ii| on a grid of _BOUND_GRID times; a zero
-    generator with lam = 0 never proposes.
+    only its current state's row, through ReferenceRates.rows, so a round
+    holds O(chunk n). lam must bound |Q_ii| on a grid of _BOUND_GRID times;
+    a zero generator with lam = 0 never proposes.
+
+    This is the concatenation of path_chunks' chunks, so it holds every
+    path at once; a caller that can take the paths chunk by chunk should.
     """
     rates = _as_reference(rates_like)
-    seed = operator.index(seed)
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError("seed %d outside the Philox key range [0, 2**64)" % seed)
-    key = (seed & _WORD, seed >> 32)
-
-    # blocks sized as ReferenceRates.rows sizes them: a block's stack holds as many
-    # entries as the grid's rows of Q, or as one _block_size(n) block if that is more
-    grid, peak = np.linspace(t0, t1, _BOUND_GRID), 0.0
-    size = max(_block_size(rates.n), -(-_BOUND_GRID // rates.n))
-    for lo in range(0, _BOUND_GRID, size):
-        stack = rates.at_many(grid[lo:lo + size])
-        _require_valid_stack(stack)
-        peak = max(peak, float(np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2)))))
-    lam = 1.2 * peak if lam is None else lam
-    if lam < peak:
-        raise RateBoundExceeded(
-            "|Q_ii| = %g on the rate grid exceeds the bound %g" % (peak, lam))
-
-    cum0 = np.cumsum(_arr(rho0))
-    state = np.searchsorted(cum0, _draws(key, 0, np.arange(n_paths), 2)[0] * cum0[-1])
-    start = state.copy()
-    cur_t = np.full(n_paths, float(t0))
-    j = np.zeros(n_paths, dtype=np.uint64)
-    events = [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))]
-    # a constant generator's diagonal is fixed: it reads rows for the jumps only
-    fixed = rates.matrix.diagonal() if rates.constant else None
-    for lo in range(0, n_paths if lam > 0 else 0, chunk):
-        live = np.arange(lo, min(lo + chunk, n_paths))
-        while len(live):
-            u_gap, u_acc = _draws(key, j[live], live, 0)
-            tau = cur_t[live] - np.log(u_gap) / lam
-            inside = tau <= t1
-            live, tau, u_acc = live[inside], tau[inside], u_acc[inside]
-            if len(live) == 0:
-                break
-            if fixed is None:
-                q = rates.rows(tau, state[live])
-                diag = q[np.arange(len(live)), state[live]]
-            else:
-                diag = fixed[state[live]]
-            if np.max(np.abs(diag)) > lam:
-                raise RateBoundExceeded(
-                    "|Q_ii| = %g exceeds the bound %g; rerun with larger safety"
-                    % (np.max(np.abs(diag)), lam))
-            accept = np.flatnonzero(u_acc < (-diag / lam))
-            jump = live[accept]
-            rows = np.clip(q[accept] if fixed is None else rates.rows(tau[accept], state[jump]),
-                           0.0, None)
-            rows[np.arange(len(jump)), state[jump]] = 0.0
-            # clamp-residue rows with no positive exit are no jump at all
-            solid = rows.sum(axis=1) > 0
-            jump, rows = jump[solid], rows[solid]
-            state[jump] = _jump_targets(rows, _draws(key, j[jump], jump, 1)[0])
-            events.append((jump, tau[accept[solid]], state[jump]))
-            cur_t[live] = tau
-            j[live] += np.uint64(1)
-
-    owner, times, targets = map(np.concatenate, zip(*events))
-    order = np.argsort(owner, kind="stable")      # each path's jumps stay in time order
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=n_paths))])
-    # path k's start state goes right before its first jump target
-    return Paths(offsets, times[order], np.insert(targets[order], offsets[:-1], start),
-                 seed, rates.n, float(t0), float(t1))
+    parts = list(path_chunks(rates, rho0, n_paths, t0, t1, seed, lam, chunk))
+    offsets = np.concatenate([[0], *(np.diff(p.offsets) for p in parts)]).cumsum()
+    return Paths(offsets, np.concatenate([np.empty(0), *(p.times for p in parts)]),
+                 np.concatenate([np.empty(0, np.int64), *(p.states for p in parts)]),
+                 operator.index(seed), rates.n, float(t0), float(t1))
 
 
 def empirical_densities(paths: Paths, times) -> np.ndarray:
-    """(len(times), n) share of the paths in each state at each time."""
+    """(len(times), n) share of the paths in each state at each time: their
+    integer counts over M."""
     if len(paths) == 0:
         raise ValueError("no samples")
-    return np.array([np.bincount(row, minlength=paths.n) for row in paths.states_at(times)],
-                    dtype=float).reshape(-1, paths.n) / len(paths)
+    return paths.counts_at(times) / len(paths)

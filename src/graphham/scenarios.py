@@ -187,7 +187,12 @@ def _parse_reference(data, g: Graph) -> ReferenceRates:
             raise ConfigError("matrix", "expected shape %s" % ((g.n, g.n),))
         return constant_rates(matrix)
     if kind == "symmetric":
-        return symmetric_rates(g, float(_need(data, "value", (int, float))))
+        value = _need(data, "value", (int, float))
+        try:
+            value = float(value)
+        except OverflowError as exc:
+            raise ConfigError("value", "an integer too large for a float") from exc
+        return symmetric_rates(g, value)
     raise ConfigError("kind", "unknown reference kind %r" % kind)
 
 

@@ -1,12 +1,20 @@
 """End-to-end command runs: artifacts, exit codes, reproducibility."""
 
 import csv
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from graphham import cli, markov
 from graphham.cli import main
+from graphham.errors import RateBoundExceeded
+from graphham.graph import complete_graph
+from graphham.hamiltonians import PhasePoint
+from graphham.markov import empirical_densities, sample_paths
+from graphham.scenarios import Scenario
+from test_markov import spiking_rates
 
 
 def run(tmp_path, *argv):
@@ -167,6 +175,105 @@ class TestSimulate:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+class TestPathStream:
+    """paths.jsonl and the simulate counts are built chunk by chunk."""
+
+    def test_artifacts_do_not_depend_on_the_chunk(self, tmp_path, monkeypatch):
+        # 2,500 paths are one chunk at the default size and four of 700
+        argv = ["simulate", "--config", "two-node-periodic", "--particles", "2500", "--seed", "8"]
+        rc, whole = run(tmp_path / "whole", *argv)
+        monkeypatch.setattr(cli, "path_chunks", functools.partial(markov.path_chunks, chunk=700))
+        rc_chunked, chunked = run(tmp_path / "chunked", *argv)
+        assert rc == rc_chunked == 0
+        names = sorted(p.name for p in whole.iterdir())
+        assert names == sorted(p.name for p in chunked.iterdir())
+        for name in names:
+            assert (whole / name).read_bytes() == (chunked / name).read_bytes()
+
+    def test_simulate_matches_the_one_shot_sampler(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "path_chunks", functools.partial(markov.path_chunks, chunk=700))
+        rc, out = run(tmp_path, "simulate", "--config", "two-node-periodic",
+                      "--particles", "2500", "--seed", "8")
+        assert rc == 0
+        sc = cli.load_config("two-node-periodic")
+        rho0 = cli._to_s_chart(sc.initial).rho
+        paths = sample_paths(sc.reference, rho0, 2500, sc.t0, sc.t1, seed=8)
+        lines = (out / "paths.jsonl").read_text().splitlines()
+        assert len(lines) == 2500
+        for k in (0, 699, 700, 1399, 1400, 2499):
+            a, z = paths.offsets[k], paths.offsets[k + 1]
+            assert lines[k] == json.dumps({"seed": [8, k], "t0": sc.t0, "t1": sc.t1,
+                                           "jump_times": paths.times[a:z].tolist(),
+                                           "states": paths.states[a + k:z + k + 1].tolist()})
+        doc = json.loads((out / "report.json").read_text())
+        ts = [c["t"] for c in doc["checkpoints"]]
+        np.testing.assert_array_equal([c["empirical"] for c in doc["checkpoints"]],
+                                      empirical_densities(paths, ts))
+
+    def assert_no_paths_file(self, out):
+        assert not (out / "paths.jsonl").exists()
+        assert not (out / "paths.jsonl.part").exists()
+
+    @pytest.mark.parametrize("command, config", [
+        ("simulate", {"graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+                      "reference": {"kind": "constant", "matrix": [[-1, 1], [1, -1]]},
+                      "initial": {"rho": [0.9, 0.1], "pot": [0.0, 0.0]},
+                      "sampler": {"particles": 50, "lam": 0.5}}),
+        ("geodesic", {"builtin": "two-node-upwind", "horizon": {"dt": 0.01},
+                      "sampler": {"lam": 1e-9}}),
+    ], ids=["simulate", "geodesic"])
+    def test_grid_bound_exits_4_before_paths_are_written(self, tmp_path, capsys,
+                                                        command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc, out = run(tmp_path, command, "--config", str(cfg))
+        assert rc == 4
+        assert "sampler bound violated:" in capsys.readouterr().err
+        self.assert_no_paths_file(out)
+
+    def test_simulate_bound_violated_mid_stream_leaves_no_paths(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # the spike lies between grid times, so the bound passes the grid check
+        # and a proposal in a later chunk trips it
+        g = complete_graph(2)
+        scenario = Scenario(name="spike", graph=g, reference=spiking_rates(),
+                            initial=PhasePoint(np.array([0.5, 0.5]), np.zeros(2)),
+                            particles=3000, seed=3)
+        monkeypatch.setattr(cli, "load_config", lambda source: scenario)
+        drawn = []
+
+        def chunks(*args, **kwargs):
+            for chunk in markov.path_chunks(*args, chunk=16, **kwargs):
+                drawn.append(len(chunk))
+                yield chunk
+
+        monkeypatch.setattr(cli, "path_chunks", chunks)
+        rc, out = run(tmp_path, "simulate", "--config", "spike")
+        assert rc == 4
+        assert "sampler bound violated:" in capsys.readouterr().err
+        assert len(drawn) > 1
+        self.assert_no_paths_file(out)
+        assert not (out / "report.json").exists()
+
+    def test_geodesic_failure_mid_stream_leaves_no_paths(self, tmp_path, capsys, monkeypatch):
+        written = []
+
+        def chunks(*args, **kwargs):
+            stream = markov.path_chunks(*args, chunk=1, **kwargs)
+            yield next(stream)
+            written.append((tmp_path / "out" / "paths.jsonl.part").exists())
+            raise RateBoundExceeded("|Q_ii| = 3 exceeds the bound 2")
+
+        monkeypatch.setattr(cli, "path_chunks", chunks)
+        rc, out = run(tmp_path, "geodesic", "--config", "two-node-upwind", "--dt", "0.01",
+                      "--particles", "5")
+        assert rc == 4
+        assert "sampler bound violated:" in capsys.readouterr().err
+        assert written == [True]
+        self.assert_no_paths_file(out)
+        assert (out / "rates.json").exists()
+
+
 @pytest.mark.parametrize("argv, names", [
     (["bridge", "--config", "three-node-bridge", "--oracle", "12"], ["bridge.json"]),
     (["geodesic", "--config", "two-node-upwind", "--particles", "200"],
@@ -312,17 +419,37 @@ class TestErrors:
         {"variant": "lp_kinetic", "theta": "average", "q": 0.5},
         {"variant": "fisher_ot", "theta": "average", "beta": -1},
         {"variant": "fisher_ot", "theta": "upwind"},
+        {"variant": "fisher_ot", "theta": "average", "beta": float("inf")},
+        {"variant": "fisher_ot", "theta": "average", "beta": float("nan")},
+        {"variant": "lp_kinetic", "theta": "average", "q": float("inf")},
+        {"variant": "lp_kinetic", "theta": "average", "q": float("nan")},
     ])
     def test_hamiltonian_construction_error_exits_1(self, tmp_path, capsys, hamiltonian):
+        # json.dumps spells the non-finite values Infinity and NaN, as a config may
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
             "hamiltonian": hamiltonian,
             "initial": {"rho": [0.4, 0.6], "pot": [0.0, 1.0]},
         }))
-        rc, _ = run(tmp_path, "geodesic", "--config", str(cfg))
+        rc, out = run(tmp_path, "geodesic", "--config", str(cfg))
         assert rc == 1
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+        assert not (out / "run.json").exists()
+
+    def test_symmetric_value_too_large_for_a_float_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+            "reference": {"kind": "symmetric", "value": 10 ** 400},
+            "initial": {"rho": [0.4, 0.6], "pot": [0.0, 0.0]},
+        }))
+        rc, out = run(tmp_path, "simulate", "--config", str(cfg))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error: config key 'value'" in err and "Traceback" not in err
+        assert not (out / "run.json").exists()
 
     @pytest.mark.parametrize("flags, sampler", [
         (["--seed", "-1"], {}),

@@ -41,6 +41,7 @@ from graphham.markov import (
     _step_count,
     build_rate_matrix,
     empirical_densities,
+    path_chunks,
     philox4x32,
     propagator,
     sample_paths,
@@ -564,6 +565,116 @@ class TestSampler:
         assert (rows[np.arange(len(rows)), _jump_targets(rows, u / 3)] > 0).all()
 
 
+def spiking_rates(lo=0.5006, hi=0.5014):
+    """Unit two-state rates, ten times faster on (lo, hi): the default window
+    lies between two of the 1,000 grid times on [0, 1], 500/999 and 501/999,
+    so the grid bound is 1.2 and only proposals inside the window exceed it."""
+    base = np.array([[-1.0, 1.0], [1.0, -1.0]])
+
+    def batch(ts):
+        ts = np.asarray(ts)
+        return base[None] * np.where((ts > lo) & (ts < hi), 10.0, 1.0)[:, None, None]
+    return ReferenceRates(2, batch_fn=batch)
+
+
+class TestChunks:
+    Q = np.array([[-1.5, 1.0, 0.5], [0.3, -0.3, 0.0], [2.0, 1.0, -3.0]])
+    RHO0 = [0.2, 0.3, 0.5]
+    M = 30
+    SEED = 2 ** 40 + 5
+
+    @staticmethod
+    def assert_chunks_are_slices(parts, whole, chunk):
+        """Each chunk is its slice of the one-shot paths, bit for bit."""
+        m = len(whole)
+        assert [p.first for p in parts] == list(range(0, m, chunk))
+        assert [len(p) for p in parts] == [min(chunk, m - lo) for lo in range(0, m, chunk)]
+        for p in parts:
+            k, z = p.first, p.first + len(p)
+            a, b = whole.offsets[k], whole.offsets[z]
+            assert p.offsets.tobytes() == (whole.offsets[k:z + 1] - a).tobytes()
+            assert p.times.tobytes() == whole.times[a:b].tobytes()
+            assert p.states.tobytes() == whole.states[a + k:b + z].tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, M - 1, M, M + 5])
+    def test_chunks_are_slices_of_the_one_shot_run(self, chunk):
+        args = (self.Q, self.RHO0, self.M, 0.0, 1.0, self.SEED)
+        whole = sample_paths(*args, chunk=10 ** 6)
+        assert len(whole.times) > self.M
+        self.assert_chunks_are_slices(list(path_chunks(*args, chunk=chunk)), whole, chunk)
+        joined = sample_paths(*args, chunk=chunk)
+        for name in ("offsets", "times", "states"):
+            got, want = getattr(joined, name), getattr(whole, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_zero_jump_paths_on_both_sides_of_a_chunk_edge(self):
+        # slow rates leave most paths without a jump; the chunk size puts an
+        # edge between two such paths, with paths that do jump elsewhere
+        q = 0.2 * np.array([[-1.0, 1.0], [1.0, -1.0]])
+        whole = sample_paths(q, [0.5, 0.5], 200, 0.0, 1.0, seed=6)
+        still = np.diff(whole.offsets) == 0
+        edge = next(k for k in range(2, 200) if still[k - 1] and still[k])
+        assert not still.all()
+        parts = list(path_chunks(q, [0.5, 0.5], 200, 0.0, 1.0, seed=6, chunk=edge))
+        assert len(parts) > 1 and parts[1].first == edge
+        self.assert_chunks_are_slices(parts, whole, edge)
+
+    def test_lam_zero_chunks_hold_the_start_states(self):
+        whole = sample_paths(np.zeros((2, 2)), [0.3, 0.7], 50, 0.0, 1.0, seed=1)
+        for lam in (None, 0.0):
+            parts = list(path_chunks(np.zeros((2, 2)), [0.3, 0.7], 50, 0.0, 1.0, seed=1,
+                                     lam=lam, chunk=7))
+            self.assert_chunks_are_slices(parts, whole, 7)
+            assert all(len(p.times) == 0 for p in parts)
+
+    def test_refusals_come_before_the_first_chunk(self):
+        # no chunk is asked for: the call itself raises
+        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(RateBoundExceeded):
+            path_chunks(q, [0.5, 0.5], 10, 0.0, 1.0, seed=2, lam=0.5)
+        with pytest.raises(InvalidGenerator):
+            path_chunks(ReferenceRates(2, batch_fn=lambda ts: np.broadcast_to(
+                -q, (len(ts), 2, 2))), [0.5, 0.5], 10, 0.0, 1.0, seed=2)
+        with pytest.raises(ValueError, match="key range"):
+            path_chunks(q, [0.5, 0.5], 10, 0.0, 1.0, seed=-1)
+
+    def test_bound_violation_between_grid_times_is_raised_mid_stream(self):
+        drawn = []
+        with pytest.raises(RateBoundExceeded):
+            for chunk in path_chunks(spiking_rates(), [0.5, 0.5], 3000, 0.0, 1.0, seed=3,
+                                     chunk=16):
+                drawn.append(len(chunk))
+        assert drawn and sum(drawn) < 3000
+
+    def test_chunk_counts_add_up_to_the_run(self):
+        args = (self.Q, self.RHO0, self.M, 0.0, 1.0, self.SEED)
+        ts = np.linspace(0.0, 1.0, 7)
+        whole = sample_paths(*args)
+        total = sum(p.counts_at(ts) for p in path_chunks(*args, chunk=7))
+        np.testing.assert_array_equal(total, whole.counts_at(ts))
+        assert (total / self.M).tobytes() == empirical_densities(whole, ts).tobytes()
+
+    def test_memory_does_not_grow_with_paths(self):
+        # each chunk is dropped before the next is drawn, so the traced peak of
+        # the stream, after the grid check, is the same at 4x the paths; keeping
+        # the chunks would add about 30 kB at these sizes
+        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+
+        def peak(m):
+            tracemalloc.start()
+            try:
+                chunks = path_chunks(q, [0.5, 0.5], m, 0.0, 0.5, seed=8, chunk=50)
+                tracemalloc.reset_peak()
+                for _ in chunks:
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(250), peak(1000)
+        assert large < small + 8 * 1024
+
+
 class TestStreams:
     @pytest.mark.parametrize("ctr, key, want", [
         ((0, 0, 0, 0), (0, 0), "6627e8d5 e169c58d bc57ac4c 9b00dbd8"),
@@ -644,7 +755,7 @@ class TestPaths:
             edges = [k for b in range(_PATH_BLOCK, m, _PATH_BLOCK) for k in (b - 1, b)]
             paths, times, states = _random_paths(np.random.default_rng(3), m, 3, 0.0, t1,
                                                  [t1 / 3, t1], zero_at=edges)
-            _write_paths(tmp_path, paths)
+            _write_paths(tmp_path, [paths])
             lines = (tmp_path / "paths.jsonl").read_text().splitlines()
             assert len(lines) == m
             for k, line in enumerate(lines):
