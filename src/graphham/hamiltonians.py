@@ -274,8 +274,7 @@ def constant_rates(matrix) -> ReferenceRates:
 
 def symmetric_rates(g: Graph, value: float = 1.0) -> ReferenceRates:
     """Unit (or scaled) rates along every edge of a graph."""
-    m = value * g.adjacency.astype(float)
-    return ReferenceRates(g.n, matrix=m)
+    return ReferenceRates(g.n, matrix=np.where(g.adjacency, value, 0.0))
 
 
 # -- convex duals -------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .markov import LinearGrid, build_rate_matrix
 
 _RATE_MARGIN = 1e-9       # least off-diagonal rate of a constructed periodic generator
 _RESIDUAL_STEP = 1e-4     # time step of markov_condition_residual's difference
+_DUAL_SLACK = 1e-12       # relative rounding slack of the IPFP dual's rise per half-step
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -131,7 +132,7 @@ class BridgeSolution:
     m_hat: np.ndarray           # bridged generators, (T, n, n)
     iterations: int
     residuals: tuple            # final (initial, terminal) L1 marginal gaps
-    objective: list             # per-sweep projection cost, nonincreasing
+    objective: list             # minus the entropic dual after each sweep, nonincreasing
     coupling_entropy: list      # relative entropy of the coupling per sweep
     entropy: float              # integrated entropy production of m_hat vs m
 
@@ -139,32 +140,21 @@ class BridgeSolution:
         return _RecordedRates(self.times[0], float(self.times[1] - self.times[0]), self.m_hat)
 
 
-def _coupling_entropy(logk: np.ndarray, phi: np.ndarray, gam: np.ndarray,
-                      ref0: np.ndarray) -> float:
-    # generalized relative entropy of the coupling e^phi_i K_ij e^gam_j
-    # against the reference coupling ref0_i K_ij, whose total mass is 1
-    logpi = phi[:, None] + logk + gam[None, :]
-    logr = np.log(ref0)[:, None] + logk
-    on = np.isfinite(logpi)
-    pi = np.exp(logpi[on])
-    return float(np.sum(pi * (logpi[on] - logr[on])) - pi.sum() + 1.0)
-
-
 def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
                  max_iter: int = 200) -> BridgeSolution:
     """Fit the bridge between rho0 and rho1 over the reference process.
 
-    Alternates exact marginal fits of the endpoint coupling in log space,
-    starting from a flat forward scaling, then expands the fitted endpoint
-    factors into the full factor pair (f, g) and the bridged generators.
+    Alternates exact marginal fits of the endpoint coupling e^phi_i K_ij e^gam_j
+    in log space, starting from a flat forward scaling, then expands the fitted
+    endpoint factors into the full factor pair (f, g) and the bridged generators.
 
-    Each sweep is a projection minimizing the relative entropy against the
-    previous coupling; that per-sweep cost is recorded in `objective` and
-    checked to be nonincreasing up to 1e-10 slack. The relative entropy of
-    the coupling against the reference itself is recorded per sweep in
-    `coupling_entropy`; it converges to the bridge cost but approaches it
-    from either side depending on the marginals, so no direction is
-    asserted for it.
+    Each half-step maximizes the entropic dual
+    D = <phi, rho0> + <gam, rho1> - sum_ij e^phi_i K_ij e^gam_j over its
+    scaling. A fall of D beyond _DUAL_SLACK max(1, |D|), or a non-finite
+    scaling or D, raises NonconvergedIPFP; -D after each sweep is recorded in
+    the nonincreasing `objective`. `coupling_entropy` records the relative
+    entropy of the coupling against ref0_i K_ij per sweep, from its row and
+    column masses; it approaches the bridge cost from either side.
     """
     rho0, rho1 = problem.rho0, problem.rho1
     for name, r in (("initial", rho0), ("terminal", rho1),
@@ -183,40 +173,43 @@ def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
     with np.errstate(divide="ignore"):
         logk = np.log(k)
         logr0, logr1 = np.log(rho0), np.log(rho1)
+    logref0 = np.log(problem.reference_initial)
 
     phi = np.zeros(reference.n)
-    objective = []
-    coupling_entropy = []
-    history = []
-    prev_logpi = logk.copy()        # the flat-scaled seed coupling
+    kt_f0 = k.sum(axis=0)           # K^T e^phi at the flat seed
+    objective, coupling_entropy, history = [], [], []
+    dual = -np.inf
     residuals = (np.inf, np.inf)
-    done = 0
-    for it in range(1, max_iter + 1):
-        gam = logr1 - _logsumexp(phi[:, None] + logk, axis=0)
-        phi = logr0 - _logsumexp(logk + gam[None, :], axis=1)
-        f0, g1 = np.exp(phi), np.exp(gam)
-        r_init = float(np.abs(f0 * (k @ g1) - rho0).sum())
-        r_term = float(np.abs(g1 * (k.T @ f0) - rho1).sum())
-        residuals = (r_init, r_term)
-        history.append(residuals)
-        logpi = phi[:, None] + logk + gam[None, :]
-        on = np.isfinite(logpi)
-        pi, prev = np.exp(logpi[on]), np.exp(prev_logpi[on])
-        objective.append(float(np.sum(pi * (logpi[on] - prev_logpi[on]))
-                               - pi.sum() + prev.sum()))
-        coupling_entropy.append(
-            _coupling_entropy(logk, phi, gam, problem.reference_initial))
-        prev_logpi = logpi
-        if max(residuals) <= tol:
-            done = it
-            break
-    drift = np.diff(objective)
     failure = None
-    if not done:
+    for it in range(1, max_iter + 1):
+        # overflowing scalings turn into the non-finite check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            gam = logr1 - _logsumexp(phi[:, None] + logk, axis=0)
+            g1 = np.exp(gam)
+            duals = [phi @ rho0 + gam @ rho1 - g1 @ kt_f0]
+            phi = logr0 - _logsumexp(logk + gam[None, :], axis=1)
+            f0 = np.exp(phi)
+            row, kt_f0 = f0 * (k @ g1), k.T @ f0
+            col = g1 * kt_f0
+            duals.append(phi @ rho0 + gam @ rho1 - row.sum())
+        if not np.isfinite(np.concatenate([f0, g1, duals])).all():
+            failure = "scalings or dual not finite at sweep %d" % it
+            break
+        fall = np.subtract([dual, duals[0]], duals)     # per half-step
+        if (fall > _DUAL_SLACK * np.maximum(1.0, np.abs(duals))).any():
+            failure = "dual fell by %g at sweep %d" % (fall.max(), it)
+            break
+        dual = duals[1]
+        residuals = (float(np.abs(row - rho0).sum()), float(np.abs(col - rho1).sum()))
+        history.append(residuals)
+        objective.append(-float(dual))
+        coupling_entropy.append(
+            float((phi - logref0) @ row + gam @ col - row.sum() + 1.0))
+        if max(residuals) <= tol:
+            break
+    else:
         failure = "marginal residuals %r still above %g after %d sweeps" % (
             residuals, tol, max_iter)
-    elif len(drift) and drift.max() > 1e-10:
-        failure = "sweep cost lost monotonicity: worst rise %g" % drift.max()
     if failure is not None:
         err = NonconvergedIPFP(failure, residuals)
         err.history = history
@@ -246,7 +239,7 @@ def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
 
     entropy = _trapezoid(times, rate)
     return BridgeSolution(problem, times, f, g, rho,
-                          m_hat, done, residuals, objective,
+                          m_hat, it, residuals, objective,
                           coupling_entropy, entropy)
 
 

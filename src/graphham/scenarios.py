@@ -192,6 +192,8 @@ def _parse_reference(data, g: Graph) -> ReferenceRates:
             value = float(value)
         except OverflowError as exc:
             raise ConfigError("value", "an integer too large for a float") from exc
+        if not math.isfinite(value):
+            raise ConfigError("value", "%r is not finite" % value)
         return symmetric_rates(g, value)
     raise ConfigError("kind", "unknown reference kind %r" % kind)
 

@@ -7,20 +7,31 @@ import json
 import numpy as np
 import pytest
 
-from graphham import cli, markov
+from graphham import cli, markov, sbp
 from graphham.cli import main
-from graphham.errors import RateBoundExceeded
+from graphham.errors import InvalidGenerator, RateBoundExceeded
 from graphham.graph import complete_graph
-from graphham.hamiltonians import PhasePoint
+from graphham.hamiltonians import PhasePoint, symmetric_rates
 from graphham.markov import empirical_densities, sample_paths
 from graphham.scenarios import Scenario
 from test_markov import spiking_rates
+from test_sbp import spoil_call
 
 
 def run(tmp_path, *argv):
     out = tmp_path / "out"
     rc = main(list(argv) + ["--out", str(out)])
     return rc, out
+
+
+def bridge_config(tmp_path, matrix, rho0, rho1):
+    cfg = tmp_path / "bridge.json"
+    cfg.write_text(json.dumps({
+        "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+        "reference": {"kind": "constant", "matrix": matrix},
+        "marginals": {"rho0": rho0, "rho1": rho1},
+    }))
+    return cfg
 
 
 class TestGeodesic:
@@ -94,10 +105,10 @@ class TestBridge:
         assert doc["converged"] is False
         assert len(doc["history"]) == 200
 
-    def test_sweep_cost_rise_exits_3_with_history(self, tmp_path, capsys):
-        # slow rates and far-apart marginals: the fit reaches its marginals,
-        # but one sweep costs more than the one before it
-        cfg = tmp_path / "rise.json"
+    def test_slow_far_apart_fit_exits_0_with_nonincreasing_objective(self, tmp_path):
+        # slow rates and far-apart marginals: the sweep-to-sweep coupling cost
+        # rises on the way, but the dual climbs and the fit meets tol
+        cfg = tmp_path / "slow.json"
         cfg.write_text(json.dumps({
             "graph": {"nodes": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0], [0, 2, 1.0]]},
             "reference": {"kind": "constant",
@@ -107,13 +118,48 @@ class TestBridge:
             "horizon": {"dt": 0.01},
         }))
         rc, out = run(tmp_path, "bridge", "--config", str(cfg))
+        assert rc == 0
+        doc = json.loads((out / "bridge.json").read_text())
+        assert max(doc["residuals"]) <= 1e-8
+        assert np.max(np.diff(doc["objective"])) <= 1e-10
+
+    def test_dual_fall_exits_3_with_history(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sbp, "_logsumexp", spoil_call(sbp._logsumexp, 3))
+        rc, out = run(tmp_path, "bridge", "--config", "two-node-bridge")
         assert rc == 3
         err = capsys.readouterr().err
-        assert "sweep cost lost monotonicity" in err and "Traceback" not in err
+        assert "dual fell by" in err and "Traceback" not in err
         doc = json.loads((out / "bridge.json").read_text())
         assert doc["converged"] is False
-        assert max(doc["residuals"]) <= 1e-8
-        assert len(doc["history"]) >= 2
+        assert len(doc["history"]) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_scalings_exit_3_at_their_sweep(self, tmp_path, capsys):
+        # node 0 absorbs, so node 1 cannot hold 0.999 of the mass at the end;
+        # the scalings grow each sweep until e^gam overflows
+        rc, out = run(tmp_path, "bridge", "--config", str(bridge_config(
+            tmp_path, [[0, 0], [1, -1]], [0.5, 0.5], [0.001, 0.999])))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "not finite at sweep 115" in err and "Traceback" not in err
+        doc = json.loads((out / "bridge.json").read_text())
+        assert len(doc["history"]) == 114
+        assert np.isfinite(doc["history"]).all() and np.isfinite(doc["residuals"]).all()
+
+    @pytest.mark.parametrize("rho1, code", [([0.4, 0.6], 3), ([0.6, 0.4], 0)])
+    def test_zero_generator(self, tmp_path, capsys, rho1, code):
+        # the kernel is the identity: only equal marginals can be bridged
+        rc, out = run(tmp_path, "bridge", "--config", str(bridge_config(
+            tmp_path, [[0, 0], [0, 0]], [0.6, 0.4], rho1)))
+        assert rc == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        doc = json.loads((out / "bridge.json").read_text())
+        if code == 3:
+            assert "marginal residuals" in err and "after 200 sweeps" in err
+            assert len(doc["history"]) == 200 and np.isfinite(doc["history"]).all()
+        else:
+            assert max(doc["residuals"]) <= 1e-8
 
     def test_requires_marginals(self, tmp_path):
         rc, _ = run(tmp_path, "bridge", "--config", "two-node-upwind")
@@ -438,18 +484,28 @@ class TestErrors:
         assert "config error:" in err and "Traceback" not in err
         assert not (out / "run.json").exists()
 
-    def test_symmetric_value_too_large_for_a_float_exits_1(self, tmp_path, capsys):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("text", [
+        pytest.param(str(10 ** 400), id="10**400"), "Infinity", "-Infinity", "NaN", "1e400"])
+    def test_symmetric_value_not_a_finite_float_exits_1(self, tmp_path, capsys, text):
+        # JSON reads 1e400 as inf, and the 401-digit integer as an int
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
-            "reference": {"kind": "symmetric", "value": 10 ** 400},
+            "reference": {"kind": "symmetric", "value": "VALUE"},
             "initial": {"rho": [0.4, 0.6], "pot": [0.0, 0.0]},
-        }))
+        }).replace('"VALUE"', text))
         rc, out = run(tmp_path, "simulate", "--config", str(cfg))
         assert rc == 1
         err = capsys.readouterr().err
         assert "config error: config key 'value'" in err and "Traceback" not in err
         assert not (out / "run.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_symmetric_rates_name_the_non_finite_entry(self, value):
+        with pytest.raises(InvalidGenerator, match=r"entry \(0, 1\) is %r" % value):
+            symmetric_rates(complete_graph(3), value)
 
     @pytest.mark.parametrize("flags, sampler", [
         (["--seed", "-1"], {}),

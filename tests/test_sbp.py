@@ -7,11 +7,14 @@ bridged rates. The discrete-chain brute force then closes the triangle at
 finite step counts.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from graphham import sbp
 from graphham.errors import (
     BoundaryMarginal,
     InvalidGenerator,
@@ -48,6 +51,16 @@ from graphham.sbp import (
 from graphham.theta import UPWIND
 
 FLIP = np.array([[-1.0, 1.0], [1.0, -1.0]])
+
+
+def spoil_call(fn, call, shift=5.0):
+    """fn, with its `call`-th result raised by `shift`."""
+    calls = itertools.count(1)
+
+    def spoiled(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        return out + shift if next(calls) == call else out
+    return spoiled
 
 
 def random_generator(rng, n, low=0.5):
@@ -270,6 +283,46 @@ class TestBridge:
         with pytest.raises(NonconvergedIPFP) as info:
             solve_bridge(self.problem, max_iter=1)
         assert max(info.value.residuals) > 1e-8
+
+    def test_spoiled_half_step_is_a_dual_fall(self, monkeypatch):
+        # the third log-sum-exp is sweep 2's gam half-step; shifting it by 5
+        # moves gam off the maximizer of D, which costs 5 - 1 + e^-5
+        monkeypatch.setattr(sbp, "_logsumexp", spoil_call(sbp._logsumexp, 3))
+        with pytest.raises(NonconvergedIPFP, match="dual fell by 4.* at sweep 2") as info:
+            solve_bridge(self.problem)
+        assert len(info.value.history) == 1
+
+    def test_dual_meets_the_coupling_cost(self):
+        # strong duality at the fixed point: with unit coupling mass,
+        # -D = 1 - sum pi log(pi / K), and the coupling entropy against
+        # ref0_i K_ij is sum pi log(pi / K) - <rho0, log ref0>
+        sol = solve_bridge(self.problem, tol=1e-12)
+        shift = self.problem.rho0 @ np.log(self.problem.reference_initial)
+        assert sol.objective[-1] == pytest.approx(1.0 - sol.coupling_entropy[-1] - shift,
+                                                  abs=1e-10)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_dual_ascent_on_random_constant_references(self, n, seed):
+        # slow to fast rates, some channels closed, so some pairs of marginals
+        # cannot be bridged; only unmet residuals or overflowing scalings may
+        # stop the fit, never a fall of the dual
+        rng = np.random.default_rng(seed)
+        m = 10.0 ** rng.uniform(-3, 1) * rng.random((n, n)) * (rng.random((n, n)) < 0.7)
+        np.fill_diagonal(m, 0.0)
+        np.fill_diagonal(m, -m.sum(axis=1))
+        problem = BridgeProblem(constant_rates(m), rng.dirichlet(np.ones(n)),
+                                rng.dirichlet(np.ones(n)))
+        try:
+            sol = solve_bridge(problem, dt=1e-2)
+        except NonconvergedIPFP as exc:
+            assert "dual fell" not in str(exc)
+            assert np.isfinite(exc.history).all()
+            assert not exc.history or max(exc.history[-1]) > 1e-8
+            return
+        assert max(sol.residuals) <= 1e-8
+        assert np.diff(sol.objective, prepend=np.inf).max() <= 1e-10
 
     def test_fixed_point_is_second_order_optimal(self):
         # feasible coupling perturbations (zero row and column sums) cannot
