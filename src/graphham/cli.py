@@ -60,7 +60,7 @@ from .sbp import (
     solve_bridge,
     stationary_point,
 )
-from .scenarios import ConfigError, Scenario, check_horizon, load_config, sampler_setting
+from .scenarios import ConfigError, Scenario, check_horizon, config_number, load_config
 
 
 # paths per block of paths.jsonl turned into strings at once
@@ -492,12 +492,10 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         scenario = load_config(args.config)
-        if getattr(args, "dt", None) is not None:
-            scenario.dt = args.dt
-            check_horizon(scenario)
-        for key in ("particles", "seed"):
+        for key in ("dt", "particles", "seed"):
             if getattr(args, key, None) is not None:
-                setattr(scenario, key, sampler_setting(key, getattr(args, key)))
+                setattr(scenario, key, config_number(key, getattr(args, key)))
+        check_horizon(scenario)
         out = Path(args.out) if args.out else Path("runs") / (
             "%s-%s" % (args.command, scenario.name))
         out.mkdir(parents=True, exist_ok=True)

@@ -71,7 +71,6 @@ class Trajectory:
     chart: str
     H: np.ndarray            # Hamiltonian along the flow
     mass_defect: np.ndarray  # total mass minus its initial value
-    min_rho: np.ndarray
 
     def __len__(self) -> int:
         return len(self.times)
@@ -82,13 +81,6 @@ class Trajectory:
     @property
     def final(self) -> PhasePoint:
         return self.state(len(self) - 1)
-
-
-def _audit(rho: np.ndarray, pot: np.ndarray, chart: str):
-    """(total mass, smallest node mass) of a state in its chart."""
-    if chart == "fg":
-        return float(np.dot(rho, pot)), float(np.min(rho * pot))
-    return float(rho.sum()), float(np.min(rho))
 
 
 def _guard(rho: np.ndarray, pot: np.ndarray, chart: str, t: float):
@@ -158,7 +150,8 @@ def integrate(spec: HamiltonianSpec, state: PhasePoint, t0: float, t1: float,
     field, energy = prepare(spec, stage_times())
 
     def record(tk, r, p):
-        return (tk, r, p, energy(r, p, tk)) + _audit(r, p, spec.chart)
+        mass = np.dot(r, p) if spec.chart == "fg" else r.sum()   # in the state's chart
+        return tk, r, p, energy(r, p, tk), float(mass)
 
     r, p = state.rho.copy(), state.pot.copy()
     _guard(r, p, spec.chart, t0)
@@ -169,8 +162,8 @@ def integrate(spec: HamiltonianSpec, state: PhasePoint, t0: float, t1: float,
         _guard(r, p, spec.chart, t + dt)
         if (k + 1) % record_every == 0 or k == steps - 1:
             rows.append(record(t0 + (k + 1) * dt, r, p))
-    times, rhos, pots, hs, masses, mins = map(np.array, zip(*rows))
-    return Trajectory(times, rhos, pots, spec.chart, hs, masses - masses[0], mins)
+    times, rhos, pots, hs, masses = map(np.array, zip(*rows))
+    return Trajectory(times, rhos, pots, spec.chart, hs, masses - masses[0])
 
 
 # -- chart transforms ---------------------------------------------------------------

@@ -121,7 +121,11 @@ class ReferenceRates:
         self._batch_fn = batch_fn
         self.matrix = None
         if matrix is not None:
-            self.matrix = _validated_generator(np.asarray(matrix, dtype=float))
+            matrix = np.asarray(matrix, dtype=float)
+            if matrix.shape != (self.n, self.n):
+                raise InvalidGenerator("rate matrix has shape %s, expected %s"
+                                       % (matrix.shape, (self.n, self.n)))
+            self.matrix = _validated_generator(matrix)
         self._support = (self.matrix > 0 if self.matrix is not None
                          else ~np.eye(self.n, dtype=bool))
         np.fill_diagonal(self._support, False)
@@ -268,8 +272,7 @@ def _validated_generator(m: np.ndarray) -> np.ndarray:
 def constant_rates(matrix) -> ReferenceRates:
     """Reference rates from a constant matrix that passes the Kolmogorov rule;
     the diagonal is rebuilt, and an all-zero one is filled in."""
-    m = np.asarray(matrix, dtype=float)
-    return ReferenceRates(m.shape[0], matrix=m)
+    return ReferenceRates(len(matrix), matrix=matrix)
 
 
 def symmetric_rates(g: Graph, value: float = 1.0) -> ReferenceRates:

@@ -163,16 +163,14 @@ def _need(data: dict, key: str, kind=None):
         raise ConfigError(key, "missing")
     value = data[key]
     if kind is not None and not isinstance(value, kind):
-        raise ConfigError(key, "expected %s, got %r"
-                          % (getattr(kind, "__name__", kind), type(value).__name__))
+        raise ConfigError(key, "expected %s, got %r" % (kind.__name__, type(value).__name__))
     return value
 
 
 def _parse_graph(data) -> Graph:
-    nodes = _need(data, "nodes", int)
-    if isinstance(nodes, bool) or nodes < 2:
-        raise ConfigError("nodes", "expected a count of at least two nodes, got %r" % (nodes,))
+    nodes = config_number("nodes", _need(data, "nodes"))
     edges = _need(data, "edges", list)
+    _check_leaves("edges", edges)
     try:
         return validate_graph(nodes, edges)
     except GraphHamError as exc:
@@ -187,14 +185,7 @@ def _parse_reference(data, g: Graph) -> ReferenceRates:
             raise ConfigError("matrix", "expected shape %s" % ((g.n, g.n),))
         return constant_rates(matrix)
     if kind == "symmetric":
-        value = _need(data, "value", (int, float))
-        try:
-            value = float(value)
-        except OverflowError as exc:
-            raise ConfigError("value", "an integer too large for a float") from exc
-        if not math.isfinite(value):
-            raise ConfigError("value", "%r is not finite" % value)
-        return symmetric_rates(g, value)
+        return symmetric_rates(g, config_number("value", _need(data, "value")))
     raise ConfigError("kind", "unknown reference kind %r" % kind)
 
 
@@ -206,27 +197,28 @@ def _parse_hamiltonian(data, g: Graph, reference):
             if variant == "ot_kinetic":
                 return ot_kinetic(g, theta)
             if variant == "lp_kinetic":
-                return lp_kinetic(g, theta, q=float(data.get("q", 2.0)))
-            return fisher_ot(g, theta, beta=float(data.get("beta", 0.125)))
+                return lp_kinetic(g, theta, q=config_number("q", data.get("q", 2.0)))
+            return fisher_ot(g, theta, beta=config_number("beta", data.get("beta", 0.125)))
         if variant in _ENTROPIC:
             if reference is None:
                 raise ConfigError("reference", "required for variant %r" % variant)
             maker = {"sbp_entropic": sbp_entropic, "sbp_psi": sbp_psi,
                      "schrodinger_fg": schrodinger_fg}[variant]
             return maker(g, reference)
-    except (TypeError, ValueError, OverflowError) as exc:
-        # a q or beta that is not a number, and argument checks of the
-        # constructors, e.g. an unknown theta or q <= 1
+    except ValueError as exc:
+        # argument checks of the constructors, e.g. an unknown theta or q <= 1
         raise ConfigError("hamiltonian", str(exc)) from exc
     raise ConfigError("variant", "unknown variant %r" % variant)
 
 
 def _numbers(data: dict, key: str) -> np.ndarray:
     """data[key], a list of numbers or of equal-length lists of them, as floats."""
+    value = _need(data, key, list)
+    _check_leaves(key, value)
     try:
-        return np.asarray(_need(data, key, list), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(key, "expected a list of numbers") from exc
+        return np.asarray(value, dtype=float)
+    except ValueError as exc:
+        raise ConfigError(key, "expected equal-length rows of numbers") from exc
 
 
 def _vector(data: dict, key: str, n: int, density: bool = False) -> np.ndarray:
@@ -243,42 +235,54 @@ def _vector(data: dict, key: str, n: int, density: bool = False) -> np.ndarray:
     return v
 
 
-# type and [low, high) range of each sampler setting; a seed is a 64-bit Philox key
-_SAMPLER = {"particles": (int, 1, np.inf), "seed": (int, 0, 2 ** 64),
-            "checkpoints": (int, 1, np.inf), "lam": (float, -np.inf, np.inf)}
+# type and [low, high) range of the integer config keys (a seed is a 64-bit
+# Philox key); any other config number is a float of any finite value
+_INTEGER_KEYS = {"nodes": (int, 2, np.inf), "particles": (int, 1, np.inf),
+                 "seed": (int, 0, 2 ** 64), "checkpoints": (int, 1, np.inf)}
 
 
-def sampler_setting(key: str, value):
-    """A sampler setting cast to its type and checked against its range."""
-    cast, low, high = _SAMPLER[key]
+def _as_float(key: str, value) -> float:
+    """A JSON number, an int or a float but not a bool or a string, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(key, "expected a number, got %r" % type(value).__name__)
     try:
-        if isinstance(value, bool):
-            raise TypeError("a boolean is not a number")
-        cast_value = cast(value)
-        if cast is int and isinstance(value, float) and cast_value != value:
-            raise ValueError("not an integer")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(key, "expected %s, got %r" % (cast.__name__, value)) from exc
-    if not low <= cast_value < high:
-        raise ConfigError(key, "%r outside [%r, %r)" % (cast_value, low, high))
-    return cast_value
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(key, "an integer too large for a float") from exc
+
+
+def _check_leaves(key: str, value) -> None:
+    """Refuse nested lists unless every leaf is a JSON number a float can hold;
+    only the type is checked, so NaN and infinite leaves pass."""
+    stack = [value]
+    while stack:
+        leaf = stack.pop()
+        if isinstance(leaf, list):
+            stack.extend(leaf)
+        else:
+            _as_float(key, leaf)
+
+
+def config_number(key: str, value):
+    """The number under config key `key`, cast to the key's type. It must be a
+    JSON number, finite, integral for an integer key, and in the key's range."""
+    cast, low, high = _INTEGER_KEYS.get(key, (float, -np.inf, np.inf))
+    as_float = _as_float(key, value)
+    if not math.isfinite(as_float):
+        raise ConfigError(key, "%r is not finite" % as_float)
+    if cast is int and not as_float.is_integer():
+        raise ConfigError(key, "expected an integer, got %r" % value)
+    value = cast(value)
+    if not low <= value < high:
+        raise ConfigError(key, "%r outside [%r, %r)" % (value, low, high))
+    return value
 
 
 def check_horizon(scenario: Scenario) -> None:
-    """Refuse a horizon no grid can step, and store its values as floats:
-    t0 and t1 must be finite numbers with t1 > t0, and dt a finite number > 0
-    that takes at most markov._MAX_STEPS steps from t0 to t1."""
+    """Read t0, t1 and dt through config_number, and refuse a horizon no grid can
+    step: t1 must be after t0, and dt take at most markov._MAX_STEPS steps."""
     for key in ("t0", "t1", "dt"):
-        value = getattr(scenario, key)
-        try:
-            if isinstance(value, bool):
-                raise TypeError("a boolean is not a number")
-            value = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(key, "expected a number, got %r" % (value,)) from exc
-        if not math.isfinite(value):
-            raise ConfigError(key, "%r is not finite" % value)
-        setattr(scenario, key, value)
+        setattr(scenario, key, config_number(key, getattr(scenario, key)))
     if not scenario.t1 > scenario.t0:
         raise ConfigError("t1", "%r is not after t0 = %r" % (scenario.t1, scenario.t0))
     try:
@@ -347,9 +351,9 @@ def parse_config(data: dict, name: str = "config") -> Scenario:
     sampler = data.get("sampler", {})
     if not isinstance(sampler, dict):
         raise ConfigError("sampler", "expected an object")
-    for key in _SAMPLER:
+    for key in ("particles", "seed", "checkpoints", "lam"):
         if key in sampler:
-            setattr(scenario, key, sampler_setting(key, sampler[key]))
+            setattr(scenario, key, config_number(key, sampler[key]))
     echo = dict(data)
     echo.update(scenario.echo)
     scenario.echo = echo

@@ -225,7 +225,7 @@ class TestTrajectoryCsv:
         values = np.array([-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, -1.5e-300])
         rows = np.stack([values, values[::-1], np.roll(values, 2)])
         traj = Trajectory(values[:3], rows[:, :3], rows[:, 3:], "S", values[3:],
-                          values[:3][::-1], rows[:, 0])
+                          values[:3][::-1])
         self._assert_matches(tmp_path, traj)
 
     @staticmethod

@@ -607,6 +607,15 @@ class TestErrors:
         assert len((out / "paths.jsonl").read_text().splitlines()) == 20
         assert len(json.loads((out / "report.json").read_text())["checkpoints"]) == 4
 
+    def test_nan_matrix_entry_meets_the_kolmogorov_rule(self, tmp_path, capsys):
+        # the number rule checks only the type of a matrix entry
+        cfg = bridge_config(tmp_path, [[-1.0, float("nan")], [1.0, -1.0]],
+                            [0.6, 0.4], [0.4, 0.6])
+        rc, out = run(tmp_path, "bridge", "--config", str(cfg))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: rate matrix")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, code", [("geodesic", 1), ("analyze", 0)])
     def test_logmean_at_equal_masses_is_a_typed_refusal(self, tmp_path, capsys, command, code):
         cfg = tmp_path / "cfg.json"

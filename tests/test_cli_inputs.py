@@ -5,7 +5,7 @@ refusable faults mixed in (flags the subcommand does not read, malformed,
 fractional and dangling edges, a fractional, boolean or too small node
 count, wrong-length and off-simplex densities, bad --oracle and --tol values,
 an infinite edge weight, a NaN or infinite reference rate, and config values
-of the wrong type):
+of the wrong type, such as a string or a boolean for a number):
   * main returns an exit code in 0-4 and no exception escapes it, so no
     traceback reaches stderr
   * an input refused while parsing argv or the config exits 1 and leaves
@@ -38,7 +38,9 @@ WRONG_TYPE = [{"hamiltonian": {"variant": "lp_kinetic", "theta": "average", "q":
               {"hamiltonian": {"variant": "fisher_ot", "theta": "average", "beta": [1]}},
               {"reference": {"kind": "constant", "matrix": [[-1, "a"], [1, -1]]}},
               {"reference": {"kind": "constant", "matrix": [[-1, 1], [1]]}},
-              {"builtin": ["x"]}]
+              {"builtin": ["x"]},
+              {"horizon": {"t0": 0.0, "t1": "0.1", "dt": 0.01}},
+              {"reference": {"kind": "symmetric", "value": True}}]
 
 
 @st.composite

@@ -110,7 +110,7 @@ class TestIntegrators:
         drifts = {}
         for dt in (2e-3, 1e-3):
             traj = integrate(spec, state, 0.0, 0.4, dt)
-            assert traj.min_rho.min() > 0.05
+            assert traj.rho.min() > 0.05
             drifts[dt] = np.max(np.abs(traj.H - traj.H[0]))
         assert drifts[1e-3] <= 1e-8
         assert drifts[2e-3] / drifts[1e-3] >= 10.0
@@ -293,7 +293,7 @@ class TestChartCommutation:
         start = PhasePoint(rho0, s0)
 
         a_traj = integrate(sbp_entropic(g, rates), start, 0.0, 1.0, 1e-3)
-        assert a_traj.min_rho.min() > 0.05
+        assert a_traj.rho.min() > 0.05
         a = a_traj.final
 
         b_traj = integrate(sbp_psi(g, rates), hopf_cole(start), 0.0, 1.0, 1e-3)

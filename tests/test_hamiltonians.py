@@ -28,6 +28,7 @@ from graphham.hamiltonians import (
     ENTROPY_DUAL,
     QUADRATIC_DUAL,
     PhasePoint,
+    ReferenceRates,
     constant_rates,
     eval_H,
     fisher_information,
@@ -76,6 +77,14 @@ class TestReferenceRates:
     def test_negative_rate_rejected(self):
         with pytest.raises(InvalidGenerator):
             constant_rates([[0.0, -1.0], [1.0, 0.0]])
+
+    def test_matrix_of_the_wrong_size_is_refused_at_construction(self):
+        with pytest.raises(InvalidGenerator, match=r"shape \(2, 2\), expected \(3, 3\)"):
+            ReferenceRates(3, matrix=[[-1.0, 1.0], [1.0, -1.0]])
+
+    def test_non_square_constant_matrix_is_refused(self):
+        with pytest.raises(InvalidGenerator, match=r"shape \(2, 3\), expected \(2, 2\)"):
+            constant_rates([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
 
     @pytest.mark.parametrize("matrix", [
         [[-5.0, 1.0], [1.0, -1.0]],                 # diagonal off its row sum

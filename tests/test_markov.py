@@ -353,7 +353,7 @@ class TestPropagator:
         spec = ot_kinetic(K3, UPWIND)
         state = PhasePoint(np.array([0.5, 0.3, 0.2]), np.array([0.2, -0.05, 0.15]))
         traj = integrate(spec, state, 0.0, 0.3, dt=5e-4)
-        assert traj.min_rho.min() > 0.02
+        assert traj.rho.min() > 0.02
         qs = np.stack([
             build_rate_matrix(spec, traj.state(k)).entries
             for k in range(len(traj.times))

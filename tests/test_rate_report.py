@@ -136,8 +136,7 @@ def _states(count, n=N, chart="S", seed=0, times=None, pot_scale=0.3):
     if chart == "fg":
         rho, pot = np.sqrt(rho) * np.exp(-pot), np.sqrt(rho) * np.exp(pot)
     times = np.linspace(0.0, 1.0, count) if times is None else times
-    return Trajectory(times, rho, pot, chart, np.zeros(count), np.zeros(count),
-                      rho.min(axis=1))
+    return Trajectory(times, rho, pot, chart, np.zeros(count), np.zeros(count))
 
 
 def _assert_same_report(tmp_path, scenario, traj):

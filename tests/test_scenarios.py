@@ -70,6 +70,31 @@ CUSTOM = {
     "horizon": {"t0": 0.0, "t1": 0.5, "dt": 0.002},
 }
 
+# where each config number lives: a block holding it as "X", the key a fault
+# there is reported under, and whether that key is an integer key
+NUMBER_SITES = [
+    ({"graph": {"nodes": "X", "edges": [[0, 1, 1.0]]}}, "nodes", True),
+    ({"graph": {"nodes": 2, "edges": [["X", 1, 1.0]]}}, "edges", True),
+    ({"graph": {"nodes": 2, "edges": [[0, 1, "X"]]}}, "edges", False),
+    ({"reference": {"kind": "symmetric", "value": "X"}}, "value", False),
+    ({"reference": {"kind": "constant", "matrix": [[-1, "X"], [1, -1]]}}, "matrix", False),
+    ({"hamiltonian": {"variant": "lp_kinetic", "theta": "average", "q": "X"}}, "q", False),
+    ({"hamiltonian": {"variant": "fisher_ot", "theta": "average", "beta": "X"}}, "beta", False),
+    ({"initial": {"rho": ["X", 0.3], "pot": [0.1, -0.1]}}, "rho", False),
+    ({"initial": {"rho": [0.7, 0.3], "pot": [0.1, "X"]}}, "pot", False),
+    ({"marginals": {"rho0": ["X", 0.5], "rho1": [0.5, 0.5]}}, "rho0", False),
+    ({"marginals": {"rho0": [0.5, 0.5], "rho1": [0.5, "X"]}}, "rho1", False),
+    ({"marginals": {"rho0": [0.5, 0.5], "rho1": [0.5, 0.5],
+                    "reference_initial": ["X", 0.5]}}, "reference_initial", False),
+    ({"horizon": {"t0": "X"}}, "t0", False),
+    ({"horizon": {"t1": "X"}}, "t1", False),
+    ({"horizon": {"dt": "X"}}, "dt", False),
+    ({"sampler": {"particles": "X"}}, "particles", True),
+    ({"sampler": {"seed": "X"}}, "seed", True),
+    ({"sampler": {"checkpoints": "X"}}, "checkpoints", True),
+    ({"sampler": {"lam": "X"}}, "lam", False),
+]
+
 
 class TestCustomConfig:
     def test_full_roundtrip(self, tmp_path):
@@ -158,10 +183,9 @@ class TestCustomConfig:
         assert err.value.key == key
 
     @pytest.mark.parametrize("block, key", [
-        ({"hamiltonian": {"variant": "lp_kinetic", "theta": "average", "q": None}}, "hamiltonian"),
-        ({"hamiltonian": {"variant": "lp_kinetic", "theta": "average", "q": 10 ** 400}},
-         "hamiltonian"),
-        ({"hamiltonian": {"variant": "fisher_ot", "theta": "average", "beta": [1]}}, "hamiltonian"),
+        ({"hamiltonian": {"variant": "lp_kinetic", "theta": "average", "q": None}}, "q"),
+        ({"hamiltonian": {"variant": "lp_kinetic", "theta": "average", "q": 10 ** 400}}, "q"),
+        ({"hamiltonian": {"variant": "fisher_ot", "theta": "average", "beta": [1]}}, "beta"),
         ({"reference": {"kind": "constant", "matrix": [[-1, "a"], [1, -1]]}}, "matrix"),
         ({"reference": {"kind": "constant", "matrix": [[-1, 1], [1]]}}, "matrix"),
         ({"builtin": ["x"]}, "builtin"),
@@ -170,6 +194,23 @@ class TestCustomConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(dict(CUSTOM, **block))
         assert err.value.key == key
+
+    @pytest.mark.parametrize("block, key, bad", [
+        (block, key, bad) for block, key, integer in NUMBER_SITES
+        for bad in ["1", True] + ([] if integer else [10 ** 400])],
+        ids=lambda v: "huge" if v == 10 ** 400 else None)
+    def test_every_config_number_is_read_by_one_rule(self, block, key, bad):
+        block = json.loads(json.dumps(block).replace('"X"', json.dumps(bad)))
+        with pytest.raises(ConfigError) as err:
+            parse_config(dict(CUSTOM, **block))
+        assert err.value.key == key
+        assert str(10 ** 400) not in str(err.value)
+
+    def test_integral_float_counts_are_accepted(self):
+        sc = parse_config(dict(CUSTOM, graph={"nodes": 2.0, "edges": [[0, 1, 1.0]]},
+                               sampler={"particles": 1000.0}))
+        assert (sc.graph.n, sc.particles) == (2, 1000)
+        assert type(sc.particles) is int
 
     def test_fg_factor_need_not_be_a_density(self):
         data = {"graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
