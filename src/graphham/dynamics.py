@@ -83,44 +83,50 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-def _guard(rho: np.ndarray, pot: np.ndarray, chart: str, t: float):
-    if not (np.isfinite(rho).all() and np.isfinite(pot).all()):
+def _guard(x: np.ndarray, chart: str, t: float):
+    """Refuse a stacked (rho, pot) state that left the flow's domain."""
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise BlowUp("non-finite state at t = %g" % t)
     if chart == "fg":
-        if max(np.max(np.abs(rho)), np.max(np.abs(pot))) > _POT_CAP:
+        if np.maximum.reduce(np.abs(x), axis=None) > _POT_CAP:
             raise BlowUp("factor magnitude beyond 1e6 at t = %g" % t)
         return
-    if np.abs(pot).max() > _POT_CAP:
+    if np.maximum.reduce(np.abs(x[1])) > _POT_CAP:
         raise BlowUp("potential beyond 1e6 at t = %g" % t)
-    if rho.min() < _RHO_FLOOR:
+    if np.minimum.reduce(x[0]) < _RHO_FLOOR:
         raise BlowUp("node mass below -1e-9 at t = %g" % t)
 
 
-def _rk4_step(field, r, p, t, dt):
-    k1r, k1p = field(r, p, t)
-    k2r, k2p = field(r + 0.5 * dt * k1r, p + 0.5 * dt * k1p, t + 0.5 * dt)
-    k3r, k3p = field(r + 0.5 * dt * k2r, p + 0.5 * dt * k2p, t + 0.5 * dt)
-    k4r, k4p = field(r + dt * k3r, p + dt * k3p, t + dt)
-    return (r + dt * (k1r + 2 * k2r + 2 * k3r + k4r) / 6.0,
-            p + dt * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0)
+def _rk4_step(field, x, t, dt):
+    """One classical rk4 step of the stacked (rho, pot) state x."""
+    k1 = field(x[0], x[1], t)
+    y = x + 0.5 * dt * k1
+    k2 = field(y[0], y[1], t + 0.5 * dt)
+    y = x + 0.5 * dt * k2
+    k3 = field(y[0], y[1], t + 0.5 * dt)
+    y = x + dt * k3
+    k4 = field(y[0], y[1], t + dt)
+    return x + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
 
 
-def _midpoint_step(field, r, p, t, dt):
-    fr, fp = field(r, p, t)
-    mr, mp = r + 0.5 * dt * fr, p + 0.5 * dt * fp
+def _midpoint_step(field, x, t, dt):
+    """One implicit midpoint step of the stacked (rho, pot) state x. The
+    iteration's error and scale take the maximum of each half first, and
+    Python's max over the halves then, which skips a NaN in the second."""
+    mid = x + 0.5 * dt * field(x[0], x[1], t)
     tm = t + 0.5 * dt
     for _ in range(_FP_MAXITER):
         try:
-            fr, fp = field(mr, mp, tm)
+            f = field(mid[0], mid[1], tm)
         except (BoundaryDensity, NonfiniteValue) as exc:
             # a diverging iterate left the Hamiltonian's domain
             raise NonconvergentImplicitStep(
                 "midpoint iterate escaped at t = %g (dt = %g)" % (t, dt)) from exc
-        nr, np_ = r + 0.5 * dt * fr, p + 0.5 * dt * fp
-        err = max(np.max(np.abs(nr - mr)), np.max(np.abs(np_ - mp)))
-        mr, mp = nr, np_
-        if err < _FP_TOL * max(1.0, np.max(np.abs(nr)), np.max(np.abs(np_))):
-            return 2 * mr - r, 2 * mp - p
+        nxt = x + 0.5 * dt * f
+        err = max(np.maximum.reduce(np.abs(nxt - mid), axis=1))
+        mid = nxt
+        if err < _FP_TOL * max(1.0, *np.maximum.reduce(np.abs(nxt), axis=1)):
+            return 2 * mid - x
     raise NonconvergentImplicitStep(
         "midpoint fixed point stalled at t = %g (dt = %g)" % (t, dt))
 
@@ -133,7 +139,7 @@ def integrate(spec: HamiltonianSpec, state: PhasePoint, t0: float, t1: float,
     _check_chart(spec, state)
     steps = _step_count(t0, t1, dt)
     dt = (t1 - t0) / steps
-    rk4 = method == "rk4"
+    rk4, chart = method == "rk4", spec.chart
     stepper = _rk4_step if rk4 else _midpoint_step
 
     def stage_times():
@@ -149,21 +155,22 @@ def integrate(spec: HamiltonianSpec, state: PhasePoint, t0: float, t1: float,
 
     field, energy = prepare(spec, stage_times())
 
-    def record(tk, r, p):
-        mass = np.dot(r, p) if spec.chart == "fg" else r.sum()   # in the state's chart
+    def record(tk, x):
+        r, p = x[0], x[1]
+        mass = np.dot(r, p) if chart == "fg" else r.sum()   # in the state's chart
         return tk, r, p, energy(r, p, tk), float(mass)
 
-    r, p = state.rho.copy(), state.pot.copy()
-    _guard(r, p, spec.chart, t0)
-    rows = [record(t0, r, p)]
+    x = np.array((state.rho, state.pot))          # the stacked (rho, pot) state
+    _guard(x, chart, t0)
+    rows = [record(t0, x)]
     for k in range(steps):
         t = t0 + k * dt
-        r, p = stepper(field, r, p, t, dt)       # fresh arrays every step
-        _guard(r, p, spec.chart, t + dt)
+        x = stepper(field, x, t, dt)             # a fresh array every step
+        _guard(x, chart, t + dt)
         if (k + 1) % record_every == 0 or k == steps - 1:
-            rows.append(record(t0 + (k + 1) * dt, r, p))
+            rows.append(record(t0 + (k + 1) * dt, x))
     times, rhos, pots, hs, masses = map(np.array, zip(*rows))
-    return Trajectory(times, rhos, pots, spec.chart, hs, masses - masses[0])
+    return Trajectory(times, rhos, pots, chart, hs, masses - masses[0])
 
 
 # -- chart transforms ---------------------------------------------------------------

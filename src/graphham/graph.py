@@ -113,6 +113,9 @@ def validate_graph(raw_nodes, raw_edges) -> Graph:
         if key in seen and seen[key] != (w, wt):
             raise AsymmetricWeight("conflicting weights for edge %s" % (key,))
         seen[key] = (w, wt)
+    if n > len(seen) + 1:        # a connected graph on n nodes has n - 1 edges
+        raise DisconnectedGraph("%d nodes need at least %d edges, got %d"
+                                % (n, n - 1, len(seen)))
     edges = tuple(sorted(seen))
     ij = np.array(edges, dtype=np.int64).reshape(-1, 2)
     ww = np.array([seen[e] for e in edges], dtype=float).reshape(-1, 2)

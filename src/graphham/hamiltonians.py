@@ -55,7 +55,7 @@ _ROW_TOL = 1e-10
 def _capped(x, mask):
     """x on the masked entries and 0 elsewhere, refusing gaps whose exp overflows."""
     x = np.where(mask, x, 0.0)
-    if np.abs(x).max(initial=0.0) > _EXP_CAP:
+    if np.maximum.reduce(np.abs(x), axis=None, initial=0.0) > _EXP_CAP:
         raise NonfiniteValue("potential gap beyond +-700; exp would overflow")
     return x
 
@@ -193,14 +193,17 @@ def _block_size(n: int) -> int:
 
 def _reference_at(rates: ReferenceRates, times=()):
     """t -> (m(t), a mask of the support pairs whose rate at t is nonzero, the
-    diagonal of m(t)).
+    diagonal of m(t), mask * m(t)).
 
-    A constant reference has one fixed triple, whose mask is 0/1 floats:
+    mask * m is the masked rate the fields multiply by: m on the mask, 0 * m
+    off it, which keeps the sign of m and is NaN for a NaN or infinite m.
+    A constant reference has one fixed quadruple, whose mask is 0/1 floats:
     products with it equal those with booleans and cost less. A
     time-dependent one is evaluated at `times`, an iterable of the times a
     flow will ask for in order, and walked by a forward cursor over a chain
-    of (t, m, mask, diagonal) entries. The chain is built from the distinct
-    consecutive times, through at_many in blocks of _block_size(n) of them.
+    of (t, m, mask, diagonal, mask * m) entries. The chain is built from the
+    distinct consecutive times, through at_many in blocks of _block_size(n)
+    of them, each block's masks and masked rates in one product.
     A call at the time of the entry served last is served from it again; a
     call at the time of the entry after it moves the cursor on; a call at any
     other time evaluates m(t) alone. The first block is evaluated when the
@@ -209,18 +212,21 @@ def _reference_at(rates: ReferenceRates, times=()):
     """
     support = rates.support()
     if rates.constant:
-        fixed = rates.matrix, support.astype(float), rates.matrix.diagonal()
+        mask = support.astype(float)
+        fixed = rates.matrix, mask, rates.matrix.diagonal(), mask * rates.matrix
         return lambda t: fixed
 
     def at(t):
         m = rates.at(t)
-        return m, support & (m != 0), m.diagonal()
+        mask = support & (m != 0)
+        return m, mask, m.diagonal(), mask * m
 
     def entries():
         distinct = (t for t, _ in itertools.groupby(times))
         while ts := list(itertools.islice(distinct, _block_size(rates.n))):
             ms = rates.at_many(ts)
-            yield from zip(ts, ms, support & (ms != 0), np.diagonal(ms, axis1=1, axis2=2))
+            masks = support & (ms != 0)
+            yield from zip(ts, ms, masks, np.diagonal(ms, axis1=1, axis2=2), masks * ms)
 
     chain = entries()
     served, ahead = (None,), next(chain, None)
@@ -403,7 +409,7 @@ def schrodinger_fg(graph: Graph, reference: ReferenceRates) -> HamiltonianSpec:
 
 
 def _interior(rho: np.ndarray):
-    if rho.min() <= 0.0:
+    if np.minimum.reduce(rho) <= 0.0:
         raise BoundaryDensity("state requires strictly positive masses")
 
 
@@ -440,17 +446,17 @@ def _fisher_grad(g: Graph, rho, kind: ThetaKind) -> np.ndarray:
 def prepare(spec: HamiltonianSpec, times=()):
     """(field, energy) of a spec on plain arrays in its chart.
 
-    energy(rho, pot, t) is H; field(rho, pot, t) is (d rho/dt, d pot/dt) =
-    (+dH/dpot, -dH/drho), differentiated exactly. The variant is dispatched
-    here once, and everything that does not depend on the state (graph
-    arrays, theta kinds, potential terms, a constant reference with its
-    support and diagonal) is fixed here. In the fg chart rho and pot hold
-    f and g.
+    energy(rho, pot, t) is H; field(rho, pot, t) is the (2, n) array of
+    (d rho/dt, d pot/dt) = (+dH/dpot, -dH/drho), differentiated exactly. The
+    variant is dispatched here once, and everything that does not depend on
+    the state (graph arrays, theta kinds, potential terms, a constant
+    reference with its support, diagonal and masked rate) is fixed here. In
+    the fg chart rho and pot hold f and g.
 
     `times` iterates over the times at which a flow will evaluate the pair,
     in order, such as the stage times of an rk4 grid. A time-dependent
     reference is then evaluated once per flow, on that grid: once at each
-    distinct time, in blocks, with its mask and diagonal. Any other time
+    distinct time, in blocks, with its mask, diagonal and masked rate. Any other time
     evaluates it per call.
     """
     variant = {"sbp_entropic": _entropic, "sbp_psi": _dual,
@@ -506,7 +512,7 @@ def _kinetic(spec: HamiltonianSpec):
             dpot = -0.25 * np.bincount(src, w * ds ** 2 * psum, minlength=n)
         for term in terms:
             dpot -= np.asarray(term.grad(rho, t), dtype=float)
-        return drho, dpot
+        return np.array((drho, dpot))
 
     return field, energy
 
@@ -516,10 +522,10 @@ def _entropic(spec: HamiltonianSpec, at):
 
     def flux(rho, pot, t):
         """flux_ij, the mass moving i -> j, and the diagonal of m(t)."""
-        m, sup, diag = at(t)
-        gap = pot[None, :] - pot[:, None]          # pot_j - pot_i
+        _, sup, diag, rate = at(t)
+        gap = pot - pot[:, None]                    # pot_j - pot_i
         _interior(rho)
-        return np.exp(_capped(gap, sup)) * m * np.sqrt(rho[:, None] * rho) * sup, diag
+        return np.exp(_capped(gap, sup)) * rate * np.sqrt(rho[:, None] * rho), diag
 
     def energy(rho, pot, t):
         fl, diag = flux(rho, pot, t)
@@ -527,8 +533,8 @@ def _entropic(spec: HamiltonianSpec, at):
 
     def field(rho, pot, t):
         fl, diag = flux(rho, pot, t)
-        out, inflow = fl.sum(axis=1), fl.sum(axis=0)     # sum_j fl_ij, sum_i fl_ij
-        return inflow - out, -diag - (out + inflow) / (2.0 * rho)
+        out, inflow = np.add.reduce(fl, 1), np.add.reduce(fl, 0)   # sum_j fl_ij, sum_i fl_ij
+        return np.array((inflow - out, -diag - (out + inflow) / (2.0 * rho)))
 
     return field, energy
 
@@ -541,20 +547,23 @@ def _dual(spec: HamiltonianSpec, at):
     clip = _capped if dual.name == "entropy" else lambda x, mask: np.where(mask, x, 0.0)
 
     def gaps(pot, t):
-        m, sup, _ = at(t)
-        return m, sup, clip(pot[None, :] - pot[:, None], sup)
+        """The masked rate and the gaps, which are +0.0 off the mask: there
+        u*(0) = 0 and u*'(0) = 1 times the masked rate give 0 * m."""
+        _, sup, _, rate = at(t)
+        return rate, clip(pot - pot[:, None], sup)
 
     def energy(rho, pot, t):
-        m, sup, z = gaps(pot, t)
-        val = float((np.where(sup, dual.value(z), 0.0) * m * rho[:, None]).sum())
+        rate, z = gaps(pot, t)
+        val = float((dual.value(z) * rate * rho[:, None]).sum())
         if not np.isfinite(val):
             raise NonfiniteValue("Hamiltonian is not finite")
         return val
 
     def field(rho, pot, t):
-        m, sup, z = gaps(pot, t)
-        out = np.where(sup, dual.derivative(z), 0.0) * m * rho[:, None]   # rate-weighted outflow i -> j
-        return out.sum(axis=0) - out.sum(axis=1), -(np.where(sup, dual.value(z), 0.0) * m).sum(axis=1)
+        rate, z = gaps(pot, t)
+        out = dual.derivative(z) * rate * rho[:, None]   # rate-weighted outflow i -> j
+        return np.array((np.add.reduce(out, 0) - np.add.reduce(out, 1),
+                         -np.add.reduce(dual.value(z) * rate, 1)))
 
     return field, energy
 
@@ -570,7 +579,7 @@ def _bilinear(spec: HamiltonianSpec, at):
 
     def field(f, g, t):
         m = at(t)[0]
-        return f @ m, -(m @ g)
+        return np.array((f @ m, -(m @ g)))
 
     return field, energy
 
@@ -590,8 +599,9 @@ def eval_H(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0) -> float:
     return prepare(spec)[1](state.rho, state.pot, t)
 
 
-def vector_field(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0):
-    """(d rho/dt, d pot/dt) = (+dH/dpot, -dH/drho), differentiated exactly."""
+def vector_field(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0) -> np.ndarray:
+    """The (2, n) array of (d rho/dt, d pot/dt) = (+dH/dpot, -dH/drho),
+    differentiated exactly."""
     _check_chart(spec, state)
     return prepare(spec)[0](state.rho, state.pot, t)
 

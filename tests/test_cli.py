@@ -484,6 +484,19 @@ class TestErrors:
         assert "config error:" in err and "Traceback" not in err
         assert not (out / "run.json").exists()
 
+    def test_node_count_beyond_the_edges_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": {"nodes": 10 ** 20, "edges": [[0, 1, 1.0]]},
+            "reference": {"kind": "symmetric", "value": 1.0},
+            "initial": {"rho": [0.4, 0.6], "pot": [0.0, 0.0]},
+        }))
+        rc, out = run(tmp_path, "simulate", "--config", str(cfg))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "need at least" in err and "Traceback" not in err
+        assert not (out / "run.json").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("text", [
         pytest.param(str(10 ** 400), id="10**400"), "Infinity", "-Infinity", "NaN", "1e400"])

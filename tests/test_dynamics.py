@@ -28,16 +28,24 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from graphham import dynamics
 from graphham.errors import (
     BlowUp,
+    BoundaryDensity,
     NonconvergentImplicitStep,
+    NonfiniteValue,
     NonpositiveFG,
 )
 from graphham.graph import complete_graph, validate_graph
 from graphham.hamiltonians import (
     _BLOCK_ENTRIES,
     _block_size,
+    _capped,
+    _interior,
+    _reference_at,
+    NodePotential,
     PhasePoint,
+    QUADRATIC_DUAL,
     ReferenceRates,
     constant_rates,
     eval_H,
@@ -53,6 +61,10 @@ from graphham.hamiltonians import (
     vector_field,
 )
 from graphham.dynamics import (
+    _FP_MAXITER,
+    _FP_TOL,
+    _POT_CAP,
+    _RHO_FLOOR,
     _midpoint_step,
     _rk4_step,
     FGFlow,
@@ -66,7 +78,7 @@ from graphham.dynamics import (
     schrodinger_evolve,
     symplectic_check,
 )
-from graphham.markov import LinearGrid, propagator
+from graphham.markov import LinearGrid, _step_count, propagator
 from graphham.scenarios import load_config
 from graphham.theta import AVERAGE, LOGMEAN, UPWIND
 
@@ -164,18 +176,7 @@ class TestIntegrators:
     @pytest.mark.parametrize("variant", ["ot_kinetic", "fisher_ot", "lp_kinetic",
                                          "sbp_entropic", "sbp_psi", "schrodinger_fg"])
     def test_prepared_flow_matches_the_public_field(self, variant, method):
-        g = complete_graph(3)
-        ramp = ReferenceRates(3, batch_fn=lambda ts: (1.0 + np.asarray(ts))[:, None, None]
-                              * symmetric_rates(g).matrix)
-        start = PhasePoint(self.SAFE_RHO, self.SAFE_S)
-        spec, state = {
-            "ot_kinetic": (ot_kinetic(g, LOGMEAN, linear_potential([0.1, 0.0, -0.2])), start),
-            "fisher_ot": (fisher_ot(g, AVERAGE, beta=0.05), start),
-            "lp_kinetic": (lp_kinetic(g, UPWIND, q=3.0), start),
-            "sbp_entropic": (sbp_entropic(g, symmetric_rates(g)), start),
-            "sbp_psi": (sbp_psi(g, ramp), hopf_cole(start)),
-            "schrodinger_fg": (schrodinger_fg(g, ramp), madelung(start)),
-        }[variant]
+        spec, state, _, _, _ = oracle_case(variant)
         traj = integrate(spec, state, 0.0, 0.2, 0.02, method=method, record_every=3)
 
         def field(r, p, t):
@@ -183,12 +184,13 @@ class TestIntegrators:
 
         stepper = _rk4_step if method == "rk4" else _midpoint_step
         dt = 0.2 / 10
-        r, p = state.rho, state.pot
-        want = [(r, p, eval_H(spec, state, 0.0))]
+        x = np.array((state.rho, state.pot))
+        want = [(x[0], x[1], eval_H(spec, state, 0.0))]
         for k in range(10):
-            r, p = stepper(field, r, p, k * dt, dt)
+            x = stepper(field, x, k * dt, dt)
             if (k + 1) % 3 == 0 or k == 9:
-                want.append((r, p, eval_H(spec, PhasePoint(r, p, spec.chart), (k + 1) * dt)))
+                want.append((x[0], x[1],
+                             eval_H(spec, PhasePoint(x[0], x[1], spec.chart), (k + 1) * dt)))
         for got, expected in zip((traj.rho, traj.pot, traj.H), zip(*want)):
             assert np.array_equal(got, np.array(expected))
 
@@ -199,6 +201,266 @@ class TestIntegrators:
         assert traj.times[-1] == pytest.approx(0.3, abs=1e-15)
         assert len(traj) == 1 + 30 // 5
         assert traj.rho.shape == (len(traj), 2)
+
+
+# -- the two-array integrator, as it stood before the stacked state ---------------
+#
+# Verbatim copies of the steppers and the guard that stepped rho and pot as two
+# arrays, and of the sbp_entropic and sbp_psi fields that multiplied by m and
+# the support mask separately. integrate must match them bit for bit.
+
+
+def two_array_guard(rho: np.ndarray, pot: np.ndarray, chart: str, t: float):
+    if not (np.isfinite(rho).all() and np.isfinite(pot).all()):
+        raise BlowUp("non-finite state at t = %g" % t)
+    if chart == "fg":
+        if max(np.max(np.abs(rho)), np.max(np.abs(pot))) > _POT_CAP:
+            raise BlowUp("factor magnitude beyond 1e6 at t = %g" % t)
+        return
+    if np.abs(pot).max() > _POT_CAP:
+        raise BlowUp("potential beyond 1e6 at t = %g" % t)
+    if rho.min() < _RHO_FLOOR:
+        raise BlowUp("node mass below -1e-9 at t = %g" % t)
+
+
+def two_array_rk4_step(field, r, p, t, dt):
+    k1r, k1p = field(r, p, t)
+    k2r, k2p = field(r + 0.5 * dt * k1r, p + 0.5 * dt * k1p, t + 0.5 * dt)
+    k3r, k3p = field(r + 0.5 * dt * k2r, p + 0.5 * dt * k2p, t + 0.5 * dt)
+    k4r, k4p = field(r + dt * k3r, p + dt * k3p, t + dt)
+    return (r + dt * (k1r + 2 * k2r + 2 * k3r + k4r) / 6.0,
+            p + dt * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0)
+
+
+def two_array_midpoint_step(field, r, p, t, dt):
+    fr, fp = field(r, p, t)
+    mr, mp = r + 0.5 * dt * fr, p + 0.5 * dt * fp
+    tm = t + 0.5 * dt
+    for _ in range(_FP_MAXITER):
+        try:
+            fr, fp = field(mr, mp, tm)
+        except (BoundaryDensity, NonfiniteValue) as exc:
+            # a diverging iterate left the Hamiltonian's domain
+            raise NonconvergentImplicitStep(
+                "midpoint iterate escaped at t = %g (dt = %g)" % (t, dt)) from exc
+        nr, np_ = r + 0.5 * dt * fr, p + 0.5 * dt * fp
+        err = max(np.max(np.abs(nr - mr)), np.max(np.abs(np_ - mp)))
+        mr, mp = nr, np_
+        if err < _FP_TOL * max(1.0, np.max(np.abs(nr)), np.max(np.abs(np_))):
+            return 2 * mr - r, 2 * mp - p
+    raise NonconvergentImplicitStep(
+        "midpoint fixed point stalled at t = %g (dt = %g)" % (t, dt))
+
+
+def two_array_entropic(spec, at):
+    def flux(rho, pot, t):
+        m, sup, diag = at(t)
+        gap = pot[None, :] - pot[:, None]          # pot_j - pot_i
+        _interior(rho)
+        return np.exp(_capped(gap, sup)) * m * np.sqrt(rho[:, None] * rho) * sup, diag
+
+    def energy(rho, pot, t):
+        fl, diag = flux(rho, pot, t)
+        return float(fl.sum()) + float(diag @ rho)
+
+    def field(rho, pot, t):
+        fl, diag = flux(rho, pot, t)
+        out, inflow = fl.sum(axis=1), fl.sum(axis=0)     # sum_j fl_ij, sum_i fl_ij
+        return inflow - out, -diag - (out + inflow) / (2.0 * rho)
+
+    return field, energy
+
+
+def two_array_dual(spec, at):
+    dual = spec.dual
+    clip = _capped if dual.name == "entropy" else lambda x, mask: np.where(mask, x, 0.0)
+
+    def gaps(pot, t):
+        m, sup, _ = at(t)
+        return m, sup, clip(pot[None, :] - pot[:, None], sup)
+
+    def energy(rho, pot, t):
+        m, sup, z = gaps(pot, t)
+        val = float((np.where(sup, dual.value(z), 0.0) * m * rho[:, None]).sum())
+        if not np.isfinite(val):
+            raise NonfiniteValue("Hamiltonian is not finite")
+        return val
+
+    def field(rho, pot, t):
+        m, sup, z = gaps(pot, t)
+        out = np.where(sup, dual.derivative(z), 0.0) * m * rho[:, None]   # rate-weighted outflow i -> j
+        return out.sum(axis=0) - out.sum(axis=1), -(np.where(sup, dual.value(z), 0.0) * m).sum(axis=1)
+
+    return field, energy
+
+
+def two_array_prepare(spec, times=()):
+    """prepare with the two-array sbp_entropic and sbp_psi fields, fed the
+    (m, mask, diagonal) of the same reference lookup; the other variants' own."""
+    old = {"sbp_entropic": two_array_entropic, "sbp_psi": two_array_dual}.get(spec.variant)
+    if old is None:
+        return prepare(spec, times)
+    lookup = _reference_at(spec.reference, times)
+    return old(spec, lambda t: lookup(t)[:3])
+
+
+def two_array_integrate(spec, state, t0, t1, dt, method="rk4", record_every=1,
+                        prepare=two_array_prepare):
+    """integrate's loop over the two-array steppers; (times, rho, pot, H, mass_defect)."""
+    steps = _step_count(t0, t1, dt)
+    dt = (t1 - t0) / steps
+    rk4 = method == "rk4"
+    stepper = two_array_rk4_step if rk4 else two_array_midpoint_step
+
+    def stage_times():
+        for k in range(steps):
+            t = t0 + k * dt
+            yield t
+            yield t + 0.5 * dt
+            if rk4:
+                yield t + dt
+        yield t0 + steps * dt
+
+    field, energy = prepare(spec, stage_times())
+
+    def record(tk, r, p):
+        mass = np.dot(r, p) if spec.chart == "fg" else r.sum()   # in the state's chart
+        return tk, r, p, energy(r, p, tk), float(mass)
+
+    r, p = state.rho.copy(), state.pot.copy()
+    two_array_guard(r, p, spec.chart, t0)
+    rows = [record(t0, r, p)]
+    for k in range(steps):
+        t = t0 + k * dt
+        r, p = stepper(field, r, p, t, dt)       # fresh arrays every step
+        two_array_guard(r, p, spec.chart, t + dt)
+        if (k + 1) % record_every == 0 or k == steps - 1:
+            rows.append(record(t0 + (k + 1) * dt, r, p))
+    times, rhos, pots, hs, masses = map(np.array, zip(*rows))
+    return times, rhos, pots, hs, masses - masses[0]
+
+
+def logged(prepare, log):
+    """prepare whose field and energy append (name, t) to log at each call."""
+    def wrapped(spec, times=()):
+        field, energy = prepare(spec, times)
+
+        def logged_field(rho, pot, t):
+            log.append(("field", t))
+            return field(rho, pot, t)
+
+        def logged_energy(rho, pot, t):
+            log.append(("energy", t))
+            return energy(rho, pot, t)
+
+        return logged_field, logged_energy
+    return wrapped
+
+
+def three_node_rates():
+    """A constant K3 reference without the pair (0, 2): the masked rate is
+    0 * m off its support, on the zero pairs and the negative diagonal."""
+    return constant_rates([[-1.0, 1.0, 0.0], [0.5, -1.5, 1.0], [0.0, 2.0, -2.0]])
+
+
+def nan_diagonal_rates(n, after=0.05):
+    """A reference on K_n whose diagonal turns NaN at times above `after`."""
+    base = symmetric_rates(complete_graph(n)).matrix
+
+    def batch(ts):
+        ms = np.repeat(base[None], len(ts), axis=0)
+        ms[np.asarray(ts) > after] += np.diag(np.full(n, np.nan))
+        return ms
+
+    return ReferenceRates(n, batch_fn=batch)
+
+
+def oracle_case(name):
+    """(spec, state, t1, dt, record_every) of a flow the oracle test runs."""
+    g = complete_graph(3)
+    start = PhasePoint(TestIntegrators.SAFE_RHO, TestIntegrators.SAFE_S)
+    ramp = ReferenceRates(3, batch_fn=lambda ts: (1.0 + np.asarray(ts))[:, None, None]
+                          * symmetric_rates(g).matrix)
+    periodic = load_config("three-node-circle").reference
+    short = 0.2, 0.02, 3
+    return {
+        "ot_kinetic": (ot_kinetic(g, LOGMEAN, linear_potential([0.1, 0.0, -0.2])), start, *short),
+        "fisher_ot": (fisher_ot(g, AVERAGE, beta=0.05), start, *short),
+        "lp_kinetic": (lp_kinetic(g, UPWIND, q=3.0), start, *short),
+        "sbp_entropic": (sbp_entropic(g, symmetric_rates(g)), start, *short),
+        "sbp_psi": (sbp_psi(g, ramp), hopf_cole(start), *short),
+        "schrodinger_fg": (schrodinger_fg(g, ramp), madelung(start), *short),
+        "sbp_psi-quadratic": (sbp_psi(g, periodic, QUADRATIC_DUAL), hopf_cole(start), 0.5, 0.01, 1),
+        "sbp_entropic-constant": (sbp_entropic(g, three_node_rates()), start, 0.5, 0.01, 1),
+        "sbp_entropic-periodic": (sbp_entropic(g, periodic), start, 0.5, 0.01, 1),
+        "sbp_psi-constant": (sbp_psi(g, three_node_rates()), hopf_cole(start), 0.5, 0.01, 1),
+        "sbp_psi-periodic": (sbp_psi(g, periodic), hopf_cole(start), 0.5, 0.01, 1),
+    }[name]
+
+
+def refusal_case(name):
+    """(spec, state, t1, dt) of a flow that is refused, and the refusal's
+    class under the method named with it."""
+    two, k3 = two_node(), complete_graph(3)
+    safe = PhasePoint(TestIntegrators.SAFE_RHO, TestIntegrators.SAFE_S)
+    nan_after = NodePotential(lambda rho, t: 0.0,
+                              lambda rho, t: np.full(2, np.nan if t > 0.05 else 0.0))
+    return {
+        "psi-gap": (sbp_psi(two, flip_rates()), PhasePoint([0.5, 0.5], [0.0, 699.0], "psi"),
+                    0.1, 0.01, {"rk4": NonfiniteValue}),
+        "potential": (ot_kinetic(two, AVERAGE, linear_potential([1e9, 0.0])),
+                      PhasePoint([0.5, 0.5], [0.0, 0.0]), 0.1, 0.01, {"rk4": BlowUp}),
+        "negative-mass": (ot_kinetic(two, AVERAGE), PhasePoint([0.01, 0.99], [0.0, 10.0]),
+                          1.0, 0.01, {"rk4": BlowUp}),
+        "nonfinite-state": (ot_kinetic(two, AVERAGE, nan_after),
+                            PhasePoint([0.5, 0.5], [0.0, 0.0]), 0.1, 0.01, {"rk4": BlowUp}),
+        "factor-magnitude": (schrodinger_fg(two, constant_rates([[-40.0, 40.0], [40.0, -40.0]])),
+                             PhasePoint([1.0, 1.0], [1.0, 9e5], "fg"), 0.1, 0.01,
+                             {"rk4": BlowUp}),
+        "midpoint-divergence": (sbp_entropic(k3, symmetric_rates(k3, 40.0)),
+                                PhasePoint([0.5, 0.3, 0.2], [0.4, -0.1, 0.3]), 1.0, 0.5,
+                                {"implicit_midpoint": NonconvergentImplicitStep}),
+        "nan-diagonal-psi": (sbp_psi(two, nan_diagonal_rates(2)),
+                             PhasePoint([0.5, 0.5], [0.0, 0.1], "psi"), 0.1, 0.01,
+                             {"rk4": BlowUp}),
+        "nan-diagonal-S": (sbp_entropic(k3, nan_diagonal_rates(3)), safe, 0.1, 0.01,
+                           {"rk4": BlowUp}),
+    }[name]
+
+
+class TestTwoArrayOracle:
+    """integrate over the stacked (2, n) state against the two-array steppers
+    and fields: the same bytes, signed zeros included, and the same refusals."""
+
+    @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+    @pytest.mark.parametrize("name", [
+        "ot_kinetic", "fisher_ot", "lp_kinetic", "sbp_entropic", "sbp_psi", "schrodinger_fg",
+        "sbp_psi-quadratic", "sbp_entropic-constant", "sbp_entropic-periodic",
+        "sbp_psi-constant", "sbp_psi-periodic"])
+    def test_trajectory_bytes(self, name, method):
+        spec, state, t1, dt, every = oracle_case(name)
+        traj = integrate(spec, state, 0.0, t1, dt, method=method, record_every=every)
+        want = two_array_integrate(spec, state, 0.0, t1, dt, method, every)
+        got = (traj.times, traj.rho, traj.pot, traj.H, traj.mass_defect)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+    @pytest.mark.parametrize("name", [
+        "psi-gap", "potential", "negative-mass", "nonfinite-state", "factor-magnitude",
+        "midpoint-divergence", "nan-diagonal-psi", "nan-diagonal-S"])
+    def test_refusal_is_the_same(self, name, method, monkeypatch):
+        spec, state, t1, dt, expected = refusal_case(name)
+        logs = [], []
+        monkeypatch.setattr(dynamics, "prepare", logged(prepare, logs[0]))
+        with np.errstate(all="ignore"), pytest.raises(Exception) as got:
+            integrate(spec, state, 0.0, t1, dt, method=method)
+        with np.errstate(all="ignore"), pytest.raises(Exception) as want:
+            two_array_integrate(spec, state, 0.0, t1, dt, method,
+                                prepare=logged(two_array_prepare, logs[1]))
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        assert logs[0] == logs[1]                    # refused after the same evaluations
+        if method in expected:
+            assert type(got.value) is expected[method]
 
 
 class TestTransforms:

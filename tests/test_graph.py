@@ -72,6 +72,12 @@ class TestValidation:
         with pytest.raises(DisconnectedGraph):
             validate_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
 
+    @pytest.mark.parametrize("nodes", [4, 10 ** 20])
+    def test_refuses_more_nodes_than_edges_can_connect(self, nodes):
+        # refused before any array is sized by the node count
+        with pytest.raises(DisconnectedGraph, match="need at least %d edges, got 2" % (nodes - 1)):
+            validate_graph(nodes, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+
     def test_rejects_conflicting_orientations(self):
         with pytest.raises(AsymmetricWeight):
             validate_graph(2, [(0, 1, 1.0), (1, 0, 2.0)])

@@ -48,7 +48,7 @@ def _oracle_generator(spec, state, t):
     if kind == "sbp":
         if np.min(rho) <= 0:
             raise BoundaryDensity("reweighted rates need interior masses")
-        m, sup, _ = _reference_at(spec.reference)(t)
+        m, sup, _, _ = _reference_at(spec.reference)(t)
         ex = np.exp(_capped(s[None, :] - s[:, None], sup))
         q = ex * np.sqrt(rho[None, :] / rho[:, None]) * m
         np.fill_diagonal(q, 0.0)
