@@ -401,7 +401,10 @@ def cmd_analyze(scenario: Scenario, out: Path, args) -> int:
         # a constant chain still flags its stationary direction over the window
         span = scenario.period if scenario.period is not None \
             else scenario.t1 - scenario.t0
-        mon = monodromy(scenario.reference, period=span)
+        try:
+            mon = monodromy(scenario.reference, period=span)
+        except ValueError as exc:    # the window takes too many steps at monodromy's dt
+            raise ConfigError("t1", str(exc)) from exc
         report["floquet"] = {
             "multipliers": [[float(z.real), float(z.imag)] for z in mon.multipliers],
             "exponents": [[float(z.real), float(z.imag)] for z in mon.exponents],

@@ -39,10 +39,6 @@ class BoundaryDensity(GraphHamError):
     """A density touched the simplex boundary where an interior one is required."""
 
 
-class SingularLaplacian(GraphHamError):
-    """The weighted Laplacian is singular beyond its constant kernel."""
-
-
 class NonfiniteValue(GraphHamError):
     """An evaluation overflowed or produced NaN (e.g. exp of a huge gap)."""
 

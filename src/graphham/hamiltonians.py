@@ -283,7 +283,9 @@ def constant_rates(matrix) -> ReferenceRates:
 
 def symmetric_rates(g: Graph, value: float = 1.0) -> ReferenceRates:
     """Unit (or scaled) rates along every edge of a graph."""
-    return ReferenceRates(g.n, matrix=np.where(g.adjacency, value, 0.0))
+    m = np.zeros((g.n, g.n))
+    m[g.src, g.dst] = value
+    return ReferenceRates(g.n, matrix=m)
 
 
 # -- convex duals -------------------------------------------------------------------

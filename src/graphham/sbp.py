@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    BoundaryDensity,
     BoundaryMarginal,
     InvalidGenerator,
     NonconvergedIPFP,
@@ -417,6 +418,8 @@ def stationary_point(rates: ReferenceRates, rho_star=None) -> PhasePoint:
     drift = float(np.abs(rho @ rates.at(0.0)).max())
     if drift > 1e-10:
         raise NotStationary("rho m has residual %g" % drift)
+    if not rho.min() > 0:
+        raise BoundaryDensity("stationary density %s has a nonpositive mass" % rho.tolist())
     s = -0.5 * np.log(rho)
     return PhasePoint(rho, s - s.mean())
 

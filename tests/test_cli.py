@@ -497,6 +497,35 @@ class TestErrors:
         assert "config error:" in err and "need at least" in err and "Traceback" not in err
         assert not (out / "run.json").exists()
 
+    def test_floquet_window_beyond_the_step_cap_exits_1(self, tmp_path, capsys):
+        # analyze runs monodromy at its own dt of 1e-4, so 2,000 time units
+        # are 2e7 steps, above the cap, whatever the horizon's dt
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+            "reference": {"kind": "constant", "matrix": [[-1, 1], [1, -1]]},
+            "horizon": {"t0": 0, "t1": 2000, "dt": 1},
+        }))
+        rc, out = run(tmp_path, "analyze", "--config", str(cfg))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error: config key 't1'" in err and "Traceback" not in err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_absorbing_chain_is_refused_before_the_log(self, tmp_path, capsys):
+        # the stationary density (0, 1) sits on the simplex boundary
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+            "reference": {"kind": "constant", "matrix": [[-1, 1], [0, 0]]},
+        }))
+        rc, out = run(tmp_path, "analyze", "--config", str(cfg))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: stationary density [0.0, 1.0] has a nonpositive mass\n"
+        assert not (out / "report.json").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("text", [
         pytest.param(str(10 ** 400), id="10**400"), "Infinity", "-Infinity", "NaN", "1e400"])

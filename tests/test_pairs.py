@@ -8,8 +8,8 @@ Claims checked here:
       densities and every theta kind, the pair field and energy of
       ot_kinetic, lp_kinetic and fisher_ot, and the upwind_ot and
       theta_general generators, match the dense formulas to 1e-12 relative
-    - one kinetic field evaluation on a 1,024-node cycle allocates O(|E|),
-      not one (n, n) array
+    - building a 1,024-node cycle and one kinetic field evaluation on it
+      each allocate O(|E|), not one (n, n) array
 """
 
 import tracemalloc
@@ -175,7 +175,6 @@ def test_pair_calculus_matches_dense_oracle(n, seed, kind, smooth, q):
     assert d.adjacency[g.src, g.dst].all()
     np.testing.assert_array_equal(d.weight[g.src, g.dst], g.w)
     np.testing.assert_array_equal(d.fisher_weight[g.src, g.dst], g.wt)
-    np.testing.assert_array_equal(g.weight, d.weight)
     assert (np.diff(g.src * n + g.dst) > 0).all()
 
     rho = rng.dirichlet(np.full(n, 2.0)) * 0.9 + 0.1 / n
@@ -205,7 +204,14 @@ def test_pair_calculus_matches_dense_oracle(n, seed, kind, smooth, q):
 def test_field_memory_is_linear_in_the_pairs():
     # one dense (1024, 1024) float array alone would be 8 MB
     n = 1024
-    g = validate_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+    rows = [(i, (i + 1) % n, 1.0) for i in range(n)]
+    tracemalloc.start()
+    try:
+        g = validate_graph(n, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     rng = np.random.default_rng(5)
     rho = rng.dirichlet(np.full(n, 4.0))
     pot = rng.normal(0.0, 0.05, n)
