@@ -5,7 +5,13 @@ Claims checked here:
       consistent weights; fisher weights default to w
     - node counts, edge rows and weights of the wrong type or range are
       refused with typed errors, before any array is sized by the node count
+    - a Graph holds only (2|E|,) pair arrays, nothing of size (n, n), and
+      complete_graph has every ordered pair at unit weight
     - a Density is nonnegative and sums to one
+    - the pair calculus of the kinetic field: velocity v_ij = S_i - S_j on
+      edges only, d rho/dt = -div(rho grad S) sums to zero, integration by
+      parts <grad S', grad S>_rho = sum_j S'_j d rho_j/dt, and pinned
+      examples for the divergence and the inner product 2H
     - edge_theta_with_partial_sum gives edge_theta's weights bit for bit and
       the summed partials of both orientations of each pair
 """
@@ -23,11 +29,26 @@ from graphham.errors import (
 )
 from graphham.graph import (
     Density,
+    Graph,
+    complete_graph,
     edge_theta,
     edge_theta_with_partial_sum,
     validate_graph,
 )
+from graphham.hamiltonians import PhasePoint, lp_kinetic, ot_kinetic, prepare
+from graphham.markov import build_rate_matrix
 from graphham.theta import AVERAGE, LOGMEAN, UPWIND, theta_partial
+
+
+def two_node():
+    return validate_graph(2, [(0, 1, 1.0)])
+
+
+def kinetic(g, kind, rho, s):
+    """(d rho/dt, H) of ot_kinetic at (rho, S)."""
+    field, energy = prepare(ot_kinetic(g, kind))
+    rho, s = np.asarray(rho, dtype=float), np.asarray(s, dtype=float)
+    return field(rho, s, 0.0)[0], energy(rho, s, 0.0)
 
 
 class TestValidation:
@@ -108,6 +129,89 @@ class TestValidation:
         d = Density(np.array([0.25, 0.75]))
         assert d.values.min() > 0
 
+    def test_graph_holds_only_pair_arrays(self):
+        g = validate_graph(64, [(i, (i + 1) % 64, 1.0) for i in range(64)])
+        assert not hasattr(g, "weight") and not hasattr(g, "adjacency")
+        arrays = [getattr(g, f) for f in Graph.__dataclass_fields__
+                  if isinstance(getattr(g, f), np.ndarray)]
+        assert len(arrays) == 5
+        assert all(a.shape == (128,) for a in arrays)
+
+    def test_complete_graph_pairs(self):
+        g = complete_graph(4)
+        assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        np.testing.assert_array_equal(g.src, np.repeat(np.arange(4), 3))
+        np.testing.assert_array_equal(g.dst, [1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1, 2])
+        np.testing.assert_array_equal(g.src[g.rev], g.dst)
+        np.testing.assert_array_equal(g.w, np.ones(12))
+        np.testing.assert_array_equal(g.wt, np.ones(12))
+
+
+class TestCalculus:
+    """The edge calculus the kinetic field runs on the pairs: d rho/dt =
+    +dH/dS = -div(rho grad S) and H = <grad S, grad S>_rho / 2."""
+
+    def test_gradient_matches_convention(self):
+        # v_01 = S_0 - S_1 = 1: the upwind generator moves mass from node 1
+        # to node 0, along -v, and the density gains at node 0
+        g = two_node()
+        rho, s = np.array([0.5, 0.5]), np.array([1.0, 0.0])
+        q = build_rate_matrix(ot_kinetic(g, UPWIND), PhasePoint(rho, s)).entries
+        assert q[1, 0] == pytest.approx(1.0)
+        assert q[0, 1] == 0.0
+        drho, _ = kinetic(g, AVERAGE, rho, s)
+        assert drho[0] > 0 > drho[1]
+
+    def test_gradient_zero_off_edges(self):
+        g = validate_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        rho = np.array([0.2, 0.3, 0.5])
+        s = np.array([5.0, 1.0, 0.0])
+        for spec in (ot_kinetic(g, UPWIND), ot_kinetic(g, LOGMEAN)):
+            q = build_rate_matrix(spec, PhasePoint(rho, s)).entries
+            assert q[0, 2] == 0.0 and q[2, 0] == 0.0
+        # node 0 has no pair with node 2, so S_2 does not reach d rho_0/dt
+        drho, _ = kinetic(g, AVERAGE, rho, s)
+        moved, _ = kinetic(g, AVERAGE, rho, s + [0.0, 0.0, 3.0])
+        assert moved[0] == drho[0]
+
+    def test_divergence_pinned(self):
+        # two nodes, rho uniform, v_01 = 1, theta average = 1/2:
+        # div(rho v) = (-1/2, 1/2)
+        drho, _ = kinetic(two_node(), AVERAGE, [0.5, 0.5], [1.0, 0.0])
+        assert drho == pytest.approx([0.5, -0.5])
+
+    def test_divergence_sums_to_zero(self):
+        rng = np.random.default_rng(3)
+        g = complete_graph(5)
+        for kind in (AVERAGE, LOGMEAN, UPWIND):
+            fields = [prepare(ot_kinetic(g, kind))[0], prepare(lp_kinetic(g, kind, q=3.0))[0]]
+            for _ in range(25):
+                rho = rng.dirichlet(np.ones(5))
+                s = rng.normal(size=5)
+                if kind.kind == "logmean":
+                    rho = 0.9 * rho + 0.02  # keep masses positive
+                for field in fields:
+                    assert abs(field(rho, s, 0.0)[0].sum()) < 1e-12
+
+    def test_inner_product_pinned(self):
+        # v_01 = 2 at uniform rho: <v, v>_rho = 2, so H = 1
+        _, h = kinetic(two_node(), AVERAGE, [0.5, 0.5], [2.0, 0.0])
+        assert h == pytest.approx(1.0)
+
+    def test_integration_by_parts(self):
+        # H is quadratic in S for a theta that ignores S, so
+        # <grad S', grad S>_rho = H(S + S') - H(S) - H(S')
+        rng = np.random.default_rng(11)
+        g = complete_graph(4)
+        for kind in (AVERAGE, LOGMEAN):
+            field, energy = prepare(ot_kinetic(g, kind))
+            for _ in range(30):
+                rho = rng.dirichlet(np.ones(4)) * 0.9 + 0.025
+                s, s2 = rng.normal(size=4), rng.normal(size=4)
+                lhs = (energy(rho, s + s2, 0.0) - energy(rho, s, 0.0)
+                       - energy(rho, s2, 0.0))
+                rhs = float(np.dot(s2, field(rho, s, 0.0)[0]))
+                assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
 class TestEdgeTheta:

@@ -114,6 +114,15 @@ class TestReferenceRates:
         assert m[0, 1] == 2.0 and m[0, 2] == 0.0
         assert m[1, 1] == -4.0
 
+    def test_symmetric_rates_sit_on_the_pairs(self):
+        g = validate_graph(5, [(0, 1, 2.0), (1, 2, 0.5), (2, 3, 1.0), (3, 4, 3.0), (0, 3, 1.5)])
+        m = symmetric_rates(g, 0.7).matrix
+        want = np.zeros((5, 5))
+        for i, j in g.edges:
+            want[i, j] = want[j, i] = 0.7
+        np.fill_diagonal(want, -want.sum(axis=1))
+        np.testing.assert_array_equal(m, want)
+
     def test_time_dependent_and_batch(self):
         from graphham.hamiltonians import ReferenceRates
 

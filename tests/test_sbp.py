@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphham import sbp
 from graphham.errors import (
+    BoundaryDensity,
     BoundaryMarginal,
     InvalidGenerator,
     NegativeStepProbability,
@@ -580,6 +581,13 @@ class TestStationarity:
     def test_not_stationary_rejected(self):
         with pytest.raises(NotStationary):
             stationary_point(self.rates, rho_star=[0.5, 0.3, 0.2])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_absorbing_chain_has_no_rest_point(self):
+        # the stationary density (0, 1) has no log, so no potential -log(rho)/2
+        rates = constant_rates(np.array([[-1.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(BoundaryDensity, match="nonpositive mass"):
+            stationary_point(rates)
 
     def test_markov_residual_vanishes_at_rest(self):
         star = stationary_point(self.rates)
