@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
+    _MONODROMY_DT,
     hopf_cole,
     hopf_cole_inverse,
     integrate,
@@ -393,18 +394,27 @@ def cmd_simulate(scenario: Scenario, out: Path, args) -> int:
     return 0
 
 
+def _floquet_span(scenario: Scenario) -> float | None:
+    """The window analyze takes the Floquet spectrum over: the declared period,
+    the horizon for a constant chain, else None. A ConfigError under t1 if
+    monodromy's step would cross it in more steps than markov._MAX_STEPS."""
+    if scenario.reference is None or (scenario.period is None and not scenario.reference.constant):
+        return None
+    # a constant chain still flags its stationary direction over the window
+    span = scenario.period if scenario.period is not None else scenario.t1 - scenario.t0
+    try:
+        _step_count(0.0, span, _MONODROMY_DT)
+    except ValueError as exc:
+        raise ConfigError("t1", str(exc)) from exc
+    return span
+
+
 def cmd_analyze(scenario: Scenario, out: Path, args) -> int:
     report = {}
 
-    if scenario.reference is not None and (scenario.period is not None
-                                           or scenario.reference.constant):
-        # a constant chain still flags its stationary direction over the window
-        span = scenario.period if scenario.period is not None \
-            else scenario.t1 - scenario.t0
-        try:
-            mon = monodromy(scenario.reference, period=span)
-        except ValueError as exc:    # the window takes too many steps at monodromy's dt
-            raise ConfigError("t1", str(exc)) from exc
+    span = _floquet_span(scenario)
+    if span is not None:
+        mon = monodromy(scenario.reference, span)
         report["floquet"] = {
             "multipliers": [[float(z.real), float(z.imag)] for z in mon.multipliers],
             "exponents": [[float(z.real), float(z.imag)] for z in mon.exponents],
@@ -499,6 +509,8 @@ def main(argv=None) -> int:
             if getattr(args, key, None) is not None:
                 setattr(scenario, key, config_number(key, getattr(args, key)))
         check_horizon(scenario)
+        if args.command == "analyze":
+            _floquet_span(scenario)      # refuse the window before any artifact
         out = Path(args.out) if args.out else Path("runs") / (
             "%s-%s" % (args.command, scenario.name))
         out.mkdir(parents=True, exist_ok=True)

@@ -16,10 +16,8 @@ blocks through ReferenceRates.at_many.
 Transforms between the three charts:
 
 * hopf_cole         (rho, S) -> (rho, psi),  psi = S + 1/2 log rho
-* madelung          (rho, S) -> (f, g); the "sbp" convention
-                    f = sqrt(rho) e^{-S}, g = sqrt(rho) e^{S} preserves the
-                    canonical two-form, the "fisher" convention swaps the
-                    exponents and reverses its sign
+* madelung          (rho, S) -> (f, g), f = sqrt(rho) e^{-S}, g = sqrt(rho) e^{S},
+                    preserves the canonical two-form
 * symplectic_check  finite-difference Jacobian test of D^T J D = J
 
 No transform renormalizes the potential; gauge fixing is the caller's
@@ -56,6 +54,9 @@ _POT_CAP = 1e6
 _RHO_FLOOR = -1e-9
 _FP_TOL = 1e-12
 _FP_MAXITER = 50
+_SYMPLECTIC_H = 1e-6      # symplectic_check's difference step
+_MONODROMY_DT = 1e-4      # monodromy's default rk4 step
+_UNIT_TOL = 1e-6          # |multiplier| this close to 1 is flagged as on the unit circle
 
 
 # -- trajectories ------------------------------------------------------------------
@@ -193,45 +194,32 @@ def hopf_cole_inverse(state: PhasePoint) -> PhasePoint:
     return PhasePoint(state.rho, state.pot - 0.5 * np.log(state.rho), chart="S")
 
 
-def madelung(state: PhasePoint, convention: str = "sbp") -> PhasePoint:
-    """(rho, S) -> (f, g).
-
-    "sbp": f = sqrt(rho) e^{-S}, g = sqrt(rho) e^{S}; df ^ dg = drho ^ dS.
-    "fisher": exponents swapped; reverses the canonical form's sign.
-    """
+def madelung(state: PhasePoint) -> PhasePoint:
+    """(rho, S) -> (f, g) = (sqrt(rho) e^{-S}, sqrt(rho) e^{S}); df ^ dg = drho ^ dS."""
     if state.chart != "S":
         raise ValueError("madelung starts from the S chart")
     if np.min(state.rho) <= 0:
         raise BoundaryDensity("sqrt of a nonpositive mass")
     root = np.sqrt(state.rho)
-    if convention == "sbp":
-        return PhasePoint(root * np.exp(-state.pot), root * np.exp(state.pot), chart="fg")
-    if convention == "fisher":
-        return PhasePoint(root * np.exp(state.pot), root * np.exp(-state.pot), chart="fg")
-    raise ValueError("unknown convention %r" % convention)
+    return PhasePoint(root * np.exp(-state.pot), root * np.exp(state.pot), chart="fg")
 
 
-def madelung_inverse(state: PhasePoint, convention: str = "sbp") -> PhasePoint:
+def madelung_inverse(state: PhasePoint) -> PhasePoint:
     if state.chart != "fg":
         raise ValueError("inverse starts from the fg chart")
     f, g = state.rho, state.pot
     if np.min(f) <= 0 or np.min(g) <= 0:
         raise NonpositiveFG("factorization requires strictly positive f and g")
-    rho = f * g
-    if convention == "sbp":
-        return PhasePoint(rho, 0.5 * np.log(g / f), chart="S")
-    if convention == "fisher":
-        return PhasePoint(rho, 0.5 * np.log(f / g), chart="S")
-    raise ValueError("unknown convention %r" % convention)
+    return PhasePoint(f * g, 0.5 * np.log(g / f), chart="S")
 
 
-def symplectic_check(transform, state: PhasePoint, h: float = 1e-6) -> float:
+def symplectic_check(transform, state: PhasePoint) -> float:
     """max |D^T J D - J| for the finite-difference Jacobian D of a transform.
 
     Zero (to truncation error) certifies the transform preserves the
     canonical two-form, so Hamiltonian flows stay Hamiltonian through it.
     """
-    n = len(state.rho)
+    n, h = len(state.rho), _SYMPLECTIC_H
     J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
 
     def stacked(z):
@@ -290,7 +278,7 @@ class Monodromy:
     multipliers: np.ndarray
     exponents: np.ndarray
     period: float
-    unit_flags: np.ndarray   # |multiplier| within tol of the unit circle
+    unit_flags: np.ndarray   # |multiplier| within _UNIT_TOL of the unit circle
 
     @property
     def has_unit_multiplier(self) -> bool:
@@ -303,18 +291,14 @@ def fundamental_matrix(rates: ReferenceRates, t0: float, t1: float, dt: float = 
     return grid.product(grid.blocks())
 
 
-def monodromy(rates: ReferenceRates, period: float | None = None,
-              dt: float = 1e-4, tol: float = 1e-6) -> Monodromy:
+def monodromy(rates: ReferenceRates, period: float, dt: float = _MONODROMY_DT) -> Monodromy:
     """Spectrum of the one-period fundamental matrix of the density equation.
 
     Row sums of the fundamental matrix are conserved, so the multiplier 1 is
     structural whenever the rates stay a generator.
     """
-    T = period if period is not None else rates.period
-    if T is None:
-        raise ValueError("no period given and the rates declare none")
-    u = fundamental_matrix(rates, 0.0, T, dt)
+    u = fundamental_matrix(rates, 0.0, period, dt)
     mult = np.linalg.eigvals(u)
-    expo = np.log(mult.astype(complex)) / T
-    flags = np.abs(np.abs(mult) - 1.0) <= tol
-    return Monodromy(u, mult, expo, T, flags)
+    expo = np.log(mult.astype(complex)) / period
+    flags = np.abs(np.abs(mult) - 1.0) <= _UNIT_TOL
+    return Monodromy(u, mult, expo, period, flags)

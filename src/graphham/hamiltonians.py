@@ -16,7 +16,7 @@ evaluate them at a phase point, and grad_check compares the two:
 * lp_kinetic      H = 1/(2q) sum_ij |S_i - S_j|^q theta_ij w_ij + V(rho, t)
 * sbp_entropic    H = sum_ij e^{S_j - S_i} m_ij sqrt(rho_i rho_j)
                       + sum_i m_ii rho_i
-* sbp_psi         H = sum_ij u*(psi_j - psi_i) m_ij rho_i for a convex dual u*
+* sbp_psi         H = sum_ij u*(psi_j - psi_i) m_ij rho_i, u*(x) = e^x - 1
 * schrodinger_fg  H = sum_ij f_i m_ij g_j, bilinear, diagonal included
 
 Sums run over ordered adjacent pairs. The three entropic forms are the same
@@ -80,18 +80,6 @@ class PhasePoint:
         self.pot = np.array(_arr(self.pot))
         if self.chart not in ("S", "psi", "fg"):
             raise ValueError("unknown chart %r" % (self.chart,))
-
-    @property
-    def f(self) -> np.ndarray:
-        if self.chart != "fg":
-            raise ValueError("f only exists in the fg chart")
-        return self.rho
-
-    @property
-    def g(self) -> np.ndarray:
-        if self.chart != "fg":
-            raise ValueError("g only exists in the fg chart")
-        return self.pot
 
 
 # -- reference jump rates ----------------------------------------------------------
@@ -288,23 +276,6 @@ def symmetric_rates(g: Graph, value: float = 1.0) -> ReferenceRates:
     return ReferenceRates(g.n, matrix=m)
 
 
-# -- convex duals -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConvexDual:
-    """Convex dual u* with u*(0) = 0, paired with its derivative."""
-
-    name: str
-    value: Callable
-    derivative: Callable
-
-
-ENTROPY_DUAL = ConvexDual("entropy", np.expm1, np.exp)
-# kept for exercising the general dual flow; not a generator for large gaps
-QUADRATIC_DUAL = ConvexDual("quadratic", lambda x: x + 0.5 * x * x, lambda x: 1.0 + x)
-
-
 # -- node potentials V(rho, t) --------------------------------------------------------
 
 
@@ -347,7 +318,6 @@ class HamiltonianSpec:
     theta: ThetaKind | None = None
     theta_tilde: ThetaKind | None = None
     reference: ReferenceRates | None = None
-    dual: ConvexDual = ENTROPY_DUAL
     beta: float = 0.125
     q: float = 2.0
     potential: NodePotential | None = None
@@ -402,8 +372,8 @@ def sbp_entropic(graph: Graph, reference: ReferenceRates) -> HamiltonianSpec:
     return HamiltonianSpec("sbp_entropic", graph, reference=reference)
 
 
-def sbp_psi(graph: Graph, reference: ReferenceRates, dual: ConvexDual = ENTROPY_DUAL) -> HamiltonianSpec:
-    return HamiltonianSpec("sbp_psi", graph, reference=reference, dual=dual)
+def sbp_psi(graph: Graph, reference: ReferenceRates) -> HamiltonianSpec:
+    return HamiltonianSpec("sbp_psi", graph, reference=reference)
 
 
 def schrodinger_fg(graph: Graph, reference: ReferenceRates) -> HamiltonianSpec:
@@ -542,30 +512,28 @@ def _entropic(spec: HamiltonianSpec, at):
 
 
 def _dual(spec: HamiltonianSpec, at):
-    """sbp_psi over the (rho, psi) chart:
+    """sbp_psi over the (rho, psi) chart, with u*(x) = e^x - 1 and u*'(x) = e^x:
     d rho_i = sum_j -u*'(gap_ij) m_ij rho_i + u*'(gap_ji) m_ji rho_j,
     d psi_i = -sum_j u*(gap_ij) m_ij."""
-    dual = spec.dual
-    clip = _capped if dual.name == "entropy" else lambda x, mask: np.where(mask, x, 0.0)
 
     def gaps(pot, t):
         """The masked rate and the gaps, which are +0.0 off the mask: there
         u*(0) = 0 and u*'(0) = 1 times the masked rate give 0 * m."""
         _, sup, _, rate = at(t)
-        return rate, clip(pot - pot[:, None], sup)
+        return rate, _capped(pot - pot[:, None], sup)
 
     def energy(rho, pot, t):
         rate, z = gaps(pot, t)
-        val = float((dual.value(z) * rate * rho[:, None]).sum())
+        val = float((np.expm1(z) * rate * rho[:, None]).sum())
         if not np.isfinite(val):
             raise NonfiniteValue("Hamiltonian is not finite")
         return val
 
     def field(rho, pot, t):
         rate, z = gaps(pot, t)
-        out = dual.derivative(z) * rate * rho[:, None]   # rate-weighted outflow i -> j
+        out = np.exp(z) * rate * rho[:, None]   # rate-weighted outflow i -> j
         return np.array((np.add.reduce(out, 0) - np.add.reduce(out, 1),
-                         -np.add.reduce(dual.value(z) * rate, 1)))
+                         -np.add.reduce(np.expm1(z) * rate, 1)))
 
     return field, energy
 

@@ -43,7 +43,6 @@ from .hamiltonians import (
     _capped,
     _kolmogorov,
     _lp_flow,
-    constant_rates,
 )
 
 _log = logging.getLogger(__name__)
@@ -158,14 +157,6 @@ def _rate_stack(spec: HamiltonianSpec, rho: np.ndarray, s: np.ndarray, times) ->
 # -- propagators ----------------------------------------------------------------------
 
 
-def _as_reference(rates_like) -> ReferenceRates:
-    if isinstance(rates_like, ReferenceRates):
-        return rates_like
-    if isinstance(rates_like, RateMatrix):
-        return constant_rates(rates_like.require_valid())
-    return constant_rates(np.asarray(rates_like, dtype=float))
-
-
 def _step_count(t0: float, t1: float, dt: float) -> int:
     """Steps of dt from t0 to t1, rounded and at least one; ValueError for a reversed
     window, a dt <= 0, or a count that is not finite or is above _MAX_STEPS."""
@@ -260,9 +251,9 @@ class LinearGrid:
         return f, g
 
 
-def propagator(rates_like, s: float, t: float, dt: float = 1e-3) -> np.ndarray:
+def propagator(rates: ReferenceRates, s: float, t: float, dt: float = 1e-3) -> np.ndarray:
     """Row-stochastic P with rho(t) = rho(s) P: the LinearGrid kernel from s to t."""
-    grid = LinearGrid(_as_reference(rates_like), s, t, dt)
+    grid = LinearGrid(rates, s, t, dt)
     return grid.kernel(grid._blocks(check=True))
 
 
@@ -327,8 +318,9 @@ class Paths:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def _rows_at(self, times):
-        """The (M,) state of every path at each of the times in turn; a jump
+    def counts_at(self, times) -> np.ndarray:
+        """(K, n) number of paths in each state at each of K times, one time at a
+        time: counts of consecutive chunks of a run add up to the run's. A jump
         at t counts from t on."""
         times = np.asarray(times, dtype=float)
         if times.size and (times.min() < self.t0 or times.max() > self.t1):
@@ -336,21 +328,13 @@ class Paths:
         m = len(self)
         owner = np.repeat(np.arange(m), np.diff(self.offsets))
         begin = self.offsets[:-1] + np.arange(m)         # each path's start state
-        for t in times:
-            yield self.states[begin + np.bincount(owner[self.times <= t], minlength=m)]
-
-    def states_at(self, times) -> np.ndarray:
-        """(K, M) state of every path at each of K times."""
-        return np.array(list(self._rows_at(times)), dtype=np.int64).reshape(len(times), len(self))
-
-    def counts_at(self, times) -> np.ndarray:
-        """(K, n) number of paths in each state at each of K times, one time at a
-        time: counts of consecutive chunks of a run add up to the run's."""
-        return np.array([np.bincount(row, minlength=self.n) for row in self._rows_at(times)],
+        rows = (self.states[begin + np.bincount(owner[self.times <= t], minlength=m)]
+                for t in times)
+        return np.array([np.bincount(row, minlength=self.n) for row in rows],
                         dtype=np.int64).reshape(-1, self.n)
 
 
-def path_chunks(rates_like, rho0, n_paths: int, t0: float, t1: float,
+def path_chunks(rates: ReferenceRates, rho0, n_paths: int, t0: float, t1: float,
                 seed: int, lam: float | None = None, chunk: int = 20000):
     """The paths of sample_paths as an iterator of Paths of `chunk` consecutive
     paths each (the last may hold fewer), each carrying its first path's index.
@@ -362,7 +346,6 @@ def path_chunks(rates_like, rho0, n_paths: int, t0: float, t1: float,
     the iterator is read: a caller that writes or tallies each chunk and
     drops it holds O(chunk n) memory, whatever n_paths is.
     """
-    rates = _as_reference(rates_like)
     seed = operator.index(seed)
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed %d outside the Philox key range [0, 2**64)" % seed)
@@ -444,7 +427,7 @@ def _draw(rates: ReferenceRates, key, lam: float, cum0, ids, t0, t1) -> tuple:
     return offsets, times, states
 
 
-def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,
+def sample_paths(rates: ReferenceRates, rho0, n_paths: int, t0: float, t1: float,
                  seed: int, lam: float | None = None, chunk: int = 20000) -> Paths:
     """Thinning sampler: M independent paths of the (possibly inhomogeneous)
     jump process with generator Q(t), exact in distribution.
@@ -465,7 +448,6 @@ def sample_paths(rates_like, rho0, n_paths: int, t0: float, t1: float,
     This is the concatenation of path_chunks' chunks, so it holds every
     path at once; a caller that can take the paths chunk by chunk should.
     """
-    rates = _as_reference(rates_like)
     parts = list(path_chunks(rates, rho0, n_paths, t0, t1, seed, lam, chunk))
     offsets = np.concatenate([[0], *(np.diff(p.offsets) for p in parts)]).cumsum()
     return Paths(offsets, np.concatenate([np.empty(0), *(p.times for p in parts)]),

@@ -333,7 +333,7 @@ class PeriodicRates:
 
 
 def periodic_rate_from_density(density_fn, period: float, n: int,
-                               deriv_fn=None) -> PeriodicRates:
+                               deriv_fn) -> PeriodicRates:
     """Rates m(t) on the complete graph whose master equation runs along a
     prescribed smooth density loop.
 
@@ -345,15 +345,9 @@ def periodic_rate_from_density(density_fn, period: float, n: int,
     bisection to 0.1% relative.
 
     density_fn and deriv_fn map an array of K times to the (K, n) densities
-    and their time derivatives. Without deriv_fn the derivative is a central
-    difference at step period / 1024. Rates are assembled for an array of
-    times at once; at(t) is batch([t])[0].
+    and their time derivatives. Rates are assembled for an array of times at
+    once; at(t) is batch([t])[0].
     """
-    fd = period / 1024.0
-    if deriv_fn is None:
-        def deriv_fn(ts):
-            return (density_fn(ts + fd) - density_fn(ts - fd)) / (2 * fd)
-
     def loop_of(ts, rho):
         # cycle rates m_{k,k+1} = x_k / rho_k from the fluxes x, gauged by x_0 = 0
         x = np.zeros_like(rho)

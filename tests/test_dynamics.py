@@ -5,8 +5,7 @@ Core claims checked here:
   * energy drift: tiny for rk4 at dt = 1e-3 and contracts at fourth order;
     implicit midpoint contracts at second order
   * mass defect stays at rounding level along Hamiltonian flows
-  * transforms round-trip exactly; the standard factorization convention
-    preserves the canonical two-form, the swapped one reverses its sign
+  * transforms round-trip exactly and preserve the canonical two-form
   * the same initial condition integrated in the three charts lands on the
     same final state after mapping back
   * the one-period fundamental matrix of the density equation keeps row sums
@@ -45,7 +44,6 @@ from graphham.hamiltonians import (
     _reference_at,
     NodePotential,
     PhasePoint,
-    QUADRATIC_DUAL,
     ReferenceRates,
     constant_rates,
     eval_H,
@@ -272,24 +270,21 @@ def two_array_entropic(spec, at):
 
 
 def two_array_dual(spec, at):
-    dual = spec.dual
-    clip = _capped if dual.name == "entropy" else lambda x, mask: np.where(mask, x, 0.0)
-
     def gaps(pot, t):
         m, sup, _ = at(t)
-        return m, sup, clip(pot[None, :] - pot[:, None], sup)
+        return m, sup, _capped(pot[None, :] - pot[:, None], sup)
 
     def energy(rho, pot, t):
         m, sup, z = gaps(pot, t)
-        val = float((np.where(sup, dual.value(z), 0.0) * m * rho[:, None]).sum())
+        val = float((np.where(sup, np.expm1(z), 0.0) * m * rho[:, None]).sum())
         if not np.isfinite(val):
             raise NonfiniteValue("Hamiltonian is not finite")
         return val
 
     def field(rho, pot, t):
         m, sup, z = gaps(pot, t)
-        out = np.where(sup, dual.derivative(z), 0.0) * m * rho[:, None]   # rate-weighted outflow i -> j
-        return out.sum(axis=0) - out.sum(axis=1), -(np.where(sup, dual.value(z), 0.0) * m).sum(axis=1)
+        out = np.where(sup, np.exp(z), 0.0) * m * rho[:, None]   # rate-weighted outflow i -> j
+        return out.sum(axis=0) - out.sum(axis=1), -(np.where(sup, np.expm1(z), 0.0) * m).sum(axis=1)
 
     return field, energy
 
@@ -390,7 +385,6 @@ def oracle_case(name):
         "sbp_entropic": (sbp_entropic(g, symmetric_rates(g)), start, *short),
         "sbp_psi": (sbp_psi(g, ramp), hopf_cole(start), *short),
         "schrodinger_fg": (schrodinger_fg(g, ramp), madelung(start), *short),
-        "sbp_psi-quadratic": (sbp_psi(g, periodic, QUADRATIC_DUAL), hopf_cole(start), 0.5, 0.01, 1),
         "sbp_entropic-constant": (sbp_entropic(g, three_node_rates()), start, 0.5, 0.01, 1),
         "sbp_entropic-periodic": (sbp_entropic(g, periodic), start, 0.5, 0.01, 1),
         "sbp_psi-constant": (sbp_psi(g, three_node_rates()), hopf_cole(start), 0.5, 0.01, 1),
@@ -435,7 +429,7 @@ class TestTwoArrayOracle:
     @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
     @pytest.mark.parametrize("name", [
         "ot_kinetic", "fisher_ot", "lp_kinetic", "sbp_entropic", "sbp_psi", "schrodinger_fg",
-        "sbp_psi-quadratic", "sbp_entropic-constant", "sbp_entropic-periodic",
+        "sbp_entropic-constant", "sbp_entropic-periodic",
         "sbp_psi-constant", "sbp_psi-periodic"])
     def test_trajectory_bytes(self, name, method):
         spec, state, t1, dt, every = oracle_case(name)
@@ -476,21 +470,17 @@ class TestTransforms:
         st = PhasePoint([0.25, 0.75], [math.log(2.0), 0.0])
         out = madelung(st)
         assert out.chart == "fg"
-        assert out.f[0] == pytest.approx(0.25)      # sqrt(1/4) / 2
-        assert out.g[0] == pytest.approx(1.0)       # sqrt(1/4) * 2
-        swapped = madelung(st, convention="fisher")
-        assert swapped.f[0] == pytest.approx(1.0)
-        assert swapped.g[0] == pytest.approx(0.25)
+        assert out.rho[0] == pytest.approx(0.25)    # f = sqrt(1/4) / 2
+        assert out.pot[0] == pytest.approx(1.0)     # g = sqrt(1/4) * 2
 
-    def test_madelung_roundtrip_both_conventions(self):
+    def test_madelung_roundtrip(self):
         rng = np.random.default_rng(9)
-        for conv in ("sbp", "fisher"):
-            rho = rng.uniform(0.1, 1.0, 4)
-            rho /= rho.sum()
-            st = PhasePoint(rho, rng.normal(size=4))
-            back = madelung_inverse(madelung(st, conv), conv)
-            assert np.max(np.abs(back.rho - st.rho)) < 1e-14
-            assert np.max(np.abs(back.pot - st.pot)) < 1e-14
+        rho = rng.uniform(0.1, 1.0, 4)
+        rho /= rho.sum()
+        st = PhasePoint(rho, rng.normal(size=4))
+        back = madelung_inverse(madelung(st))
+        assert np.max(np.abs(back.rho - st.rho)) < 1e-14
+        assert np.max(np.abs(back.pot - st.pot)) < 1e-14
 
     def test_nonpositive_factor_rejected(self):
         with pytest.raises(NonpositiveFG):
@@ -521,26 +511,6 @@ class TestSymplectic:
         rng = np.random.default_rng(18)
         for st in self.rand_states(rng):
             assert symplectic_check(madelung, st) < 1e-6
-
-    def test_swapped_convention_reverses_sign(self):
-        # D^T J D = -J for the fisher convention: far from J, exactly -J
-        rng = np.random.default_rng(19)
-        st = self.rand_states(rng, count=1)[0]
-        n = 3
-        J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
-
-        def stacked(z):
-            out = madelung(PhasePoint(z[:n], z[n:]), convention="fisher")
-            return np.concatenate([out.rho, out.pot])
-
-        z0 = np.concatenate([st.rho, st.pot])
-        D = np.empty((6, 6))
-        for col in range(6):
-            e = np.zeros(6)
-            e[col] = 1e-6
-            D[:, col] = (stacked(z0 + e) - stacked(z0 - e)) / 2e-6
-        assert np.max(np.abs(D.T @ J @ D + J)) < 1e-6
-        assert symplectic_check(lambda s: madelung(s, "fisher"), st) > 1.0
 
 
 class TestChartCommutation:
@@ -621,15 +591,11 @@ class TestMonodromy:
             return (1.0 + np.sin(ts) ** 2)[:, None, None] * base
 
         rates = ReferenceRates(2, batch_fn=batch, period=2 * math.pi)
-        mono = monodromy(rates, dt=1e-4)
+        mono = monodromy(rates, rates.period, dt=1e-4)
         # integral of 1 + sin^2 over a period is 3 pi
         want = scipy.linalg.expm(3 * math.pi * base)
         assert np.max(np.abs(mono.matrix - want)) < 1e-9
         assert mono.has_unit_multiplier
-
-    def test_period_required(self):
-        with pytest.raises(ValueError):
-            monodromy(flip_rates())
 
     def test_fundamental_matrix_rows_sum_to_one(self):
         rng = np.random.default_rng(37)
@@ -747,7 +713,8 @@ class TestBlockedMarcher:
     def test_monodromy_matches_a_held_stack(self, name):
         rates = load_config(name).reference
         grid = LinearGrid(rates, 0.0, rates.period, 1e-4)
-        np.testing.assert_array_equal(monodromy(rates).matrix, grid.product(self.held_blocks(grid)))
+        np.testing.assert_array_equal(monodromy(rates, rates.period).matrix,
+                                      grid.product(self.held_blocks(grid)))
 
     def test_monodromy_memory_does_not_grow_with_the_steps(self):
         # 62,832 steps; the (K, 3, 3) stacks of m at the grid times and the
@@ -755,7 +722,7 @@ class TestBlockedMarcher:
         rates = load_config("three-node-circle").reference
         tracemalloc.start()
         try:
-            mono = monodromy(rates, dt=1e-4)
+            mono = monodromy(rates, rates.period, dt=1e-4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

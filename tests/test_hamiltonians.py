@@ -25,8 +25,6 @@ from graphham.errors import (
 )
 from graphham.graph import Graph, complete_graph, validate_graph
 from graphham.hamiltonians import (
-    ENTROPY_DUAL,
-    QUADRATIC_DUAL,
     PhasePoint,
     ReferenceRates,
     constant_rates,
@@ -252,17 +250,6 @@ class TestDeclaredSupport:
                 assert sorted(times) == want
 
 
-class TestConvexDuals:
-    def test_entropy_dual(self):
-        assert ENTROPY_DUAL.value(0.0) == 0.0
-        assert ENTROPY_DUAL.derivative(0.0) == 1.0
-        assert ENTROPY_DUAL.value(1.0) == pytest.approx(math.e - 1)
-
-    def test_quadratic_dual(self):
-        assert QUADRATIC_DUAL.value(0.0) == 0.0
-        assert QUADRATIC_DUAL.value(2.0) == 4.0
-
-
 class TestKineticPinned:
     # 2 nodes, w = 1, rho = (0.7, 0.3), S = (1, 0), average weights:
     # theta = 1/2 both ways, H = 1/4 * (1 * 1/2 + 1 * 1/2) = 1/4,
@@ -464,7 +451,6 @@ class TestGradientConsistency:
         lambda g, m: fisher_ot(g, LOGMEAN, kind_tilde=AVERAGE, beta=0.5),
         lambda g, m: sbp_entropic(g, m),
         lambda g, m: sbp_psi(g, m),
-        lambda g, m: sbp_psi(g, m, dual=QUADRATIC_DUAL),
         lambda g, m: schrodinger_fg(g, m),
     ]
 

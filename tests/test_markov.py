@@ -264,17 +264,17 @@ class TestPropagator:
         a = 1.392646782
         with warnings.catch_warnings(), caplog.at_level(logging.WARNING, "graphham.markov"):
             warnings.simplefilter("error")
-            p = propagator([[-a, a], [a, -a]], 0.0, 1.0, dt=1.0)
+            p = propagator(constant_rates([[-a, a], [a, -a]]), 0.0, 1.0, dt=1.0)
         assert p.min() == 0.0
         assert [r.getMessage() for r in caplog.records] == [
             "clipped 2 tiny negative propagator entries"]
 
     def test_identity_at_zero_span(self):
-        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        q = constant_rates(np.array([[-1.0, 1.0], [1.0, -1.0]]))
         np.testing.assert_allclose(propagator(q, 0.3, 0.3), np.eye(2), atol=1e-14)
 
     def test_two_node_closed_form(self):
-        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        q = constant_rates(np.array([[-1.0, 1.0], [1.0, -1.0]]))
         p = propagator(q, 0.0, 1.0, dt=1e-3)
         e = np.exp(-2.0)
         want = 0.5 * np.array([[1 + e, 1 - e], [1 - e, 1 + e]])
@@ -285,7 +285,7 @@ class TestPropagator:
         m = rng.random((4, 4))
         np.fill_diagonal(m, 0.0)
         np.fill_diagonal(m, -m.sum(axis=1))
-        p = propagator(m, 0.0, 0.7, dt=1e-3)
+        p = propagator(constant_rates(m), 0.0, 0.7, dt=1e-3)
         np.testing.assert_allclose(p, scipy.linalg.expm(0.7 * m), atol=1e-8)
 
     def test_semigroup_property(self):
@@ -297,14 +297,14 @@ class TestPropagator:
         np.testing.assert_allclose(full, split, atol=1e-8)
 
     def test_rows_stochastic(self):
-        q = np.array([[-2.0, 2.0], [0.5, -0.5]])
+        q = constant_rates(np.array([[-2.0, 2.0], [0.5, -0.5]]))
         p = propagator(q, 0.0, 3.0)
         assert p.min() >= 0.0
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
     def test_rejects_invalid_generator(self):
         with pytest.raises(InvalidGenerator):
-            propagator(np.array([[0.5, -0.5], [1.0, -1.0]]), 0.0, 1.0)
+            propagator(constant_rates(np.array([[0.5, -0.5], [1.0, -1.0]])), 0.0, 1.0)
 
     @pytest.mark.parametrize("bad_time", [0.5, 0.5005])   # a grid time, a midpoint
     def test_rejects_a_reference_invalid_at_one_stage_time(self, bad_time):
@@ -382,7 +382,7 @@ class TestStepCount:
         flip, state = constant_rates(self.Q), PhasePoint([0.6, 0.4], [0.1, 0.0])
         return {
             "fundamental_matrix": lambda: fundamental_matrix(flip, 1.0, 0.0, dt=1e-3),
-            "propagator": lambda: propagator(self.Q, 1.0, 0.0),
+            "propagator": lambda: propagator(flip, 1.0, 0.0),
             "schrodinger_evolve": lambda: schrodinger_evolve(flip, f0=[1.0, 1.0],
                                                              t0=1.0, t1=0.0),
             "integrate": lambda: integrate(ot_kinetic(K2, UPWIND), state, 1.0, 0.0, 1e-2),
@@ -399,12 +399,12 @@ class TestStepCount:
     @pytest.mark.parametrize("dt", [0.0, -0.0, -1e-3, float("nan")])
     def test_dt_not_positive_is_refused(self, dt):
         with pytest.raises(ValueError, match="no forward grid"):
-            propagator(self.Q, 0.0, 1.0, dt=dt)
+            propagator(constant_rates(self.Q), 0.0, 1.0, dt=dt)
 
     @pytest.mark.parametrize("t1, dt", [(1.0, 1e-320), (1.0, 1e-300), (float("inf"), 1e-3),
                                         (1.0, 0.99 / _MAX_STEPS)])
     def test_count_not_finite_or_above_the_cap_is_refused(self, t1, dt):
-        for march in (lambda: propagator(self.Q, 0.0, t1, dt=dt),
+        for march in (lambda: propagator(constant_rates(self.Q), 0.0, t1, dt=dt),
                       lambda: fundamental_matrix(constant_rates(self.Q), 0.0, t1, dt=dt)):
             with pytest.raises(ValueError, match="exceed the cap"):
                 march()
@@ -412,14 +412,14 @@ class TestStepCount:
 
 class TestSampler:
     def test_zero_generator_constant_paths(self):
-        paths = sample_paths(np.zeros((2, 2)), [0.3, 0.7], 50, 0.0, 1.0, seed=1)
+        paths = sample_paths(constant_rates(np.zeros((2, 2))), [0.3, 0.7], 50, 0.0, 1.0, seed=1)
         assert len(paths) == 50 and len(paths.times) == 0
         np.testing.assert_array_equal(paths.offsets, 0)
-        at = paths.states_at([0.0, 1.0])
+        at = paths.counts_at([0.0, 1.0])
         np.testing.assert_array_equal(at[0], at[1])
 
     def test_deterministic_and_chunk_invariant(self):
-        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        q = constant_rates(np.array([[-1.0, 1.0], [1.0, -1.0]]))
         a = sample_paths(q, [0.5, 0.5], 40, 0.0, 2.0, seed=9, chunk=7)
         b = sample_paths(q, [0.5, 0.5], 40, 0.0, 2.0, seed=9, chunk=40)
         c = sample_paths(q, [0.5, 0.5], 40, 0.0, 2.0, seed=10)
@@ -428,7 +428,7 @@ class TestSampler:
         assert len(a.times) != len(c.times) or not np.array_equal(a.times, c.times)
 
     def test_path_sampled_alone_is_the_same_path(self):
-        q = np.array([[-1.5, 1.0, 0.5], [0.3, -0.3, 0.0], [2.0, 1.0, -3.0]])
+        q = constant_rates(np.array([[-1.5, 1.0, 0.5], [0.3, -0.3, 0.0], [2.0, 1.0, -3.0]]))
         rho0 = [0.2, 0.3, 0.5]
         every = sample_paths(q, rho0, 30, 0.0, 2.0, seed=2 ** 40 + 5)
         alone = sample_paths(q, rho0, 30, 0.0, 2.0, seed=2 ** 40 + 5, chunk=1)
@@ -442,19 +442,19 @@ class TestSampler:
                                       every.states[a + k:z + k + 1])
 
     def test_seed_outside_the_key_range(self):
-        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        q = constant_rates(np.array([[-1.0, 1.0], [1.0, -1.0]]))
         for seed in (-1, 2 ** 64):
             with pytest.raises(ValueError):
                 sample_paths(q, [0.5, 0.5], 3, 0.0, 1.0, seed=seed)
 
     def test_jump_count_matches_poisson_mean(self):
         # symmetric unit rates: jumps over [0, T] are Poisson(T)
-        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        q = constant_rates(np.array([[-1.0, 1.0], [1.0, -1.0]]))
         paths = sample_paths(q, [0.5, 0.5], 4000, 0.0, 2.0, seed=21)
         counts = np.diff(paths.offsets)
         assert abs(counts.mean() - 2.0) < 3 * np.sqrt(2.0 / 4000)
     def test_density_matches_propagator(self):
-        q = np.array([[-2.0, 2.0], [1.0, -1.0]])
+        q = constant_rates(np.array([[-2.0, 2.0], [1.0, -1.0]]))
         m = 20000
         paths = sample_paths(q, [0.9, 0.1], m, 0.0, 1.0, seed=33)
         want = np.array([0.9, 0.1]) @ propagator(q, 0.0, 1.0)
@@ -473,12 +473,13 @@ class TestSampler:
         assert 0.5 * np.abs(got - want).sum() < 3 * np.sqrt(2.0 / m)
 
     def test_initial_states_follow_marginal(self):
-        paths = sample_paths(np.zeros((2, 2)), [0.3, 0.7], 10000, 0.0, 1.0, seed=5)
+        paths = sample_paths(constant_rates(np.zeros((2, 2))), [0.3, 0.7], 10000, 0.0, 1.0,
+                             seed=5)
         got = empirical_densities(paths, [0.0])[0]
         assert abs(got[0] - 0.3) < 3 * np.sqrt(0.3 * 0.7 / 10000)
 
     def test_rate_bound_enforced(self):
-        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        q = constant_rates(np.array([[-1.0, 1.0], [1.0, -1.0]]))
         with pytest.raises(RateBoundExceeded):
             sample_paths(q, [0.5, 0.5], 10, 0.0, 1.0, seed=2, lam=0.5)
 
@@ -547,10 +548,10 @@ class TestSampler:
     def test_state_lookup(self):
         p = Paths(np.array([0, 2]), np.array([0.25, 0.75]), np.array([0, 1, 0]),
                   0, 2, 0.0, 1.0)
-        np.testing.assert_array_equal(p.states_at([0.0, 0.25, 0.5, 1.0]),
-                                      [[0], [1], [1], [0]])
+        np.testing.assert_array_equal(p.counts_at([0.0, 0.25, 0.5, 1.0]),
+                                      [[1, 0], [0, 1], [0, 1], [1, 0]])
         with pytest.raises(ValueError):
-            p.states_at([1.5])
+            p.counts_at([1.5])
 
     def test_jump_target_stays_in_range(self):
         # for n >= 8 the pairwise row sum can exceed the cumsum's last entry,
@@ -578,7 +579,7 @@ def spiking_rates(lo=0.5006, hi=0.5014):
 
 
 class TestChunks:
-    Q = np.array([[-1.5, 1.0, 0.5], [0.3, -0.3, 0.0], [2.0, 1.0, -3.0]])
+    Q = constant_rates(np.array([[-1.5, 1.0, 0.5], [0.3, -0.3, 0.0], [2.0, 1.0, -3.0]]))
     RHO0 = [0.2, 0.3, 0.5]
     M = 30
     SEED = 2 ** 40 + 5
@@ -610,7 +611,7 @@ class TestChunks:
     def test_zero_jump_paths_on_both_sides_of_a_chunk_edge(self):
         # slow rates leave most paths without a jump; the chunk size puts an
         # edge between two such paths, with paths that do jump elsewhere
-        q = 0.2 * np.array([[-1.0, 1.0], [1.0, -1.0]])
+        q = constant_rates(0.2 * np.array([[-1.0, 1.0], [1.0, -1.0]]))
         whole = sample_paths(q, [0.5, 0.5], 200, 0.0, 1.0, seed=6)
         still = np.diff(whole.offsets) == 0
         edge = next(k for k in range(2, 200) if still[k - 1] and still[k])
@@ -620,10 +621,10 @@ class TestChunks:
         self.assert_chunks_are_slices(parts, whole, edge)
 
     def test_lam_zero_chunks_hold_the_start_states(self):
-        whole = sample_paths(np.zeros((2, 2)), [0.3, 0.7], 50, 0.0, 1.0, seed=1)
+        zero = constant_rates(np.zeros((2, 2)))
+        whole = sample_paths(zero, [0.3, 0.7], 50, 0.0, 1.0, seed=1)
         for lam in (None, 0.0):
-            parts = list(path_chunks(np.zeros((2, 2)), [0.3, 0.7], 50, 0.0, 1.0, seed=1,
-                                     lam=lam, chunk=7))
+            parts = list(path_chunks(zero, [0.3, 0.7], 50, 0.0, 1.0, seed=1, lam=lam, chunk=7))
             self.assert_chunks_are_slices(parts, whole, 7)
             assert all(len(p.times) == 0 for p in parts)
 
@@ -631,12 +632,12 @@ class TestChunks:
         # no chunk is asked for: the call itself raises
         q = np.array([[-1.0, 1.0], [1.0, -1.0]])
         with pytest.raises(RateBoundExceeded):
-            path_chunks(q, [0.5, 0.5], 10, 0.0, 1.0, seed=2, lam=0.5)
+            path_chunks(constant_rates(q), [0.5, 0.5], 10, 0.0, 1.0, seed=2, lam=0.5)
         with pytest.raises(InvalidGenerator):
             path_chunks(ReferenceRates(2, batch_fn=lambda ts: np.broadcast_to(
                 -q, (len(ts), 2, 2))), [0.5, 0.5], 10, 0.0, 1.0, seed=2)
         with pytest.raises(ValueError, match="key range"):
-            path_chunks(q, [0.5, 0.5], 10, 0.0, 1.0, seed=-1)
+            path_chunks(constant_rates(q), [0.5, 0.5], 10, 0.0, 1.0, seed=-1)
 
     def test_bound_violation_between_grid_times_is_raised_mid_stream(self):
         drawn = []
@@ -658,7 +659,7 @@ class TestChunks:
         # each chunk is dropped before the next is drawn, so the traced peak of
         # the stream, after the grid check, is the same at 4x the paths; keeping
         # the chunks would add about 30 kB at these sizes
-        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        q = constant_rates(np.array([[-1.0, 1.0], [1.0, -1.0]]))
 
         def peak(m):
             tracemalloc.start()
@@ -729,23 +730,23 @@ def _random_paths(rng, m, n, t0, t1, checkpoints, zero_at=()):
 
 
 class TestPaths:
-    def test_states_at_matches_a_per_path_loop(self):
+    def test_counts_at_matches_a_per_path_loop(self):
         rng = np.random.default_rng(11)
         checkpoints = np.array([0.0, 0.3, 0.3, 1.1, 0.7, 2.0])   # unsorted, repeated
         paths, times, states = _random_paths(rng, 60, 4, 0.0, 2.0, checkpoints)
         want = np.array([[s[np.searchsorted(ts, t, side="right")]
                           for ts, s in zip(times, states)] for t in checkpoints])
-        np.testing.assert_array_equal(paths.states_at(checkpoints), want)
         counts = np.zeros((len(checkpoints), 4))
         for k in range(len(checkpoints)):
             np.add.at(counts[k], want[k], 1)
+        np.testing.assert_array_equal(paths.counts_at(checkpoints), counts)
         np.testing.assert_array_equal(empirical_densities(paths, checkpoints),
                                       counts / 60)
 
-    def test_states_at_refuses_times_off_the_horizon(self):
+    def test_counts_at_refuses_times_off_the_horizon(self):
         paths, _, _ = _random_paths(np.random.default_rng(1), 5, 3, 0.0, 1.0, [0.5])
         with pytest.raises(ValueError):
-            paths.states_at([-0.1, 0.5])
+            paths.counts_at([-0.1, 0.5])
 
     def test_writer_matches_json_dumps(self, tmp_path):
         # the larger count spans three blocks, with zero-jump paths on both

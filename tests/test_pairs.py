@@ -8,6 +8,10 @@ Claims checked here:
       densities and every theta kind, the pair field and energy of
       ot_kinetic, lp_kinetic and fisher_ot, and the upwind_ot and
       theta_general generators, match the dense formulas to 1e-12 relative
+    - on random connected graphs, the generator that build_rate_matrix
+      extracts reproduces its flow's density equation, rho Q = d rho: for
+      ot_kinetic under every theta kind, lp_kinetic, fisher_ot,
+      sbp_entropic over symmetric_rates, and sbp_psi at the hopf_cole image
     - building a 1,024-node cycle and one kinetic field evaluation on it
       each allocate O(|E|), not one (n, n) array
 """
@@ -18,8 +22,10 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from graphham.dynamics import hopf_cole
 from graphham.graph import validate_graph
-from graphham.hamiltonians import PhasePoint, fisher_ot, lp_kinetic, ot_kinetic, prepare
+from graphham.hamiltonians import (PhasePoint, fisher_ot, lp_kinetic, ot_kinetic, prepare,
+                                   sbp_entropic, sbp_psi, symmetric_rates, vector_field)
 from graphham.markov import build_rate_matrix, validate_rate_matrix
 from graphham.theta import AVERAGE, LOGMEAN, UPWIND, theta, theta_partial
 
@@ -199,6 +205,29 @@ def test_pair_calculus_matches_dense_oracle(n, seed, kind, smooth, q):
     else:
         close(build_rate_matrix(ot_kinetic(g, theta_kind), state).entries,
               dense_rates(d, "theta_general", rho, pot, theta_kind))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1),
+       smooth=st.sampled_from(["average", "logmean"]), q=st.floats(1.2, 4.0))
+def test_generator_reproduces_the_density_equation(n, seed, smooth, q):
+    # the defining identity of the jump process a flow induces: rho Q is the
+    # density component of the Hamiltonian field, to rounding of the fluxes
+    rng = np.random.default_rng(seed)
+    g, _ = random_graph(rng, n)
+    rho = rng.dirichlet(np.full(n, 2.0)) * 0.9 + 0.1 / n
+    state = PhasePoint(rho, rng.normal(0.0, 1.0, n))
+    reference = symmetric_rates(g, float(rng.uniform(0.2, 2.0)))
+    cases = [(spec, state) for kind in KINDS.values() for spec in (
+        ot_kinetic(g, kind), lp_kinetic(g, kind, q=q),
+        fisher_ot(g, kind, kind_tilde=KINDS[smooth], beta=0.125))]
+    cases += [(sbp_entropic(g, reference), state),
+              (sbp_psi(g, reference), hopf_cole(state))]
+    for spec, at in cases:
+        q_entries = build_rate_matrix(spec, state).entries
+        drho = vector_field(spec, at)[0]
+        scale = np.abs(rho[:, None] * q_entries).max()
+        assert np.abs(rho @ q_entries - drho).max() <= 1e-12 * scale, spec.variant
 
 
 def test_field_memory_is_linear_in_the_pairs():
