@@ -13,7 +13,7 @@ from graphham.errors import InvalidGenerator, RateBoundExceeded
 from graphham.graph import complete_graph
 from graphham.hamiltonians import PhasePoint, symmetric_rates
 from graphham.markov import empirical_densities, sample_paths
-from graphham.scenarios import Scenario
+from graphham.scenarios import ConfigError, Scenario, load_config, parse_config
 from test_markov import spiking_rates
 from test_sbp import spoil_call
 
@@ -511,6 +511,22 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "config error: config key 't1'" in err and "Traceback" not in err
         assert list(out.glob("*")) == []
+
+    def test_floquet_window_is_checked_at_the_monodromy_step(self):
+        # 1,000 time units at dt = 1e-4 are exactly the 10^7-step cap and
+        # pass; 1,000.5 cross it, whatever the horizon's dt
+        def chain(t1):
+            return parse_config({
+                "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+                "reference": {"kind": "constant", "matrix": [[-1, 1], [1, -1]]},
+                "horizon": {"t0": 0, "t1": t1, "dt": 1}})
+
+        assert cli._floquet_span(chain(1000)) == 1000.0
+        with pytest.raises(ConfigError) as caught:
+            cli._floquet_span(chain(1000.5))
+        assert caught.value.key == "t1"
+        assert cli._floquet_span(load_config("three-node-circle")) == 2 * np.pi
+        assert cli._floquet_span(load_config("two-node-upwind")) is None
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_absorbing_chain_is_refused_before_the_log(self, tmp_path, capsys):

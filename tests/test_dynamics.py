@@ -5,7 +5,8 @@ Core claims checked here:
   * energy drift: tiny for rk4 at dt = 1e-3 and contracts at fourth order;
     implicit midpoint contracts at second order
   * mass defect stays at rounding level along Hamiltonian flows
-  * transforms round-trip exactly and preserve the canonical two-form
+  * transforms round-trip exactly and preserve the canonical two-form;
+    madelung with its (f, g) slots swapped reverses its sign
   * the same initial condition integrated in the three charts lands on the
     same final state after mapping back
   * the one-period fundamental matrix of the density equation keeps row sums
@@ -512,6 +513,31 @@ class TestSymplectic:
         for st in self.rand_states(rng):
             assert symplectic_check(madelung, st) < 1e-6
 
+    def test_swapped_convention_reverses_sign(self):
+        # madelung with its (f, g) slots swapped: D^T J D = -J, so the check,
+        # far from J, must report it
+        rng = np.random.default_rng(19)
+        st = self.rand_states(rng, count=1)[0]
+        n = 3
+        J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+
+        def swapped(s):
+            out = madelung(s)
+            return PhasePoint(out.pot, out.rho, chart="fg")
+
+        def stacked(z):
+            out = swapped(PhasePoint(z[:n], z[n:]))
+            return np.concatenate([out.rho, out.pot])
+
+        z0 = np.concatenate([st.rho, st.pot])
+        D = np.empty((6, 6))
+        for col in range(6):
+            e = np.zeros(6)
+            e[col] = 1e-6
+            D[:, col] = (stacked(z0 + e) - stacked(z0 - e)) / 2e-6
+        assert np.max(np.abs(D.T @ J @ D + J)) < 1e-6
+        assert symplectic_check(swapped, st) > 1.0
+
 
 class TestChartCommutation:
     def test_three_charts_land_together(self):
@@ -596,6 +622,10 @@ class TestMonodromy:
         want = scipy.linalg.expm(3 * math.pi * base)
         assert np.max(np.abs(mono.matrix - want)) < 1e-9
         assert mono.has_unit_multiplier
+
+    def test_period_required(self):
+        with pytest.raises(TypeError):
+            monodromy(flip_rates())
 
     def test_fundamental_matrix_rows_sum_to_one(self):
         rng = np.random.default_rng(37)

@@ -250,6 +250,21 @@ class TestDeclaredSupport:
                 assert sorted(times) == want
 
 
+class TestConvexDuals:
+    def test_entropy_dual(self):
+        # sbp_psi's dual u*(x) = e^x - 1, u*'(x) = e^x on one edge of unit rate
+        # each way: H = sum_i rho_i u*(psi_j - psi_i), d rho = rho Q at equal psi
+        spec = sbp_psi(two_node(), flip_rates())
+        rho = [0.6, 0.4]
+        level = PhasePoint(rho, [0.0, 0.0], chart="psi")
+        assert eval_H(spec, level) == 0.0                          # u*(0) = 0
+        drho, dpsi = vector_field(spec, level)
+        np.testing.assert_allclose(drho, [-0.2, 0.2], atol=1e-15)  # u*'(0) = 1
+        np.testing.assert_array_equal(dpsi, 0.0)
+        step = PhasePoint(rho, [0.0, 1.0], chart="psi")
+        assert eval_H(spec, step) == pytest.approx(0.6 * (math.e - 1) + 0.4 * (math.exp(-1) - 1))
+
+
 class TestKineticPinned:
     # 2 nodes, w = 1, rho = (0.7, 0.3), S = (1, 0), average weights:
     # theta = 1/2 both ways, H = 1/4 * (1 * 1/2 + 1 * 1/2) = 1/4,

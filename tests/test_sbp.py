@@ -520,6 +520,26 @@ class TestPeriodicConstruction:
         p = propagator(pr.rates, 0.0, 2 * np.pi, dt=2e-3)
         np.testing.assert_allclose(rho(0.0) @ p, rho(0.0), atol=1e-9)
 
+    def test_three_node_loop_with_difference_derivative(self):
+        c1, c2 = 1 / (2 * np.sqrt(6)), 1 / (6 * np.sqrt(2))
+
+        def rho(t):
+            return np.array([np.cos(t) * c1 + np.sin(t) * c2 + 1 / 3,
+                             -np.cos(t) * c1 + np.sin(t) * c2 + 1 / 3,
+                             -np.sin(t) / (3 * np.sqrt(2)) + 1 / 3]).T
+
+        def central_difference(ts, step=2 * np.pi / 1024):
+            return (rho(ts + step) - rho(ts - step)) / (2 * step)
+
+        pr = periodic_rate_from_density(rho, 2 * np.pi, 3, deriv_fn=central_difference)
+        for t in (0.3, 2.0, 5.5):
+            m = pr.rates.at(t)
+            assert validate_rate_matrix(m).valid
+            fd = (rho(t + 1e-6) - rho(t - 1e-6)) / 2e-6
+            np.testing.assert_allclose(rho(t) @ m, fd, atol=1e-5)
+        p = propagator(pr.rates, 0.0, 2 * np.pi, dt=2e-3)
+        np.testing.assert_allclose(rho(0.0) @ p, rho(0.0), atol=1e-5)
+
     @pytest.mark.parametrize("name, strength", [("two-node-periodic", 0.250244140625),
                                                 ("three-node-circle", 0.471435546875)])
     def test_builtin_construction_pinned(self, name, strength):
