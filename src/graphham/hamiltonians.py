@@ -19,10 +19,12 @@ evaluate them at a phase point, and grad_check compares the two:
 * sbp_psi         H = sum_ij u*(psi_j - psi_i) m_ij rho_i, u*(x) = e^x - 1
 * schrodinger_fg  H = sum_ij f_i m_ij g_j, bilinear, diagonal included
 
-Sums run over ordered adjacent pairs. The three entropic forms are the same
-function written in the three charts: substituting S = psi - 1/2 log rho or
-(f, g) = (sqrt(rho) e^{-S}, sqrt(rho) e^{S}) maps one onto another, which the
-test-suite checks. The convention dictionary:
+Sums run over ordered pairs, summed per node by np.bincount: the graph's
+adjacent pairs, and for sbp_entropic and sbp_psi the reference's support
+pairs. The three entropic forms are the same function written in the three
+charts: substituting S = psi - 1/2 log rho or (f, g) = (sqrt(rho) e^{-S},
+sqrt(rho) e^{S}) maps one onto another, which the test-suite checks. The
+convention dictionary:
 
     velocity          v_ij = S_i - S_j
     density equation  d rho/dt = +dH/dS
@@ -96,7 +98,8 @@ class ReferenceRates:
 
     The support, the off-diagonal mask of pairs that may carry rate, is fixed
     at construction: the nonzero pattern of a constant matrix, and every
-    off-diagonal pair for a function of time.
+    off-diagonal pair for a function of time. src and dst list its pairs
+    i -> j sorted by (src, dst), as Graph lists its edges' pairs.
     """
 
     def __init__(self, n: int, matrix: np.ndarray | None = None,
@@ -118,6 +121,8 @@ class ReferenceRates:
                          else ~np.eye(self.n, dtype=bool))
         np.fill_diagonal(self._support, False)
         self._support.setflags(write=False)
+        self.src, self.dst = np.nonzero(self._support)
+        self.src.setflags(write=False), self.dst.setflags(write=False)
 
     @property
     def constant(self) -> bool:
@@ -180,41 +185,35 @@ def _block_size(n: int) -> int:
 
 
 def _reference_at(rates: ReferenceRates, times=()):
-    """t -> (m(t), a mask of the support pairs whose rate at t is nonzero, the
-    diagonal of m(t), mask * m(t)).
+    """t -> (m(t), the diagonal of m(t), m(t) on the support pairs src -> dst).
 
-    mask * m is the masked rate the fields multiply by: m on the mask, 0 * m
-    off it, which keeps the sign of m and is NaN for a NaN or infinite m.
-    A constant reference has one fixed quadruple, whose mask is 0/1 floats:
-    products with it equal those with booleans and cost less. A
-    time-dependent one is evaluated at `times`, an iterable of the times a
-    flow will ask for in order, and walked by a forward cursor over a chain
-    of (t, m, mask, diagonal, mask * m) entries. The chain is built from the
-    distinct consecutive times, through at_many in blocks of _block_size(n)
-    of them, each block's masks and masked rates in one product.
+    A pair rate of 0 carries no jump, so the fields cap the gaps only where
+    it is nonzero; a NaN or infinite one makes their flux NaN. A constant
+    reference has one fixed triple. A time-dependent one is evaluated at
+    `times`, an iterable of the times a flow will ask for in order, and
+    walked by a forward cursor over a chain of (t, m, diagonal, pair rates)
+    entries. The chain is built from the distinct consecutive times, through
+    at_many in blocks of _block_size(n) of them.
     A call at the time of the entry served last is served from it again; a
     call at the time of the entry after it moves the cursor on; a call at any
     other time evaluates m(t) alone. The first block is evaluated when the
     lookup is built, and each later one when the cursor reaches the last
     time of the block before it, so at most two blocks are held.
     """
-    support = rates.support()
+    src, dst = rates.src, rates.dst
     if rates.constant:
-        mask = support.astype(float)
-        fixed = rates.matrix, mask, rates.matrix.diagonal(), mask * rates.matrix
+        fixed = rates.matrix, rates.matrix.diagonal(), rates.matrix[src, dst]
         return lambda t: fixed
 
     def at(t):
         m = rates.at(t)
-        mask = support & (m != 0)
-        return m, mask, m.diagonal(), mask * m
+        return m, m.diagonal(), m[src, dst]
 
     def entries():
         distinct = (t for t, _ in itertools.groupby(times))
         while ts := list(itertools.islice(distinct, _block_size(rates.n))):
             ms = rates.at_many(ts)
-            masks = support & (ms != 0)
-            yield from zip(ts, ms, masks, np.diagonal(ms, axis1=1, axis2=2), masks * ms)
+            yield from zip(ts, ms, np.diagonal(ms, axis1=1, axis2=2), ms[:, src, dst])
 
     chain = entries()
     served, ahead = (None,), next(chain, None)
@@ -422,14 +421,14 @@ def prepare(spec: HamiltonianSpec, times=()):
     (d rho/dt, d pot/dt) = (+dH/dpot, -dH/drho), differentiated exactly. The
     variant is dispatched here once, and everything that does not depend on
     the state (graph arrays, theta kinds, potential terms, a constant
-    reference with its support, diagonal and masked rate) is fixed here. In
-    the fg chart rho and pot hold f and g.
+    reference with its diagonal and pair rates) is fixed here. In the fg
+    chart rho and pot hold f and g.
 
     `times` iterates over the times at which a flow will evaluate the pair,
     in order, such as the stage times of an rk4 grid. A time-dependent
     reference is then evaluated once per flow, on that grid: once at each
-    distinct time, in blocks, with its mask, diagonal and masked rate. Any other time
-    evaluates it per call.
+    distinct time, in blocks, with its diagonal and pair rates. Any other
+    time evaluates it per call.
     """
     variant = {"sbp_entropic": _entropic, "sbp_psi": _dual,
                "schrodinger_fg": _bilinear}.get(spec.variant)
@@ -491,13 +490,14 @@ def _kinetic(spec: HamiltonianSpec):
 
 def _entropic(spec: HamiltonianSpec, at):
     """sbp_entropic over the (rho, S) chart; `at` is _reference_at's lookup."""
+    src, dst, n = spec.reference.src, spec.reference.dst, spec.reference.n
 
     def flux(rho, pot, t):
-        """flux_ij, the mass moving i -> j, and the diagonal of m(t)."""
-        _, sup, diag, rate = at(t)
-        gap = pot - pot[:, None]                    # pot_j - pot_i
+        """flux over the pairs, the mass moving src -> dst, and the diagonal of m(t)."""
+        _, diag, rate = at(t)
+        gap = pot[dst] - pot[src]
         _interior(rho)
-        return np.exp(_capped(gap, sup)) * rate * np.sqrt(rho[:, None] * rho), diag
+        return np.exp(_capped(gap, rate != 0)) * rate * np.sqrt(rho[src] * rho[dst]), diag
 
     def energy(rho, pot, t):
         fl, diag = flux(rho, pot, t)
@@ -505,7 +505,7 @@ def _entropic(spec: HamiltonianSpec, at):
 
     def field(rho, pot, t):
         fl, diag = flux(rho, pot, t)
-        out, inflow = np.add.reduce(fl, 1), np.add.reduce(fl, 0)   # sum_j fl_ij, sum_i fl_ij
+        out, inflow = np.bincount(src, fl, minlength=n), np.bincount(dst, fl, minlength=n)
         return np.array((inflow - out, -diag - (out + inflow) / (2.0 * rho)))
 
     return field, energy
@@ -515,25 +515,26 @@ def _dual(spec: HamiltonianSpec, at):
     """sbp_psi over the (rho, psi) chart, with u*(x) = e^x - 1 and u*'(x) = e^x:
     d rho_i = sum_j -u*'(gap_ij) m_ij rho_i + u*'(gap_ji) m_ji rho_j,
     d psi_i = -sum_j u*(gap_ij) m_ij."""
+    src, dst, n = spec.reference.src, spec.reference.dst, spec.reference.n
 
     def gaps(pot, t):
-        """The masked rate and the gaps, which are +0.0 off the mask: there
-        u*(0) = 0 and u*'(0) = 1 times the masked rate give 0 * m."""
-        _, sup, _, rate = at(t)
-        return rate, _capped(pot - pot[:, None], sup)
+        """The pair rates and the gaps, which are +0.0 where the rate is 0:
+        there u*(0) = 0 and u*'(0) = 1 times the rate give 0 * m."""
+        rate = at(t)[2]
+        return rate, _capped(pot[dst] - pot[src], rate != 0)
 
     def energy(rho, pot, t):
         rate, z = gaps(pot, t)
-        val = float((np.expm1(z) * rate * rho[:, None]).sum())
+        val = float((np.expm1(z) * rate * rho[src]).sum())
         if not np.isfinite(val):
             raise NonfiniteValue("Hamiltonian is not finite")
         return val
 
     def field(rho, pot, t):
         rate, z = gaps(pot, t)
-        out = np.exp(z) * rate * rho[:, None]   # rate-weighted outflow i -> j
-        return np.array((np.add.reduce(out, 0) - np.add.reduce(out, 1),
-                         -np.add.reduce(np.expm1(z) * rate, 1)))
+        out = np.exp(z) * rate * rho[src]   # rate-weighted outflow src -> dst
+        return np.array((np.bincount(dst, out, minlength=n) - np.bincount(src, out, minlength=n),
+                         -np.bincount(src, np.expm1(z) * rate, minlength=n)))
 
     return field, energy
 

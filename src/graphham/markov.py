@@ -117,39 +117,37 @@ def _rate_stack(spec: HamiltonianSpec, rho: np.ndarray, s: np.ndarray, times) ->
     count, n = rho.shape
     diag = np.arange(n)
 
-    if kind == "sbp":
+    if kind == "sbp":                               # over the reference's support pairs
         if np.min(rho) <= 0:
             raise BoundaryDensity("reweighted rates need interior masses")
-        m = spec.reference.at_many(times)
-        sup = spec.reference.support() & (m != 0)
+        src, dst = spec.reference.src, spec.reference.dst
+        m = spec.reference.at_many(times)[:, src, dst]
         # e^{S_b - S_a} where m carries rate
-        ex = np.exp(_capped(s[:, None, :] - s[:, :, None], sup))
-        q = ex * np.sqrt(rho[:, None, :] / rho[:, :, None]) * m
-        q[:, diag, diag] = 0.0
-        q[:, diag, diag] = -q.sum(axis=2)
-        return q
-
-    ds = s[:, g.src] - s[:, g.dst]                  # S_a - S_b over the pairs
-    # the flow's flux function of the gaps; at q = 2 it is the gap itself
-    flow = _lp_flow(ds, spec.q) if spec.variant == "lp_kinetic" and spec.q != 2 else ds
-    if kind == "upwind_ot":
-        rate = g.w * np.clip(-flow, 0.0, None)
-    elif spec.theta.kind == "average":
-        rate = 0.5 * g.w * (-flow)
-    else:                                           # the log-mean splitting
-        if np.min(rho) <= 0:
-            raise BoundaryDensity("log-mean splitting needs interior masses")
-        logs = np.log(rho)
-        dlog = logs[:, g.src] - logs[:, g.dst]
-        if (np.abs(dlog) < 1e-12).any():
-            raise NoRateDecomposition("log-mean splitting degenerates at equal masses")
-        rate = -g.w * flow / dlog
+        ex = np.exp(_capped(s[:, dst] - s[:, src], m != 0))
+        rate = ex * np.sqrt(rho[:, dst] / rho[:, src]) * m
+    else:                                           # over the graph's pairs
+        src, dst = g.src, g.dst
+        ds = s[:, src] - s[:, dst]                  # S_a - S_b
+        # the flow's flux function of the gaps; at q = 2 it is the gap itself
+        flow = _lp_flow(ds, spec.q) if spec.variant == "lp_kinetic" and spec.q != 2 else ds
+        if kind == "upwind_ot":
+            rate = g.w * np.clip(-flow, 0.0, None)
+        elif spec.theta.kind == "average":
+            rate = 0.5 * g.w * (-flow)
+        else:                                       # the log-mean splitting
+            if np.min(rho) <= 0:
+                raise BoundaryDensity("log-mean splitting needs interior masses")
+            logs = np.log(rho)
+            dlog = logs[:, src] - logs[:, dst]
+            if (np.abs(dlog) < 1e-12).any():
+                raise NoRateDecomposition("log-mean splitting degenerates at equal masses")
+            rate = -g.w * flow / dlog
     # the pair rates off the diagonal and minus their row sums on it; bins
     # k n + src add each state's pairs in order, and summing -rate keeps the
-    # diagonal of a row without outflow +0.0, as rates.json has always written it
+    # diagonal of a row without outflow +0.0, as rates.json writes it
     q = np.zeros((count, n, n))
-    q[:, g.src, g.dst] = rate
-    bins = (n * np.arange(count)[:, None] + g.src).ravel()
+    q[:, src, dst] = rate
+    bins = (n * np.arange(count)[:, None] + src).ravel()
     q[:, diag, diag] = np.bincount(bins, -rate.ravel(), minlength=count * n).reshape(count, n)
     return q
 

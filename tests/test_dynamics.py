@@ -42,7 +42,6 @@ from graphham.hamiltonians import (
     _block_size,
     _capped,
     _interior,
-    _reference_at,
     NodePotential,
     PhasePoint,
     ReferenceRates,
@@ -205,8 +204,9 @@ class TestIntegrators:
 # -- the two-array integrator, as it stood before the stacked state ---------------
 #
 # Verbatim copies of the steppers and the guard that stepped rho and pot as two
-# arrays, and of the sbp_entropic and sbp_psi fields that multiplied by m and
-# the support mask separately. integrate must match them bit for bit.
+# arrays, and the sbp_entropic and sbp_psi fields on the reference's support
+# pairs, each call reading m(t) alone through ReferenceRates.at rather than the
+# blocked lookup prepare builds. integrate must match them bit for bit.
 
 
 def two_array_guard(rho: np.ndarray, pot: np.ndarray, chart: str, t: float):
@@ -251,12 +251,16 @@ def two_array_midpoint_step(field, r, p, t, dt):
         "midpoint fixed point stalled at t = %g (dt = %g)" % (t, dt))
 
 
-def two_array_entropic(spec, at):
+def two_array_entropic(spec):
+    ref = spec.reference
+
     def flux(rho, pot, t):
-        m, sup, diag = at(t)
-        gap = pot[None, :] - pot[:, None]          # pot_j - pot_i
+        m = ref.at(t)
+        rate = m[ref.src, ref.dst]
+        gap = pot[ref.dst] - pot[ref.src]          # pot_j - pot_i
         _interior(rho)
-        return np.exp(_capped(gap, sup)) * m * np.sqrt(rho[:, None] * rho) * sup, diag
+        fl = np.exp(_capped(gap, rate != 0)) * rate * np.sqrt(rho[ref.src] * rho[ref.dst])
+        return fl, m.diagonal()
 
     def energy(rho, pot, t):
         fl, diag = flux(rho, pot, t)
@@ -264,40 +268,41 @@ def two_array_entropic(spec, at):
 
     def field(rho, pot, t):
         fl, diag = flux(rho, pot, t)
-        out, inflow = fl.sum(axis=1), fl.sum(axis=0)     # sum_j fl_ij, sum_i fl_ij
+        out = np.bincount(ref.src, fl, minlength=ref.n)        # sum_j fl_ij
+        inflow = np.bincount(ref.dst, fl, minlength=ref.n)     # sum_i fl_ij
         return inflow - out, -diag - (out + inflow) / (2.0 * rho)
 
     return field, energy
 
 
-def two_array_dual(spec, at):
+def two_array_dual(spec):
+    ref = spec.reference
+
     def gaps(pot, t):
-        m, sup, _ = at(t)
-        return m, sup, _capped(pot[None, :] - pot[:, None], sup)
+        rate = ref.at(t)[ref.src, ref.dst]
+        return rate, _capped(pot[ref.dst] - pot[ref.src], rate != 0)
 
     def energy(rho, pot, t):
-        m, sup, z = gaps(pot, t)
-        val = float((np.where(sup, np.expm1(z), 0.0) * m * rho[:, None]).sum())
+        rate, z = gaps(pot, t)
+        val = float((np.expm1(z) * rate * rho[ref.src]).sum())
         if not np.isfinite(val):
             raise NonfiniteValue("Hamiltonian is not finite")
         return val
 
     def field(rho, pot, t):
-        m, sup, z = gaps(pot, t)
-        out = np.where(sup, np.exp(z), 0.0) * m * rho[:, None]   # rate-weighted outflow i -> j
-        return out.sum(axis=0) - out.sum(axis=1), -(np.where(sup, np.expm1(z), 0.0) * m).sum(axis=1)
+        rate, z = gaps(pot, t)
+        out = np.exp(z) * rate * rho[ref.src]           # rate-weighted outflow i -> j
+        inflow, outflow = (np.bincount(ends, out, minlength=ref.n) for ends in (ref.dst, ref.src))
+        return inflow - outflow, -np.bincount(ref.src, np.expm1(z) * rate, minlength=ref.n)
 
     return field, energy
 
 
 def two_array_prepare(spec, times=()):
-    """prepare with the two-array sbp_entropic and sbp_psi fields, fed the
-    (m, mask, diagonal) of the same reference lookup; the other variants' own."""
+    """prepare with the two-array sbp_entropic and sbp_psi fields; the other
+    variants' own."""
     old = {"sbp_entropic": two_array_entropic, "sbp_psi": two_array_dual}.get(spec.variant)
-    if old is None:
-        return prepare(spec, times)
-    lookup = _reference_at(spec.reference, times)
-    return old(spec, lambda t: lookup(t)[:3])
+    return prepare(spec, times) if old is None else old(spec)
 
 
 def two_array_integrate(spec, state, t0, t1, dt, method="rk4", record_every=1,
@@ -359,13 +364,14 @@ def three_node_rates():
     return constant_rates([[-1.0, 1.0, 0.0], [0.5, -1.5, 1.0], [0.0, 2.0, -2.0]])
 
 
-def nan_diagonal_rates(n, after=0.05):
-    """A reference on K_n whose diagonal turns NaN at times above `after`."""
+def nan_rates(n, where, after=0.05):
+    """A reference on K_n whose entries in the mask `where` turn NaN at times
+    above `after`."""
     base = symmetric_rates(complete_graph(n)).matrix
 
     def batch(ts):
         ms = np.repeat(base[None], len(ts), axis=0)
-        ms[np.asarray(ts) > after] += np.diag(np.full(n, np.nan))
+        ms[np.asarray(ts) > after] += np.where(where, np.nan, 0.0)
         return ms
 
     return ReferenceRates(n, batch_fn=batch)
@@ -415,10 +421,11 @@ def refusal_case(name):
         "midpoint-divergence": (sbp_entropic(k3, symmetric_rates(k3, 40.0)),
                                 PhasePoint([0.5, 0.3, 0.2], [0.4, -0.1, 0.3]), 1.0, 0.5,
                                 {"implicit_midpoint": NonconvergentImplicitStep}),
-        "nan-diagonal-psi": (sbp_psi(two, nan_diagonal_rates(2)),
-                             PhasePoint([0.5, 0.5], [0.0, 0.1], "psi"), 0.1, 0.01,
-                             {"rk4": BlowUp}),
-        "nan-diagonal-S": (sbp_entropic(k3, nan_diagonal_rates(3)), safe, 0.1, 0.01,
+        # sbp_psi reads the pair rates only, sbp_entropic the diagonal too
+        "nan-rate-psi": (sbp_psi(two, nan_rates(2, ~np.eye(2, dtype=bool))),
+                         PhasePoint([0.5, 0.5], [0.0, 0.1], "psi"), 0.1, 0.01,
+                         {"rk4": BlowUp}),
+        "nan-diagonal-S": (sbp_entropic(k3, nan_rates(3, np.eye(3, dtype=bool))), safe, 0.1, 0.01,
                            {"rk4": BlowUp}),
     }[name]
 
@@ -442,7 +449,7 @@ class TestTwoArrayOracle:
     @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
     @pytest.mark.parametrize("name", [
         "psi-gap", "potential", "negative-mass", "nonfinite-state", "factor-magnitude",
-        "midpoint-divergence", "nan-diagonal-psi", "nan-diagonal-S"])
+        "midpoint-divergence", "nan-rate-psi", "nan-diagonal-S"])
     def test_refusal_is_the_same(self, name, method, monkeypatch):
         spec, state, t1, dt, expected = refusal_case(name)
         logs = [], []

@@ -30,7 +30,7 @@ from graphham.errors import (
     NonpositiveFG,
     NoRateDecomposition,
 )
-from graphham.hamiltonians import _block_size, _capped, _lp_flow, _reference_at
+from graphham.hamiltonians import _block_size, _capped, _lp_flow
 from graphham.markov import _step_count, validate_rate_matrix
 from graphham.scenarios import load_config, parse_config
 
@@ -45,32 +45,32 @@ def _oracle_generator(spec, state, t):
     """One state's generator candidate, validated, assembled state by state."""
     kind, g = spec.rate_kind, spec.graph
     rho, s = state.rho, state.pot
-    if kind == "sbp":
+    if kind == "sbp":                   # on the reference's pairs, m(t) read alone
         if np.min(rho) <= 0:
             raise BoundaryDensity("reweighted rates need interior masses")
-        m, sup, _, _ = _reference_at(spec.reference)(t)
-        ex = np.exp(_capped(s[None, :] - s[:, None], sup))
-        q = ex * np.sqrt(rho[None, :] / rho[:, None]) * m
-        np.fill_diagonal(q, 0.0)
-        np.fill_diagonal(q, -q.sum(axis=1))
-        return validate_rate_matrix(q, kind)
-    ds = s[g.src] - s[g.dst]
-    flow = _lp_flow(ds, spec.q) if spec.variant == "lp_kinetic" and spec.q != 2 else ds
-    if kind == "upwind_ot":
-        rate = g.w * np.clip(-flow, 0.0, None)
-    elif spec.theta.kind == "average":
-        rate = 0.5 * g.w * (-flow)
+        src, dst = spec.reference.src, spec.reference.dst
+        m = spec.reference.at(t)[src, dst]
+        ex = np.exp(_capped(s[dst] - s[src], m != 0))
+        rate = ex * np.sqrt(rho[dst] / rho[src]) * m
     else:
-        if np.min(rho) <= 0:
-            raise BoundaryDensity("log-mean splitting needs interior masses")
-        logs = np.log(rho)
-        dlog = logs[g.src] - logs[g.dst]
-        if (np.abs(dlog) < 1e-12).any():
-            raise NoRateDecomposition("log-mean splitting degenerates at equal masses")
-        rate = -g.w * flow / dlog
+        src, dst = g.src, g.dst
+        ds = s[src] - s[dst]
+        flow = _lp_flow(ds, spec.q) if spec.variant == "lp_kinetic" and spec.q != 2 else ds
+        if kind == "upwind_ot":
+            rate = g.w * np.clip(-flow, 0.0, None)
+        elif spec.theta.kind == "average":
+            rate = 0.5 * g.w * (-flow)
+        else:
+            if np.min(rho) <= 0:
+                raise BoundaryDensity("log-mean splitting needs interior masses")
+            logs = np.log(rho)
+            dlog = logs[src] - logs[dst]
+            if (np.abs(dlog) < 1e-12).any():
+                raise NoRateDecomposition("log-mean splitting degenerates at equal masses")
+            rate = -g.w * flow / dlog
     q = np.zeros((g.n, g.n))
-    q[g.src, g.dst] = rate
-    q[np.diag_indices(g.n)] = np.bincount(g.src, -rate, minlength=g.n)
+    q[src, dst] = rate
+    q[np.diag_indices(g.n)] = np.bincount(src, -rate, minlength=g.n)
     return validate_rate_matrix(q, kind)
 
 
