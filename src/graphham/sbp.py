@@ -38,7 +38,7 @@ from .graph import _arr
 from .hamiltonians import (HamiltonianSpec, PhasePoint, ReferenceRates, _BLOCK_ENTRIES,
                            _RecordedRates, _block_size)
 from .dynamics import integrate
-from .markov import LinearGrid, build_rate_matrix
+from .markov import _MAX_STEPS, LinearGrid, build_rate_matrix
 
 _RATE_MARGIN = 1e-9       # least off-diagonal rate of a constructed periodic generator
 _RESIDUAL_STEP = 1e-4     # time step of markov_condition_residual's difference
@@ -253,23 +253,30 @@ def path_entropy_bruteforce(solution: BridgeSolution, n_steps: int) -> float:
 
     Both chains step with transition I + h m at the left endpoint of each
     subinterval, h = horizon / n_steps. The count of support-consistent
-    paths is capped near 1e7; beyond that the enumeration refuses.
+    paths is capped near 1e7; beyond that the enumeration refuses, and so
+    it does for more than _MAX_STEPS steps.
     """
     if n_steps < 1:
         raise ValueError("the skeleton needs at least one step, got %r" % (n_steps,))
+    if n_steps > _MAX_STEPS:
+        raise PathExplosion("%d steps exceed the cap of %d" % (n_steps, _MAX_STEPS))
     problem = solution.problem
-    n = problem.reference.n
+    refr = problem.reference
+    n = refr.n
     h = (problem.t1 - problem.t0) / n_steps
-    # out-degree of the pairs the reference moves along at the step times
-    moves = (problem.reference.at_many(problem.t0 + h * np.arange(n_steps)) != 0).any(axis=0)
-    maxdeg = int((moves & problem.reference.support()).sum(axis=1).max())
-    if float(maxdeg + 1) ** n_steps > 1e7:
-        raise PathExplosion(
-            "about %g support paths; brute force stops at 1e7"
-            % (float(maxdeg + 1) ** n_steps))
+    # the pairs the reference moves along at the step times, gathered in blocks
+    # of them; (out-degree + 1) ** n_steps counts the paths, as an int whose
+    # power stops at 24 steps, where a degree of 1 or more is past 1e7
+    moves, size = np.zeros(len(refr.src), dtype=bool), _block_size(n)
+    for lo in range(0, n_steps, size):
+        steps = np.arange(lo, min(lo + size, n_steps))
+        moves |= (refr.at_many(problem.t0 + h * steps)[:, refr.src, refr.dst] != 0).any(axis=0)
+        choices = int(np.bincount(refr.src[moves], minlength=n).max()) + 1
+        if choices ** min(n_steps, 24) > 1e7:
+            raise PathExplosion("%d steps of up to %d choices make over 1e7 support paths; "
+                                "brute force stops there" % (n_steps, choices))
 
     bridged = solution.rates()
-    refr = problem.reference
 
     with np.errstate(divide="ignore"):
         logp = np.log(problem.rho0)

@@ -32,7 +32,7 @@ from .hamiltonians import (
     schrodinger_fg,
     symmetric_rates,
 )
-from .markov import _step_count
+from .markov import _MAX_STEPS, _step_count
 from .sbp import periodic_rate_from_density
 from .theta import AVERAGE, UPWIND, from_name
 
@@ -235,10 +235,11 @@ def _vector(data: dict, key: str, n: int, density: bool = False) -> np.ndarray:
     return v
 
 
-# type and [low, high) range of the integer config keys (a seed is a 64-bit
-# Philox key); any other config number is a float of any finite value
+# type and [low, high) range of the integer config keys (a seed is a 64-bit Philox
+# key, and the step cap of every grid bounds the checkpoints); any other config
+# number is a float of any finite value
 _INTEGER_KEYS = {"nodes": (int, 2, np.inf), "particles": (int, 1, np.inf),
-                 "seed": (int, 0, 2 ** 64), "checkpoints": (int, 1, np.inf)}
+                 "seed": (int, 0, 2 ** 64), "checkpoints": (int, 1, _MAX_STEPS + 1)}
 
 
 def _as_float(key: str, value) -> float:

@@ -75,6 +75,25 @@ class TestGeodesic:
         rc, _ = run(tmp_path, "geodesic", "--config", "two-node-bridge")
         assert rc == 1
 
+    def test_sbp_row_without_outflow_is_positive_zero(self, tmp_path):
+        # node 1 of the reference has no outflow, so its generator row is zero,
+        # the diagonal +0.0 as the kinetic kinds write it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": {"nodes": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]},
+            "hamiltonian": {"variant": "sbp_entropic"},
+            "reference": {"kind": "constant",
+                          "matrix": [[-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, -1.0]]},
+            "initial": {"rho": [0.3, 0.4, 0.3], "pot": [0.1, 0.0, -0.1]},
+            "horizon": {"t0": 0.0, "t1": 0.1, "dt": 0.01},
+        }))
+        rc, out = run(tmp_path, "geodesic", "--config", str(cfg), "--particles", "10")
+        assert rc == 0
+        entries = json.loads((out / "rates.json").read_text())["entries_t0"]
+        assert entries == [[-1.0448162537518144, 1.0448162537518144, 0.0], [0.0, 0.0, 0.0],
+                           [0.0, 1.2761414541030422, -1.2761414541030422]]
+        assert not np.signbit(entries[1]).any()
+
 
 class TestBridge:
     def test_builtin_bridge(self, tmp_path):
@@ -95,6 +114,15 @@ class TestBridge:
         assert oracle["n_steps"] == 8
         assert oracle["gap"] == pytest.approx(oracle["bruteforce"] - oracle["target"])
         assert abs(oracle["gap"]) < 0.2
+
+    @pytest.mark.parametrize("steps", ["700", "10000000000000"])
+    def test_oracle_beyond_the_path_budget_exits_1(self, tmp_path, capsys, steps):
+        # 3^700 paths are past the float range, and 1e13 steps past the step cap
+        rc, out = run(tmp_path, "bridge", "--config", "three-node-bridge", "--oracle", steps)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (out / "bridge.json").exists()
 
     def test_nonconvergence_exits_3_with_history(self, tmp_path):
         # the residuals settle near 1.5e-16, so a tolerance of 1e-300 is never met
@@ -581,6 +609,7 @@ class TestErrors:
         ([], {"checkpoints": False}),
         ([], {"seed": False}),
         ([], {"lam": True}),
+        ([], {"checkpoints": 10 ** 13}),
     ])
     def test_bad_sampler_settings_exit_1(self, tmp_path, capsys, flags, sampler):
         cfg = tmp_path / "cfg.json"

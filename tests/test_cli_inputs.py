@@ -4,8 +4,9 @@ Claims checked here, for small generated configs of every subcommand with
 refusable faults mixed in (flags the subcommand does not read, malformed,
 fractional and dangling edges, a fractional, boolean or too small node
 count, wrong-length and off-simplex densities, bad --oracle and --tol values,
-an infinite edge weight, a NaN or infinite reference rate, and config values
-of the wrong type, such as a string or a boolean for a number):
+an infinite edge weight, a NaN or infinite reference rate, checkpoints beyond
+the step cap, and config values of the wrong type, such as a string or a
+boolean for a number; --oracle 700 is past the brute force's path budget):
   * main returns an exit code in 0-4 and no exception escapes it, so no
     traceback reaches stderr
   * an input refused while parsing argv or the config exits 1 and leaves
@@ -31,7 +32,7 @@ READS = {"geodesic": ("--dt", "--particles", "--seed"),
          "simulate": ("--dt", "--particles", "--seed"),
          "analyze": ()}
 GOOD = {"--dt": ["0.01", "0.05"], "--particles": ["1", "30"], "--seed": ["0", "7"],
-        "--tol": ["1e-8", "1e-300"], "--oracle": ["1", "4"]}
+        "--tol": ["1e-8", "1e-300"], "--oracle": ["1", "4", "700"]}
 BAD = {"--tol": ["-1", "0", "nan", "inf"], "--oracle": ["-2", "0", "1.5"]}
 # config blocks holding a value of the wrong type
 WRONG_TYPE = [{"hamiltonian": {"variant": "lp_kinetic", "theta": "average", "q": None}},
@@ -68,7 +69,8 @@ def cases(draw):
     command = draw(st.sampled_from(sorted(READS)))
     fault = draw(st.sampled_from([None] * 4 + ["edge", "nodes", "density", "unread flag",
                                                "bad value", "infinite weight",
-                                               "nonfinite rate", "wrong type"]))
+                                               "nonfinite rate", "wrong type",
+                                               "huge checkpoints"]))
     edges = [[i, i + 1, 1.0] for i in range(n - 1)]
     if fault == "edge":
         edges.append(draw(st.sampled_from([[0, n + 1, 1.0], [0, 1], [0, 1, "heavy"],
@@ -104,6 +106,8 @@ def cases(draw):
         config["reference"] = {"kind": "constant", "matrix": matrix.tolist()}
     if fault == "wrong type":
         config.update(draw(st.sampled_from(WRONG_TYPE)))
+    if fault == "huge checkpoints":
+        config["sampler"]["checkpoints"] = 10 ** 13
 
     argv = [command, "--config"]
     for flag in READS[command]:

@@ -8,12 +8,18 @@ Claims checked here:
       densities and every theta kind, the pair field and energy of
       ot_kinetic, lp_kinetic and fisher_ot, and the upwind_ot and
       theta_general generators, match the dense formulas to 1e-12 relative
+    - on random connected graphs, the field and energy of sbp_entropic and
+      sbp_psi and the sbp generator, run on the reference's support pairs,
+      match the dense (n, n) formulas they replaced to 1e-12 relative, over
+      symmetric_rates, a constant matrix on the graph's pairs with zero
+      entries, and a time-dependent batch_fn reference
     - on random connected graphs, the generator that build_rate_matrix
       extracts reproduces its flow's density equation, rho Q = d rho: for
       ot_kinetic under every theta kind, lp_kinetic, fisher_ot,
       sbp_entropic over symmetric_rates, and sbp_psi at the hopf_cole image
-    - building a 1,024-node cycle and one kinetic field evaluation on it
-      each allocate O(|E|), not one (n, n) array
+    - building a 1,024-node cycle allocates O(|E|), and so does one field
+      evaluation on it of ot_kinetic, and of sbp_entropic and sbp_psi over
+      symmetric_rates, not one (n, n) array
 """
 
 import tracemalloc
@@ -24,8 +30,9 @@ from hypothesis import given, settings, strategies as st
 
 from graphham.dynamics import hopf_cole
 from graphham.graph import validate_graph
-from graphham.hamiltonians import (PhasePoint, fisher_ot, lp_kinetic, ot_kinetic, prepare,
-                                   sbp_entropic, sbp_psi, symmetric_rates, vector_field)
+from graphham.hamiltonians import (PhasePoint, ReferenceRates, constant_rates, fisher_ot,
+                                   lp_kinetic, ot_kinetic, prepare, sbp_entropic, sbp_psi,
+                                   symmetric_rates, vector_field)
 from graphham.markov import build_rate_matrix, validate_rate_matrix
 from graphham.theta import AVERAGE, LOGMEAN, UPWIND, theta, theta_partial
 
@@ -125,6 +132,45 @@ def dense_rates(d, kind, rho, s, theta_kind=None):
     return validate_rate_matrix(q, kind).entries
 
 
+# The sbp family over a dense reference matrix m at one time: the pairs that
+# carry rate are the off-diagonal nonzeros of m, where the gaps are capped.
+
+
+def dense_mask(m):
+    return ~np.eye(len(m), dtype=bool) & (m != 0)
+
+
+def dense_gaps(m, pot):
+    return np.where(dense_mask(m), pot[None, :] - pot[:, None], 0.0)     # pot_j - pot_i
+
+
+def dense_entropic(m, rho, pot):
+    """(field, energy) of sbp_entropic."""
+    fl = np.exp(dense_gaps(m, pot)) * np.where(dense_mask(m), m, 0.0) * np.sqrt(
+        rho[:, None] * rho[None, :])
+    out, inflow = fl.sum(axis=1), fl.sum(axis=0)
+    diag = np.diag(m)
+    return ((inflow - out, -diag - (out + inflow) / (2.0 * rho)),
+            float(fl.sum() + diag @ rho))
+
+
+def dense_dual(m, rho, psi):
+    """(field, energy) of sbp_psi."""
+    z, rate = dense_gaps(m, psi), np.where(dense_mask(m), m, 0.0)
+    out = np.exp(z) * rate * rho[:, None]
+    return ((out.sum(axis=0) - out.sum(axis=1), -(np.expm1(z) * rate).sum(axis=1)),
+            float((np.expm1(z) * rate * rho[:, None]).sum()))
+
+
+def dense_sbp_rates(m, rho, s):
+    """The sbp generator e^{S_b - S_a} sqrt(rho_b / rho_a) m_ab, minus its row
+    sums on the diagonal."""
+    q = np.exp(dense_gaps(m, s)) * np.sqrt(rho[None, :] / rho[:, None]) * np.where(
+        dense_mask(m), m, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return validate_rate_matrix(q, "sbp").entries
+
+
 # -- generated inputs ---------------------------------------------------------------
 
 
@@ -208,6 +254,33 @@ def test_pair_calculus_matches_dense_oracle(n, seed, kind, smooth, q):
 
 
 @settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.0, 2.0))
+def test_sbp_pairs_match_dense_oracle(n, seed, t):
+    rng = np.random.default_rng(seed)
+    g, d = random_graph(rng, n)
+    pairs = len(g.src)
+    sparse = np.zeros((n, n))
+    sparse[g.src, g.dst] = rng.uniform(0.2, 2.0, pairs) * (rng.random(pairs) < 0.7)
+    ramp = np.where(d.adjacency, rng.uniform(0.2, 2.0, (n, n)), 0.0)
+    np.fill_diagonal(ramp, -ramp.sum(axis=1))
+    references = [symmetric_rates(g, float(rng.uniform(0.2, 2.0))), constant_rates(sparse),
+                  ReferenceRates(n, batch_fn=lambda ts: (1.0 + np.asarray(ts))[:, None, None]
+                                 * ramp)]
+    rho = rng.dirichlet(np.full(n, 2.0)) * 0.9 + 0.1 / n
+    pot = rng.normal(0.0, 1.0, n)
+    for reference in references:
+        m = reference.at(t)                            # the dense matrix, not its pairs
+        for make, dense in ((sbp_entropic, dense_entropic), (sbp_psi, dense_dual)):
+            field, energy = prepare(make(g, reference))
+            want_field, want_energy = dense(m, rho, pot)
+            close(energy(rho, pot, t), want_energy)
+            for got, want in zip(field(rho, pot, t), want_field):
+                close(got, want)
+        close(build_rate_matrix(sbp_entropic(g, reference), PhasePoint(rho, pot), t).entries,
+              dense_sbp_rates(m, rho, pot))
+
+
+@settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1),
        smooth=st.sampled_from(["average", "logmean"]), q=st.floats(1.2, 4.0))
 def test_generator_reproduces_the_density_equation(n, seed, smooth, q):
@@ -244,11 +317,13 @@ def test_field_memory_is_linear_in_the_pairs():
     rng = np.random.default_rng(5)
     rho = rng.dirichlet(np.full(n, 4.0))
     pot = rng.normal(0.0, 0.05, n)
-    field, _ = prepare(ot_kinetic(g, LOGMEAN))
-    tracemalloc.start()
-    try:
-        field(rho, pot, 0.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    reference = symmetric_rates(g)
+    for spec in (ot_kinetic(g, LOGMEAN), sbp_entropic(g, reference), sbp_psi(g, reference)):
+        field, _ = prepare(spec)
+        tracemalloc.start()
+        try:
+            field(rho, pot, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, spec.variant

@@ -488,6 +488,23 @@ class TestBruteForce:
         with pytest.raises(PathExplosion):
             path_entropy_bruteforce(sol, 15)
 
+    @pytest.mark.parametrize("n_steps", [700, 10 ** 13])
+    def test_step_counts_beyond_the_budget_are_refused(self, n_steps):
+        # 3^700 paths are past the float range; 1e13 steps are past the step
+        # cap, refused before the reference is evaluated at their times
+        with pytest.raises(PathExplosion):
+            path_entropy_bruteforce(_builtin_bridge("three-node-bridge"), n_steps)
+
+    def test_moves_after_the_first_block_are_counted(self):
+        # the reference first moves after the 1,820 step times of the first
+        # block: 2,000 steps are refused at the second
+        k3 = np.ones((3, 3)) - 3.0 * np.eye(3)
+        rates = ReferenceRates(3, batch_fn=lambda ts: (np.asarray(ts) > 0.95)[:, None, None] * k3)
+        flat = np.full(3, 1.0 / 3)
+        sol = solve_bridge(BridgeProblem(rates, flat, flat), dt=0.01)
+        with pytest.raises(PathExplosion, match="support paths"):
+            path_entropy_bruteforce(sol, 2000)
+
     def test_negative_step_probability(self):
         sol = solve_bridge(BridgeProblem(constant_rates(10.0 * FLIP),
                                          [0.9, 0.1], [0.1, 0.9]))
