@@ -236,22 +236,38 @@ def _write_paths(out: Path, chunks, each=None) -> None:
 
 
 def _write_lines(fh, paths) -> None:
-    """Write the lines of one Paths chunk, whose path k is path first + k."""
-    head = '{"seed": [%d, %%d], "t0": %r, "t1": %r, "jump_times": [' % (
-        paths.seed, paths.t0, paths.t1)
+    """Write the lines of one Paths chunk, whose path k is path first + k. A
+    block of paths is one "".join of its pieces, path by path: the head's
+    opening, the path's index and the head's rest, a separator and a repr per
+    jump time, and one token per state, which carries the brackets."""
+    head = '{"seed": [%d, ' % paths.seed
+    tail = '], "t0": %r, "t1": %r, "jump_times": [' % (paths.t0, paths.t1)
+    # tokens[(2 first + last) n + s] spells state s as its path's first and/or last
+    tokens = np.array([('], "states": [' if first else ", ") + str(s) + ("]}\n" if last else "")
+                       for first in (0, 1) for last in (0, 1) for s in range(paths.n)],
+                      dtype=object)
     offsets = paths.offsets
-    count = len(offsets) - 1
-    for b in range(0, count, _PATH_BLOCK):
-        e = min(b + _PATH_BLOCK, count)
-        lo, hi = int(offsets[b]), int(offsets[e])
-        # path b + k holds times[a:z] and states[a + k:z + k + 1] of its block
-        times = list(map(repr, paths.times[lo:hi].tolist()))
-        states = list(map(str, paths.states[lo + b:hi + e].tolist()))
-        local = (offsets[b:e + 1] - lo).tolist()
-        fh.writelines('%s%s], "states": [%s]}\n' % (
-            head % (paths.first + b + k), ", ".join(times[a:z]),
-            ", ".join(states[a + k:z + k + 1]))
-            for k, (a, z) in enumerate(zip(local, local[1:])))
+    for b in range(0, len(paths), _PATH_BLOCK):
+        e = min(b + _PATH_BLOCK, len(paths))
+        # path k of the block has jumps a[k]:a[k + 1]; the 3 head pieces, 2 per
+        # jump and 1 per state of the paths before it put its start at 4 k + 3 a[k]
+        a, k = offsets[b:e + 1] - offsets[b], np.arange(e - b)
+        jumps, start = np.diff(a), 4 * k + 3 * a[:-1]
+        texts = np.empty(4 * (e - b) + 3 * int(a[-1]), dtype=object)
+        texts.fill(", ")
+        texts[start], texts[start + 2] = head, tail
+        texts[start + 1] = list(map(str, range(paths.first + b, paths.first + e)))
+        # jump i of path k: a separator ("" first) at start[k] + 3 + 2 (i - a[k]), then its repr
+        texts[start[jumps > 0] + 3] = ""
+        texts[np.repeat(start - 2 * a[:-1] + 4, jumps) + 2 * np.arange(a[-1])] = list(
+            map(float.__repr__, paths.times[offsets[b]:offsets[e]].tolist()))
+        # state j of the block, of path k, after its path's jumps: 3 k + 2 a[k + 1] + 3 + j
+        code = np.zeros(int(a[-1]) + e - b, dtype=np.intp)
+        code[a[:-1] + k] += 2 * paths.n
+        code[a[1:] + k] += paths.n
+        texts[np.repeat(3 * k + 2 * a[1:] + 3, jumps + 1) + np.arange(len(code))] = tokens[
+            code + paths.states[offsets[b] + b:offsets[e] + e]]
+        fh.write("".join(texts.tolist()))
 
 
 def _rate_report(scenario: Scenario, traj):

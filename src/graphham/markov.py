@@ -259,35 +259,49 @@ def propagator(rates: ReferenceRates, s: float, t: float, dt: float = 1e-3) -> n
 
 _WORD = 0xFFFFFFFF
 _BOUND_GRID = 1000      # evenly spaced times on which sample_paths checks Q and bounds |Q_ii|
+# Philox's round multipliers, and the uint64 shifts and mask of its words and uniforms
+_MUL0, _MUL1 = np.uint64(0xD2511F53), np.uint64(0xCD9E8D57)
+_U12, _U20, _U32, _LOW = np.uint64(12), np.uint64(20), np.uint64(32), np.uint64(_WORD)
 
 
 def philox4x32(ctr, key) -> list:
     """Philox4x32-10 (Salmon et al., SC'11) on arrays: four broadcasting
-    32-bit counter words and two key words in, four uint64 word arrays out."""
+    32-bit counter words and two key words in, four uint64 word arrays out.
+    The counter arrays passed in are left as they are."""
     c0, c1, c2, c3 = (w.copy() for w in np.broadcast_arrays(
         *(np.asarray(c, dtype=np.uint64) for c in ctr)))
+    p0, p1, hi = np.empty_like(c0), np.empty_like(c0), np.empty_like(c0)
     k0, k1 = key
     for _ in range(10):
-        p0, p1 = c0 * np.uint64(0xD2511F53), c2 * np.uint64(0xCD9E8D57)
-        # in place: the new words 0 and 2 in the old 1 and 3, the new 1 and 3 in p1 and p0
-        c1 ^= p1 >> np.uint64(32)
+        np.multiply(c0, _MUL0, out=p0)
+        np.multiply(c2, _MUL1, out=p1)
+        # in place: the new words 0 and 2 in the old 1 and 3, the new 1 and 3 in
+        # p1 and p0; the old words 0 and 2 are the next round's products
+        c1 ^= np.right_shift(p1, _U32, out=hi)
         c1 ^= np.uint64(k0)
-        c3 ^= p0 >> np.uint64(32)
+        c3 ^= np.right_shift(p0, _U32, out=hi)
         c3 ^= np.uint64(k1)
-        p1 &= np.uint64(_WORD)
-        p0 &= np.uint64(_WORD)
-        c0, c1, c2, c3 = c1, p1, c3, p0
+        p1 &= _LOW
+        p0 &= _LOW
+        c0, c1, c2, c3, p0, p1 = c1, p1, c3, p0, c0, c2
         k0, k1 = (k0 + 0x9E3779B9) & _WORD, (k1 + 0xBB67AE85) & _WORD
     return [c0, c1, c2, c3]
 
 
 def _draws(key, j, path, lane) -> list:
     """Two uniforms strictly inside (0, 1) from draw j of each path on one lane:
-    (k + 1/2) / 2^52 for k the top 52 bits of output words 0:1, then of 2:3."""
+    (k + 1/2) / 2^52 for k the top 52 bits of output words 0:1, then of 2:3.
+    Each is built in a fresh array; Philox's words are only read."""
     path = np.asarray(path, dtype=np.uint64)
-    w = philox4x32((j, path & np.uint64(_WORD), path >> np.uint64(32), lane), key)
-    return [(((hi << np.uint64(20)) | (lo >> np.uint64(12))).astype(float) + 0.5) * 2.0 ** -52
-            for hi, lo in (w[:2], w[2:])]
+    w = philox4x32((j, path & _LOW, path >> _U32, lane), key)
+    out = []
+    for hi, lo in (w[:2], w[2:]):
+        k = hi << _U20
+        k |= lo >> _U12
+        out.append(k.astype(float))
+        out[-1] += 0.5
+        out[-1] *= 2.0 ** -52
+    return out
 
 
 def _jump_targets(rows: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import csv
 import functools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -123,6 +124,18 @@ class TestBridge:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert not (out / "bridge.json").exists()
+
+    def test_oracle_on_a_chain_that_never_moves(self, tmp_path, capsys):
+        # a zero generator passes the path budget at any step count; its
+        # frontier never moves, so 1e7 steps give the 12-step value, quickly
+        cfg = bridge_config(tmp_path, [[0.0, 0.0], [0.0, 0.0]], [0.3, 0.7], [0.3, 0.7])
+        for steps in ("12", "10000000"):
+            start = time.perf_counter()
+            rc, out = run(tmp_path, "bridge", "--config", str(cfg), "--oracle", steps)
+            assert time.perf_counter() - start < 5.0
+            assert rc == 0 and "Traceback" not in capsys.readouterr().err
+            oracle = json.loads((out / "bridge.json").read_text())["oracle"]
+            assert oracle["bruteforce"] == 0.08228287850505173
 
     def test_nonconvergence_exits_3_with_history(self, tmp_path):
         # the residuals settle near 1.5e-16, so a tolerance of 1e-300 is never met

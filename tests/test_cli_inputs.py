@@ -6,7 +6,9 @@ fractional and dangling edges, a fractional, boolean or too small node
 count, wrong-length and off-simplex densities, bad --oracle and --tol values,
 an infinite edge weight, a NaN or infinite reference rate, checkpoints beyond
 the step cap, and config values of the wrong type, such as a string or a
-boolean for a number; --oracle 700 is past the brute force's path budget):
+boolean for a number; --oracle 700 is past the brute force's path budget,
+and --oracle 10000000 is past it too unless the reference is the all-zero
+generator, whose chain never moves):
   * main returns an exit code in 0-4 and no exception escapes it, so no
     traceback reaches stderr
   * an input refused while parsing argv or the config exits 1 and leaves
@@ -32,7 +34,7 @@ READS = {"geodesic": ("--dt", "--particles", "--seed"),
          "simulate": ("--dt", "--particles", "--seed"),
          "analyze": ()}
 GOOD = {"--dt": ["0.01", "0.05"], "--particles": ["1", "30"], "--seed": ["0", "7"],
-        "--tol": ["1e-8", "1e-300"], "--oracle": ["1", "4", "700"]}
+        "--tol": ["1e-8", "1e-300"], "--oracle": ["1", "4", "700", "10000000"]}
 BAD = {"--tol": ["-1", "0", "nan", "inf"], "--oracle": ["-2", "0", "1.5"]}
 # config blocks holding a value of the wrong type
 WRONG_TYPE = [{"hamiltonian": {"variant": "lp_kinetic", "theta": "average", "q": None}},
@@ -85,7 +87,9 @@ def cases(draw):
         theta = draw(st.sampled_from(["upwind", "average", "logmean"]))
         config["hamiltonian"] = {"variant": "ot_kinetic", "theta": theta}
     else:
-        config["reference"] = {"kind": "symmetric", "value": 1.0}
+        config["reference"] = draw(st.sampled_from([
+            {"kind": "symmetric", "value": 1.0},
+            {"kind": "constant", "matrix": [[0.0] * n] * n}]))
     if shape == "bridge":
         config["horizon"]["t1"] = 1.0
         block = config["marginals"] = {"rho0": draw(densities(n)), "rho1": draw(densities(n))}

@@ -7,6 +7,7 @@ entry for entry. That pins the index convention without trusting any
 transcription twice.
 """
 
+import dataclasses
 import json
 import logging
 import tracemalloc
@@ -693,6 +694,11 @@ class TestStreams:
         for i in range(5):
             one = philox4x32((i, 7, 0, 1), (3, 4))
             assert [int(w[i]) for w in lanes] == [int(w) for w in one]
+        # a uint64 counter array is read, not written
+        ctr = np.arange(5, dtype=np.uint64)
+        again = philox4x32((ctr, 7, 0, 1), (3, 4))
+        np.testing.assert_array_equal(ctr, np.arange(5, dtype=np.uint64))
+        assert all((a == b).all() for a, b in zip(again, lanes))
 
     @pytest.mark.parametrize("word", [0, 0xFFFFFFFF])
     def test_uniforms_strictly_inside_the_unit_interval(self, monkeypatch, word):
@@ -749,18 +755,24 @@ class TestPaths:
             paths.counts_at([-0.1, 0.5])
 
     def test_writer_matches_json_dumps(self, tmp_path):
-        # the larger count spans three blocks, with zero-jump paths on both
-        # sides of each block edge
+        # (paths, nodes, t0, first, no jumps at all): the second count spans
+        # three blocks, with zero-jump paths on both sides of each block edge;
+        # twelve nodes have two-digit names
         t1 = 2 * np.pi
-        for m in (25, 2 * _PATH_BLOCK + 5):
+        for m, n, t0, first, still in [(25, 3, 0.0, 0, False),
+                                       (2 * _PATH_BLOCK + 5, 3, 0.0, 0, False),
+                                       (_PATH_BLOCK, 12, 0.25, 20000, False),
+                                       (30, 12, 0.25, 20000, True)]:
             edges = [k for b in range(_PATH_BLOCK, m, _PATH_BLOCK) for k in (b - 1, b)]
-            paths, times, states = _random_paths(np.random.default_rng(3), m, 3, 0.0, t1,
-                                                 [t1 / 3, t1], zero_at=edges)
-            _write_paths(tmp_path, [paths])
+            paths, times, states = _random_paths(np.random.default_rng(3), m, n, t0, t1,
+                                                 [t1 / 3, t1],
+                                                 zero_at=range(m) if still else edges)
+            assert still == (len(paths.times) == 0) and (n < 10 or paths.states.max() >= 10)
+            _write_paths(tmp_path, [dataclasses.replace(paths, first=first)])
             lines = (tmp_path / "paths.jsonl").read_text().splitlines()
             assert len(lines) == m
             for k, line in enumerate(lines):
-                assert line == json.dumps({"seed": [1234, k], "t0": 0.0, "t1": t1,
+                assert line == json.dumps({"seed": [1234, first + k], "t0": t0, "t1": t1,
                                            "jump_times": times[k].tolist(),
                                            "states": states[k].tolist()})
 
