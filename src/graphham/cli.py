@@ -329,7 +329,7 @@ def cmd_geodesic(scenario: Scenario, out: Path, args) -> int:
     frozen = _RecordedRates(scenario.t0, rec_dt, qs)
     rho0 = _to_s_chart(scenario.initial).rho
     chunks = path_chunks(frozen, rho0, scenario.particles, scenario.t0,
-                         scenario.t1, seed=scenario.seed, lam=scenario.lam)
+                         scenario.t1, seed=scenario.seed)
     _write_paths(out, chunks)
     return 0
 
@@ -381,8 +381,7 @@ def cmd_simulate(scenario: Scenario, out: Path, args) -> int:
         raise ConfigError("initial", "simulate runs need an initial density")
     rho0 = _to_s_chart(scenario.initial).rho
     chunks = path_chunks(scenario.reference, rho0, scenario.particles,
-                         scenario.t0, scenario.t1, seed=scenario.seed,
-                         lam=scenario.lam)
+                         scenario.t0, scenario.t1, seed=scenario.seed)
     # markov.empirical_densities of the whole run, from counts summed chunk by chunk
     ts = np.linspace(scenario.t0, scenario.t1, scenario.checkpoints)
     counts = np.zeros((len(ts), scenario.reference.n), dtype=np.int64)

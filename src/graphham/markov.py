@@ -258,7 +258,7 @@ def propagator(rates: ReferenceRates, s: float, t: float, dt: float = 1e-3) -> n
 # -- path sampling ----------------------------------------------------------------------
 
 _WORD = 0xFFFFFFFF
-_BOUND_GRID = 1000      # evenly spaced times on which sample_paths checks Q and bounds |Q_ii|
+_BOUND_GRID = 1000      # evenly spaced times on which path_chunks checks Q and bounds |Q_ii|
 # Philox's round multipliers, and the uint64 shifts and mask of its words and uniforms
 _MUL0, _MUL1 = np.uint64(0xD2511F53), np.uint64(0xCD9E8D57)
 _U12, _U20, _U32, _LOW = np.uint64(12), np.uint64(20), np.uint64(32), np.uint64(_WORD)
@@ -347,10 +347,12 @@ class Paths:
 
 
 def path_chunks(rates: ReferenceRates, rho0, n_paths: int, t0: float, t1: float,
-                seed: int, lam: float | None = None, chunk: int = 20000):
+                seed: int, chunk: int = 20000):
     """The paths of sample_paths as an iterator of Paths of `chunk` consecutive
     paths each (the last may hold fewer), each carrying its first path's index.
 
+    The proposal rate is lam = 1.2 times the largest |Q_ii| on _BOUND_GRID
+    evenly spaced times of [t0, t1], or on t0 alone for a constant generator.
     The seed, the Kolmogorov check and the bound scan on the rate grid run
     when this is called, before any chunk is drawn, so a refusal comes
     before a caller has written anything. A chunk's jumps are ordered by
@@ -363,18 +365,15 @@ def path_chunks(rates: ReferenceRates, rho0, n_paths: int, t0: float, t1: float,
         raise ValueError("seed %d outside the Philox key range [0, 2**64)" % seed)
 
     # blocks sized as ReferenceRates.rows sizes them: a block's stack holds as many
-    # entries as the grid's rows of Q, or as one _block_size(n) block if that is more
-    grid, peak = np.linspace(t0, t1, _BOUND_GRID), 0.0
-    size = max(_block_size(rates.n), -(-_BOUND_GRID // rates.n))
-    for lo in range(0, _BOUND_GRID, size):
+    # entries as the grid's rows of Q, or as one _block_size(n) block if that is more;
+    # a constant generator was checked when it was built, and one time of it is all of it
+    grid, peak = np.linspace(t0, t1, _BOUND_GRID)[:1 if rates.constant else None], 0.0
+    size = max(_block_size(rates.n), -(-len(grid) // rates.n))
+    for lo in range(0, len(grid), size):
         stack = rates.at_many(grid[lo:lo + size])
         _require_valid_stack(stack)
         peak = max(peak, float(np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2)))))
-    lam = 1.2 * peak if lam is None else lam
-    if lam < peak:
-        raise RateBoundExceeded(
-            "|Q_ii| = %g on the rate grid exceeds the bound %g" % (peak, lam))
-    key, cum0 = (seed & _WORD, seed >> 32), np.cumsum(_arr(rho0))
+    key, cum0, lam = (seed & _WORD, seed >> 32), np.cumsum(_arr(rho0)), 1.2 * peak
     # a generator: each chunk is drawn as it is asked for, and nothing of it kept
     return (Paths(*_draw(rates, key, lam, cum0, np.arange(lo, min(lo + chunk, n_paths)), t0, t1),
                   seed, rates.n, float(t0), float(t1), first=lo)
@@ -409,7 +408,7 @@ def _draw(rates: ReferenceRates, key, lam: float, cum0, ids, t0, t1) -> tuple:
             diag = fixed[state[live]]
         if np.max(np.abs(diag)) > lam:
             raise RateBoundExceeded(
-                "|Q_ii| = %g exceeds the bound %g; rerun with larger safety"
+                "|Q_ii| = %g exceeds the bound %g, 1.2 times its largest value on the rate grid"
                 % (np.max(np.abs(diag)), lam))
         accept = np.flatnonzero(u_acc < (-diag / lam))
         jump = live[accept]
@@ -440,7 +439,7 @@ def _draw(rates: ReferenceRates, key, lam: float, cum0, ids, t0, t1) -> tuple:
 
 
 def sample_paths(rates: ReferenceRates, rho0, n_paths: int, t0: float, t1: float,
-                 seed: int, lam: float | None = None, chunk: int = 20000) -> Paths:
+                 seed: int, chunk: int = 20000) -> Paths:
     """Thinning sampler: M independent paths of the (possibly inhomogeneous)
     jump process with generator Q(t), exact in distribution.
 
@@ -454,13 +453,13 @@ def sample_paths(rates: ReferenceRates, rho0, n_paths: int, t0: float, t1: float
     one proposal round carries: rounds over all 40,000 paths of a run ran
     slower, their working arrays falling out of cache. Each proposal reads
     only its current state's row, through ReferenceRates.rows, so a round
-    holds O(chunk n). lam must bound |Q_ii| on a grid of _BOUND_GRID times;
-    a zero generator with lam = 0 never proposes.
+    holds O(chunk n). lam is path_chunks' bound; a proposal whose |Q_ii|
+    exceeds it raises RateBoundExceeded, and a zero generator never proposes.
 
     This is the concatenation of path_chunks' chunks, so it holds every
     path at once; a caller that can take the paths chunk by chunk should.
     """
-    parts = list(path_chunks(rates, rho0, n_paths, t0, t1, seed, lam, chunk))
+    parts = list(path_chunks(rates, rho0, n_paths, t0, t1, seed, chunk))
     offsets = np.concatenate([[0], *(np.diff(p.offsets) for p in parts)]).cumsum()
     return Paths(offsets, np.concatenate([np.empty(0), *(p.times for p in parts)]),
                  np.concatenate([np.empty(0, np.int64), *(p.states for p in parts)]),

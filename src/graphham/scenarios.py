@@ -62,7 +62,6 @@ class Scenario:
     particles: int = 1000
     seed: int = 0
     checkpoints: int = 10
-    lam: float | None = None              # explicit proposal rate; None auto-bounds
     echo: dict = field(default_factory=dict)  # re-readable config for run.json
 
     @property
@@ -352,9 +351,10 @@ def parse_config(data: dict, name: str = "config") -> Scenario:
     sampler = data.get("sampler", {})
     if not isinstance(sampler, dict):
         raise ConfigError("sampler", "expected an object")
-    for key in ("particles", "seed", "checkpoints", "lam"):
-        if key in sampler:
-            setattr(scenario, key, config_number(key, sampler[key]))
+    for key in sampler:
+        if key not in ("particles", "seed", "checkpoints"):
+            raise ConfigError(key, "not a sampler setting (have: checkpoints, particles, seed)")
+        setattr(scenario, key, config_number(key, sampler[key]))
     echo = dict(data)
     echo.update(scenario.echo)
     scenario.echo = echo

@@ -218,24 +218,16 @@ class TestSimulate:
         first = doc["checkpoints"][0]
         np.testing.assert_allclose(first["master"], [0.75, 0.25], atol=1e-12)
 
-    def test_lam_override_can_trip_the_bound(self, tmp_path):
-        cfg = tmp_path / "lam.json"
+    @pytest.mark.parametrize("key", ["lam", "particle"])
+    def test_sampler_key_it_does_not_read_exits_1(self, tmp_path, capsys, key):
+        # the proposal rate comes from the rates: a config that still sets lam,
+        # or misspells a setting, is refused, not run without it
+        cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"builtin": "two-node-periodic",
-                                   "sampler": {"lam": 0.05, "particles": 20}}))
-        rc, _ = run(tmp_path, "simulate", "--config", str(cfg))
-        assert rc == 4
-
-    def test_lam_below_the_generator_exits_4(self, tmp_path, capsys):
-        cfg = tmp_path / "lam0.json"
-        cfg.write_text(json.dumps({
-            "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
-            "reference": {"kind": "constant", "matrix": [[-1, 1], [1, -1]]},
-            "initial": {"rho": [0.9, 0.1], "pot": [0.0, 0.0]},
-            "sampler": {"particles": 2000, "lam": 0.0},
-        }))
+                                   "sampler": {key: 3.0, "particles": 20}}))
         rc, out = run(tmp_path, "simulate", "--config", str(cfg))
-        assert rc == 4
-        assert "sampler bound violated:" in capsys.readouterr().err
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: config key %r" % key)
         assert not (out / "paths.jsonl").exists()
 
     def test_zero_generator_paths_are_constant(self, tmp_path):
@@ -300,23 +292,6 @@ class TestPathStream:
     def assert_no_paths_file(self, out):
         assert not (out / "paths.jsonl").exists()
         assert not (out / "paths.jsonl.part").exists()
-
-    @pytest.mark.parametrize("command, config", [
-        ("simulate", {"graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
-                      "reference": {"kind": "constant", "matrix": [[-1, 1], [1, -1]]},
-                      "initial": {"rho": [0.9, 0.1], "pot": [0.0, 0.0]},
-                      "sampler": {"particles": 50, "lam": 0.5}}),
-        ("geodesic", {"builtin": "two-node-upwind", "horizon": {"dt": 0.01},
-                      "sampler": {"lam": 1e-9}}),
-    ], ids=["simulate", "geodesic"])
-    def test_grid_bound_exits_4_before_paths_are_written(self, tmp_path, capsys,
-                                                        command, config):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        rc, out = run(tmp_path, command, "--config", str(cfg))
-        assert rc == 4
-        assert "sampler bound violated:" in capsys.readouterr().err
-        self.assert_no_paths_file(out)
 
     def test_simulate_bound_violated_mid_stream_leaves_no_paths(self, tmp_path, capsys,
                                                                 monkeypatch):

@@ -8,7 +8,9 @@ an infinite edge weight, a NaN or infinite reference rate, checkpoints beyond
 the step cap, and config values of the wrong type, such as a string or a
 boolean for a number; --oracle 700 is past the brute force's path budget,
 and --oracle 10000000 is past it too unless the reference is the all-zero
-generator, whose chain never moves):
+generator, whose chain never moves), and of valid but extreme inputs (equal
+masses, potential gaps up to 1e300, and a dt from 5e-324 to 1e300 that keeps
+the grid within the step cap):
   * main returns an exit code in 0-4 and no exception escapes it, so no
     traceback reaches stderr
   * an input refused while parsing argv or the config exits 1 and leaves
@@ -97,6 +99,17 @@ def cases(draw):
         block = config["initial"] = {"rho": draw(densities(n)),
                                      "pot": draw(st.lists(st.floats(-0.5, 0.5),
                                                           min_size=n, max_size=n))}
+    extreme = draw(st.sampled_from([None] * 4 + ["equal masses", "huge gaps",
+                                                 "tiny dt", "huge dt"]))
+    if extreme == "equal masses":
+        block.update({key: [1.0 / n] * n for key in block if key != "pot"})
+    if extreme == "huge gaps" and "pot" in block:
+        block["pot"][draw(st.integers(0, n - 1))] = draw(st.sampled_from([1e3, -1e8, 1e300]))
+    if extreme == "tiny dt":            # a thousand steps of a horizon scaled to them
+        dt = draw(st.sampled_from([1e-9, 1e-300, 5e-324]))
+        config["horizon"].update(t1=1000 * dt, dt=dt)
+    if extreme == "huge dt":            # one step
+        config["horizon"]["dt"] = draw(st.sampled_from([1.0, 1e3, 1e300]))
     if fault == "density":
         key = draw(st.sampled_from(sorted(block)))
         key = "rho" if key == "pot" else key

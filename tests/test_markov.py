@@ -479,11 +479,6 @@ class TestSampler:
         got = empirical_densities(paths, [0.0])[0]
         assert abs(got[0] - 0.3) < 3 * np.sqrt(0.3 * 0.7 / 10000)
 
-    def test_rate_bound_enforced(self):
-        q = constant_rates(np.array([[-1.0, 1.0], [1.0, -1.0]]))
-        with pytest.raises(RateBoundExceeded):
-            sample_paths(q, [0.5, 0.5], 10, 0.0, 1.0, seed=2, lam=0.5)
-
     def test_refuses_generator_invalid_at_one_grid_time(self):
         base = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 2.0, -2.0]])
         bad = np.array([[-1.0, 1.4, -0.4], [0.5, -1.0, 0.6], [0.0, 2.0, -2.0]])
@@ -624,16 +619,24 @@ class TestChunks:
     def test_lam_zero_chunks_hold_the_start_states(self):
         zero = constant_rates(np.zeros((2, 2)))
         whole = sample_paths(zero, [0.3, 0.7], 50, 0.0, 1.0, seed=1)
-        for lam in (None, 0.0):
-            parts = list(path_chunks(zero, [0.3, 0.7], 50, 0.0, 1.0, seed=1, lam=lam, chunk=7))
-            self.assert_chunks_are_slices(parts, whole, 7)
-            assert all(len(p.times) == 0 for p in parts)
+        parts = list(path_chunks(zero, [0.3, 0.7], 50, 0.0, 1.0, seed=1, chunk=7))
+        self.assert_chunks_are_slices(parts, whole, 7)
+        assert all(len(p.times) == 0 for p in parts)
+
+    def test_constant_rates_are_scanned_at_one_time(self):
+        # a constant generator was checked when it was built: one time of it
+        # gives the bound, and the draws read its matrix without at_many
+        rates, calls = constant_rates(self.Q.matrix), []
+        at_many = rates.at_many
+        rates.at_many = lambda ts: calls.append(len(ts)) or at_many(ts)
+        args = (self.RHO0, self.M, 0.0, 1.0, self.SEED)
+        parts = list(path_chunks(rates, *args, chunk=7))
+        assert calls == [1]
+        self.assert_chunks_are_slices(parts, sample_paths(self.Q, *args), 7)
 
     def test_refusals_come_before_the_first_chunk(self):
         # no chunk is asked for: the call itself raises
         q = np.array([[-1.0, 1.0], [1.0, -1.0]])
-        with pytest.raises(RateBoundExceeded):
-            path_chunks(constant_rates(q), [0.5, 0.5], 10, 0.0, 1.0, seed=2, lam=0.5)
         with pytest.raises(InvalidGenerator):
             path_chunks(ReferenceRates(2, batch_fn=lambda ts: np.broadcast_to(
                 -q, (len(ts), 2, 2))), [0.5, 0.5], 10, 0.0, 1.0, seed=2)

@@ -27,16 +27,18 @@ from graphham.errors import (
     PathExplosion,
     SupportMismatch,
 )
-from graphham.graph import complete_graph
+from graphham.dynamics import integrate
+from graphham.graph import complete_graph, validate_graph
 from graphham.hamiltonians import (
     PhasePoint,
     ReferenceRates,
     constant_rates,
     ot_kinetic,
     sbp_entropic,
+    symmetric_rates,
     vector_field,
 )
-from graphham.markov import propagator, validate_rate_matrix
+from graphham.markov import _rate_stack, propagator, validate_rate_matrix
 from graphham.sbp import (
     BridgeProblem,
     integrated_entropy_rate,
@@ -354,6 +356,54 @@ class TestBridge:
             moved = kl(pi + eps * d * pi.min()) - base
             assert moved >= -1e-12
             assert moved <= 100 * eps ** 2
+
+
+# -- the bridge is the sbp Hamiltonian flow -------------------------------------------
+
+
+def _flow_gaps(g, reference, rho0, rho1, dt):
+    """The bridge at step dt against the sbp_entropic flow from its (rho0, S0),
+    S = (log g - log f) / 2: the largest gap in rho, the largest in S up to a
+    constant at each time, and _rate_stack's sbp generator off m_hat."""
+    sol = solve_bridge(BridgeProblem(reference, rho0, rho1, t1=0.5), dt=dt, tol=1e-6)
+    s = 0.5 * (np.log(sol.g) - np.log(sol.f))
+    spec = sbp_entropic(g, reference)
+    flow = integrate(spec, PhasePoint(sol.rho[0], s[0]), 0.0, 0.5, dt)
+    ds = flow.pot - s
+    q = _rate_stack(spec, sol.rho, s, sol.times)
+    return (np.abs(flow.rho - sol.rho).max(),
+            np.abs(ds - ds.mean(axis=1, keepdims=True)).max(),
+            np.abs(q - sol.m_hat).max() / max(1.0, np.abs(sol.m_hat).max()))
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1), constant=st.booleans())
+def test_bridge_is_the_sbp_hamiltonian_flow(n, seed, constant):
+    # the paper's claim: the Schrodinger bridge is a Hamiltonian process. Both
+    # sides are rk4 at step dt, so their gap is truncation, read as criterion 1
+    # reads energy drift: halving dt must shrink it more than 8-fold, which
+    # only an order above three does (about 16-fold at fourth order), unless
+    # it is already near rounding. The generators agree to rounding at every
+    # grid time.
+    rng = np.random.default_rng(seed)
+    pairs = {(int(rng.integers(i)), i) for i in range(1, n)}      # a spanning tree
+    pairs |= {tuple(sorted(rng.choice(n, 2, replace=False).tolist()))
+              for _ in range(int(rng.integers(0, n)))}
+    g = validate_graph(n, [[i, j, 1.0] for i, j in sorted(pairs)])
+    if constant:
+        reference = symmetric_rates(g, float(rng.uniform(0.2, 2.0)))
+    else:
+        ramp = np.zeros((n, n))
+        ramp[g.src, g.dst] = rng.uniform(0.2, 2.0, len(g.src))
+        np.fill_diagonal(ramp, -ramp.sum(axis=1))
+        reference = ReferenceRates(n, batch_fn=lambda ts: (
+            1.0 + 0.5 * np.sin(3.0 * np.asarray(ts)))[:, None, None] * ramp)
+    rho0, rho1 = (rng.dirichlet(np.full(n, 2.0)) * 0.8 + 0.2 / n for _ in range(2))
+    coarse = _flow_gaps(g, reference, rho0, rho1, 0.01)
+    fine = _flow_gaps(g, reference, rho0, rho1, 0.005)
+    for gap, half in zip(coarse[:2], fine[:2]):
+        assert half <= max(gap / 8.0, 1e-10), (gap, half)
+    assert max(coarse[2], fine[2]) <= 1e-14
 
 
 def _enumerated(solution, n_steps):

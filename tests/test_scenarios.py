@@ -53,9 +53,9 @@ class TestBuiltins:
     def test_builtin_overrides(self):
         sc = parse_config({"builtin": "two-node-bridge",
                            "horizon": {"dt": 0.01},
-                           "sampler": {"seed": 7, "particles": 50, "lam": 3.0}})
+                           "sampler": {"seed": 7, "particles": 50}})
         assert sc.dt == 0.01
-        assert (sc.seed, sc.particles, sc.lam) == (7, 50, 3.0)
+        assert (sc.seed, sc.particles) == (7, 50)
 
     def test_unknown_builtin(self):
         with pytest.raises(ConfigError) as err:
