@@ -479,6 +479,14 @@ class TestSampler:
         got = empirical_densities(paths, [0.0])[0]
         assert abs(got[0] - 0.3) < 3 * np.sqrt(0.3 * 0.7 / 10000)
 
+    def test_rate_bound_enforced(self):
+        # the bound is 1.2 times the grid's largest |Q_ii| = 1: rates between
+        # grid times at 1.15 of it are drawn, at 1.25 of it they are refused
+        within = sample_paths(spiking_rates(factor=1.15), [0.5, 0.5], 20000, 0.0, 1.0, seed=2)
+        assert np.any((within.times > 0.5006) & (within.times < 0.5014))
+        with pytest.raises(RateBoundExceeded):
+            sample_paths(spiking_rates(factor=1.25), [0.5, 0.5], 20000, 0.0, 1.0, seed=2)
+
     def test_refuses_generator_invalid_at_one_grid_time(self):
         base = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 2.0, -2.0]])
         bad = np.array([[-1.0, 1.4, -0.4], [0.5, -1.0, 0.6], [0.0, 2.0, -2.0]])
@@ -562,15 +570,16 @@ class TestSampler:
         assert (rows[np.arange(len(rows)), _jump_targets(rows, u / 3)] > 0).all()
 
 
-def spiking_rates(lo=0.5006, hi=0.5014):
-    """Unit two-state rates, ten times faster on (lo, hi): the default window
+def spiking_rates(lo=0.5006, hi=0.5014, factor=10.0):
+    """Unit two-state rates, `factor` times faster on (lo, hi): the default window
     lies between two of the 1,000 grid times on [0, 1], 500/999 and 501/999,
-    so the grid bound is 1.2 and only proposals inside the window exceed it."""
+    so the grid bound is 1.2 and, for a factor above 1.2, only proposals
+    inside the window exceed it."""
     base = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
     def batch(ts):
         ts = np.asarray(ts)
-        return base[None] * np.where((ts > lo) & (ts < hi), 10.0, 1.0)[:, None, None]
+        return base[None] * np.where((ts > lo) & (ts < hi), factor, 1.0)[:, None, None]
     return ReferenceRates(2, batch_fn=batch)
 
 
