@@ -412,7 +412,9 @@ def cmd_simulate(scenario: Scenario, out: Path, args) -> int:
 def _floquet_span(scenario: Scenario) -> float | None:
     """The window analyze takes the Floquet spectrum over: the declared period,
     the horizon for a constant chain, else None. A ConfigError under t1 if
-    monodromy's step would cross it in more steps than markov._MAX_STEPS."""
+    monodromy's step would cross it in more steps than markov._MAX_STEPS, or
+    if it is so short that 1 / window overflows, which would turn monodromy's
+    exponents log(multiplier) / window into NaN."""
     if scenario.reference is None or (scenario.period is None and not scenario.reference.constant):
         return None
     # a constant chain still flags its stationary direction over the window
@@ -421,6 +423,8 @@ def _floquet_span(scenario: Scenario) -> float | None:
         _step_count(0.0, span, _MONODROMY_DT)
     except ValueError as exc:
         raise ConfigError("t1", str(exc)) from exc
+    if not np.isfinite(1.0 / float(span)):
+        raise ConfigError("t1", "a Floquet window of %r is too short to divide by" % span)
     return span
 
 

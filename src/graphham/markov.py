@@ -259,6 +259,8 @@ def propagator(rates: ReferenceRates, s: float, t: float, dt: float = 1e-3) -> n
 
 _WORD = 0xFFFFFFFF
 _BOUND_GRID = 1000      # evenly spaced times on which path_chunks checks Q and bounds |Q_ii|
+_ROUND_PATHS = 20000    # most paths of one proposal round: README's measured best at n = 2 and 8
+_ROUND_ENTRIES = 1 << 20   # most entries of one round's (paths, n) arrays: 8 MB of floats
 # Philox's round multipliers, and the uint64 shifts and mask of its words and uniforms
 _MUL0, _MUL1 = np.uint64(0xD2511F53), np.uint64(0xCD9E8D57)
 _U12, _U20, _U32, _LOW = np.uint64(12), np.uint64(20), np.uint64(32), np.uint64(_WORD)
@@ -346,10 +348,10 @@ class Paths:
                         dtype=np.int64).reshape(-1, self.n)
 
 
-def path_chunks(rates: ReferenceRates, rho0, n_paths: int, t0: float, t1: float,
-                seed: int, chunk: int = 20000):
-    """The paths of sample_paths as an iterator of Paths of `chunk` consecutive
-    paths each (the last may hold fewer), each carrying its first path's index.
+def path_chunks(rates: ReferenceRates, rho0, n_paths: int, t0: float, t1: float, seed: int):
+    """The paths of sample_paths as an iterator of Paths, one per proposal round
+    of min(_ROUND_PATHS, _ROUND_ENTRIES // n) consecutive paths, at least one
+    (the last may hold fewer), each carrying its first path's index.
 
     The proposal rate is lam = 1.2 times the largest |Q_ii| on _BOUND_GRID
     evenly spaced times of [t0, t1], or on t0 alone for a constant generator.
@@ -358,7 +360,8 @@ def path_chunks(rates: ReferenceRates, rho0, n_paths: int, t0: float, t1: float,
     before a caller has written anything. A chunk's jumps are ordered by
     path within the chunk only, and the chunks are drawn one at a time as
     the iterator is read: a caller that writes or tallies each chunk and
-    drops it holds O(chunk n) memory, whatever n_paths is.
+    drops it holds one round's (paths, n) arrays of at most _ROUND_ENTRIES
+    entries, whatever n_paths and n are.
     """
     seed = operator.index(seed)
     if not 0 <= seed < 2 ** 64:
@@ -374,6 +377,7 @@ def path_chunks(rates: ReferenceRates, rho0, n_paths: int, t0: float, t1: float,
         _require_valid_stack(stack)
         peak = max(peak, float(np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2)))))
     key, cum0, lam = (seed & _WORD, seed >> 32), np.cumsum(_arr(rho0)), 1.2 * peak
+    chunk = min(_ROUND_PATHS, max(1, _ROUND_ENTRIES // rates.n))
     # a generator: each chunk is drawn as it is asked for, and nothing of it kept
     return (Paths(*_draw(rates, key, lam, cum0, np.arange(lo, min(lo + chunk, n_paths)), t0, t1),
                   seed, rates.n, float(t0), float(t1), first=lo)
@@ -439,7 +443,7 @@ def _draw(rates: ReferenceRates, key, lam: float, cum0, ids, t0, t1) -> tuple:
 
 
 def sample_paths(rates: ReferenceRates, rho0, n_paths: int, t0: float, t1: float,
-                 seed: int, chunk: int = 20000) -> Paths:
+                 seed: int) -> Paths:
     """Thinning sampler: M independent paths of the (possibly inhomogeneous)
     jump process with generator Q(t), exact in distribution.
 
@@ -449,17 +453,16 @@ def sample_paths(rates: ReferenceRates, rho0, n_paths: int, t0: float, t1: float
     seed's two 32-bit words at counter (proposal j, path index low and high
     word, lane): lane 0 gives proposal j's gap and accept uniform, lane 1
     its jump-target uniform, lane 2 at j = 0 the start state. So a path
-    depends only on (seed, path index), not on `chunk`, the number of paths
-    one proposal round carries: rounds over all 40,000 paths of a run ran
-    slower, their working arrays falling out of cache. Each proposal reads
-    only its current state's row, through ReferenceRates.rows, so a round
-    holds O(chunk n). lam is path_chunks' bound; a proposal whose |Q_ii|
+    depends only on (seed, path index), not on the paths one proposal round
+    carries, which path_chunks sizes from n. Each proposal reads only its
+    current state's row, through ReferenceRates.rows, so a round holds
+    (paths, n) arrays. lam is path_chunks' bound; a proposal whose |Q_ii|
     exceeds it raises RateBoundExceeded, and a zero generator never proposes.
 
     This is the concatenation of path_chunks' chunks, so it holds every
     path at once; a caller that can take the paths chunk by chunk should.
     """
-    parts = list(path_chunks(rates, rho0, n_paths, t0, t1, seed, chunk))
+    parts = list(path_chunks(rates, rho0, n_paths, t0, t1, seed))
     offsets = np.concatenate([[0], *(np.diff(p.offsets) for p in parts)]).cumsum()
     return Paths(offsets, np.concatenate([np.empty(0), *(p.times for p in parts)]),
                  np.concatenate([np.empty(0, np.int64), *(p.states for p in parts)]),

@@ -43,6 +43,7 @@ from .markov import _MAX_STEPS, LinearGrid, build_rate_matrix
 _RATE_MARGIN = 1e-9       # least off-diagonal rate of a constructed periodic generator
 _RESIDUAL_STEP = 1e-4     # time step of markov_condition_residual's difference
 _DUAL_SLACK = 1e-12       # relative rounding slack of the IPFP dual's rise per half-step
+_MAX_SWEEPS = 200         # IPFP sweeps after which solve_bridge gives up on the tolerance
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -141,8 +142,7 @@ class BridgeSolution:
         return _RecordedRates(self.times[0], float(self.times[1] - self.times[0]), self.m_hat)
 
 
-def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
-                 max_iter: int = 200) -> BridgeSolution:
+def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8) -> BridgeSolution:
     """Fit the bridge between rho0 and rho1 over the reference process.
 
     Alternates exact marginal fits of the endpoint coupling e^phi_i K_ij e^gam_j
@@ -151,8 +151,9 @@ def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
 
     Each half-step maximizes the entropic dual
     D = <phi, rho0> + <gam, rho1> - sum_ij e^phi_i K_ij e^gam_j over its
-    scaling. A fall of D beyond _DUAL_SLACK max(1, |D|), or a non-finite
-    scaling or D, raises NonconvergedIPFP; -D after each sweep is recorded in
+    scaling. A fall of D beyond _DUAL_SLACK max(1, |D|), a non-finite
+    scaling or D, or residuals still above tol after _MAX_SWEEPS sweeps
+    raises NonconvergedIPFP; -D after each sweep is recorded in
     the nonincreasing `objective`. `coupling_entropy` records the relative
     entropy of the coupling against ref0_i K_ij per sweep, from its row and
     column masses; it approaches the bridge cost from either side.
@@ -182,7 +183,7 @@ def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
     dual = -np.inf
     residuals = (np.inf, np.inf)
     failure = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_SWEEPS + 1):
         # overflowing scalings turn into the non-finite check below
         with np.errstate(over="ignore", invalid="ignore"):
             gam = logr1 - _logsumexp(phi[:, None] + logk, axis=0)
@@ -210,7 +211,7 @@ def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8,
             break
     else:
         failure = "marginal residuals %r still above %g after %d sweeps" % (
-            residuals, tol, max_iter)
+            residuals, tol, _MAX_SWEEPS)
     if failure is not None:
         err = NonconvergedIPFP(failure, residuals)
         err.history = history

@@ -1,8 +1,8 @@
 """End-to-end command runs: artifacts, exit codes, reproducibility."""
 
 import csv
-import functools
 import json
+import sys
 import time
 
 import numpy as np
@@ -261,7 +261,7 @@ class TestPathStream:
         # 2,500 paths are one chunk at the default size and four of 700
         argv = ["simulate", "--config", "two-node-periodic", "--particles", "2500", "--seed", "8"]
         rc, whole = run(tmp_path / "whole", *argv)
-        monkeypatch.setattr(cli, "path_chunks", functools.partial(markov.path_chunks, chunk=700))
+        monkeypatch.setattr(markov, "_ROUND_PATHS", 700)
         rc_chunked, chunked = run(tmp_path / "chunked", *argv)
         assert rc == rc_chunked == 0
         names = sorted(p.name for p in whole.iterdir())
@@ -270,9 +270,10 @@ class TestPathStream:
             assert (whole / name).read_bytes() == (chunked / name).read_bytes()
 
     def test_simulate_matches_the_one_shot_sampler(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "path_chunks", functools.partial(markov.path_chunks, chunk=700))
-        rc, out = run(tmp_path, "simulate", "--config", "two-node-periodic",
-                      "--particles", "2500", "--seed", "8")
+        with monkeypatch.context() as m:
+            m.setattr(markov, "_ROUND_PATHS", 700)
+            rc, out = run(tmp_path, "simulate", "--config", "two-node-periodic",
+                          "--particles", "2500", "--seed", "8")
         assert rc == 0
         sc = cli.load_config("two-node-periodic")
         rho0 = cli._to_s_chart(sc.initial).rho
@@ -305,10 +306,11 @@ class TestPathStream:
         drawn = []
 
         def chunks(*args, **kwargs):
-            for chunk in markov.path_chunks(*args, chunk=16, **kwargs):
+            for chunk in markov.path_chunks(*args, **kwargs):
                 drawn.append(len(chunk))
                 yield chunk
 
+        monkeypatch.setattr(markov, "_ROUND_PATHS", 16)
         monkeypatch.setattr(cli, "path_chunks", chunks)
         rc, out = run(tmp_path, "simulate", "--config", "spike")
         assert rc == 4
@@ -321,11 +323,12 @@ class TestPathStream:
         written = []
 
         def chunks(*args, **kwargs):
-            stream = markov.path_chunks(*args, chunk=1, **kwargs)
+            stream = markov.path_chunks(*args, **kwargs)
             yield next(stream)
             written.append((tmp_path / "out" / "paths.jsonl.part").exists())
             raise RateBoundExceeded("|Q_ii| = 3 exceeds the bound 2")
 
+        monkeypatch.setattr(markov, "_ROUND_PATHS", 1)
         monkeypatch.setattr(cli, "path_chunks", chunks)
         rc, out = run(tmp_path, "geodesic", "--config", "two-node-upwind", "--dt", "0.01",
                       "--particles", "5")
@@ -527,6 +530,35 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "config error: config key 't1'" in err and "Traceback" not in err
         assert list(out.glob("*")) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_floquet_window_exits_1(self, tmp_path, capsys):
+        # 1 / 4.94e-321 overflows, so monodromy's log(multiplier) / window
+        # would write NaN exponents
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+            "reference": {"kind": "constant", "matrix": [[-1, 1], [1, -1]]},
+            "horizon": {"t0": 0, "t1": 4.94e-321, "dt": 5e-324},
+        }))
+        rc, out = run(tmp_path, "analyze", "--config", str(cfg))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error: config key 't1'" in err and "Traceback" not in err
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_smallest_normal_floquet_window_has_finite_exponents(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+            "reference": {"kind": "constant", "matrix": [[-1, 1], [1, -1]]},
+            "horizon": {"t0": 0, "t1": sys.float_info.min, "dt": sys.float_info.min},
+        }))
+        rc, out = run(tmp_path, "analyze", "--config", str(cfg))
+        assert rc == 0
+        floquet = json.loads((out / "report.json").read_text())["floquet"]
+        assert np.isfinite(floquet["exponents"]).all()
 
     def test_floquet_window_is_checked_at_the_monodromy_step(self):
         # 1,000 time units at dt = 1e-4 are exactly the 10^7-step cap and

@@ -419,20 +419,24 @@ class TestSampler:
         at = paths.counts_at([0.0, 1.0])
         np.testing.assert_array_equal(at[0], at[1])
 
-    def test_deterministic_and_chunk_invariant(self):
+    def test_deterministic_and_chunk_invariant(self, monkeypatch):
         q = constant_rates(np.array([[-1.0, 1.0], [1.0, -1.0]]))
-        a = sample_paths(q, [0.5, 0.5], 40, 0.0, 2.0, seed=9, chunk=7)
-        b = sample_paths(q, [0.5, 0.5], 40, 0.0, 2.0, seed=9, chunk=40)
+        monkeypatch.setattr(markov, "_ROUND_PATHS", 7)
+        a = sample_paths(q, [0.5, 0.5], 40, 0.0, 2.0, seed=9)
+        monkeypatch.setattr(markov, "_ROUND_PATHS", 40)
+        b = sample_paths(q, [0.5, 0.5], 40, 0.0, 2.0, seed=9)
         c = sample_paths(q, [0.5, 0.5], 40, 0.0, 2.0, seed=10)
         for name in ("offsets", "times", "states"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         assert len(a.times) != len(c.times) or not np.array_equal(a.times, c.times)
 
-    def test_path_sampled_alone_is_the_same_path(self):
+    def test_path_sampled_alone_is_the_same_path(self, monkeypatch):
         q = constant_rates(np.array([[-1.5, 1.0, 0.5], [0.3, -0.3, 0.0], [2.0, 1.0, -3.0]]))
         rho0 = [0.2, 0.3, 0.5]
         every = sample_paths(q, rho0, 30, 0.0, 2.0, seed=2 ** 40 + 5)
-        alone = sample_paths(q, rho0, 30, 0.0, 2.0, seed=2 ** 40 + 5, chunk=1)
+        with monkeypatch.context() as m:
+            m.setattr(markov, "_ROUND_PATHS", 1)
+            alone = sample_paths(q, rho0, 30, 0.0, 2.0, seed=2 ** 40 + 5)
         for name in ("offsets", "times", "states"):
             np.testing.assert_array_equal(getattr(every, name), getattr(alone, name))
         k = 17                              # the last path of a shorter run
@@ -603,17 +607,19 @@ class TestChunks:
             assert p.states.tobytes() == whole.states[a + k:b + z].tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 7, M - 1, M, M + 5])
-    def test_chunks_are_slices_of_the_one_shot_run(self, chunk):
+    def test_chunks_are_slices_of_the_one_shot_run(self, chunk, monkeypatch):
         args = (self.Q, self.RHO0, self.M, 0.0, 1.0, self.SEED)
-        whole = sample_paths(*args, chunk=10 ** 6)
+        monkeypatch.setattr(markov, "_ROUND_PATHS", 10 ** 6)
+        whole = sample_paths(*args)
         assert len(whole.times) > self.M
-        self.assert_chunks_are_slices(list(path_chunks(*args, chunk=chunk)), whole, chunk)
-        joined = sample_paths(*args, chunk=chunk)
+        monkeypatch.setattr(markov, "_ROUND_PATHS", chunk)
+        self.assert_chunks_are_slices(list(path_chunks(*args)), whole, chunk)
+        joined = sample_paths(*args)
         for name in ("offsets", "times", "states"):
             got, want = getattr(joined, name), getattr(whole, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    def test_zero_jump_paths_on_both_sides_of_a_chunk_edge(self):
+    def test_zero_jump_paths_on_both_sides_of_a_chunk_edge(self, monkeypatch):
         # slow rates leave most paths without a jump; the chunk size puts an
         # edge between two such paths, with paths that do jump elsewhere
         q = constant_rates(0.2 * np.array([[-1.0, 1.0], [1.0, -1.0]]))
@@ -621,27 +627,31 @@ class TestChunks:
         still = np.diff(whole.offsets) == 0
         edge = next(k for k in range(2, 200) if still[k - 1] and still[k])
         assert not still.all()
-        parts = list(path_chunks(q, [0.5, 0.5], 200, 0.0, 1.0, seed=6, chunk=edge))
+        monkeypatch.setattr(markov, "_ROUND_PATHS", edge)
+        parts = list(path_chunks(q, [0.5, 0.5], 200, 0.0, 1.0, seed=6))
         assert len(parts) > 1 and parts[1].first == edge
         self.assert_chunks_are_slices(parts, whole, edge)
 
-    def test_lam_zero_chunks_hold_the_start_states(self):
+    def test_lam_zero_chunks_hold_the_start_states(self, monkeypatch):
         zero = constant_rates(np.zeros((2, 2)))
         whole = sample_paths(zero, [0.3, 0.7], 50, 0.0, 1.0, seed=1)
-        parts = list(path_chunks(zero, [0.3, 0.7], 50, 0.0, 1.0, seed=1, chunk=7))
+        monkeypatch.setattr(markov, "_ROUND_PATHS", 7)
+        parts = list(path_chunks(zero, [0.3, 0.7], 50, 0.0, 1.0, seed=1))
         self.assert_chunks_are_slices(parts, whole, 7)
         assert all(len(p.times) == 0 for p in parts)
 
-    def test_constant_rates_are_scanned_at_one_time(self):
+    def test_constant_rates_are_scanned_at_one_time(self, monkeypatch):
         # a constant generator was checked when it was built: one time of it
         # gives the bound, and the draws read its matrix without at_many
         rates, calls = constant_rates(self.Q.matrix), []
         at_many = rates.at_many
         rates.at_many = lambda ts: calls.append(len(ts)) or at_many(ts)
         args = (self.RHO0, self.M, 0.0, 1.0, self.SEED)
-        parts = list(path_chunks(rates, *args, chunk=7))
+        whole = sample_paths(self.Q, *args)
+        monkeypatch.setattr(markov, "_ROUND_PATHS", 7)
+        parts = list(path_chunks(rates, *args))
         assert calls == [1]
-        self.assert_chunks_are_slices(parts, sample_paths(self.Q, *args), 7)
+        self.assert_chunks_are_slices(parts, whole, 7)
 
     def test_refusals_come_before_the_first_chunk(self):
         # no chunk is asked for: the call itself raises
@@ -652,32 +662,39 @@ class TestChunks:
         with pytest.raises(ValueError, match="key range"):
             path_chunks(constant_rates(q), [0.5, 0.5], 10, 0.0, 1.0, seed=-1)
 
-    def test_bound_violation_between_grid_times_is_raised_mid_stream(self):
+    def test_bound_violation_between_grid_times_is_raised_mid_stream(self, monkeypatch):
         drawn = []
+        monkeypatch.setattr(markov, "_ROUND_PATHS", 16)
         with pytest.raises(RateBoundExceeded):
-            for chunk in path_chunks(spiking_rates(), [0.5, 0.5], 3000, 0.0, 1.0, seed=3,
-                                     chunk=16):
+            for chunk in path_chunks(spiking_rates(), [0.5, 0.5], 3000, 0.0, 1.0, seed=3):
                 drawn.append(len(chunk))
         assert drawn and sum(drawn) < 3000
 
-    def test_chunk_counts_add_up_to_the_run(self):
+    def test_chunk_counts_add_up_to_the_run(self, monkeypatch):
         args = (self.Q, self.RHO0, self.M, 0.0, 1.0, self.SEED)
         ts = np.linspace(0.0, 1.0, 7)
         whole = sample_paths(*args)
-        total = sum(p.counts_at(ts) for p in path_chunks(*args, chunk=7))
+        monkeypatch.setattr(markov, "_ROUND_PATHS", 7)
+        total = sum(p.counts_at(ts) for p in path_chunks(*args))
         np.testing.assert_array_equal(total, whole.counts_at(ts))
         assert (total / self.M).tobytes() == empirical_densities(whole, ts).tobytes()
 
-    def test_memory_does_not_grow_with_paths(self):
+    def test_memory_does_not_grow_with_paths(self, monkeypatch):
         # each chunk is dropped before the next is drawn, so the traced peak of
         # the stream, after the grid check, is the same at 4x the paths; keeping
         # the chunks would add about 30 kB at these sizes
         q = constant_rates(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        monkeypatch.setattr(markov, "_ROUND_PATHS", 50)
+        # in a fresh interpreter the free lists of small objects fill over the
+        # first ~250 rounds, and traced memory rises about 0.5 kB a round until
+        # they are full; 300 untraced rounds fill them before the comparison
+        for _ in path_chunks(q, [0.5, 0.5], 300 * 50, 0.0, 0.5, seed=8):
+            pass
 
         def peak(m):
             tracemalloc.start()
             try:
-                chunks = path_chunks(q, [0.5, 0.5], m, 0.0, 0.5, seed=8, chunk=50)
+                chunks = path_chunks(q, [0.5, 0.5], m, 0.0, 0.5, seed=8)
                 tracemalloc.reset_peak()
                 for _ in chunks:
                     pass
@@ -687,6 +704,23 @@ class TestChunks:
 
         small, large = peak(250), peak(1000)
         assert large < small + 8 * 1024
+
+    def test_rounds_are_sized_from_n(self):
+        # a round holds min(_ROUND_PATHS, _ROUND_ENTRIES // n) paths, so its
+        # (paths, n) arrays hold at most 2^20 entries at any n: 512 paths on
+        # 2,048 nodes, where one round of all 4,000 peaks at about 82 MB
+        n = 2048
+        ring = symmetric_rates(validate_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)]))
+        tracemalloc.start()
+        try:
+            chunks = path_chunks(ring, np.full(n, 1.0 / n), 4000, 0.0, 0.5, seed=8)
+            tracemalloc.reset_peak()
+            sizes = [len(p) for p in chunks]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [512] * 7 + [4000 - 7 * 512]
+        assert peak < 32 * 2 ** 20
 
 
 class TestStreams:
