@@ -97,10 +97,13 @@ class ReferenceRates:
     batch_fn([t])[0]; a period can be declared for time-periodic families.
 
     The support, the off-diagonal mask of pairs that may carry rate, is fixed
-    at construction: the nonzero pattern of a constant matrix, and every
-    off-diagonal pair for a function of time. src and dst list its pairs
-    i -> j sorted by (src, dst), as Graph lists its edges' pairs.
+    at construction: the pairs positive in some stored record (a constant
+    matrix is a recording of one), and every off-diagonal pair for a
+    function of time. src and dst list its pairs i -> j sorted by (src, dst),
+    as Graph lists its edges' pairs; row i's are indptr[i]:indptr[i + 1].
     """
+
+    _records, _t0, _dt = None, 0.0, 1.0     # a stored source's records, one every _dt from _t0
 
     def __init__(self, n: int, matrix: np.ndarray | None = None,
                  period: float | None = None,
@@ -117,12 +120,18 @@ class ReferenceRates:
                 raise InvalidGenerator("rate matrix has shape %s, expected %s"
                                        % (matrix.shape, (self.n, self.n)))
             self.matrix = _validated_generator(matrix)
-        self._support = (self.matrix > 0 if self.matrix is not None
-                         else ~np.eye(self.n, dtype=bool))
-        np.fill_diagonal(self._support, False)
-        self._support.setflags(write=False)
+            self._records = self.matrix[None]
+        self._support = ~np.eye(self.n, dtype=bool)
+        if self._records is not None:       # a reduction, not a (K, n, n) mask
+            self._support &= self._records.max(axis=0) > 0
         self.src, self.dst = np.nonzero(self._support)
-        self.src.setflags(write=False), self.dst.setflags(write=False)
+        self.indptr = np.searchsorted(self.src, np.arange(self.n + 1))
+        for a in (self._support, self.src, self.dst, self.indptr):
+            a.setflags(write=False)
+        deg = np.diff(self.indptr)
+        self._pad = np.arange(deg.max(initial=0)) >= deg[:, None]     # (n, w): past row i's pairs
+        self._cols = np.where(self._pad, np.arange(self.n)[:, None], 0)
+        self._cols[~self._pad] = self.dst                               # row i's dst, then i
 
     @property
     def constant(self) -> bool:
@@ -140,21 +149,31 @@ class ReferenceRates:
             return np.broadcast_to(self.matrix, (len(ts), self.n, self.n))
         return np.asarray(self._batch_fn(ts), dtype=float)
 
-    def rows(self, times, states) -> np.ndarray:
-        """(len(times), n) rows m(times[k])[states[k]], equal to
-        at_many(times)[k, states[k]] without holding the (len, n, n) stack: a
-        time-dependent m is evaluated in blocks of times whose stack holds at
-        most as many entries as the rows, or as one _block_size(n) block."""
-        states = np.asarray(states, dtype=np.intp)
-        if self.matrix is not None:
-            return self.matrix[states]
+    def _index(self, ts) -> np.ndarray:
+        """The stored record each time reads: the nearest, clipped to the first and last."""
+        steps = np.round((np.asarray(ts) - self._t0) / self._dt)
+        return np.clip(steps, 0, len(self._records) - 1).astype(int)
+
+    def rows(self, times, states) -> tuple:
+        """(diagonal, rates, cols) of the rows m(times[k])[states[k]]: the (len,)
+        diagonal, and each row's support rates and columns in CSR order, (len, w)
+        arrays padded to the widest row by rate 0 at the row's own state. Stored
+        records are gathered at _index(times); a function of time is evaluated in
+        blocks as large as the (len, n) rows, or as one _block_size(n) block."""
         times = np.asarray(times, dtype=float)
-        out = np.empty((len(times), self.n))
-        size = max(_block_size(self.n), -(-len(times) // self.n))
-        for lo in range(0, len(times), size):
-            ms = self.at_many(times[lo:lo + size])
-            out[lo:lo + len(ms)] = ms[np.arange(len(ms)), states[lo:lo + size]]
-        return out
+        states = np.asarray(states, dtype=np.intp)
+        cols, pad = self._cols.take(states, axis=0), self._pad.take(states, axis=0)
+        if self._records is not None:
+            blocks = [(self._records, self._index(times), slice(None))]
+        else:
+            size = max(_block_size(self.n), -(-len(times) // self.n))
+            blocks = ((self.at_many(times[lo:lo + size]), np.arange(len(times[lo:lo + size])),
+                       slice(lo, lo + size)) for lo in range(0, len(times), size))
+        diag, rates = np.empty(len(times)), np.empty(cols.shape)
+        for ms, k, part in blocks:
+            diag[part] = ms[k, states[part], states[part]]
+            rates[part] = ms[k[:, None], states[part, None], cols[part]]
+        return diag, np.where(pad, 0.0, rates), cols
 
     def support(self) -> np.ndarray:
         """Read-only boolean off-diagonal mask of the pairs that may carry rate."""
@@ -162,21 +181,12 @@ class ReferenceRates:
 
 
 class _RecordedRates(ReferenceRates):
-    """Rates read from a (K, n, n) stack recorded every dt from t0: each time
-    takes the nearest row, clipped to the first and last. rows() gathers
-    from the stack itself."""
+    """Rates read from a (K, n, n) stack recorded every dt from t0, each time
+    at its _index, the nearest record; rows() gathers from the stack itself."""
 
     def __init__(self, t0: float, dt: float, stack: np.ndarray):
-        self._t0, self._dt, self._stack = t0, dt, stack
+        self._t0, self._dt, self._records = t0, dt, stack
         super().__init__(stack.shape[1], batch_fn=lambda ts: stack[self._index(ts)])
-
-    def _index(self, ts) -> np.ndarray:
-        steps = np.round((np.asarray(ts) - self._t0) / self._dt)
-        return np.clip(steps, 0, len(self._stack) - 1).astype(int)
-
-    def rows(self, times, states) -> np.ndarray:
-        return self._stack[self._index(np.asarray(times, dtype=float)),
-                           np.asarray(states, dtype=np.intp)]
 
 
 def _block_size(n: int) -> int:

@@ -177,19 +177,16 @@ class LinearGrid:
         self.dt = (t1 - t0) / steps
         self.times = t0 + self.dt * np.arange(steps + 1)
 
-    def blocks(self):
+    def blocks(self, check: bool = False):
         """Yield the rk4 step matrices R_k = I + dt (m0 + 2 k2 + 2 k3 + k4) / 6
         of dU = U m(t) in order, in (b, n, n) blocks of _block_size(n) matrices.
+        With check, a time-dependent m must pass the Kolmogorov rule at each
+        block's grid times, then at its midpoints, before its steps.
 
         R_k is one rk4 step from U = I, so k1 = I m0 = m0. It also serves the
         backward factor: the rk4 step of dg/dt = -m g from t_{k+1} back to t_k
         expands to the same polynomial in (m0, mh, m1), so g_k = R_k g_{k+1}.
         """
-        return self._blocks(check=False)
-
-    def _blocks(self, check: bool):
-        """blocks(); with check, a time-dependent m must pass the Kolmogorov rule
-        at each block's grid times, then at its midpoints, before its steps."""
         times, dt = self.times, self.dt
         eye = np.eye(self.rates.n)
         block, steps = _block_size(len(eye)), len(times) - 1
@@ -218,7 +215,7 @@ class LinearGrid:
         return u
 
     def kernel(self, blocks) -> np.ndarray:
-        """The product of checked blocks, _blocks(check=True), as a row-stochastic
+        """The product of checked blocks, blocks(check=True), as a row-stochastic
         kernel: tiny negative entries are clipped to zero with a warning, a worse
         one or a row sum off 1 raises."""
         p = self.product(blocks)
@@ -252,7 +249,7 @@ class LinearGrid:
 def propagator(rates: ReferenceRates, s: float, t: float, dt: float = 1e-3) -> np.ndarray:
     """Row-stochastic P with rho(t) = rho(s) P: the LinearGrid kernel from s to t."""
     grid = LinearGrid(rates, s, t, dt)
-    return grid.kernel(grid._blocks(check=True))
+    return grid.kernel(grid.blocks(check=True))
 
 
 # -- path sampling ----------------------------------------------------------------------
@@ -310,7 +307,7 @@ def _jump_targets(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF column of each nonnegative rate row at a uniform in (0, 1);
     the total is the cumsum's own last entry, so the column carries rate."""
     cum = np.cumsum(rows, axis=1)
-    return (cum < (u * cum[:, -1])[:, None]).sum(axis=1)
+    return (cum < u[:, None] * cum[:, -1:]).sum(axis=1)
 
 
 @dataclass(eq=False)
@@ -354,23 +351,23 @@ def path_chunks(rates: ReferenceRates, rho0, n_paths: int, t0: float, t1: float,
     (the last may hold fewer), each carrying its first path's index.
 
     The proposal rate is lam = 1.2 times the largest |Q_ii| on _BOUND_GRID
-    evenly spaced times of [t0, t1], or on t0 alone for a constant generator.
+    evenly spaced times of [t0, t1], or on one of them per stored record.
     The seed, the Kolmogorov check and the bound scan on the rate grid run
     when this is called, before any chunk is drawn, so a refusal comes
     before a caller has written anything. A chunk's jumps are ordered by
     path within the chunk only, and the chunks are drawn one at a time as
     the iterator is read: a caller that writes or tallies each chunk and
-    drops it holds one round's (paths, n) arrays of at most _ROUND_ENTRIES
-    entries, whatever n_paths and n are.
+    drops it holds one round's (paths, w) rate rows, w < n, of at most
+    _ROUND_ENTRIES entries, whatever n_paths and n are.
     """
     seed = operator.index(seed)
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed %d outside the Philox key range [0, 2**64)" % seed)
 
-    # blocks sized as ReferenceRates.rows sizes them: a block's stack holds as many
-    # entries as the grid's rows of Q, or as one _block_size(n) block if that is more;
-    # a constant generator was checked when it was built, and one time of it is all of it
-    grid, peak = np.linspace(t0, t1, _BOUND_GRID)[:1 if rates.constant else None], 0.0
+    # each stored record is scanned once; blocks are sized as ReferenceRates.rows sizes them
+    grid, peak = np.linspace(t0, t1, _BOUND_GRID), 0.0
+    if rates._records is not None:
+        grid = grid[np.sort(np.unique(rates._index(grid), return_index=True)[1])]
     size = max(_block_size(rates.n), -(-len(grid) // rates.n))
     for lo in range(0, len(grid), size):
         stack = rates.at_many(grid[lo:lo + size])
@@ -394,8 +391,6 @@ def _draw(rates: ReferenceRates, key, lam: float, cum0, ids, t0, t1) -> tuple:
     j = np.zeros(len(ids), dtype=np.uint64)
     count = np.zeros(len(ids), dtype=np.int64)      # jumps of each path so far
     events = []
-    # a constant generator's diagonal is fixed: it reads rows for the jumps only
-    fixed = rates.matrix.diagonal() if rates.constant else None
     # live and jump index the chunk; ids[live] are the paths' stream indices
     live = np.arange(len(ids) if lam > 0 else 0)
     while len(live):
@@ -405,25 +400,18 @@ def _draw(rates: ReferenceRates, key, lam: float, cum0, ids, t0, t1) -> tuple:
         live, tau, u_acc = live[inside], tau[inside], u_acc[inside]
         if len(live) == 0:
             break
-        if fixed is None:
-            q = rates.rows(tau, state[live])
-            diag = q[np.arange(len(live)), state[live]]
-        else:
-            diag = fixed[state[live]]
+        diag, q, cols = rates.rows(tau, state[live])
         if np.max(np.abs(diag)) > lam:
             raise RateBoundExceeded(
                 "|Q_ii| = %g exceeds the bound %g, 1.2 times its largest value on the rate grid"
                 % (np.max(np.abs(diag)), lam))
-        accept = np.flatnonzero(u_acc < (-diag / lam))
-        jump = live[accept]
-        rows = np.clip(q[accept] if fixed is None else rates.rows(tau[accept], state[jump]),
-                       0.0, None)
-        rows[np.arange(len(jump)), state[jump]] = 0.0
+        q = np.clip(q, 0.0, None)
         # clamp-residue rows with no positive exit are no jump at all
-        solid = rows.sum(axis=1) > 0
-        jump, rows = jump[solid], rows[solid]
-        state[jump] = _jump_targets(rows, _draws(key, j[jump], ids[jump], 1)[0])
-        events.append((jump, tau[accept[solid]], state[jump]))
+        accept = np.flatnonzero((u_acc < (-diag / lam)) & (q.sum(axis=1) > 0))
+        jump = live[accept]
+        target = _jump_targets(q[accept], _draws(key, j[jump], ids[jump], 1)[0])
+        state[jump] = cols[accept, target]
+        events.append((jump, tau[accept], state[jump]))
         count[jump] += 1
         cur_t[live] = tau
         j[live] += np.uint64(1)
@@ -455,9 +443,10 @@ def sample_paths(rates: ReferenceRates, rho0, n_paths: int, t0: float, t1: float
     its jump-target uniform, lane 2 at j = 0 the start state. So a path
     depends only on (seed, path index), not on the paths one proposal round
     carries, which path_chunks sizes from n. Each proposal reads only its
-    current state's row, through ReferenceRates.rows, so a round holds
-    (paths, n) arrays. lam is path_chunks' bound; a proposal whose |Q_ii|
-    exceeds it raises RateBoundExceeded, and a zero generator never proposes.
+    current state's support rates, through ReferenceRates.rows, so a round
+    holds (paths, w) arrays, w < n. lam is path_chunks' bound; a proposal
+    whose |Q_ii| exceeds it raises RateBoundExceeded, and a zero generator
+    never proposes.
 
     This is the concatenation of path_chunks' chunks, so it holds every
     path at once; a caller that can take the paths chunk by chunk should.

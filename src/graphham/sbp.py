@@ -170,7 +170,7 @@ def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8) ->
     # is what propagator would return, and the factor march
     reference = problem.reference
     grid = LinearGrid(reference, problem.t0, problem.t1, dt)
-    blocks = list(grid._blocks(check=True))
+    blocks = list(grid.blocks(check=True))
     k = grid.kernel(blocks)
     with np.errstate(divide="ignore"):
         logk = np.log(k)

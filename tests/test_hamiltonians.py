@@ -156,10 +156,17 @@ class TestReferenceRates:
         for rates, times in cases:
             states = rng.integers(0, rates.n, len(times))
             want = rates.at_many(times)[np.arange(len(times)), states]
-            got = rates.rows(times, states)
-            assert got.shape == (len(times), rates.n)
+            diag, q, cols = rates.rows(times, states)
+            width = np.diff(rates.indptr).max()
+            assert diag.shape == (len(times),) and q.shape == cols.shape == (len(times), width)
+            # scattered back: the support rates, then the diagonal over the padding
+            k = np.arange(len(times))
+            got = np.zeros((len(times), rates.n))
+            got[k[:, None], cols] = q
+            got[k, states] = diag
             assert got.tobytes() == want.tobytes()
-            assert rates.rows(times[:0], states[:0]).shape == (0, rates.n)
+            empty = rates.rows(times[:0], states[:0])
+            assert [a.shape for a in empty] == [(0,), (0, width), (0, width)]
 
     def test_support_mask(self):
         rates = constant_rates([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])

@@ -16,6 +16,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graphham import markov
 from graphham.cli import _PATH_BLOCK, _write_paths
@@ -573,6 +575,29 @@ class TestSampler:
         assert got.max() == 11
         assert (rows[np.arange(len(rows)), _jump_targets(rows, u / 3)] > 0).all()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_support_segments_pick_the_dense_target(self, data):
+        # a recorded stack's support is the pairs positive in some record, so
+        # a record's own row can carry rate 0 on part of its segment; the
+        # target drawn from the segment, through its columns, is the dense row's
+        n, k = data.draw(st.integers(2, 7)), data.draw(st.integers(1, 3))
+        rate = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+        stack = data.draw(hnp.arrays(float, (k, n, n), elements=rate))
+        diagonal = np.arange(n)
+        stack[:, diagonal, diagonal] = 0.0
+        stack[:, diagonal, diagonal] = -stack.sum(axis=2)
+        # the sampler's uniforms, (j + 1/2) / 2^52, so u times a row's total is never 0
+        u = data.draw(hnp.arrays(float, k * n, elements=st.floats(2.0 ** -53, 1.0 - 2.0 ** -53)))
+        record, states = np.repeat(np.arange(k), n), np.tile(diagonal, k)
+        _, q, cols = _RecordedRates(0.0, 1.0, stack).rows(record.astype(float), states)
+        dense = np.clip(stack[record, states], 0.0, None)
+        dense[np.arange(k * n), states] = 0.0
+        moves = dense.sum(axis=1) > 0
+        want = _jump_targets(dense[moves], u[moves])
+        got = cols[moves][np.arange(moves.sum()), _jump_targets(q[moves], u[moves])]
+        np.testing.assert_array_equal(got, want)
+
 
 def spiking_rates(lo=0.5006, hi=0.5014, factor=10.0):
     """Unit two-state rates, `factor` times faster on (lo, hi): the default window
@@ -721,6 +746,29 @@ class TestChunks:
             tracemalloc.stop()
         assert sizes == [512] * 7 + [4000 - 7 * 512]
         assert peak < 32 * 2 ** 20
+
+    def test_recorded_ring_is_scanned_once_per_record(self, monkeypatch):
+        # 21 records of a 256-node unit ring, scaled from 0.5 to 1.5: the scan
+        # reads each record once, not the 1,000 grid times, and a proposal
+        # reads the 2 support rates of its row, not n
+        n = 256
+        ring = symmetric_rates(validate_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)]))
+        rates = _RecordedRates(0.0, 0.025, ring.matrix * np.linspace(0.5, 1.5, 21)[:, None, None])
+        times, widths = [], []
+        at_many, rows = rates.at_many, rates.rows
+        monkeypatch.setattr(rates, "at_many", lambda ts: times.append(len(ts)) or at_many(ts))
+        monkeypatch.setattr(rates, "rows", lambda ts, states: widths.append(
+            rows(ts, states)[1].shape[1]) or rows(ts, states))
+        chunks = path_chunks(rates, np.full(n, 1.0 / n), 200, 0.0, 0.5, seed=9)
+        assert sum(times) == 21
+        assert sum(len(p.times) for p in chunks) > 200 and set(widths) == {2}
+
+    def test_records_without_a_positive_rate_never_jump(self):
+        # off-diagonals all 0 and a diagonal of -1e-11 pass the Kolmogorov rule:
+        # proposals come at 1.2e-11 over [0, 1e12], with empty support rows
+        stack = np.diag([-1e-11, -1e-11])[None]
+        paths = sample_paths(_RecordedRates(0.0, 1.0, stack), [0.5, 0.5], 5, 0.0, 1e12, seed=4)
+        assert len(paths.times) == 0
 
 
 class TestStreams:
