@@ -33,12 +33,11 @@ from graphham.cli import _COMMANDS, _version, main
 from graphham.scenarios import BUILTINS
 
 MANIFEST = Path(__file__).with_name("digests.json")
-RING_N = 64
 
 
 def _ring_configs() -> dict:
     """The two generated rings, by the name their entries carry."""
-    n = RING_N
+    n = 64
     x = 2 * math.pi * np.arange(n) / n
     rho = 1.0 + 0.5 * np.sin(x)
     graph = {"nodes": n, "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]}

@@ -756,9 +756,14 @@ class TestChunks:
         rates = _RecordedRates(0.0, 0.025, ring.matrix * np.linspace(0.5, 1.5, 21)[:, None, None])
         times, widths = [], []
         at_many, rows = rates.at_many, rates.rows
+
+        def counted_rows(ts, states):
+            out = rows(ts, states)
+            widths.append(out[1].shape[1])
+            return out
+
         monkeypatch.setattr(rates, "at_many", lambda ts: times.append(len(ts)) or at_many(ts))
-        monkeypatch.setattr(rates, "rows", lambda ts, states: widths.append(
-            rows(ts, states)[1].shape[1]) or rows(ts, states))
+        monkeypatch.setattr(rates, "rows", counted_rows)
         chunks = path_chunks(rates, np.full(n, 1.0 / n), 200, 0.0, 0.5, seed=9)
         assert sum(times) == 21
         assert sum(len(p.times) for p in chunks) > 200 and set(widths) == {2}
