@@ -11,6 +11,7 @@ contract: 0 success, 1 config or input error, 2 rate-validity failure,
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -46,6 +47,7 @@ from .hamiltonians import (
     vector_field,
 )
 from .markov import (
+    _rate_pairs,
     _rate_stack,
     _step_count,
     build_rate_matrix,
@@ -69,8 +71,6 @@ _PATH_BLOCK = 1024
 # array entries per block of a JSON artifact turned into strings at once
 _ARRAY_BLOCK = 1 << 14
 _INDENT = "  "
-# float.__repr__ spellings that JSON writes differently
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _version() -> str:
@@ -100,40 +100,20 @@ def _write_value(write, obj, depth: int) -> None:
             _write_array(write, obj, depth)
             return
         obj = obj.tolist()                  # a scalar or nested empty lists
-    if isinstance(obj, str):
-        write(encode_basestring_ascii(obj))
-    elif obj is None:
-        write("null")
-    elif obj is True:
-        write("true")
-    elif obj is False:
-        write("false")
-    elif isinstance(obj, int):
-        write(int.__repr__(obj))
-    elif isinstance(obj, float):
-        text = float.__repr__(obj)
-        write(_NONFINITE.get(text, text))
-    elif isinstance(obj, (list, tuple, dict)):
-        if not obj:
-            write("{}" if isinstance(obj, dict) else "[]")
-            return
-        inner = "\n" + _INDENT * (depth + 1)
-        if isinstance(obj, dict):
-            write("{")
-            for k, key in enumerate(sorted(obj)):
-                if not isinstance(key, str):
-                    raise TypeError("artifact keys must be str, not %s" % type(key).__name__)
-                write(("," if k else "") + inner + encode_basestring_ascii(key) + ": ")
-                _write_value(write, obj[key], depth + 1)
-            write("\n" + _INDENT * depth + "}")
-        else:
-            write("[")
-            for k, item in enumerate(obj):
-                write(("," if k else "") + inner)
-                _write_value(write, item, depth + 1)
-            write("\n" + _INDENT * depth + "]")
-    else:
-        raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        write(json.dumps(obj))
+        return
+    keyed = isinstance(obj, dict)
+    write("{" if keyed else "[")
+    for k, item in enumerate(sorted(obj) if keyed else obj):
+        write(("," if k else "") + "\n" + _INDENT * (depth + 1))
+        if keyed:
+            if not isinstance(item, str):
+                raise TypeError("artifact keys must be str, not %s" % type(item).__name__)
+            write(encode_basestring_ascii(item) + ": ")
+            item = obj[item]
+        _write_value(write, item, depth + 1)
+    write("\n" + _INDENT * depth + ("}" if keyed else "]"))
 
 
 def _entry_texts(block: np.ndarray) -> list:
@@ -152,7 +132,7 @@ def _entry_texts(block: np.ndarray) -> list:
     nonzero = np.flatnonzero((flat != 0) | np.signbit(flat))
     texts[nonzero] = list(map(float.__repr__, flat[nonzero].tolist()))
     for i in np.flatnonzero(~np.isfinite(flat)).tolist():
-        texts[i] = _NONFINITE[texts[i]]
+        texts[i] = json.dumps(float(flat[i]))
     return texts.tolist()
 
 
@@ -271,17 +251,18 @@ def _write_lines(fh, paths) -> None:
 
 
 def _rate_report(scenario: Scenario, traj):
-    """Validity report over the recorded states, and their (K, n, n) generators.
+    """Validity report over the recorded states, and their generators: the (K, n)
+    diagonals and (K, P) rates on the pairs (src, dst) that _rate_stack fills.
 
-    The states go through the S chart and _rate_stack in blocks of
-    _block_size(n) records; a block that raises is rerun record by record,
-    so the earliest failing record raises the error of its first failed check.
-    """
+    The states go through the S chart, _rate_stack and the Kolmogorov rule in dense
+    blocks of _block_size(n) records; a block that raises is rerun record by record,
+    so the earliest failing record raises the error of its first failed check."""
     spec, times = scenario.hamiltonian, traj.times
     report = {"kind": scenario.rate_kind, "valid": True, "violations": [],
               "clamped": 0, "checked_times": 0, "first_invalid_time": None,
               "entries_t0": None}
-    qs = np.empty((len(times), scenario.graph.n, scenario.graph.n))
+    src, dst = _rate_pairs(spec)
+    diagonals, rates = np.empty((len(times), scenario.graph.n)), np.empty((len(times), len(src)))
     size = _block_size(scenario.graph.n)
     for lo in range(0, len(times), size):
         hi = min(lo + size, len(times))
@@ -292,7 +273,10 @@ def _rate_report(scenario: Scenario, traj):
             for k in range(lo, hi):
                 build_rate_matrix(spec, _to_s_chart(traj.state(k)), float(times[k]))
             raise
-        qs[lo:hi], clamp, bad, _, bad_rows = _kolmogorov(stack)
+        q, clamp, bad, _, bad_rows = _kolmogorov(stack)
+        diagonals[lo:hi], rates[lo:hi] = np.diagonal(q, axis1=1, axis2=2), q[:, src, dst]
+        if lo == 0:
+            report["entries_t0"] = q[0]
         report["checked_times"] += hi - lo
         report["clamped"] += int(clamp.sum())
         invalid = bad.any(axis=(1, 2)) | bad_rows.any(axis=1)
@@ -302,8 +286,7 @@ def _rate_report(scenario: Scenario, traj):
             report["first_invalid_time"] = float(times[lo + k])
             report["violations"] = [[int(i), int(j), float(v)]
                                     for i, j, v in validate_rate_matrix(stack[k]).violations]
-    report["entries_t0"] = qs[0]
-    return report, qs
+    return report, (diagonals, rates, src, dst)
 
 
 def cmd_geodesic(scenario: Scenario, out: Path, args) -> int:
@@ -317,7 +300,7 @@ def cmd_geodesic(scenario: Scenario, out: Path, args) -> int:
                      scenario.t1, scenario.dt, method=scenario.method,
                      record_every=every)
     _write_trajectory(out, traj)
-    report, qs = _rate_report(scenario, traj)
+    report, records = _rate_report(scenario, traj)
     _dump(out / "rates.json", report)
     if not report["valid"]:
         print("invalid generator at t = %g; see rates.json"
@@ -325,8 +308,7 @@ def cmd_geodesic(scenario: Scenario, out: Path, args) -> int:
         return 2
 
     rec_dt = float(traj.times[1] - traj.times[0]) if len(traj.times) > 1 else scenario.dt
-    # nearest recorded snapshot; the final recording gap may be short
-    frozen = _RecordedRates(scenario.t0, rec_dt, qs)
+    frozen = _RecordedRates(scenario.t0, rec_dt, *records)
     rho0 = _to_s_chart(scenario.initial).rho
     chunks = path_chunks(frozen, rho0, scenario.particles, scenario.t0,
                          scenario.t1, seed=scenario.seed)

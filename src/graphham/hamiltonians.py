@@ -103,56 +103,65 @@ class ReferenceRates:
     as Graph lists its edges' pairs; row i's are indptr[i]:indptr[i + 1].
     """
 
-    _records, _t0, _dt = None, 0.0, 1.0     # a stored source's records, one every _dt from _t0
+    _diagonals, _t0, _dt = None, 0.0, 1.0   # a stored source's (K, n) diagonals, one every _dt from _t0
 
     def __init__(self, n: int, matrix: np.ndarray | None = None,
                  period: float | None = None,
                  batch_fn: Callable[[np.ndarray], np.ndarray] | None = None):
         if (batch_fn is None) == (matrix is None):
             raise ValueError("give exactly one of matrix or batch_fn")
-        self.n = int(n)
-        self.period = period
-        self._batch_fn = batch_fn
-        self.matrix = None
-        if matrix is not None:
-            matrix = np.asarray(matrix, dtype=float)
-            if matrix.shape != (self.n, self.n):
-                raise InvalidGenerator("rate matrix has shape %s, expected %s"
-                                       % (matrix.shape, (self.n, self.n)))
-            self.matrix = _validated_generator(matrix)
-            self._records = self.matrix[None]
-        self._support = ~np.eye(self.n, dtype=bool)
-        if self._records is not None:       # a reduction, not a (K, n, n) mask
-            self._support &= self._records.max(axis=0) > 0
-        self.src, self.dst = np.nonzero(self._support)
-        self.indptr = np.searchsorted(self.src, np.arange(self.n + 1))
+        self.n, self.period, self._batch_fn, self.matrix = int(n), period, batch_fn, None
+        if matrix is None:
+            self._pairs(*np.nonzero(~np.eye(self.n, dtype=bool)))
+            return
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.shape != (self.n, self.n):
+            raise InvalidGenerator("rate matrix has shape %s, expected %s"
+                                   % (matrix.shape, (self.n, self.n)))
+        self.matrix = _validated_generator(matrix)
+        src, dst = np.nonzero(self.matrix > 0)      # off the diagonal, which is <= 0
+        self._pairs(src, dst, self.matrix.diagonal()[None], self.matrix[src, dst][None])
+
+    def _pairs(self, src, dst, diagonals=None, rates=None):
+        """Fix the support pairs src -> dst and their CSR rows; given records, those positive in one."""
+        if rates is not None:
+            keep = rates.max(axis=0) > 0
+            src, dst, self._diagonals, self._rates = src[keep], dst[keep], diagonals, rates[:, keep]
+        self.src, self.dst, self.indptr = src, dst, np.searchsorted(src, np.arange(self.n + 1))
+        self._support = np.zeros((self.n, self.n), dtype=bool)
+        self._support[src, dst] = True
         for a in (self._support, self.src, self.dst, self.indptr):
             a.setflags(write=False)
         deg = np.diff(self.indptr)
         self._pad = np.arange(deg.max(initial=0)) >= deg[:, None]     # (n, w): past row i's pairs
-        self._cols = np.where(self._pad, np.arange(self.n)[:, None], 0)
-        self._cols[~self._pad] = self.dst                               # row i's dst, then i
+        self._slots = np.where(self._pad, 0, self.indptr[:-1, None] + np.arange(self._pad.shape[1]))
+        self._cols = np.where(self._pad, np.arange(self.n)[:, None], dst[self._slots])  # dst, then i
 
     @property
     def constant(self) -> bool:
         return self.matrix is not None
 
     def at(self, t: float) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
-        return np.asarray(self._batch_fn([float(t)])[0], dtype=float)
+        return self.matrix if self.matrix is not None else self.at_many([t])[0]
 
     def at_many(self, ts: np.ndarray) -> np.ndarray:
-        """(len(ts), n, n) stack of m at the times ts."""
+        """(len(ts), n, n) stack of m at the times ts; stored records are scattered back."""
         ts = np.asarray(ts, dtype=float)
         if self.matrix is not None:
             return np.broadcast_to(self.matrix, (len(ts), self.n, self.n))
-        return np.asarray(self._batch_fn(ts), dtype=float)
+        if self._diagonals is None:
+            return np.asarray(self._batch_fn(ts), dtype=float)
+        k, diagonal = self._index(ts), np.arange(self.n)
+        stack = np.zeros((len(ts), self.n, self.n))
+        stack[:, self.src, self.dst] = self._rates[k]
+        stack[:, diagonal, diagonal] = self._diagonals[k]
+        return stack
 
     def _index(self, ts) -> np.ndarray:
-        """The stored record each time reads: the nearest, clipped to the first and last."""
+        """The stored record each time reads: (t - _t0) / _dt rounded, clipped to the records;
+        after a short last gap, not always the nearest (every 3 dt to 1,000 dt: 999.9 dt reads 999 dt)."""
         steps = np.round((np.asarray(ts) - self._t0) / self._dt)
-        return np.clip(steps, 0, len(self._records) - 1).astype(int)
+        return np.clip(steps, 0, len(self._diagonals) - 1).astype(int)
 
     def rows(self, times, states) -> tuple:
         """(diagonal, rates, cols) of the rows m(times[k])[states[k]]: the (len,)
@@ -160,19 +169,21 @@ class ReferenceRates:
         arrays padded to the widest row by rate 0 at the row's own state. Stored
         records are gathered at _index(times); a function of time is evaluated in
         blocks as large as the (len, n) rows, or as one _block_size(n) block."""
-        times = np.asarray(times, dtype=float)
-        states = np.asarray(states, dtype=np.intp)
-        cols, pad = self._cols.take(states, axis=0), self._pad.take(states, axis=0)
-        if self._records is not None:
-            blocks = [(self._records, self._index(times), slice(None))]
+        times, states = np.asarray(times, dtype=float), np.asarray(states, dtype=np.intp)
+        pad = self._pad.take(states, axis=0)
+        if self._diagonals is not None:     # the slots' (len, w) temporary is gone before cols
+            k = self._index(times)
+            diag, rates = self._diagonals[k, states], self._rates[k[:, None], self._slots[states]]
+            cols = self._cols.take(states, axis=0)
         else:
+            cols = self._cols.take(states, axis=0)
+            diag, rates = np.empty(len(times)), np.empty(cols.shape)
             size = max(_block_size(self.n), -(-len(times) // self.n))
-            blocks = ((self.at_many(times[lo:lo + size]), np.arange(len(times[lo:lo + size])),
-                       slice(lo, lo + size)) for lo in range(0, len(times), size))
-        diag, rates = np.empty(len(times)), np.empty(cols.shape)
-        for ms, k, part in blocks:
-            diag[part] = ms[k, states[part], states[part]]
-            rates[part] = ms[k[:, None], states[part, None], cols[part]]
+            for lo in range(0, len(times), size):
+                ms, part = self.at_many(times[lo:lo + size]), slice(lo, lo + size)
+                k = np.arange(len(ms))
+                diag[part] = ms[k, states[part], states[part]]
+                rates[part] = ms[k[:, None], states[part, None], cols[part]]
         return diag, np.where(pad, 0.0, rates), cols
 
     def support(self) -> np.ndarray:
@@ -181,12 +192,12 @@ class ReferenceRates:
 
 
 class _RecordedRates(ReferenceRates):
-    """Rates read from a (K, n, n) stack recorded every dt from t0, each time
-    at its _index, the nearest record; rows() gathers from the stack itself."""
+    """K checked generators recorded every dt from t0: (K, n) diagonals, (K, P) rates on src -> dst."""
 
-    def __init__(self, t0: float, dt: float, stack: np.ndarray):
-        self._t0, self._dt, self._records = t0, dt, stack
-        super().__init__(stack.shape[1], batch_fn=lambda ts: stack[self._index(ts)])
+    def __init__(self, t0: float, dt: float, diagonals, rates, src, dst):
+        self.n, self.period, self._batch_fn, self.matrix = diagonals.shape[1], None, None, None
+        self._t0, self._dt = t0, dt
+        self._pairs(src, dst, diagonals, rates)
 
 
 def _block_size(n: int) -> int:

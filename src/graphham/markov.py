@@ -105,6 +105,12 @@ def build_rate_matrix(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0) 
     return validate_rate_matrix(q[0], spec.rate_kind)
 
 
+def _rate_pairs(spec: HamiltonianSpec) -> tuple:
+    """(src, dst) of the pairs _rate_stack fills: the reference's for sbp, else the graph's."""
+    pairs = spec.reference if spec.rate_kind == "sbp" else spec.graph
+    return pairs.src, pairs.dst
+
+
 def _rate_stack(spec: HamiltonianSpec, rho: np.ndarray, s: np.ndarray, times) -> np.ndarray:
     """(K, n, n) generator candidates of kind spec.rate_kind at K states of the
     S chart, rows of rho and s, at their K times; unchecked by the Kolmogorov
@@ -116,17 +122,16 @@ def _rate_stack(spec: HamiltonianSpec, rho: np.ndarray, s: np.ndarray, times) ->
     kind, g = spec.rate_kind, spec.graph
     count, n = rho.shape
     diag = np.arange(n)
+    src, dst = _rate_pairs(spec)
 
-    if kind == "sbp":                               # over the reference's support pairs
+    if kind == "sbp":
         if np.min(rho) <= 0:
             raise BoundaryDensity("reweighted rates need interior masses")
-        src, dst = spec.reference.src, spec.reference.dst
         m = spec.reference.at_many(times)[:, src, dst]
         # e^{S_b - S_a} where m carries rate
         ex = np.exp(_capped(s[:, dst] - s[:, src], m != 0))
         rate = ex * np.sqrt(rho[:, dst] / rho[:, src]) * m
-    else:                                           # over the graph's pairs
-        src, dst = g.src, g.dst
+    else:
         ds = s[:, src] - s[:, dst]                  # S_a - S_b
         # the flow's flux function of the gaps; at q = 2 it is the gap itself
         flow = _lp_flow(ds, spec.q) if spec.variant == "lp_kinetic" and spec.q != 2 else ds
@@ -350,29 +355,29 @@ def path_chunks(rates: ReferenceRates, rho0, n_paths: int, t0: float, t1: float,
     of min(_ROUND_PATHS, _ROUND_ENTRIES // n) consecutive paths, at least one
     (the last may hold fewer), each carrying its first path's index.
 
-    The proposal rate is lam = 1.2 times the largest |Q_ii| on _BOUND_GRID
-    evenly spaced times of [t0, t1], or on one of them per stored record.
-    The seed, the Kolmogorov check and the bound scan on the rate grid run
-    when this is called, before any chunk is drawn, so a refusal comes
-    before a caller has written anything. A chunk's jumps are ordered by
-    path within the chunk only, and the chunks are drawn one at a time as
-    the iterator is read: a caller that writes or tallies each chunk and
-    drops it holds one round's (paths, w) rate rows, w < n, of at most
-    _ROUND_ENTRIES entries, whatever n_paths and n are.
+    The proposal rate is lam = 1.2 times the largest |Q_ii| on _BOUND_GRID evenly
+    spaced times of [t0, t1], a stored source's read off the diagonals of the
+    records they read. The seed, the Kolmogorov check of a function of time (a
+    stored source was checked where it was made) and the bound scan run when
+    this is called, before any chunk is drawn, so a refusal comes before a caller
+    has written anything. A chunk's jumps are ordered by path within the chunk
+    only, and the chunks are drawn one at a time as the iterator is read: a caller
+    that writes or tallies each chunk and drops it holds one round's (paths, w)
+    rate rows, w < n, of at most _ROUND_ENTRIES entries, whatever n_paths and n are.
     """
     seed = operator.index(seed)
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed %d outside the Philox key range [0, 2**64)" % seed)
 
-    # each stored record is scanned once; blocks are sized as ReferenceRates.rows sizes them
-    grid, peak = np.linspace(t0, t1, _BOUND_GRID), 0.0
-    if rates._records is not None:
-        grid = grid[np.sort(np.unique(rates._index(grid), return_index=True)[1])]
-    size = max(_block_size(rates.n), -(-len(grid) // rates.n))
-    for lo in range(0, len(grid), size):
-        stack = rates.at_many(grid[lo:lo + size])
-        _require_valid_stack(stack)
-        peak = max(peak, float(np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2)))))
+    grid = np.linspace(t0, t1, _BOUND_GRID)
+    if rates._diagonals is not None:
+        peak = float(np.abs(rates._diagonals).max(axis=1)[rates._index(grid)].max())
+    else:   # blocks are sized as ReferenceRates.rows sizes them
+        peak, size = 0.0, max(_block_size(rates.n), -(-len(grid) // rates.n))
+        for lo in range(0, len(grid), size):
+            stack = rates.at_many(grid[lo:lo + size])
+            _require_valid_stack(stack)
+            peak = max(peak, float(np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2)))))
     key, cum0, lam = (seed & _WORD, seed >> 32), np.cumsum(_arr(rho0)), 1.2 * peak
     chunk = min(_ROUND_PATHS, max(1, _ROUND_ENTRIES // rates.n))
     # a generator: each chunk is drawn as it is asked for, and nothing of it kept

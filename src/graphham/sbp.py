@@ -139,7 +139,9 @@ class BridgeSolution:
     entropy: float              # integrated entropy production of m_hat vs m
 
     def rates(self) -> ReferenceRates:
-        return _RecordedRates(self.times[0], float(self.times[1] - self.times[0]), self.m_hat)
+        src, dst = np.nonzero(~np.eye(self.problem.reference.n, dtype=bool))   # every pair
+        return _RecordedRates(self.times[0], float(self.times[1] - self.times[0]),
+                              np.diagonal(self.m_hat, axis1=1, axis2=2), self.m_hat[:, src, dst], src, dst)
 
 
 def solve_bridge(problem: BridgeProblem, dt: float = 1e-3, tol: float = 1e-8) -> BridgeSolution:

@@ -138,8 +138,9 @@ class TestReferenceRates:
         # a constant matrix, both periodic built-ins, a recorded stack read
         # before, inside and past its rows, and a batch_fn reference asked for
         # more times than one block
-        from graphham.hamiltonians import ReferenceRates, _RecordedRates
+        from graphham.hamiltonians import ReferenceRates
         from graphham.scenarios import load_config
+        from test_markov import recorded
 
         rng = np.random.default_rng(23)
         m = rng.random((5, 5))
@@ -149,7 +150,7 @@ class TestReferenceRates:
             rates = load_config(name).reference
             cases.append((rates, rng.uniform(0.0, rates.period, 9000)))
         stack = rng.random((11, 40, 40))
-        cases.append((_RecordedRates(0.5, 0.1, stack),
+        cases.append((recorded(0.5, 0.1, stack),
                       np.concatenate([[0.0, 0.5, 0.54, 0.56, 1.5, 3.0], rng.uniform(0.0, 2.0, 30)])))
         cases.append((ReferenceRates(40, batch_fn=lambda ts: np.asarray(ts)[:, None, None] * stack[3]),
                       rng.uniform(0.0, 1.0, 37)))

@@ -58,6 +58,13 @@ K2 = complete_graph(2)
 K3 = complete_graph(3)
 
 
+def recorded(t0, dt, stack):
+    """_RecordedRates of a dense (K, n, n) stack, every off-diagonal pair a candidate."""
+    src, dst = np.nonzero(~np.eye(stack.shape[1], dtype=bool))
+    return _RecordedRates(t0, dt, np.diagonal(stack, axis1=1, axis2=2), stack[:, src, dst],
+                          src, dst)
+
+
 def random_interior(rng, n):
     rho = rng.dirichlet(np.full(n, 3.0))
     while rho.min() < 0.05:
@@ -528,12 +535,42 @@ class TestSampler:
         stack = rng.random((21, n, n)) * (rng.random((21, n, n)) < 0.2)
         stack[:, np.arange(n), np.arange(n)] = 0.0
         stack[:, np.arange(n), np.arange(n)] = -stack.sum(axis=2)
-        recorded = _RecordedRates(0.0, 0.05, stack)
+        stored = recorded(0.0, 0.05, stack)
         batch = ReferenceRates(n, batch_fn=lambda ts: stack[
             np.clip(np.round(np.asarray(ts) / 0.05), 0, 20).astype(int)])
-        a = sample_paths(recorded, np.full(n, 1.0 / n), 300, 0.0, 1.0, seed=4)
+        a = sample_paths(stored, np.full(n, 1.0 / n), 300, 0.0, 1.0, seed=4)
         b = sample_paths(batch, np.full(n, 1.0 / n), 300, 0.0, 1.0, seed=4)
         assert len(a.times) > 300
+        for name in ("offsets", "times", "states"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_recorded_and_batch_give_the_same_bound_and_paths(self, data):
+        # pair records read for the bound without a check, and the same stack
+        # behind a batch_fn checked on the grid, give the same lam and paths:
+        # with support pairs at rate 0 or -0.0 in some records, records with
+        # no positive rate, and windows inside and past the records' span
+        n, k = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 5))
+        rate = st.one_of(st.just(0.0), st.just(-0.0), st.floats(1e-3, 10.0))
+        stack = data.draw(hnp.arrays(float, (k, n, n), elements=rate, fill=st.nothing()))
+        stack[list(data.draw(st.sets(st.integers(0, k - 1), max_size=1)))] = 0.0
+        diagonal = np.arange(n)
+        stack[:, diagonal, diagonal] = 0.0
+        stack[:, diagonal, diagonal] = -stack.sum(axis=2)
+        t_rec, dt = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.05, 0.5))
+        t0 = data.draw(st.floats(0.0, t_rec + k * dt))
+        t1 = t0 + data.draw(st.floats(0.01, 2.0 * k * dt))
+        stored = recorded(t_rec, dt, stack)
+        batch = ReferenceRates(n, batch_fn=lambda ts: stack[np.clip(
+            np.round((np.asarray(ts) - t_rec) / dt), 0, k - 1).astype(int)])
+        with pytest.MonkeyPatch.context() as patch:
+            lams = spy_lam(patch)
+            a = sample_paths(stored, np.full(n, 1.0 / n), 50, t0, t1, seed=4)
+            b = sample_paths(batch, np.full(n, 1.0 / n), 50, t0, t1, seed=4)
+        grid = np.linspace(t0, t1, markov._BOUND_GRID)
+        read = np.abs(np.diagonal(batch.at_many(grid), axis1=1, axis2=2))
+        assert lams == [1.2 * read.max()] * 2
         for name in ("offsets", "times", "states"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
@@ -545,7 +582,7 @@ class TestSampler:
         stack = rng.random((501, n, n)) * (rng.random((501, n, n)) < 0.1)
         stack[:, np.arange(n), np.arange(n)] = 0.0
         stack[:, np.arange(n), np.arange(n)] = -stack.sum(axis=2)
-        rates = _RecordedRates(0.0, 0.002, stack)
+        rates = recorded(0.0, 0.002, stack)
         tracemalloc.start()
         try:
             paths = sample_paths(rates, np.full(n, 1.0 / n), 2000, 0.0, 1.0, seed=7)
@@ -590,7 +627,7 @@ class TestSampler:
         # the sampler's uniforms, (j + 1/2) / 2^52, so u times a row's total is never 0
         u = data.draw(hnp.arrays(float, k * n, elements=st.floats(2.0 ** -53, 1.0 - 2.0 ** -53)))
         record, states = np.repeat(np.arange(k), n), np.tile(diagonal, k)
-        _, q, cols = _RecordedRates(0.0, 1.0, stack).rows(record.astype(float), states)
+        _, q, cols = recorded(0.0, 1.0, stack).rows(record.astype(float), states)
         dense = np.clip(stack[record, states], 0.0, None)
         dense[np.arange(k * n), states] = 0.0
         moves = dense.sum(axis=1) > 0
@@ -610,6 +647,14 @@ def spiking_rates(lo=0.5006, hi=0.5014, factor=10.0):
         ts = np.asarray(ts)
         return base[None] * np.where((ts > lo) & (ts < hi), factor, 1.0)[:, None, None]
     return ReferenceRates(2, batch_fn=batch)
+
+
+def spy_lam(monkeypatch) -> list:
+    """The proposal rate of every chunk that path_chunks draws, as drawn."""
+    lams, draw = [], markov._draw
+    monkeypatch.setattr(markov, "_draw", lambda rates, key, lam, *rest: lams.append(lam)
+                        or draw(rates, key, lam, *rest))
+    return lams
 
 
 class TestChunks:
@@ -666,16 +711,16 @@ class TestChunks:
         assert all(len(p.times) == 0 for p in parts)
 
     def test_constant_rates_are_scanned_at_one_time(self, monkeypatch):
-        # a constant generator was checked when it was built: one time of it
-        # gives the bound, and the draws read its matrix without at_many
+        # a constant generator was checked when it was built: its one record
+        # gives the bound, and neither the bound nor the draws call at_many
         rates, calls = constant_rates(self.Q.matrix), []
-        at_many = rates.at_many
-        rates.at_many = lambda ts: calls.append(len(ts)) or at_many(ts)
+        rates.at_many = lambda ts: calls.append(len(ts))
         args = (self.RHO0, self.M, 0.0, 1.0, self.SEED)
         whole = sample_paths(self.Q, *args)
         monkeypatch.setattr(markov, "_ROUND_PATHS", 7)
+        lams = spy_lam(monkeypatch)
         parts = list(path_chunks(rates, *args))
-        assert calls == [1]
+        assert calls == [] and set(lams) == {1.2 * 3.0}
         self.assert_chunks_are_slices(parts, whole, 7)
 
     def test_refusals_come_before_the_first_chunk(self):
@@ -748,31 +793,32 @@ class TestChunks:
         assert peak < 32 * 2 ** 20
 
     def test_recorded_ring_is_scanned_once_per_record(self, monkeypatch):
-        # 21 records of a 256-node unit ring, scaled from 0.5 to 1.5: the scan
-        # reads each record once, not the 1,000 grid times, and a proposal
-        # reads the 2 support rates of its row, not n
+        # 21 records of a 256-node unit ring, scaled from 0.5 to 1.5: the bound
+        # is read from the records' diagonals, with no at_many call, and a
+        # proposal reads the 2 support rates of its row, not n
         n = 256
         ring = symmetric_rates(validate_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)]))
-        rates = _RecordedRates(0.0, 0.025, ring.matrix * np.linspace(0.5, 1.5, 21)[:, None, None])
+        rates = recorded(0.0, 0.025, ring.matrix * np.linspace(0.5, 1.5, 21)[:, None, None])
         times, widths = [], []
-        at_many, rows = rates.at_many, rates.rows
+        rows = rates.rows
 
         def counted_rows(ts, states):
             out = rows(ts, states)
             widths.append(out[1].shape[1])
             return out
 
-        monkeypatch.setattr(rates, "at_many", lambda ts: times.append(len(ts)) or at_many(ts))
+        monkeypatch.setattr(rates, "at_many", lambda ts: times.append(len(ts)))
         monkeypatch.setattr(rates, "rows", counted_rows)
+        lams = spy_lam(monkeypatch)
         chunks = path_chunks(rates, np.full(n, 1.0 / n), 200, 0.0, 0.5, seed=9)
-        assert sum(times) == 21
         assert sum(len(p.times) for p in chunks) > 200 and set(widths) == {2}
+        assert times == [] and set(lams) == {1.2 * 3.0}
 
     def test_records_without_a_positive_rate_never_jump(self):
         # off-diagonals all 0 and a diagonal of -1e-11 pass the Kolmogorov rule:
         # proposals come at 1.2e-11 over [0, 1e12], with empty support rows
         stack = np.diag([-1e-11, -1e-11])[None]
-        paths = sample_paths(_RecordedRates(0.0, 1.0, stack), [0.5, 0.5], 5, 0.0, 1e12, seed=4)
+        paths = sample_paths(recorded(0.0, 1.0, stack), [0.5, 0.5], 5, 0.0, 1e12, seed=4)
         assert len(paths.times) == 0
 
 

@@ -1,10 +1,12 @@
-"""A geodesic's generator report: rates.json and the (K, n, n) generators
-that the sampler reads, extracted in blocks of recorded states.
+"""A geodesic's generator report: rates.json and the generators that the
+sampler reads, as (K, n) diagonals and (K, P) pair rates, extracted in blocks
+of recorded states.
 
 Claims checked here:
-  * the blocked extraction gives bit for bit the generators and the
-    rates.json bytes of a per-record loop kept here as the oracle, together
-    with the per-state generator it used, for every rate kind: sbp on a
+  * the blocked extraction gives bit for bit the rates.json bytes of a
+    per-record loop kept here as the oracle, together with the per-state
+    generator it used, and the diagonals and pair rates of the oracle's
+    generators, which are +0.0 off those pairs, for every rate kind: sbp on a
     constant and on a periodic reference (S and psi charts), upwind_ot,
     theta_general with the average and the log mean, and lp_kinetic at q = 3;
     at BLOCK - 1, BLOCK and BLOCK + 1 records, with clamped entries, and for
@@ -14,9 +16,13 @@ Claims checked here:
     when a later record fails with another error, in the same block and in
     a later one
   * on a 64-node upwind geodesic of 335 records the report's heap peak stays
-    within 1 MB of the generator stack it returns
+    within 1 MB of the diagonals and pair rates it returns
+  * on a 256-node unit-ring upwind geodesic of 51 records, the report and
+    the sampler's 2,000 paths stay under a 4 MB heap peak and 0.3 s, where a
+    (51, 256, 256) generator stack alone is 27 MB
 """
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -30,8 +36,8 @@ from graphham.errors import (
     NonpositiveFG,
     NoRateDecomposition,
 )
-from graphham.hamiltonians import _block_size, _capped, _lp_flow
-from graphham.markov import _step_count, validate_rate_matrix
+from graphham.hamiltonians import _block_size, _capped, _lp_flow, _RecordedRates
+from graphham.markov import _step_count, path_chunks, validate_rate_matrix
 from graphham.scenarios import load_config, parse_config
 
 N = 16
@@ -141,8 +147,13 @@ def _states(count, n=N, chart="S", seed=0, times=None, pot_scale=0.3):
 
 def _assert_same_report(tmp_path, scenario, traj):
     want_report, want_qs = _oracle_report(scenario, traj)
-    report, qs = _rate_report(scenario, traj)
-    assert qs.tobytes() == want_qs.tobytes()
+    report, (diagonals, rates, src, dst) = _rate_report(scenario, traj)
+    assert diagonals.tobytes() == np.diagonal(want_qs, axis1=1, axis2=2).tobytes()
+    assert rates.tobytes() == want_qs[:, src, dst].tobytes()
+    off = ~np.eye(scenario.graph.n, dtype=bool)
+    off[src, dst] = False
+    assert want_qs[:, off].tobytes() == np.zeros(len(want_qs) * off.sum()).tobytes()
+    assert report["entries_t0"].tobytes() == want_report["entries_t0"].tobytes()
     _dump(tmp_path / "want.json", want_report)
     _dump(tmp_path / "got.json", report)
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
@@ -280,9 +291,39 @@ def test_report_memory_is_its_generator_stack():
     assert len(traj.times) == 335
     tracemalloc.start()
     try:
-        report, qs = _rate_report(scenario, traj)
+        report, (diagonals, rates, _, _) = _rate_report(scenario, traj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report["valid"]
-    assert peak - qs.nbytes < 1e6
+    assert peak - diagonals.nbytes - rates.nbytes < 1e6
+
+
+def test_ring_geodesic_keeps_no_dense_generator_stack():
+    # the unit ring of tests/digests.py at 256 nodes over 50 steps: the
+    # report's pair records go to the sampler as they are
+    n = 256
+    x = 2 * np.pi * np.arange(n) / n
+    rho = (1.0 + 0.5 * np.sin(x)) / (1.0 + 0.5 * np.sin(x)).sum()
+    scenario = parse_config({
+        "graph": {"nodes": n, "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]},
+        "hamiltonian": {"variant": "ot_kinetic", "theta": "upwind"},
+        "initial": {"rho": rho.tolist(), "pot": (0.2 * np.cos(x)).tolist()},
+        "horizon": {"t0": 0.0, "t1": 0.05, "dt": 1e-3},
+    })
+    traj = integrate(scenario.hamiltonian, scenario.initial, scenario.t0, scenario.t1,
+                     scenario.dt, record_every=1)
+    assert len(traj.times) == 51
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report, records = _rate_report(scenario, traj)
+        rates = _RecordedRates(scenario.t0, float(traj.times[1] - traj.times[0]), *records)
+        paths = sum(len(p) for p in path_chunks(rates, rho, 2000, 0.0, 0.05, seed=5))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["valid"] and paths == 2000
+    assert peak < 4e6
+    assert elapsed < 0.3
