@@ -2,9 +2,13 @@
 
 Each entry is one config under one subcommand: its exit code, the sha256
 of its stderr, and the name and sha256 of each artifact it wrote. The runs
-are the 7 built-ins under all 4 subcommands and two generated 64-node unit
-rings with 2,000 particles each: an upwind `geodesic`, whose paths are
-sampled from its recorded generators, and a `simulate` on symmetric rates.
+are the 7 built-ins under all 4 subcommands and four generated unit rings
+with 2,000 particles each. On 64 nodes: an upwind `geodesic`, whose paths
+are sampled from its recorded generators, and a `simulate` on symmetric
+rates. On 128 nodes: a `theta: average` `geodesic`, whose
+generator fails the Kolmogorov rule at t = 0 (exit 2, one clamped entry),
+and an `sbp_entropic` `geodesic` over symmetric rates, whose paths are
+sampled from its recorded pairs.
 The manifest also records the Python, numpy and graphham versions, since
 float formatting and run.json depend on them.
 
@@ -35,23 +39,36 @@ from graphham.scenarios import BUILTINS
 MANIFEST = Path(__file__).with_name("digests.json")
 
 
-def _ring_configs() -> dict:
-    """The two generated rings, by the name their entries carry."""
-    n = 64
+def _ring(n: int) -> tuple:
+    """A unit ring on n nodes and its initial state: a sine bump of mass and
+    a cosine potential."""
     x = 2 * math.pi * np.arange(n) / n
     rho = 1.0 + 0.5 * np.sin(x)
     graph = {"nodes": n, "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]}
+    return graph, {"rho": (rho / rho.sum()).tolist(), "pot": (0.2 * np.cos(x)).tolist()}
+
+
+def _ring_configs() -> dict:
+    """The generated rings, by the name their entries carry."""
     horizon = {"t0": 0.0, "t1": 0.5, "dt": 1e-3}
     sampler = {"particles": 2000, "seed": 5, "checkpoints": 10}
-    initial = {"rho": (rho / rho.sum()).tolist(), "pot": (0.2 * np.cos(x)).tolist()}
+    graph, initial = _ring(64)
+    big, big_initial = _ring(128)
     return {
         "ring-64-upwind": ("geodesic", {
             "graph": graph, "hamiltonian": {"variant": "ot_kinetic", "theta": "upwind"},
             "initial": initial, "horizon": horizon, "sampler": sampler}),
         "ring-64-symmetric": ("simulate", {
             "graph": graph, "reference": {"kind": "symmetric", "value": 1.0},
-            "initial": {"rho": initial["rho"], "pot": [0.0] * n},
+            "initial": {"rho": initial["rho"], "pot": [0.0] * 64},
             "horizon": horizon, "sampler": sampler}),
+        "ring-128-average": ("geodesic", {
+            "graph": big, "hamiltonian": {"variant": "ot_kinetic", "theta": "average"},
+            "initial": big_initial, "horizon": horizon, "sampler": sampler}),
+        "ring-128-sbp": ("geodesic", {
+            "graph": big, "hamiltonian": {"variant": "sbp_entropic"},
+            "reference": {"kind": "symmetric", "value": 1.0},
+            "initial": big_initial, "horizon": horizon, "sampler": sampler}),
     }
 
 
