@@ -39,9 +39,10 @@ from .errors import (
     RateBoundExceeded,
 )
 from .hamiltonians import (
+    _BLOCK_ENTRIES,
     PhasePoint,
-    _block_size,
-    _kolmogorov,
+    _dense,
+    _kolmogorov_pairs,
     _RecordedRates,
     sbp_entropic,
     vector_field,
@@ -53,7 +54,6 @@ from .markov import (
     build_rate_matrix,
     path_chunks,
     propagator,
-    validate_rate_matrix,
 )
 from .sbp import (
     BridgeProblem,
@@ -169,11 +169,7 @@ def _write_run(out: Path, command: str, scenario: Scenario) -> None:
 
 
 def _to_s_chart(state: PhasePoint) -> PhasePoint:
-    if state.chart == "S":
-        return state
-    if state.chart == "psi":
-        return hopf_cole_inverse(state)
-    return madelung_inverse(state)
+    return {"S": lambda s: s, "psi": hopf_cole_inverse, "fg": madelung_inverse}[state.chart](state)
 
 
 def _write_trajectory(out: Path, traj) -> None:
@@ -254,38 +250,36 @@ def _rate_report(scenario: Scenario, traj):
     """Validity report over the recorded states, and their generators: the (K, n)
     diagonals and (K, P) rates on the pairs (src, dst) that _rate_stack fills.
 
-    The states go through the S chart, _rate_stack and the Kolmogorov rule in dense
-    blocks of _block_size(n) records; a block that raises is rerun record by record,
-    so the earliest failing record raises the error of its first failed check."""
-    spec, times = scenario.hamiltonian, traj.times
-    report = {"kind": scenario.rate_kind, "valid": True, "violations": [],
-              "clamped": 0, "checked_times": 0, "first_invalid_time": None,
-              "entries_t0": None}
+    The states go through the S chart, _rate_stack and the Kolmogorov rule on pairs
+    in blocks of about _BLOCK_ENTRIES diagonal and pair entries; a block that raises
+    is rerun record by record, so the earliest failing record raises the error of its
+    first failed check. Only record 0 (entries_t0) and the first invalid one are dense."""
+    spec, times, n = scenario.hamiltonian, traj.times, scenario.graph.n
     src, dst = _rate_pairs(spec)
-    diagonals, rates = np.empty((len(times), scenario.graph.n)), np.empty((len(times), len(src)))
-    size = _block_size(scenario.graph.n)
+    diagonals, rates = np.empty((len(times), n)), np.empty((len(times), len(src)))
+    size, clamped, first = max(1, _BLOCK_ENTRIES // (n + len(src))), 0, None
+
+    def record(k):          # record k alone, scattered and checked by validate_rate_matrix
+        return build_rate_matrix(spec, _to_s_chart(traj.state(k)), float(times[k]))
+
     for lo in range(0, len(times), size):
         hi = min(lo + size, len(times))
         try:
             state = _to_s_chart(PhasePoint(traj.rho[lo:hi], traj.pot[lo:hi], traj.chart))
-            stack = _rate_stack(spec, state.rho, state.pot, times[lo:hi])
+            raw = _rate_stack(spec, state.rho, state.pot, times[lo:hi])
         except GraphHamError:
             for k in range(lo, hi):
-                build_rate_matrix(spec, _to_s_chart(traj.state(k)), float(times[k]))
+                record(k)
             raise
-        q, clamp, bad, _, bad_rows = _kolmogorov(stack)
-        diagonals[lo:hi], rates[lo:hi] = np.diagonal(q, axis1=1, axis2=2), q[:, src, dst]
-        if lo == 0:
-            report["entries_t0"] = q[0]
-        report["checked_times"] += hi - lo
-        report["clamped"] += int(clamp.sum())
-        invalid = bad.any(axis=(1, 2)) | bad_rows.any(axis=1)
-        if invalid.any() and report["first_invalid_time"] is None:
-            k = int(np.argmax(invalid))
-            report["valid"] = False
-            report["first_invalid_time"] = float(times[lo + k])
-            report["violations"] = [[int(i), int(j), float(v)]
-                                    for i, j, v in validate_rate_matrix(stack[k]).violations]
+        diagonals[lo:hi], rates[lo:hi], count, invalid = _kolmogorov_pairs(*raw, src)
+        clamped += count
+        if first is None and invalid.any():
+            first = lo + int(np.argmax(invalid))
+    bad = [] if first is None else record(first).violations
+    report = {"kind": scenario.rate_kind, "valid": first is None, "clamped": clamped,
+              "violations": [[int(i), int(j), float(v)] for i, j, v in bad],
+              "checked_times": len(times), "entries_t0": _dense(src, dst, diagonals[:1], rates[:1])[0],
+              "first_invalid_time": None if first is None else float(times[first])}
     return report, (diagonals, rates, src, dst)
 
 
@@ -294,11 +288,9 @@ def cmd_geodesic(scenario: Scenario, out: Path, args) -> int:
         raise ConfigError("initial", "geodesic runs need an initial state")
     if scenario.hamiltonian is None:
         raise ConfigError("hamiltonian", "geodesic runs need a hamiltonian")
-    steps = _step_count(scenario.t0, scenario.t1, scenario.dt)
-    every = max(1, steps // 256)
-    traj = integrate(scenario.hamiltonian, scenario.initial, scenario.t0,
-                     scenario.t1, scenario.dt, method=scenario.method,
-                     record_every=every)
+    every = max(1, _step_count(scenario.t0, scenario.t1, scenario.dt) // 256)
+    traj = integrate(scenario.hamiltonian, scenario.initial, scenario.t0, scenario.t1,
+                     scenario.dt, method=scenario.method, record_every=every)
     _write_trajectory(out, traj)
     report, records = _rate_report(scenario, traj)
     _dump(out / "rates.json", report)
@@ -307,12 +299,9 @@ def cmd_geodesic(scenario: Scenario, out: Path, args) -> int:
               % report["first_invalid_time"], file=sys.stderr)
         return 2
 
-    rec_dt = float(traj.times[1] - traj.times[0]) if len(traj.times) > 1 else scenario.dt
-    frozen = _RecordedRates(scenario.t0, rec_dt, *records)
-    rho0 = _to_s_chart(scenario.initial).rho
-    chunks = path_chunks(frozen, rho0, scenario.particles, scenario.t0,
-                         scenario.t1, seed=scenario.seed)
-    _write_paths(out, chunks)
+    frozen = _RecordedRates(scenario.t0, float(traj.times[1] - traj.times[0]), *records)
+    _write_paths(out, path_chunks(frozen, _to_s_chart(scenario.initial).rho, scenario.particles,
+                                  scenario.t0, scenario.t1, seed=scenario.seed))
     return 0
 
 

@@ -119,6 +119,7 @@ class ReferenceRates:
             raise InvalidGenerator("rate matrix has shape %s, expected %s"
                                    % (matrix.shape, (self.n, self.n)))
         self.matrix = _validated_generator(matrix)
+        self.matrix.setflags(write=False)
         src, dst = np.nonzero(self.matrix > 0)      # off the diagonal, which is <= 0
         self._pairs(src, dst, self.matrix.diagonal()[None], self.matrix[src, dst][None])
 
@@ -151,11 +152,8 @@ class ReferenceRates:
             return np.broadcast_to(self.matrix, (len(ts), self.n, self.n))
         if self._diagonals is None:
             return np.asarray(self._batch_fn(ts), dtype=float)
-        k, diagonal = self._index(ts), np.arange(self.n)
-        stack = np.zeros((len(ts), self.n, self.n))
-        stack[:, self.src, self.dst] = self._rates[k]
-        stack[:, diagonal, diagonal] = self._diagonals[k]
-        return stack
+        k = self._index(ts)
+        return _dense(self.src, self.dst, self._diagonals[k], self._rates[k])
 
     def _index(self, ts) -> np.ndarray:
         """The stored record each time reads: (t - _t0) / _dt rounded, clipped to the records;
@@ -198,6 +196,15 @@ class _RecordedRates(ReferenceRates):
         self.n, self.period, self._batch_fn, self.matrix = diagonals.shape[1], None, None, None
         self._t0, self._dt = t0, dt
         self._pairs(src, dst, diagonals, rates)
+
+
+def _dense(src, dst, diagonals: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """The (K, n, n) stack of (K, n) diagonals and (K, P) rates at src -> dst, +0.0 elsewhere."""
+    count, n = diagonals.shape
+    stack = np.zeros((count, n, n))
+    stack[:, src, dst] = rates
+    stack[:, np.arange(n), np.arange(n)] = diagonals
+    return stack
 
 
 def _block_size(n: int) -> int:
@@ -250,22 +257,33 @@ def _reference_at(rates: ReferenceRates, times=()):
     return lookup if ahead is not None else at
 
 
-def _kolmogorov(q: np.ndarray):
-    """Kolmogorov rule over a (..., n, n) stack of generator candidates.
-
-    Returns (clamped, clamp, bad, rows, bad_rows): the stack with entries
-    within 1e-12 of a violated sign bound zeroed (q itself when none are),
-    the mask of those entries, the mask of worse sign violations and of
-    non-finite entries, the row sums of the clamped stack and the mask of
-    rows off zero beyond 1e-10.
-    """
-    diag = np.eye(q.shape[-1], dtype=bool)
+def _sign_rule(q: np.ndarray, diag) -> tuple:
+    """(clamped, clamp, bad) of entries q bounded by <= 0 where diag is set, >= 0 elsewhere:
+    breaks within 1e-12 are zeroed (q itself when none are), worse or non-finite ones are bad."""
     bad = np.where(diag, q > _DIAG_TOL, q < -_OFF_TOL) | ~np.isfinite(q)
     clamp = np.where(diag, q > 0, q < 0) & ~bad
-    if clamp.any():
-        q = np.where(clamp, 0.0, q)
+    return (np.where(clamp, 0.0, q) if clamp.any() else q), clamp, bad
+
+
+def _kolmogorov(q: np.ndarray):
+    """Kolmogorov rule over a (..., n, n) stack of generator candidates: (clamped,
+    clamp, bad) of _sign_rule, the clamped rows' sums, and the rows off 0 beyond 1e-10."""
+    q, clamp, bad = _sign_rule(q, np.eye(q.shape[-1], dtype=bool))
     rows = q.sum(axis=-1)
     return q, clamp, bad, rows, np.abs(rows) > _ROW_TOL
+
+
+def _kolmogorov_pairs(diagonals: np.ndarray, rates: np.ndarray, src) -> tuple:
+    """_kolmogorov of K candidates held as (K, n) diagonals and (K, P) rates on pairs
+    leaving src: the clamped diagonals and rates, the clamped count and the (K,) mask
+    of invalid candidates. A row sums as its diagonal plus its pair rates in order."""
+    count, n = diagonals.shape
+    diagonals, clamp, bad = _sign_rule(diagonals, True)
+    rates, pair_clamp, pair_bad = _sign_rule(rates, False)
+    bins = (n * np.arange(count)[:, None] + src).ravel()
+    rows = diagonals + np.bincount(bins, rates.ravel(), minlength=count * n).reshape(count, n)
+    invalid = bad.any(axis=1) | pair_bad.any(axis=1) | (np.abs(rows) > _ROW_TOL).any(axis=1)
+    return diagonals, rates, int(clamp.sum() + pair_clamp.sum()), invalid
 
 
 def _validated_generator(m: np.ndarray) -> np.ndarray:

@@ -41,7 +41,9 @@ from .hamiltonians import (
     ReferenceRates,
     _block_size,
     _capped,
+    _dense,
     _kolmogorov,
+    _kolmogorov_pairs,
     _lp_flow,
 )
 
@@ -71,17 +73,14 @@ class RateMatrix:
         return self.entries
 
 
-def _invalid(stack: np.ndarray) -> np.ndarray:
-    """(K,) mask of the generators in a (K, n, n) stack that fail the rule."""
-    _, _, bad, _, bad_rows = _kolmogorov(stack)
-    return bad.any(axis=(1, 2)) | bad_rows.any(axis=1)
-
-
-def _require_valid_stack(stack: np.ndarray) -> None:
-    """Raise the validator's InvalidGenerator for the first bad generator."""
-    invalid = _invalid(stack)
+def _check_pairs(rates: ReferenceRates, stack: np.ndarray) -> np.ndarray:
+    """The (K, n) diagonals of a (K, n, n) stack of rates, after raising validate_rate_matrix's
+    InvalidGenerator for its first generator that fails the Kolmogorov rule on rates' pairs."""
+    diagonals = np.diagonal(stack, axis1=1, axis2=2)
+    invalid = _kolmogorov_pairs(diagonals, stack[:, rates.src, rates.dst], rates.src)[3]
     if invalid.any():
         validate_rate_matrix(stack[int(np.argmax(invalid))]).require_valid()
+    return diagonals
 
 
 def validate_rate_matrix(q: np.ndarray, kind: str = "raw") -> RateMatrix:
@@ -94,15 +93,14 @@ def validate_rate_matrix(q: np.ndarray, kind: str = "raw") -> RateMatrix:
     ii, jj = np.nonzero(bad)                        # row-major order
     violations = list(zip(ii.tolist(), jj.tolist(), q[ii, jj]))
     violations += [(i, i, rows[i]) for i in np.flatnonzero(bad_rows).tolist()]
-    return RateMatrix(q, kind, valid=not violations,
-                      violations=violations, clamped=int(clamp.sum()))
+    return RateMatrix(q, kind, not violations, violations, int(clamp.sum()))
 
 
 def build_rate_matrix(spec: HamiltonianSpec, state: PhasePoint, t: float = 0.0) -> RateMatrix:
     """Extract the jump generator of the spec's flow, of kind spec.rate_kind,
-    at a phase-space state in the S chart: the K = 1 case of _rate_stack."""
-    q = _rate_stack(spec, state.rho[None], state.pot[None], [t])
-    return validate_rate_matrix(q[0], spec.rate_kind)
+    at a phase-space state in the S chart: the K = 1 case of _rate_stack, scattered."""
+    record = _rate_stack(spec, state.rho[None], state.pot[None], [t])
+    return validate_rate_matrix(_dense(*_rate_pairs(spec), *record)[0], spec.rate_kind)
 
 
 def _rate_pairs(spec: HamiltonianSpec) -> tuple:
@@ -111,17 +109,17 @@ def _rate_pairs(spec: HamiltonianSpec) -> tuple:
     return pairs.src, pairs.dst
 
 
-def _rate_stack(spec: HamiltonianSpec, rho: np.ndarray, s: np.ndarray, times) -> np.ndarray:
-    """(K, n, n) generator candidates of kind spec.rate_kind at K states of the
-    S chart, rows of rho and s, at their K times; unchecked by the Kolmogorov
-    rule. Each candidate is element for element what one state gives alone.
+def _rate_stack(spec: HamiltonianSpec, rho: np.ndarray, s: np.ndarray, times) -> tuple:
+    """(K, n) diagonals and (K, P) rates on the pairs _rate_pairs(spec) of K generator
+    candidates of kind spec.rate_kind, +0.0 elsewhere, at K states of the S chart, rows
+    of rho and s, at their K times; unchecked by the Kolmogorov rule. Each candidate
+    is element for element what one state gives alone.
 
     The index order is fixed by requiring rho Q to reproduce the density
     equation of the matching Hamiltonian flow, which pins every sign.
     """
     kind, g = spec.rate_kind, spec.graph
     count, n = rho.shape
-    diag = np.arange(n)
     src, dst = _rate_pairs(spec)
 
     if kind == "sbp":
@@ -147,14 +145,10 @@ def _rate_stack(spec: HamiltonianSpec, rho: np.ndarray, s: np.ndarray, times) ->
             if (np.abs(dlog) < 1e-12).any():
                 raise NoRateDecomposition("log-mean splitting degenerates at equal masses")
             rate = -g.w * flow / dlog
-    # the pair rates off the diagonal and minus their row sums on it; bins
-    # k n + src add each state's pairs in order, and summing -rate keeps the
-    # diagonal of a row without outflow +0.0, as rates.json writes it
-    q = np.zeros((count, n, n))
-    q[:, src, dst] = rate
+    # the diagonal sums -rate over each state's pairs in order (bins k n + src),
+    # which keeps it +0.0 in a row without outflow, as rates.json writes it
     bins = (n * np.arange(count)[:, None] + src).ravel()
-    q[:, diag, diag] = np.bincount(bins, -rate.ravel(), minlength=count * n).reshape(count, n)
-    return q
+    return np.bincount(bins, -rate.ravel(), minlength=count * n).reshape(count, n), rate
 
 
 # -- propagators ----------------------------------------------------------------------
@@ -185,8 +179,8 @@ class LinearGrid:
     def blocks(self, check: bool = False):
         """Yield the rk4 step matrices R_k = I + dt (m0 + 2 k2 + 2 k3 + k4) / 6
         of dU = U m(t) in order, in (b, n, n) blocks of _block_size(n) matrices.
-        With check, a time-dependent m must pass the Kolmogorov rule at each
-        block's grid times, then at its midpoints, before its steps.
+        With check, a time-dependent m must pass the Kolmogorov rule on its
+        pairs at each block's grid times, then at its midpoints, before its steps.
 
         R_k is one rk4 step from U = I, so k1 = I m0 = m0. It also serves the
         backward factor: the rk4 step of dg/dt = -m g from t_{k+1} back to t_k
@@ -200,8 +194,8 @@ class LinearGrid:
             full = self.rates.at_many(times[lo:hi + 1])
             mh = self.rates.at_many(times[lo:hi] + 0.5 * dt)
             if check and not self.rates.constant:
-                _require_valid_stack(full)
-                _require_valid_stack(mh)
+                _check_pairs(self.rates, full)
+                _check_pairs(self.rates, mh)
             m0, m1 = full[:-1], full[1:]
             k2 = (eye + 0.5 * dt * m0) @ mh
             k3 = (eye + 0.5 * dt * k2) @ mh
@@ -357,13 +351,13 @@ def path_chunks(rates: ReferenceRates, rho0, n_paths: int, t0: float, t1: float,
 
     The proposal rate is lam = 1.2 times the largest |Q_ii| on _BOUND_GRID evenly
     spaced times of [t0, t1], a stored source's read off the diagonals of the
-    records they read. The seed, the Kolmogorov check of a function of time (a
-    stored source was checked where it was made) and the bound scan run when
-    this is called, before any chunk is drawn, so a refusal comes before a caller
-    has written anything. A chunk's jumps are ordered by path within the chunk
-    only, and the chunks are drawn one at a time as the iterator is read: a caller
-    that writes or tallies each chunk and drops it holds one round's (paths, w)
-    rate rows, w < n, of at most _ROUND_ENTRIES entries, whatever n_paths and n are.
+    records they read. The seed, the Kolmogorov check of a function of time on
+    its pairs (a stored source was checked where it was made) and the bound scan
+    run when this is called, before any chunk is drawn, so a refusal comes before
+    a caller has written anything. A chunk's jumps are ordered by path within the
+    chunk only, and the chunks are drawn one at a time as the iterator is read: a
+    caller that writes or tallies each chunk and drops it holds one round's (paths,
+    w) rate rows, w < n, of at most _ROUND_ENTRIES entries, whatever n_paths and n are.
     """
     seed = operator.index(seed)
     if not 0 <= seed < 2 ** 64:
@@ -375,9 +369,8 @@ def path_chunks(rates: ReferenceRates, rho0, n_paths: int, t0: float, t1: float,
     else:   # blocks are sized as ReferenceRates.rows sizes them
         peak, size = 0.0, max(_block_size(rates.n), -(-len(grid) // rates.n))
         for lo in range(0, len(grid), size):
-            stack = rates.at_many(grid[lo:lo + size])
-            _require_valid_stack(stack)
-            peak = max(peak, float(np.max(np.abs(np.diagonal(stack, axis1=1, axis2=2)))))
+            diagonals = _check_pairs(rates, rates.at_many(grid[lo:lo + size]))
+            peak = max(peak, float(np.max(np.abs(diagonals))))
     key, cum0, lam = (seed & _WORD, seed >> 32), np.cumsum(_arr(rho0)), 1.2 * peak
     chunk = min(_ROUND_PATHS, max(1, _ROUND_ENTRIES // rates.n))
     # a generator: each chunk is drawn as it is asked for, and nothing of it kept

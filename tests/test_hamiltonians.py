@@ -9,6 +9,7 @@ Core claims checked here:
   * lp with exponent 2 reproduces the quadratic kinetic Hamiltonian
   * constant shifts of the potential coordinate change nothing
   * guard rails: overflow, kink proximity, invalid generators
+  * the Kolmogorov rule on pairs is the dense rule on the scattered stack
 """
 
 import math
@@ -27,6 +28,9 @@ from graphham.graph import Graph, complete_graph, validate_graph
 from graphham.hamiltonians import (
     PhasePoint,
     ReferenceRates,
+    _dense,
+    _kolmogorov,
+    _kolmogorov_pairs,
     constant_rates,
     eval_H,
     fisher_information,
@@ -45,6 +49,12 @@ from graphham.hamiltonians import (
 )
 from graphham.theta import AVERAGE, LOGMEAN, UPWIND
 from graphham.dynamics import integrate
+
+
+# entries at the edges of the sign bounds, 1e-12 and one ulp either side of it
+# with either sign, signed zeros, non-finite values and a few multiples of 1/4
+_EDGES = [np.nextafter(b, b * s) for b in (1e-12, -1e-12) for s in (0.0, 2.0)] + [1e-12, -1e-12]
+_ENTRIES = np.array(_EDGES + [0.0, -0.0, np.nan, np.inf, -np.inf, 0.25, -0.25, 1.5, -2.0])
 
 
 def two_node():
@@ -105,6 +115,12 @@ class TestReferenceRates:
         off = np.clip(m - np.diag(np.diag(m)), 0.0, None)
         np.testing.assert_array_equal(constant_rates(m).matrix,
                                       off - np.diag(off.sum(axis=1)))
+
+    def test_a_constant_matrix_cannot_be_written_through_at(self):
+        r = constant_rates([[-1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            r.at(0.0)[0, 1] = 5.0
+        assert r.matrix[0, 1] == 1.0 and r.rows([0.0], [0])[1][0, 0] == 1.0
 
     def test_symmetric_rates_on_graph(self):
         g = validate_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -553,3 +569,30 @@ class TestInvariants:
             db = vector_field(spec, PhasePoint(rho, pot + c))
             assert np.allclose(da[0], db[0], atol=1e-10)
             assert np.allclose(da[1], db[1], atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 7), count=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_the_pair_rule_is_the_dense_rule(n, count, seed):
+    # _kolmogorov_pairs clamps, counts and flags what _kolmogorov does on the
+    # scattered stack, signed zeros and NaN payloads included. Its rows add in
+    # another order than q.sum, so a row sum within rounding of 1e-10 could
+    # fall on either side of it; every finite entry is a multiple of 1/4, at
+    # most about 1e-12, or a diagonal balancing such rates, so each row of at
+    # most 7 entries sums to within 1e-11 of a multiple of 1/4, far from 1e-10
+    rng = np.random.default_rng(seed)
+    off = np.flatnonzero(~np.eye(n, dtype=bool))
+    pairs = np.sort(rng.choice(off, int(rng.integers(0, len(off) + 1)), replace=False))
+    src, dst = pairs // n, pairs % n
+    diagonals = rng.choice(_ENTRIES, (count, n))
+    rates = rng.choice(_ENTRIES, (count, len(src)))
+    for k in np.flatnonzero(rng.random(count) < 0.5):      # a record that can pass
+        rates[k] = rng.choice(_ENTRIES[_ENTRIES > -0.25], len(src))
+        diagonals[k] = -np.bincount(src, rates[k], minlength=n)
+    with np.errstate(invalid="ignore"):                     # rows holding inf and -inf
+        got_d, got_r, clamped, invalid = _kolmogorov_pairs(diagonals, rates, src)
+        q, clamp, bad, _, bad_rows = _kolmogorov(_dense(src, dst, diagonals, rates))
+    assert got_d.tobytes() == np.diagonal(q, axis1=1, axis2=2).tobytes()
+    assert got_r.tobytes() == q[:, src, dst].tobytes()
+    assert clamped == int(clamp.sum())
+    np.testing.assert_array_equal(invalid, bad.any(axis=(1, 2)) | bad_rows.any(axis=1))

@@ -27,6 +27,7 @@ from graphham.graph import complete_graph, validate_graph
 from graphham.hamiltonians import (
     PhasePoint,
     ReferenceRates,
+    _kolmogorov_pairs,
     _RecordedRates,
     constant_rates,
     lp_kinetic,
@@ -39,7 +40,6 @@ from graphham.markov import (
     _MAX_STEPS,
     Paths,
     _draws,
-    _invalid,
     _jump_targets,
     _step_count,
     build_rate_matrix,
@@ -63,6 +63,12 @@ def recorded(t0, dt, stack):
     src, dst = np.nonzero(~np.eye(stack.shape[1], dtype=bool))
     return _RecordedRates(t0, dt, np.diagonal(stack, axis1=1, axis2=2), stack[:, src, dst],
                           src, dst)
+
+
+def pair_invalid(q) -> bool:
+    """The pair-form Kolmogorov verdict on one matrix, every off-diagonal pair a candidate."""
+    src, dst = np.nonzero(~np.eye(len(q), dtype=bool))
+    return bool(_kolmogorov_pairs(q.diagonal()[None], q[src, dst][None], src)[3][0])
 
 
 def random_interior(rng, n):
@@ -99,7 +105,7 @@ class TestValidation:
         q[i, j] = value
         r = validate_rate_matrix(q)
         assert not r.valid and (i, j) in [(a, b) for a, b, _ in r.violations]
-        assert bool(_invalid(q[None])[0])
+        assert pair_invalid(q)
         with pytest.raises(InvalidGenerator, match=r"entry \(%d, %d\)" % (i, j)):
             constant_rates(q)
 
@@ -145,7 +151,7 @@ class TestValidation:
                 [tuple(map(type, v)) for v in want_v]
             assert got.clamped == want_c
             assert got.valid == (not want_v)
-            assert bool(_invalid(q[None])[0]) == (not got.valid)
+            assert pair_invalid(q) == (not got.valid)
 
 
 class TestUpwindRates:

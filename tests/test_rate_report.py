@@ -36,12 +36,18 @@ from graphham.errors import (
     NonpositiveFG,
     NoRateDecomposition,
 )
-from graphham.hamiltonians import _block_size, _capped, _lp_flow, _RecordedRates
-from graphham.markov import _step_count, path_chunks, validate_rate_matrix
+from graphham.hamiltonians import _BLOCK_ENTRIES, _capped, _lp_flow, _RecordedRates
+from graphham.markov import _rate_pairs, _step_count, path_chunks, validate_rate_matrix
 from graphham.scenarios import load_config, parse_config
 
 N = 16
-BLOCK = _block_size(N)
+
+
+def _block(scenario):
+    """Records per block of the report: about _BLOCK_ENTRIES pair-form entries,
+    n diagonals and P pair rates per record, as _rate_report sizes them."""
+    pairs = len(_rate_pairs(scenario.hamiltonian)[0])
+    return max(1, _BLOCK_ENTRIES // (scenario.graph.n + pairs))
 
 
 # -- the per-record oracle -------------------------------------------------------------
@@ -172,18 +178,18 @@ KINDS = {
 
 
 class TestBlockedExtraction:
-    @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_matches_the_per_record_loop(self, tmp_path, kind, count):
+    def test_matches_the_per_record_loop(self, tmp_path, kind, offset):
         scenario = KINDS[kind]()
-        chart = scenario.hamiltonian.chart
+        count, chart = _block(scenario) + offset, scenario.hamiltonian.chart
         report = _assert_same_report(tmp_path, scenario, _states(count, chart=chart, seed=count))
         assert report["checked_times"] == count
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_periodic_reference_matches_the_per_record_loop(self, tmp_path, offset):
         scenario = load_config("three-node-circle")
-        count = _block_size(scenario.graph.n) + offset
+        count = _block(scenario) + offset
         times = np.linspace(0.0, scenario.period, count)
         traj = _states(count, n=scenario.graph.n, chart="psi", times=times)
         _assert_same_report(tmp_path, scenario, traj)
@@ -191,9 +197,10 @@ class TestBlockedExtraction:
     def test_clamped_then_invalid(self, tmp_path):
         # potentials within 1e-13 give average rates within 1e-12 of zero on
         # either side, clamped; from record 40 on they are negative beyond it
-        traj = _states(BLOCK + 9, pot_scale=1e-13)
+        scenario = _scenario("ot_kinetic", "average")
+        traj = _states(_block(scenario) + 9, pot_scale=1e-13)
         traj.pot[40:] *= 1e12
-        report = _assert_same_report(tmp_path, _scenario("ot_kinetic", "average"), traj)
+        report = _assert_same_report(tmp_path, scenario, traj)
         assert report["clamped"] > 0
         assert not report["valid"]
         assert report["first_invalid_time"] == traj.times[40]
@@ -251,8 +258,13 @@ def _outcome(fn, *args):
     return None
 
 
+# the two failing records' places as (blocks, offset), blocks * _block + offset:
+# 3 and 10, 3 and the next block's third, the last of one block and the first of the next
+PLACES = [((0, 3), (0, 10)), ((0, 3), (1, 2)), ((1, -1), (1, 0))]
+
+
 class TestErrorOrder:
-    @pytest.mark.parametrize("first, later", [(3, 10), (3, BLOCK + 2), (BLOCK - 1, BLOCK)])
+    @pytest.mark.parametrize("first, later", PLACES, ids=["3-10", "3-B+2", "B-1-B"])
     @pytest.mark.parametrize("swap", [False, True], ids=["", "swapped"])
     @pytest.mark.parametrize("variant, theta, chart, one, other", CASES,
                              ids=[c[0] + "-" + c[3] for c in CASES])
@@ -260,14 +272,18 @@ class TestErrorOrder:
                                                       other, swap, first, later):
         early, late = (other, one) if swap else (one, other)
         scenario = _scenario(variant, theta, chart)
-        traj = _spoil(_spoil(_states(BLOCK + 5, chart=chart), later, late), first, early)
+        block = _block(scenario)
+        first, later = (blocks * block + offset for blocks, offset in (first, later))
+        traj = _spoil(_spoil(_states(block + 5, chart=chart), later, late), first, early)
         want = _outcome(_oracle_report, scenario, traj)
         assert want is not None and want[0] is ERRORS[early]
         assert _outcome(_rate_report, scenario, traj) == want
 
     def test_psi_conversion_message(self):
-        traj = _spoil(_spoil(_states(BLOCK, chart="psi"), 9, "big-gap"), 4, "nonpositive-mass")
-        assert _outcome(_rate_report, _scenario("sbp_psi", chart="psi"), traj) == (
+        scenario = _scenario("sbp_psi", chart="psi")
+        traj = _spoil(_spoil(_states(_block(scenario), chart="psi"), 9, "big-gap"), 4,
+                      "nonpositive-mass")
+        assert _outcome(_rate_report, scenario, traj) == (
             BoundaryDensity, "log of a nonpositive mass")
 
 
@@ -299,20 +315,26 @@ def test_report_memory_is_its_generator_stack():
     assert peak - diagonals.nbytes - rates.nbytes < 1e6
 
 
-def test_ring_geodesic_keeps_no_dense_generator_stack():
-    # the unit ring of tests/digests.py at 256 nodes over 50 steps: the
-    # report's pair records go to the sampler as they are
-    n = 256
+def _unit_ring(n, t1):
+    """The unit ring of tests/digests.py on n nodes, its upwind geodesic to t1
+    recorded at every step of 1e-3, and its initial density."""
     x = 2 * np.pi * np.arange(n) / n
     rho = (1.0 + 0.5 * np.sin(x)) / (1.0 + 0.5 * np.sin(x)).sum()
     scenario = parse_config({
         "graph": {"nodes": n, "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]},
         "hamiltonian": {"variant": "ot_kinetic", "theta": "upwind"},
         "initial": {"rho": rho.tolist(), "pot": (0.2 * np.cos(x)).tolist()},
-        "horizon": {"t0": 0.0, "t1": 0.05, "dt": 1e-3},
+        "horizon": {"t0": 0.0, "t1": t1, "dt": 1e-3},
     })
     traj = integrate(scenario.hamiltonian, scenario.initial, scenario.t0, scenario.t1,
                      scenario.dt, record_every=1)
+    return scenario, traj, rho
+
+
+def test_ring_geodesic_keeps_no_dense_generator_stack():
+    # the unit ring at 256 nodes over 50 steps: the report's pair records go
+    # to the sampler as they are
+    scenario, traj, rho = _unit_ring(256, 0.05)
     assert len(traj.times) == 51
     tracemalloc.start()
     try:
@@ -327,3 +349,19 @@ def test_ring_geodesic_keeps_no_dense_generator_stack():
     assert report["valid"] and paths == 2000
     assert peak < 4e6
     assert elapsed < 0.3
+
+
+def test_large_ring_report_holds_one_dense_record():
+    # at 1,024 nodes one (n, n) matrix is 8 MB: beside the diagonals and pair
+    # rates it returns, the report holds entries_t0 and blocks of pair-form
+    # entries, where checking each record as an (n, n) matrix held two of them
+    scenario, traj, _ = _unit_ring(1024, 0.05)
+    assert len(traj.times) == 51
+    tracemalloc.start()
+    try:
+        report, (diagonals, rates, _, _) = _rate_report(scenario, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["valid"]
+    assert peak - report["entries_t0"].nbytes - diagonals.nbytes - rates.nbytes < 1e6

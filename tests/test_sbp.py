@@ -32,13 +32,14 @@ from graphham.graph import complete_graph, validate_graph
 from graphham.hamiltonians import (
     PhasePoint,
     ReferenceRates,
+    _dense,
     constant_rates,
     ot_kinetic,
     sbp_entropic,
     symmetric_rates,
     vector_field,
 )
-from graphham.markov import _rate_stack, propagator, validate_rate_matrix
+from graphham.markov import _rate_pairs, _rate_stack, propagator, validate_rate_matrix
 from graphham.sbp import (
     BridgeProblem,
     integrated_entropy_rate,
@@ -371,7 +372,7 @@ def _flow_gaps(g, reference, rho0, rho1, dt):
     spec = sbp_entropic(g, reference)
     flow = integrate(spec, PhasePoint(sol.rho[0], s[0]), 0.0, 0.5, dt)
     ds = flow.pot - s
-    q = _rate_stack(spec, sol.rho, s, sol.times)
+    q = _dense(*_rate_pairs(spec), *_rate_stack(spec, sol.rho, s, sol.times))
     return (np.abs(flow.rho - sol.rho).max(),
             np.abs(ds - ds.mean(axis=1, keepdims=True)).max(),
             np.abs(q - sol.m_hat).max() / max(1.0, np.abs(sol.m_hat).max()))
