@@ -1,6 +1,8 @@
 """A geodesic's generator report: rates.json and the generators that the
-sampler reads, as (K, n) diagonals and (K, P) pair rates, extracted in blocks
-of recorded states.
+sampler reads, as (K, n) diagonals and (K, P) pair rates, extracted and
+checked by the Kolmogorov rule on their pairs in blocks of recorded states,
+each block about _BLOCK_ENTRIES entries of n diagonals and P pair rates a
+record (_block gives the records a block holds).
 
 Claims checked here:
   * the blocked extraction gives bit for bit the rates.json bytes of a
@@ -9,8 +11,8 @@ Claims checked here:
     generators, which are +0.0 off those pairs, for every rate kind: sbp on a
     constant and on a periodic reference (S and psi charts), upwind_ot,
     theta_general with the average and the log mean, and lp_kinetic at q = 3;
-    at BLOCK - 1, BLOCK and BLOCK + 1 records, with clamped entries, and for
-    the invalid theta-average-counter flow
+    at one record less than a block, a block and one more, with clamped
+    entries, and for the invalid theta-average-counter flow
   * a record that fails raises what the per-record loop raises: the type and
     message of the earliest failing record, checked in that loop's order,
     when a later record fails with another error, in the same block and in
@@ -20,6 +22,9 @@ Claims checked here:
   * on a 256-node unit-ring upwind geodesic of 51 records, the report and
     the sampler's 2,000 paths stay under a 4 MB heap peak and 0.3 s, where a
     (51, 256, 256) generator stack alone is 27 MB
+  * on a 1,024-node unit-ring upwind geodesic of 51 records, the report's
+    heap peak stays within 1 MB of entries_t0 and the diagonals and pair
+    rates it returns, where one (n, n) record is 8 MB
 """
 
 import time
