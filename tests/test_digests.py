@@ -1,8 +1,9 @@
 """Every CLI run in tests/digests.json writes the same bytes again.
 
 The manifest pins the exit code, the stderr digest and every artifact
-digest of the 7 built-ins under all 4 subcommands and of four generated
-unit rings, two on 64 nodes and two on 128 (see tests/digests.py). A change
+digest of the 7 built-ins under all 4 subcommands, of four generated
+unit rings, two on 64 nodes and two on 128, and of a generated 8-node
+constant chain under analyze and simulate (see tests/digests.py). A change
 that moves an artifact on purpose rewrites the manifest with
 `PYTHONPATH=src python tests/digests.py` and lists the digests that moved.
 """
