@@ -134,9 +134,9 @@ class Density:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if np.any(v < -_SUM_TOL):
-            raise BoundaryDensity("negative mass %r" % v[v < -_SUM_TOL][0])
+            raise BoundaryDensity("negative mass %r" % float(v[v < -_SUM_TOL][0]))
         if not abs(v.sum() - 1.0) <= _SUM_TOL * max(1, len(v)):   # NaN fails too
-            raise BoundaryDensity("mass sums to %r, not 1" % v.sum())
+            raise BoundaryDensity("mass sums to %r, not 1" % float(v.sum()))
         object.__setattr__(self, "values", v)
 
 

@@ -96,11 +96,12 @@ class ReferenceRates:
     (len(times), n, n) stack of a time-dependent m, whose at(t) is
     batch_fn([t])[0]; a period can be declared for time-periodic families.
 
-    The support, the off-diagonal mask of pairs that may carry rate, is fixed
-    at construction: the pairs positive in some stored record (a constant
-    matrix is a recording of one), and every off-diagonal pair for a
-    function of time. src and dst list its pairs i -> j sorted by (src, dst),
-    as Graph lists its edges' pairs; row i's are indptr[i]:indptr[i + 1].
+    The support, the off-diagonal pairs that may carry rate, is fixed at
+    construction: the pairs positive in some stored record, and every
+    off-diagonal pair for a function of time. src and dst list its pairs
+    i -> j sorted by (src, dst), as Graph lists its edges' pairs; row i's are
+    indptr[i]:indptr[i + 1]. A stored source (a constant matrix is a recording
+    of one) keeps only its pair records, and at and at_many scatter them.
     """
 
     _diagonals, _t0, _dt = None, 0.0, 1.0   # a stored source's (K, n) diagonals, one every _dt from _t0
@@ -110,7 +111,7 @@ class ReferenceRates:
                  batch_fn: Callable[[np.ndarray], np.ndarray] | None = None):
         if (batch_fn is None) == (matrix is None):
             raise ValueError("give exactly one of matrix or batch_fn")
-        self.n, self.period, self._batch_fn, self.matrix = int(n), period, batch_fn, None
+        self.n, self.period, self._batch_fn = int(n), period, batch_fn
         if matrix is None:
             self._pairs(*np.nonzero(~np.eye(self.n, dtype=bool)))
             return
@@ -118,10 +119,7 @@ class ReferenceRates:
         if matrix.shape != (self.n, self.n):
             raise InvalidGenerator("rate matrix has shape %s, expected %s"
                                    % (matrix.shape, (self.n, self.n)))
-        self.matrix = _validated_generator(matrix)
-        self.matrix.setflags(write=False)
-        src, dst = np.nonzero(self.matrix > 0)      # off the diagonal, which is <= 0
-        self._pairs(src, dst, self.matrix.diagonal()[None], self.matrix[src, dst][None])
+        self._pairs(*_validated_generator(matrix))
 
     def _pairs(self, src, dst, diagonals=None, rates=None):
         """Fix the support pairs src -> dst and their CSR rows; given records, those positive in one."""
@@ -129,9 +127,7 @@ class ReferenceRates:
             keep = rates.max(axis=0) > 0
             src, dst, self._diagonals, self._rates = src[keep], dst[keep], diagonals, rates[:, keep]
         self.src, self.dst, self.indptr = src, dst, np.searchsorted(src, np.arange(self.n + 1))
-        self._support = np.zeros((self.n, self.n), dtype=bool)
-        self._support[src, dst] = True
-        for a in (self._support, self.src, self.dst, self.indptr):
+        for a in (self.src, self.dst, self.indptr):
             a.setflags(write=False)
         deg = np.diff(self.indptr)
         self._pad = np.arange(deg.max(initial=0)) >= deg[:, None]     # (n, w): past row i's pairs
@@ -140,20 +136,28 @@ class ReferenceRates:
 
     @property
     def constant(self) -> bool:
-        return self.matrix is not None
+        return self._batch_fn is None and len(self._diagonals) == 1
 
     def at(self, t: float) -> np.ndarray:
-        return self.matrix if self.matrix is not None else self.at_many([t])[0]
+        """Read-only m(t)."""
+        m = self.at_many([t])[0]
+        m.setflags(write=False)
+        return m
 
     def at_many(self, ts: np.ndarray) -> np.ndarray:
-        """(len(ts), n, n) stack of m at the times ts; stored records are scattered back."""
-        ts = np.asarray(ts, dtype=float)
-        if self.matrix is not None:
-            return np.broadcast_to(self.matrix, (len(ts), self.n, self.n))
-        if self._diagonals is None:
-            return np.asarray(self._batch_fn(ts), dtype=float)
-        k = self._index(ts)
-        return _dense(self.src, self.dst, self._diagonals[k], self._rates[k])
+        """(len(ts), n, n) stack of m at the times ts; stored records are scattered."""
+        if self._batch_fn is not None:
+            return np.asarray(self._batch_fn(np.asarray(ts, dtype=float)), dtype=float)
+        return _dense(self.src, self.dst, *self.records(ts))
+
+    def records(self, ts) -> tuple:
+        """The (len(ts), n) diagonals and (len(ts), P) rates on src -> dst of m at the
+        times ts: a stored source's records at _index(ts), a function of time's entries."""
+        if self._batch_fn is None:
+            k = self._index(ts)
+            return self._diagonals[k], self._rates[k]
+        ms = self.at_many(ts)
+        return np.diagonal(ms, axis1=1, axis2=2), ms[:, self.src, self.dst]
 
     def _index(self, ts) -> np.ndarray:
         """The stored record each time reads: (t - _t0) / _dt rounded, clipped to the records;
@@ -185,16 +189,18 @@ class ReferenceRates:
         return diag, np.where(pad, 0.0, rates), cols
 
     def support(self) -> np.ndarray:
-        """Read-only boolean off-diagonal mask of the pairs that may carry rate."""
-        return self._support
+        """Read-only boolean off-diagonal mask of the pairs that may carry rate, built per call."""
+        mask = np.zeros((self.n, self.n), dtype=bool)
+        mask[self.src, self.dst] = True
+        mask.setflags(write=False)
+        return mask
 
 
 class _RecordedRates(ReferenceRates):
     """K checked generators recorded every dt from t0: (K, n) diagonals, (K, P) rates on src -> dst."""
 
     def __init__(self, t0: float, dt: float, diagonals, rates, src, dst):
-        self.n, self.period, self._batch_fn, self.matrix = diagonals.shape[1], None, None, None
-        self._t0, self._dt = t0, dt
+        self.n, self.period, self._batch_fn, self._t0, self._dt = diagonals.shape[1], None, None, t0, dt
         self._pairs(src, dst, diagonals, rates)
 
 
@@ -229,13 +235,14 @@ def _reference_at(rates: ReferenceRates, times=()):
     time of the block before it, so at most two blocks are held.
     """
     src, dst = rates.src, rates.dst
-    if rates.constant:
-        fixed = rates.matrix, rates.matrix.diagonal(), rates.matrix[src, dst]
-        return lambda t: fixed
 
     def at(t):
         m = rates.at(t)
         return m, m.diagonal(), m[src, dst]
+
+    if rates.constant:
+        fixed = at(0.0)
+        return lambda t: fixed
 
     def entries():
         distinct = (t for t, _ in itertools.groupby(times))
@@ -269,7 +276,8 @@ def _kolmogorov(q: np.ndarray):
     """Kolmogorov rule over a (..., n, n) stack of generator candidates: (clamped,
     clamp, bad) of _sign_rule, the clamped rows' sums, and the rows off 0 beyond 1e-10."""
     q, clamp, bad = _sign_rule(q, np.eye(q.shape[-1], dtype=bool))
-    rows = q.sum(axis=-1)
+    with np.errstate(invalid="ignore"):     # +inf with -inf sums to NaN; a bad entry reports it
+        rows = q.sum(axis=-1)
     return q, clamp, bad, rows, np.abs(rows) > _ROW_TOL
 
 
@@ -281,15 +289,16 @@ def _kolmogorov_pairs(diagonals: np.ndarray, rates: np.ndarray, src) -> tuple:
     diagonals, clamp, bad = _sign_rule(diagonals, True)
     rates, pair_clamp, pair_bad = _sign_rule(rates, False)
     bins = (n * np.arange(count)[:, None] + src).ravel()
-    rows = diagonals + np.bincount(bins, rates.ravel(), minlength=count * n).reshape(count, n)
+    with np.errstate(invalid="ignore"):     # as in _kolmogorov
+        rows = diagonals + np.bincount(bins, rates.ravel(), minlength=count * n).reshape(count, n)
     invalid = bad.any(axis=1) | pair_bad.any(axis=1) | (np.abs(rows) > _ROW_TOL).any(axis=1)
     return diagonals, rates, int(clamp.sum() + pair_clamp.sum()), invalid
 
 
-def _validated_generator(m: np.ndarray) -> np.ndarray:
-    """A constant matrix that passes the Kolmogorov rule, its diagonal rebuilt
-    as minus the clipped off-diagonal row sums. An all-zero diagonal stands
-    for that rebuilt one, so only its entries' signs and finiteness are checked."""
+def _validated_generator(m: np.ndarray) -> tuple:
+    """A constant matrix that passes the Kolmogorov rule as its positive pairs src -> dst,
+    (1, n) diagonal, rebuilt as minus the clipped off-diagonal row sums, and (1, P) rates. An
+    all-zero diagonal stands for the rebuilt one: only the entries' signs and finiteness are checked."""
     q, _, bad, rows, bad_rows = _kolmogorov(m)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -298,7 +307,8 @@ def _validated_generator(m: np.ndarray) -> np.ndarray:
         i = np.flatnonzero(bad_rows)[0]
         raise InvalidGenerator("rate matrix row %d sums to %r, not 0" % (i, float(rows[i])))
     off = np.clip(m - np.diag(np.diag(m)), 0.0, None)
-    return off - np.diag(off.sum(axis=1))
+    src, dst = np.nonzero(off > 0)
+    return src, dst, (0.0 - off.sum(axis=1))[None], off[src, dst][None]
 
 
 def constant_rates(matrix) -> ReferenceRates:

@@ -69,7 +69,7 @@ class RateMatrix:
             worst = max(self.violations, key=lambda v: abs(v[2]))
             raise InvalidGenerator(
                 "%s rate matrix invalid, worst violation at (%d, %d): %r"
-                % (self.kind, worst[0], worst[1], worst[2]))
+                % (self.kind, worst[0], worst[1], float(worst[2])))
         return self.entries
 
 
@@ -125,7 +125,7 @@ def _rate_stack(spec: HamiltonianSpec, rho: np.ndarray, s: np.ndarray, times) ->
     if kind == "sbp":
         if np.min(rho) <= 0:
             raise BoundaryDensity("reweighted rates need interior masses")
-        m = spec.reference.at_many(times)[:, src, dst]
+        m = spec.reference.records(times)[1]
         # e^{S_b - S_a} where m carries rate
         ex = np.exp(_capped(s[:, dst] - s[:, src], m != 0))
         rate = ex * np.sqrt(rho[:, dst] / rho[:, src]) * m
@@ -220,7 +220,7 @@ class LinearGrid:
         p = self.product(blocks)
         low = p.min()
         if low < -1e-9:
-            raise InvalidGenerator("propagator entry %r below tolerance" % low)
+            raise InvalidGenerator("propagator entry %r below tolerance" % float(low))
         if low < 0:
             _log.warning("clipped %d tiny negative propagator entries", int((p < 0).sum()))
             p = np.clip(p, 0.0, None)

@@ -273,7 +273,7 @@ def path_entropy_bruteforce(solution: BridgeSolution, n_steps: int) -> float:
     moves, size = np.zeros(len(refr.src), dtype=bool), _block_size(n)
     for lo in range(0, n_steps, size):
         steps = np.arange(lo, min(lo + size, n_steps))
-        moves |= (refr.at_many(problem.t0 + h * steps)[:, refr.src, refr.dst] != 0).any(axis=0)
+        moves |= (refr.records(problem.t0 + h * steps)[1] != 0).any(axis=0)
         choices = int(np.bincount(refr.src[moves], minlength=n).max()) + 1
         if choices ** min(n_steps, 24) > 1e7:
             raise PathExplosion("%d steps of up to %d choices make over 1e7 support paths; "

@@ -4,6 +4,7 @@ import csv
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -458,6 +459,38 @@ class TestErrors:
         assert rc == 1
         assert "config error: config key %r" % key in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("block, line", [
+        ({"initial": {"rho": [0.3, 0.3], "pot": [0.0, 0.0]}},
+         "config error: config key 'rho': not a density: mass sums to 0.6, not 1"),
+        ({"initial": {"rho": [1.5, -0.5], "pot": [0.0, 0.0]}},
+         "config error: config key 'rho': not a density: negative mass -0.5"),
+        ({"initial": {"rho": [0.5, 0.5], "pot": [0.0, 0.0]}, "horizon": {"t1": 0.1, "dt": 0.01},
+          "reference": {"kind": "symmetric", "value": 1000.0}},
+         "error: propagator entry -4278.377279886196 below tolerance"),
+    ], ids=["mass", "negative-mass", "propagator"])
+    def test_errors_print_plain_floats(self, tmp_path, capsys, block, line):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict({
+            "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+            "reference": {"kind": "symmetric", "value": 1.0},
+        }, **block)))
+        rc, _ = run(tmp_path, "simulate", "--config", str(cfg), "--particles", "1")
+        assert rc == 1
+        assert capsys.readouterr().err == line + "\n"
+
+    def test_infinite_rates_in_one_row_print_only_the_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+            "reference": {"kind": "constant", "matrix": [[-np.inf, np.inf], [1.0, -1.0]]},
+            "initial": {"rho": [0.6, 0.4], "pot": [0.0, 0.0]},
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, _ = run(tmp_path, "simulate", "--config", str(cfg), "--particles", "10")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: rate matrix entry (0, 0) is -inf\n"
 
     def test_missing_subcommand(self):
         assert main([]) == 1

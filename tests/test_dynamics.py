@@ -367,7 +367,7 @@ def three_node_rates():
 def nan_rates(n, where, after=0.05):
     """A reference on K_n whose entries in the mask `where` turn NaN at times
     above `after`."""
-    base = symmetric_rates(complete_graph(n)).matrix
+    base = symmetric_rates(complete_graph(n)).at(0.0)
 
     def batch(ts):
         ms = np.repeat(base[None], len(ts), axis=0)
@@ -382,7 +382,7 @@ def oracle_case(name):
     g = complete_graph(3)
     start = PhasePoint(TestIntegrators.SAFE_RHO, TestIntegrators.SAFE_S)
     ramp = ReferenceRates(3, batch_fn=lambda ts: (1.0 + np.asarray(ts))[:, None, None]
-                          * symmetric_rates(g).matrix)
+                          * symmetric_rates(g).at(0.0))
     periodic = load_config("three-node-circle").reference
     short = 0.2, 0.02, 3
     return {
@@ -551,7 +551,7 @@ class TestChartCommutation:
         rng = np.random.default_rng(23)
         g = complete_graph(3)
         # weak rates keep the flow interior across the whole unit window
-        weak = 0.25 * random_generator(rng, 3).matrix
+        weak = 0.25 * random_generator(rng, 3).at(0.0)
         rates = constant_rates(weak)
         rho0 = np.array([0.5, 0.2, 0.3])
         s0 = np.array([0.1, -0.05, 0.1])

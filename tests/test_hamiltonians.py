@@ -13,6 +13,7 @@ Core claims checked here:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ def random_interior(rng, n):
 
 class TestReferenceRates:
     def test_diagonal_rebuilt(self):
-        m = constant_rates([[0.0, 2.0], [3.0, 0.0]]).matrix
+        m = constant_rates([[0.0, 2.0], [3.0, 0.0]]).at(0.0)
         assert np.allclose(m, [[-2.0, 2.0], [3.0, -3.0]])
         assert np.allclose(m.sum(axis=1), 0.0)
 
@@ -113,24 +114,24 @@ class TestReferenceRates:
     def test_passing_matrices_keep_the_rebuilt_diagonal(self, matrix):
         m = np.array(matrix)
         off = np.clip(m - np.diag(np.diag(m)), 0.0, None)
-        np.testing.assert_array_equal(constant_rates(m).matrix,
+        np.testing.assert_array_equal(constant_rates(m).at(0.0),
                                       off - np.diag(off.sum(axis=1)))
 
     def test_a_constant_matrix_cannot_be_written_through_at(self):
         r = constant_rates([[-1.0, 1.0], [1.0, -1.0]])
         with pytest.raises(ValueError, match="read-only"):
             r.at(0.0)[0, 1] = 5.0
-        assert r.matrix[0, 1] == 1.0 and r.rows([0.0], [0])[1][0, 0] == 1.0
+        assert r.at(0.0)[0, 1] == 1.0 and r.rows([0.0], [0])[1][0, 0] == 1.0
 
     def test_symmetric_rates_on_graph(self):
         g = validate_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        m = symmetric_rates(g, 2.0).matrix
+        m = symmetric_rates(g, 2.0).at(0.0)
         assert m[0, 1] == 2.0 and m[0, 2] == 0.0
         assert m[1, 1] == -4.0
 
     def test_symmetric_rates_sit_on_the_pairs(self):
         g = validate_graph(5, [(0, 1, 2.0), (1, 2, 0.5), (2, 3, 1.0), (3, 4, 3.0), (0, 3, 1.5)])
-        m = symmetric_rates(g, 0.7).matrix
+        m = symmetric_rates(g, 0.7).at(0.0)
         want = np.zeros((5, 5))
         for i, j in g.edges:
             want[i, j] = want[j, i] = 0.7
@@ -184,6 +185,24 @@ class TestReferenceRates:
             assert got.tobytes() == want.tobytes()
             empty = rates.rows(times[:0], states[:0])
             assert [a.shape for a in empty] == [(0,), (0, width), (0, width)]
+            # the pair records are the stack's diagonals and support entries
+            ms = rates.at_many(times)
+            diagonals, pair_rates = rates.records(times)
+            assert diagonals.tobytes() == np.diagonal(ms, axis1=1, axis2=2).tobytes()
+            assert pair_rates.tobytes() == ms[:, rates.src, rates.dst].tobytes()
+
+    def test_a_ring_reference_keeps_no_dense_matrix(self):
+        # a constant source keeps its one pair record: O(n + P) bytes, where one
+        # (n, n) float matrix of the 1,024-node ring alone is 8.4 MB
+        n = 1024
+        g = validate_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+        tracemalloc.start()
+        try:
+            rates = symmetric_rates(g)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rates.src.shape == (2 * n,) and kept < 1_000_000
 
     def test_support_mask(self):
         rates = constant_rates([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -431,7 +450,7 @@ class TestEntropicPinned:
             n = 4
             rates = random_generator(rng, n)
             # left null vector of the generator, normalized to a density
-            w, vl = np.linalg.eig(rates.matrix.T)
+            w, vl = np.linalg.eig(rates.at(0.0).T)
             k = int(np.argmin(np.abs(w)))
             rho = np.real(vl[:, k])
             rho = np.abs(rho) / np.abs(rho).sum()

@@ -523,7 +523,7 @@ class TestSampler:
         # at n = 64 a _block_size(n) block holds 4 times; the check reads
         # ceil(1000 / 64) = 16 at a time, 63 at_many calls for the grid
         n = 64
-        base = symmetric_rates(complete_graph(n)).matrix
+        base = symmetric_rates(complete_graph(n)).at(0.0)
         calls = []
 
         def batch(ts):
@@ -719,7 +719,7 @@ class TestChunks:
     def test_constant_rates_are_scanned_at_one_time(self, monkeypatch):
         # a constant generator was checked when it was built: its one record
         # gives the bound, and neither the bound nor the draws call at_many
-        rates, calls = constant_rates(self.Q.matrix), []
+        rates, calls = constant_rates(self.Q.at(0.0)), []
         rates.at_many = lambda ts: calls.append(len(ts))
         args = (self.RHO0, self.M, 0.0, 1.0, self.SEED)
         whole = sample_paths(self.Q, *args)
@@ -804,7 +804,7 @@ class TestChunks:
         # proposal reads the 2 support rates of its row, not n
         n = 256
         ring = symmetric_rates(validate_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)]))
-        rates = recorded(0.0, 0.025, ring.matrix * np.linspace(0.5, 1.5, 21)[:, None, None])
+        rates = recorded(0.0, 0.025, ring.at(0.0) * np.linspace(0.5, 1.5, 21)[:, None, None])
         times, widths = [], []
         rows = rates.rows
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import graphham
 
-CEILINGS = {"cli": 3, "dynamics": 7, "graph": 2, "hamiltonians": 10, "markov": 5,
+CEILINGS = {"cli": 2, "dynamics": 7, "graph": 2, "hamiltonians": 10, "markov": 5,
             "sbp": 3, "theta": 1}
 
 
